@@ -26,6 +26,6 @@ from .loops import (Loop, LoopFamily, concat, length, load_loop_csv,
                     make_circle, make_point_loop, resample_arclength,
                     save_loop_csv, speed_cv, speeds)
 from .minimax import (DescentSettings, MinimaxResult, descend_loop,
-                      family_minimax, init_sweep_family, mountain_pass)
+                      family_minimax, init_sweep_family)
 from .oracle import (OrbitCandidate, circle_action_profile, fd_gradient,
                      larmor_orbit, orbit_to_loop, shooting_periodic)

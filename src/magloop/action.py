@@ -27,9 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (GeometrySpec, metric_eval, metric_grad,
-                       potential_eval, potential_jac)
-from .loops import Loop
+from .geometry import GeometrySpec, metric_grad, potential_eval, potential_jac
+from .loops import Loop, edge_geometry
 
 
 @dataclass(frozen=True)
@@ -101,14 +100,10 @@ def cutoff_df(x: float, cut: CutoffSpec) -> float:
     return 6.0 * t * (1.0 - t) / (cut.hi - cut.lo)
 
 
-def _edge_quantities(spec: GeometrySpec, loop: Loop, E: float):
-    d = loop.displacements()
-    m = loop.midpoints()
-    g = metric_eval(spec, m)
-    q = np.maximum(np.einsum("ni,nij,nj->n", d, g, d), 0.0)
-    ell = np.sqrt(q)
-    s = math.sqrt(E) * loop.n * ell
-    return d, m, g, ell, s
+def _circulation(spec: GeometrySpec, d: np.ndarray, m: np.ndarray):
+    """Potential at the midpoints and the circulation sum_j A(m_j) . d_j."""
+    A = potential_eval(spec, m)
+    return A, float(np.einsum("ni,ni->", A, d))
 
 
 def circulation(spec: GeometrySpec, loop: Loop) -> float:
@@ -117,17 +112,15 @@ def circulation(spec: GeometrySpec, loop: Loop) -> float:
     Exact for the linear plane potential: equals B times the signed polygon
     area.
     """
-    d = loop.displacements()
-    A = potential_eval(spec, loop.midpoints())
-    return float(np.einsum("ni,ni->", A, d))
+    return _circulation(spec, loop.displacements(), loop.midpoints())[1]
 
 
 def action_S(spec: GeometrySpec, loop: Loop, E: float) -> float:
     """Length-type action sqrt(E) * length + circulation."""
     if E <= 0:
         raise ValueError("E must be positive")
-    _, _, _, ell, _ = _edge_quantities(spec, loop, E)
-    return math.sqrt(E) * float(ell.sum()) + circulation(spec, loop)
+    d, m, _, ell = edge_geometry(spec, loop)
+    return math.sqrt(E) * float(ell.sum()) + _circulation(spec, d, m)[1]
 
 
 def _speed_sums(s: np.ndarray, n: int, params: ActionParams):
@@ -141,9 +134,10 @@ def _speed_sums(s: np.ndarray, n: int, params: ActionParams):
 def action_pair(spec: GeometrySpec, loop: Loop,
                 params: ActionParams) -> tuple[float, float]:
     """(S_{0,tau}, S_{eps,tau}) evaluated in one pass."""
-    _, _, _, _, s = _edge_quantities(spec, loop, params.E)
+    d, m, _, ell = edge_geometry(spec, loop)
+    s = math.sqrt(params.E) * loop.n * ell
     p0, p1 = _speed_sums(s, loop.n, params)
-    circ = circulation(spec, loop)
+    circ = _circulation(spec, d, m)[1]
     return p0 + circ, p0 + p1 + circ
 
 
@@ -167,16 +161,14 @@ def _grad_components(spec: GeometrySpec, loop: Loop, params: ActionParams):
     Returns (s0, s1, grad0, grad1) with grads of shape (N, 2).
     """
     n = loop.n
-    d, m, g, ell, s = _edge_quantities(spec, loop, params.E)
+    d, m, g, ell = edge_geometry(spec, loop)
     rootE = math.sqrt(params.E)
-
-    sf = np.maximum(s, params.delta)
-    p0 = float(np.power(sf, 1.0 + params.tau).sum()) / n
-    p1 = params.eps * float((s * s).sum()) / n
-    A = potential_eval(spec, m)
-    circ = float(np.einsum("ni,ni->", A, d))
+    s = rootE * n * ell
+    p0, p1 = _speed_sums(s, n, params)
+    A, circ = _circulation(spec, d, m)
 
     # d(per-edge speed term)/ds; the floored branch is constant in s.
+    sf = np.maximum(s, params.delta)
     w0 = (1.0 + params.tau) * np.power(sf, params.tau) * (s >= params.delta) / n
     w1 = w0 + 2.0 * params.eps * s / n
 

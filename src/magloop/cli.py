@@ -197,7 +197,6 @@ def parse_config_dict(obj: dict) -> ExperimentConfig:
             backtrack=_number(sol, "backtrack", "config.solver", default=0.5),
             family_size=family_size,
             family_size_p=m_p,
-            rng_seed=seed,
         )
         schedule = Schedule(eps0=eps0, tau0=tau0, rho=rho, n_steps=n_steps)
     except ValueError as exc:
@@ -332,7 +331,7 @@ def _cmd_mpass(args) -> int:
     params = ActionParams(E=config.E, eps=eps, tau=tau, delta=config.delta)
     family = init_sweep_family(config.geometry, config.E, config.w_shape,
                                config.family_size, config.n_vertices,
-                               config.seed, m_p=config.m_p)
+                               m_p=config.m_p)
     result = family_minimax(config.geometry, family, params, config.solver)
     out = resolve_output_dir(args.output_dir or config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -484,8 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="magloop",
         description="Variational solver for periodic magnetic geodesics")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap (results are thread-count independent)")
     parser.add_argument("--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -556,9 +553,6 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        print("config error: --threads must be >= 1", file=sys.stderr)
-        return EXIT_CONFIG
     try:
         return _COMMANDS[args.command](args)
     except ConfigError as exc:

@@ -201,8 +201,7 @@ def continuation_run(spec: GeometrySpec, E: float, w_shape: str,
     the whole schedule; beta = beta_frac * c_ref.
     """
     family = init_sweep_family(spec, E, w_shape, settings.family_size,
-                               n_vertices, settings.rng_seed,
-                               m_p=settings.family_size_p)
+                               n_vertices, m_p=settings.family_size_p)
     params0 = ActionParams(E=E, eps=schedule.eps0, tau=schedule.tau0,
                            delta=delta)
     boot, rows = _engine(spec, family.rows, params0, None, settings)

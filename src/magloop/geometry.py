@@ -19,7 +19,6 @@ before any trigonometric evaluation, so field values are exactly periodic
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass
 
@@ -119,19 +118,6 @@ class GeometrySpec:
             )
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"geometry: {exc}") from None
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "GeometrySpec":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"geometry JSON: {exc.msg} at line {exc.lineno} column {exc.colno}"
-            ) from None
-        return cls.from_json_dict(obj)
 
 
 def _as_xy(p) -> np.ndarray:

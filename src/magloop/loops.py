@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,12 +109,28 @@ def make_circle(center, r: float, orientation: int, n: int) -> Loop:
     return Loop(v)
 
 
+def _edge_metric(spec: GeometrySpec, v: np.ndarray, d: np.ndarray):
+    """Midpoints, midpoint metrics and Riemannian lengths of the edges d
+    leaving the vertices v."""
+    m = v + 0.5 * d
+    g = metric_eval(spec, m)
+    return m, g, np.sqrt(np.maximum(np.einsum("ni,nij,nj->n", d, g, d), 0.0))
+
+
+def edge_geometry(spec: GeometrySpec, loop: Loop):
+    """Per-edge kernel (d, m, g, ell) from one displacement pass.
+
+    d are the chart displacements, m the midpoints, g the metric at the
+    midpoints and ell the Riemannian edge lengths; every length, action
+    value and gradient is assembled from these.
+    """
+    d = loop.displacements()
+    return (d, *_edge_metric(spec, loop.vertices, d))
+
+
 def edge_lengths(spec: GeometrySpec, loop: Loop) -> np.ndarray:
     """Riemannian length of each edge under the midpoint metric."""
-    d = loop.displacements()
-    g = metric_eval(spec, loop.midpoints())
-    q = np.einsum("ni,nij,nj->n", d, g, d)
-    return np.sqrt(np.maximum(q, 0.0))
+    return edge_geometry(spec, loop)[3]
 
 
 def length(spec: GeometrySpec, loop: Loop) -> float:
@@ -176,9 +192,7 @@ def resample_arclength(spec: GeometrySpec, loop: Loop, n_out: int) -> Loop:
                       np.interp(sx, base, lifted[:, 1])], axis=1)
         d = np.roll(v, -1, axis=0) - v
         d[-1] += winding
-        mid = v + 0.5 * d
-        g = metric_eval(spec, mid)
-        c = np.sqrt(np.maximum(np.einsum("ni,nij,nj->n", d, g, d), 0.0))
+        c = _edge_metric(spec, v, d)[2]
         ctot = float(c.sum())
         if ctot <= 0.0:
             raise DegenerateLoop("resampling collapsed the loop")
@@ -265,14 +279,13 @@ class LoopFamily:
 
     shape "path": a single row of loops from a one-point loop to a terminal
     loop.  shape "cylinder": several rows, each a path; rows sweep a second
-    parameter (the base point around a cycle).  Adjacent loops in a row stay
-    within mesh_bound vertexwise, so piecewise-linear interpolation between
-    them traces a continuous family.
+    parameter (the base point around a cycle).  Adjacent loops in a row
+    share windings, so piecewise-linear interpolation between them traces a
+    continuous family.
     """
 
     shape: str
     rows: tuple
-    mesh_bound: float = field(default=0.0)
 
     def __post_init__(self):
         if self.shape not in ("path", "cylinder"):
@@ -283,7 +296,6 @@ class LoopFamily:
         if self.shape == "path" and len(rows) != 1:
             raise ValueError("a path family has exactly one row")
         n = rows[0][0].n
-        bound = 0.0
         for row in rows:
             if not row[0].is_point():
                 raise ValueError("each row must start at a one-point loop")
@@ -293,9 +305,7 @@ class LoopFamily:
             for a, b in zip(row, row[1:]):
                 if not np.array_equal(a.windings, b.windings):
                     raise ValueError("adjacent loops must share windings")
-                bound = max(bound, vertex_distance(a, b))
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "mesh_bound", bound)
 
     @property
     def n_rows(self) -> int:
@@ -304,10 +314,6 @@ class LoopFamily:
     @property
     def row_len(self) -> int:
         return len(self.rows[0])
-
-    def all_loops(self):
-        for row in self.rows:
-            yield from row
 
 
 def save_loop_csv(path, loop: Loop, torus: bool | None = None):

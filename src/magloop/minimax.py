@@ -53,7 +53,6 @@ class DescentSettings:
     backtrack: float = 0.5
     family_size: int = 33
     family_size_p: int = 8
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -68,8 +67,6 @@ class DescentSettings:
             raise ValueError("family_size must be at least 3")
         if self.family_size_p < 1:
             raise ValueError("family_size_p must be positive")
-        if int(self.rng_seed) != self.rng_seed or self.rng_seed < 0:
-            raise ValueError("rng_seed must be a nonnegative integer")
 
 
 @dataclass(frozen=True)
@@ -327,16 +324,6 @@ def _engine(spec, rows, params, cut, settings):
             rows)
 
 
-def mountain_pass(spec: GeometrySpec, family: LoopFamily, params: ActionParams,
-                  settings: DescentSettings,
-                  cut: CutoffSpec | None = None) -> MinimaxResult:
-    """Minimax estimate over a path family (single string)."""
-    if family.shape != "path":
-        raise ValueError("mountain_pass expects a path family")
-    result, _ = _engine(spec, family.rows, params, cut, settings)
-    return result
-
-
 def family_minimax(spec: GeometrySpec, family: LoopFamily,
                    params: ActionParams, settings: DescentSettings,
                    cut: CutoffSpec | None = None) -> MinimaxResult:
@@ -408,7 +395,8 @@ def init_sweep_family(spec: GeometrySpec, E: float, shape: str, M: int,
     action turns negative.  On a torus, if no contractible circle works, an
     axis-aligned rectangle hugging a single field band is tried.  Raises
     NoNegativeLoopFound when neither construction produces a negative
-    terminal (e.g. a vanishing field).  Deterministic; rng_seed is reserved.
+    terminal (e.g. a vanishing field).  Deterministic: rng_seed is accepted
+    for positional compatibility and not read.
     """
     if shape not in ("path", "cylinder"):
         raise ValueError("shape must be 'path' or 'cylinder'")

@@ -14,7 +14,7 @@ import numpy as np
 
 from .action import (ActionParams, CutoffSpec, action_F_cutoff, action_S,
                      action_S_eps_tau)
-from .dynamics import FlowState, integrate_flow, kinetic_energy
+from .dynamics import FlowState, integrate_flow, kinetic_energy, rk4_step
 from .errors import InvalidOracleInput
 from .geometry import ChartPoint, GeometryKind, GeometrySpec, metric_eval
 from .loops import Loop, make_circle
@@ -114,16 +114,6 @@ def _normalize_state(spec, state, E_mech):
     return FlowState(state.p, v * (math.sqrt(2.0 * E_mech) / norm))
 
 
-def _integrate_to(spec, y0, dt):
-    """One RK4 step of length dt from the packed state y0."""
-    from .dynamics import _rhs
-    k1 = _rhs(spec, y0)
-    k2 = _rhs(spec, y0 + 0.5 * dt * k1)
-    k3 = _rhs(spec, y0 + 0.5 * dt * k2)
-    k4 = _rhs(spec, y0 + dt * k3)
-    return y0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def _torus_gap(spec, delta):
     if spec.is_torus:
         return delta - np.round(delta)
@@ -146,21 +136,20 @@ def _first_return(spec, y0, p_base, nhat, dt, t_cap):
     y, t = y0.copy(), 0.0
     steps = int(math.ceil(t_cap / dt))
     for _ in range(steps):
-        y_next = _integrate_to(spec, y, dt)
+        y_next = rk4_step(spec, y, dt)
         if (t > 2.0 * dt and h(y) < 0.0 <= h(y_next)
                 and y_next[2:] @ nhat > 0.0):
             lo, hi, ylo = 0.0, dt, y
             for _ in range(60):
                 mid = 0.5 * (lo + hi)
-                ymid = _integrate_to(spec, ylo, mid - lo)
+                ymid = rk4_step(spec, ylo, mid - lo)
                 if h(ymid) < 0.0:
                     lo, ylo = mid, ymid
                 else:
                     hi = mid
                 if hi - lo < 1e-16:
                     break
-            return t + 0.5 * (lo + hi), _integrate_to(spec, ylo,
-                                                      0.5 * (hi - lo) - 0.0)
+            return t + 0.5 * (lo + hi), rk4_step(spec, ylo, 0.5 * (hi - lo))
         y, t = y_next, t + dt
     return None
 

@@ -9,7 +9,8 @@ from magloop import (GeometryKind, GeometrySpec, Loop, action_F_cutoff,
                      action_S, action_S_eps_tau, circulation, cutoff_f,
                      grad_action, length, make_circle, make_point_loop,
                      resample_arclength, speeds)
-from magloop.action import ActionParams, CutoffSpec, cutoff_df
+from magloop.action import (ActionParams, CutoffSpec, _grad_components,
+                            action_pair, cutoff_df)
 from magloop.oracle import fd_gradient
 
 PLANE = GeometrySpec(GeometryKind.PLANE_CONSTANT_B, B=1.0)
@@ -159,6 +160,26 @@ def test_gradient_matches_fd():
             scale = max(float(np.linalg.norm(numeric)), 1e-12)
             rel = float(np.linalg.norm(analytic - numeric)) / scale
             assert rel < 1e-6
+
+
+def test_values_and_gradient_share_the_edge_kernel():
+    # value and gradient are assembled from one edge kernel, so the values
+    # returned next to the gradient are the action values bit for bit
+    rng = np.random.default_rng(61)
+    for spec in (PLANE, TORUS, CONF):
+        loop = _random_loop(rng, spec, scale=0.3 if spec.is_torus else 1.0)
+        for params in (ActionParams(E=1.3), ActionParams(E=0.7, eps=1e-2,
+                                                         tau=0.3)):
+            s0, s1, _, _ = _grad_components(spec, loop, params)
+            assert action_pair(spec, loop, params) == (s0, s1)
+            # a window around s0 keeps the cutoff factor strictly inside (0, 1)
+            cut = CutoffSpec(c_ref=15.0 * s0, beta=0.1)
+            assert 0.0 < cutoff_f(s0, cut) < 1.0
+            assert action_F_cutoff(spec, loop, params, cut) == \
+                cutoff_f(s0, cut) * s1
+            assert action_S(spec, loop, params.E) == \
+                math.sqrt(params.E) * length(spec, loop) + circulation(spec,
+                                                                       loop)
 
 
 def test_gradient_vanishing_near_extremal_circle():

@@ -118,11 +118,6 @@ def test_classification_exit_codes():
         cli.classification_exit_code("bogus")
 
 
-def test_threads_validation(capsys):
-    assert cli.main(["--threads", "0", "gradcheck", "--loops", "1"]) == \
-        cli.EXIT_CONFIG
-
-
 def test_run_experiment_outputs(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
     cpath = _write_config(tmp_path, _base_config(n_steps=7))

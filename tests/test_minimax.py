@@ -7,7 +7,7 @@ import pytest
 
 from magloop import (CutoffSpec, DescentSettings, GeometryKind, GeometrySpec,
                      Loop, action_S, action_S_eps_tau, descend_loop,
-                     init_sweep_family, length, make_circle, mountain_pass,
+                     family_minimax, init_sweep_family, length, make_circle,
                      speed_cv)
 from magloop.action import ActionParams, action_F_cutoff
 from magloop.errors import NoNegativeLoopFound
@@ -58,7 +58,7 @@ def test_mountain_pass_level_matches_circle_scan():
     # must match a dense 1-D scan over circle radii
     params = ActionParams(E=1.0, eps=1e-2, tau=1e-2)
     fam = init_sweep_family(PLANE, 1.0, "path", 33, 128)
-    res = mountain_pass(PLANE, fam, params, DescentSettings())
+    res = family_minimax(PLANE, fam, params, DescentSettings())
     assert res.converged
     rs = np.linspace(0.5, 2.0, 4001)
     scan = max(action_S_eps_tau(PLANE, make_circle((0.0, 0.0), float(r),
@@ -76,7 +76,7 @@ def test_mountain_pass_argmax_radius_law():
     expect = 1.0 / (math.cos(math.pi / n)
                     - 4.0 * eps * n * math.sin(math.pi / n))
     fam = init_sweep_family(PLANE, 1.0, "path", 33, n)
-    res = mountain_pass(PLANE, fam, params, DescentSettings())
+    res = family_minimax(PLANE, fam, params, DescentSettings())
     ctr = res.argmax.vertices.mean(axis=0)
     rr = np.linalg.norm(res.argmax.vertices - ctr, axis=1)
     assert res.converged
@@ -88,7 +88,7 @@ def test_mountain_pass_argmax_radius_law():
 def test_history_monotone_and_level_is_argmax_value():
     params = ActionParams(E=1.0, eps=1e-2, tau=1e-2)
     fam = init_sweep_family(PLANE, 1.0, "path", 33, 64)
-    res = mountain_pass(PLANE, fam, params, DescentSettings())
+    res = family_minimax(PLANE, fam, params, DescentSettings())
     hist = [v for _, v in res.history]
     assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
     assert hist[-1] == res.level
@@ -101,11 +101,27 @@ def test_history_monotone_and_level_is_argmax_value():
 def test_mountain_pass_deterministic():
     params = ActionParams(E=1.0, eps=1e-2, tau=1e-2)
     fam = init_sweep_family(PLANE, 1.0, "path", 17, 48)
-    a = mountain_pass(PLANE, fam, params, DescentSettings())
-    b = mountain_pass(PLANE, fam, params, DescentSettings())
+    a = family_minimax(PLANE, fam, params, DescentSettings())
+    b = family_minimax(PLANE, fam, params, DescentSettings())
     assert a.level == b.level
     assert np.array_equal(a.argmax.vertices, b.argmax.vertices)
     assert a.history == b.history
+
+
+def test_relaxation_lowers_the_level_of_a_poor_family():
+    # no circle has negative action on this torus, so the family falls back
+    # to rectangles, whose maximum sits far above the saddle; only the
+    # relaxation sweep brings the level down
+    spec = GeometrySpec(GeometryKind.FLAT_TORUS_SINE, a=0.3, k=2)
+    fam = init_sweep_family(spec, 0.05, "path", 9, 48)
+    terminal = fam.rows[0][-1]
+    radii = np.linalg.norm(terminal.vertices
+                           - terminal.vertices.mean(axis=0), axis=1)
+    assert radii.std() > 0.1 * radii.mean()  # a rectangle, not a circle
+    params = ActionParams(E=0.05, eps=1e-2, tau=1e-2)
+    res = family_minimax(spec, fam, params, DescentSettings())
+    assert res.converged
+    assert res.level < 0.6 * res.history[0][1]
 
 
 def test_init_sweep_family_path_invariants():
