@@ -33,7 +33,7 @@ from .continuation import (Classification, ConvergedExtremal,
                            DivergingLengths, Inconclusive, Schedule,
                            continuation_run)
 from .dynamics import FlowState, integrate_flow, write_trajectory_csv
-from .errors import ConfigError, NoNegativeLoopFound
+from .errors import ConfigError, InvalidOracleInput, NoNegativeLoopFound
 from .geometry import ChartPoint, GeometryKind, GeometrySpec, metric_eval
 from .loops import Loop, save_loop_csv
 from .minimax import DescentSettings, family_minimax, init_sweep_family
@@ -348,12 +348,18 @@ def _geometry_from_args(args) -> GeometrySpec:
         kind = GeometryKind(args.kind)
     except ValueError:
         raise ConfigError(f"unknown geometry kind {args.kind!r}") from None
-    return GeometrySpec(kind=kind, B=args.B, a=args.a, k=args.k,
-                        u_amp=args.u_amp)
+    try:
+        return GeometrySpec(kind=kind, B=args.B, a=args.a, k=args.k,
+                            u_amp=args.u_amp)
+    except ValueError as exc:
+        raise ConfigError(f"geometry: {exc}") from None
 
 
 def _cmd_flow(args) -> int:
     spec = _geometry_from_args(args)
+    for name in ("x0", "y0", "angle", "speed", "T"):
+        if not math.isfinite(getattr(args, name)):
+            raise ConfigError(f"{name} must be finite")
     if args.speed <= 0:
         raise ConfigError("speed must be positive")
     if args.T <= 0 or args.steps < 1:
@@ -555,7 +561,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
+    except (ConfigError, InvalidOracleInput) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NoNegativeLoopFound as exc:

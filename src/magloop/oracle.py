@@ -134,10 +134,12 @@ def _first_return(spec, y0, p_base, nhat, dt, t_cap):
         return float(_torus_gap(spec, y[:2] - p_base) @ nhat)
 
     y, t = y0.copy(), 0.0
+    h_y = h(y)
     steps = int(math.ceil(t_cap / dt))
     for _ in range(steps):
         y_next = rk4_step(spec, y, dt)
-        if (t > 2.0 * dt and h(y) < 0.0 <= h(y_next)
+        h_next = h(y_next)
+        if (t > 2.0 * dt and h_y < 0.0 <= h_next
                 and y_next[2:] @ nhat > 0.0):
             lo, hi, ylo = 0.0, dt, y
             for _ in range(60):
@@ -150,7 +152,7 @@ def _first_return(spec, y0, p_base, nhat, dt, t_cap):
                 if hi - lo < 1e-16:
                     break
             return t + 0.5 * (lo + hi), rk4_step(spec, ylo, 0.5 * (hi - lo))
-        y, t = y_next, t + dt
+        y, h_y, t = y_next, h_next, t + dt
     return None
 
 
@@ -171,10 +173,11 @@ def shooting_periodic(spec: GeometrySpec, E_mech: float, seed_grid,
     list may be empty; that is evidence against a periodic orbit near the
     seeds at this resolution.
     """
-    if E_mech <= 0:
-        raise InvalidOracleInput("E_mech must be positive")
-    if period_cap <= 0 or tol <= 0 or dt <= 0:
-        raise InvalidOracleInput("period_cap, tol, dt must be positive")
+    if not (math.isfinite(E_mech) and E_mech > 0):
+        raise InvalidOracleInput("E_mech must be positive and finite")
+    if not all(math.isfinite(v) and v > 0 for v in (period_cap, tol, dt)):
+        raise InvalidOracleInput(
+            "period_cap, tol, dt must be positive and finite")
     speed = math.sqrt(2.0 * E_mech)
 
     candidates = []

@@ -1,15 +1,28 @@
 """Shared fixtures: the expensive end-to-end runs are session-scoped so the
 acceptance tests and the topical tests can share one execution each."""
 
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from magloop import (ChartPoint, DescentSettings, FlowState, GeometryKind,
                      GeometrySpec, Schedule, continuation_run, family_minimax,
                      init_sweep_family, shooting_periodic)
 from magloop.action import ActionParams
+
+# Property tests draw the same examples on every run and keep no example
+# database, so results are reproducible.  Hypothesis still caches the
+# constants it reads from source files (at collection time); that cache goes
+# to the system temporary directory, not to a .hypothesis/ in the checkout.
+settings.register_profile("tier1", derandomize=True, database=None,
+                          max_examples=60, deadline=None)
+settings.load_profile("tier1")
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "magloop-hypothesis")
 
 _ACCEPTANCE_LINES = []
 

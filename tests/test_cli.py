@@ -207,6 +207,21 @@ def test_flow_rejects_bad_speed():
         cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("flag", ["--speed", "--T", "--B"])
+def test_flow_rejects_nan(flag, tmp_path, monkeypatch):
+    monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+    args = {"--speed": "1.0", "--T": "1.0", flag: "nan"}
+    assert cli.main(["flow", *[t for kv in args.items() for t in kv]]) == \
+        cli.EXIT_CONFIG
+    assert not (tmp_path / "flow_out").exists()
+
+
+def test_oracle_shoot_bad_input_is_config_error(tmp_path, monkeypatch):
+    monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+    assert cli.main(["oracle", "shoot", "--E-mech", "nan"]) == \
+        cli.EXIT_CONFIG
+
+
 def test_gradcheck_subcommand(capsys):
     rc = cli.main(["gradcheck", "--loops", "6", "--n", "24", "--seed", "3"])
     assert rc == cli.EXIT_OK

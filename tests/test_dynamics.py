@@ -4,11 +4,14 @@ import csv
 import math
 
 import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
 
 from magloop import (ChartPoint, FlowState, GeometryKind, GeometrySpec, Loop,
                      el_residual_SE, el_residual_deq, integrate_flow,
                      kinetic_energy, make_circle)
-from magloop.dynamics import write_trajectory_csv
+from magloop.dynamics import _rhs, rk4_step, write_trajectory_csv
+from magloop.geometry import christoffel, field_F, metric_inverse
 
 PLANE = GeometrySpec(GeometryKind.PLANE_CONSTANT_B, B=1.0)
 
@@ -19,6 +22,56 @@ FLOW_CASES = [
     (GeometrySpec(GeometryKind.CONFORMAL_TORUS, a=1.0, k=1, u_amp=0.3),
      FlowState(ChartPoint(0.3, 0.7), np.array([0.5, -0.5]))),
 ]
+
+
+def _tensor_acc(spec, y):
+    """Reference acceleration -Gamma(v, v) + g^-1 F v from the geometry
+    tensors at one point."""
+    p, v = y[:2], y[2:]
+    return (-np.einsum("ijk,j,k->i", christoffel(spec, p), v, v)
+            + metric_inverse(spec, p) @ (field_F(spec, p) @ v))
+
+
+def _tensor_rk4(spec, y, h):
+    def f(z):
+        return np.concatenate([z[2:], _tensor_acc(spec, z)])
+
+    k1 = f(y)
+    k2 = f(y + 0.5 * h * k1)
+    k3 = f(y + 0.5 * h * k2)
+    k4 = f(y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+_coord = st.floats(-20.0, 20.0)
+_vel = st.floats(-5.0, 5.0)
+_state = st.tuples(_coord, _coord, _vel, _vel).map(np.array)
+_FLAT_SPECS = [
+    GeometrySpec(GeometryKind.PLANE_CONSTANT_B, B=1.3),
+    GeometrySpec(GeometryKind.FLAT_TORUS_SINE, a=3.0, k=2),
+]
+_ALL_SPECS = _FLAT_SPECS + [
+    GeometrySpec(GeometryKind.CONFORMAL_TORUS, a=1.0, k=2, u_amp=0.4),
+]
+
+
+@given(y=_state, spec=st.sampled_from(_ALL_SPECS))
+def test_closed_form_rhs_matches_tensor_formula(y, spec):
+    # the scale bounds the magnitude of every term, so cancellation between
+    # the geodesic and Lorentz parts cannot hide a wrong term
+    p, v = y[:2], y[2:]
+    ref = _tensor_acc(spec, y)
+    got = np.array(_rhs(spec, *y.tolist()))
+    scale = (np.abs(christoffel(spec, p)).sum() * float(v @ v)
+             + np.abs(metric_inverse(spec, p) @ field_F(spec, p)).sum()
+             * float(np.abs(v).sum()))
+    assert np.all(np.abs(got - ref) <= 1e-13 * scale)
+
+
+@given(y=_state, h=st.floats(1e-4, 0.5), spec=st.sampled_from(_FLAT_SPECS))
+def test_rk4_step_equals_tensor_rk4_on_flat_kinds(y, h, spec):
+    got, ref = rk4_step(spec, y, h), _tensor_rk4(spec, y, h)
+    assert got.tobytes() == ref.tobytes()
 
 
 def test_energy_conservation_all_kinds():

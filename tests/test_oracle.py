@@ -121,6 +121,20 @@ def test_shooting_validation():
             period_cap=1.0, tol=1e-6)
 
 
+@pytest.mark.parametrize("E_mech, period_cap, tol, dt", [
+    (0.5, 1.0, math.nan, 1e-3),       # `closure >= nan` never rejects
+    (0.5, 1.0, 1e-6, math.inf),       # zero steps: silently no candidate
+    (math.nan, 1.0, 1e-6, 1e-3),
+    (0.5, 1.0, 1e-6, math.nan),
+    (0.5, math.inf, 1e-6, 1e-3),
+], ids=["tol_nan", "dt_inf", "E_mech_nan", "dt_nan", "period_cap_inf"])
+def test_shooting_rejects_non_finite_inputs(E_mech, period_cap, tol, dt):
+    seeds = [FlowState(ChartPoint(0.0, 0.0), np.array([1.0, 0.0]))]
+    with pytest.raises(InvalidOracleInput):
+        shooting_periodic(PLANE, E_mech, seeds, period_cap=period_cap,
+                          tol=tol, dt=dt)
+
+
 def test_torus_candidate_matches_local_larmor(torus_cross):
     # near the field maximum the orbit is close to a circle of period
     # 2 pi / B_max = 1/3
