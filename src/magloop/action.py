@@ -17,7 +17,13 @@ speeds exceed the floor.
 
 Gradients are exact derivatives of these discrete sums (midpoint metric and
 potential, forward-difference edges), not discretizations of a continuum
-formula; finite differences of the values reproduce them to roundoff.
+formula; finite differences of the values reproduce them to roundoff.  On
+the flat kinds (plane_constant_B, flat_torus_sine) the metric is the
+identity and its derivative vanishes, so the derivatives of the quadratic
+form q_j = d_j . g . d_j with respect to the edge's two end vertices are
+-2 d_j and 2 d_j, formed without metric tensors; they equal the tensor
+formula bit for bit.  The cutoff gradient assembles the gradient of
+S_{0,tau} only inside the smoothstep window, where f' is non-zero.
 """
 
 from __future__ import annotations
@@ -155,11 +161,10 @@ def action_F_cutoff(spec: GeometrySpec, loop: Loop, params: ActionParams,
     return cutoff_f(s0, cut) * s1
 
 
-def _grad_components(spec: GeometrySpec, loop: Loop, params: ActionParams):
-    """Exact gradients of S_{0,tau} and S_{eps,tau} plus their values.
-
-    Returns (s0, s1, grad0, grad1) with grads of shape (N, 2).
-    """
+def _grad_kernel(spec: GeometrySpec, loop: Loop, params: ActionParams):
+    """Values (s0, s1), the speed weights (w0, w1) of S_{0,tau} and
+    S_{eps,tau}, and ``assemble``, which turns a weight vector into the
+    exact gradient of the functional it weights, shape (N, 2)."""
     n = loop.n
     d, m, g, ell = edge_geometry(spec, loop)
     rootE = math.sqrt(params.E)
@@ -177,11 +182,16 @@ def _grad_components(spec: GeometrySpec, loop: Loop, params: ActionParams):
     dsdq = np.zeros_like(ell)
     dsdq[pos] = rootE * n / (2.0 * ell[pos])
 
-    gd = np.einsum("nij,nj->ni", g, d)
-    dG = metric_grad(spec, m)
-    T = np.einsum("nkij,ni,nj->nk", dG, d, d)
-    dq_da = -2.0 * gd + 0.5 * T
-    dq_db = 2.0 * gd + 0.5 * T
+    if g is None:
+        # flat kinds: g = identity, dg = 0
+        dq_da = -2.0 * d
+        dq_db = 2.0 * d
+    else:
+        gd = np.einsum("nij,nj->ni", g, d)
+        dG = metric_grad(spec, m)
+        T = np.einsum("nkij,ni,nj->nk", dG, d, d)
+        dq_da = -2.0 * gd + 0.5 * T
+        dq_db = 2.0 * gd + 0.5 * T
 
     J = potential_jac(spec, m)
     half_Jd = 0.5 * np.einsum("nki,ni->nk", J, d)
@@ -189,15 +199,26 @@ def _grad_components(spec: GeometrySpec, loop: Loop, params: ActionParams):
     circ_b = half_Jd + A
 
     def assemble(weights):
+        # vertex j collects the a-end of edge j and the b-end of edge j-1
         coef = (weights * dsdq)[:, None]
-        grad = np.zeros((n, 2))
         contrib_a = coef * dq_da + circ_a
         contrib_b = coef * dq_db + circ_b
+        grad = np.zeros((n, 2))
         grad += contrib_a
-        grad += np.roll(contrib_b, 1, axis=0)
+        grad[1:] += contrib_b[:-1]
+        grad[0] += contrib_b[-1]
         return grad
 
-    return p0 + circ, p0 + p1 + circ, assemble(w0), assemble(w1)
+    return p0 + circ, p0 + p1 + circ, w0, w1, assemble
+
+
+def _grad_components(spec: GeometrySpec, loop: Loop, params: ActionParams):
+    """Exact gradients of S_{0,tau} and S_{eps,tau} plus their values.
+
+    Returns (s0, s1, grad0, grad1) with grads of shape (N, 2).
+    """
+    s0, s1, w0, w1, assemble = _grad_kernel(spec, loop, params)
+    return s0, s1, assemble(w0), assemble(w1)
 
 
 def grad_action(spec: GeometrySpec, loop: Loop, params: ActionParams,
@@ -206,14 +227,19 @@ def grad_action(spec: GeometrySpec, loop: Loop, params: ActionParams,
 
     Shape (N, 2); entry (j, i) is the derivative with respect to vertex j's
     i-th chart coordinate.  Winding offsets are fixed data, so the gradient
-    is well defined on torus loops in any covering representative.
+    is well defined on torus loops in any covering representative.  For F
+    it is f'(S_0) S_1 grad S_0 + f(S_0) grad S_1; grad S_0 is assembled only
+    where f' is non-zero, since elsewhere its term adds exactly zero.
     """
-    s0, s1, g0, g1 = _grad_components(spec, loop, params)
+    s0, s1, w0, w1, assemble = _grad_kernel(spec, loop, params)
+    g1 = assemble(w1)
     if cut is None:
         return g1
     f = cutoff_f(s0, cut)
     df = cutoff_df(s0, cut)
-    return df * s1 * g0 + f * g1
+    if df == 0.0:
+        return f * g1
+    return df * s1 * assemble(w0) + f * g1
 
 
 def grad_norm(gradient: np.ndarray) -> float:

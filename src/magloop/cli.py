@@ -372,14 +372,13 @@ def _cmd_flow(args) -> int:
     states = integrate_flow(spec, state, args.T, args.steps)
     out = resolve_output_dir(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_trajectory_csv(out / "trajectory.csv", spec, states, args.T)
+    energies = write_trajectory_csv(out / "trajectory.csv", spec, states,
+                                    args.T)
     first, last = states[0].as_array(), states[-1].as_array()
     gap = last - first
     if spec.is_torus:
         gap[:2] = gap[:2] - np.round(gap[:2])
     closure = float(np.linalg.norm(gap))
-    energies = [0.5 * float(s.v @ metric_eval(spec, s.p) @ s.v)
-                for s in states]
     drift = max(abs(e - energies[0]) for e in energies)
     print(json.dumps({"closure_residual": closure, "energy_drift": drift}))
     return EXIT_OK

@@ -70,6 +70,21 @@ class FlowState:
     def from_array(cls, y: np.ndarray) -> "FlowState":
         return cls(ChartPoint(float(y[0]), float(y[1])), y[2:4])
 
+    @classmethod
+    def _from_step(cls, y: np.ndarray) -> "FlowState":
+        """State over a fresh packed (p, v) array that nothing else writes,
+        such as an rk4_step output: v is a frozen view of it, not a copy.
+        Only the finiteness check of the constructor is kept."""
+        px, py, vx, vy = y.tolist()
+        if not (math.isfinite(vx) and math.isfinite(vy)):
+            raise ValueError("v must be finite")
+        v = y[2:]
+        v.setflags(write=False)
+        state = object.__new__(cls)
+        object.__setattr__(state, "p", ChartPoint(px, py))
+        object.__setattr__(state, "v", v)
+        return state
+
 
 def kinetic_energy(spec: GeometrySpec, state: FlowState) -> float:
     """Conserved mechanical energy (1/2) g_p(v, v)."""
@@ -149,22 +164,28 @@ def integrate_flow(spec: GeometrySpec, state: FlowState, T: float,
     out = [state]
     for _ in range(steps):
         y = rk4_step(spec, y, h)
-        out.append(FlowState.from_array(y))
+        out.append(FlowState._from_step(y))
     return out
 
 
 def write_trajectory_csv(path, spec: GeometrySpec, states: list[FlowState],
-                         T: float):
-    """Write t,x,y,vx,vy,energy rows for an integrate_flow output."""
+                         T: float) -> list[float]:
+    """Write t,x,y,vx,vy,energy rows for an integrate_flow output.
+
+    Returns the kinetic energies written, one per state.
+    """
     n = len(states) - 1
+    energies = []
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "x", "y", "vx", "vy", "energy"])
         for i, st in enumerate(states):
+            e = kinetic_energy(spec, st)
+            energies.append(e)
             writer.writerow([repr(i * T / n), repr(float(st.p.x)),
                              repr(float(st.p.y)), repr(float(st.v[0])),
-                             repr(float(st.v[1])),
-                             repr(kinetic_energy(spec, st))])
+                             repr(float(st.v[1])), repr(e)])
+    return energies
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,15 @@ any covering-chart representative without changing its invariants.
 Geometric quantities use the midpoint metric per edge: the Riemannian edge
 length is sqrt(d_j . g(m_j) . d_j) with m_j = v_j + d_j / 2, and the speed
 assigned to edge j of an N-gon is N times that length (the loop parameter
-runs over [0, 1]).
+runs over [0, 1]).  On the flat kinds (plane_constant_B, flat_torus_sine)
+the metric is the identity, so the edge kernel takes the length straight
+from sqrt(d_x^2 + d_y^2) and builds no metric tensor; the result equals the
+tensor formula bit for bit.  conformal_torus evaluates the metric.
+
+Loops derived from an existing loop (with_vertices, interpolate) are built
+by a trusted constructor that reuses the parent's frozen windings and takes
+over the fresh vertex array instead of copying and re-validating it; only
+the finiteness check is kept.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateLoop, NotConcatenable
-from .geometry import GeometrySpec, metric_eval
+from .geometry import GeometryKind, GeometrySpec, metric_eval
 
 _SHARED_VERTEX_TOL = 1e-9
 
@@ -64,13 +72,34 @@ class Loop:
         object.__setattr__(self, "vertices", _frozen(v))
         object.__setattr__(self, "windings", _frozen(w))
 
+    @classmethod
+    def _trusted(cls, vertices: np.ndarray, windings: np.ndarray) -> "Loop":
+        """Loop over a fresh float (N, 2) vertex array and an already frozen
+        windings array of the same shape.
+
+        The vertex array is frozen and kept, not copied; shape, dtype and
+        winding checks are skipped.  Non-finite vertices still raise.
+        """
+        if not np.isfinite(vertices).all():
+            raise ValueError("vertices must be finite")
+        vertices.setflags(write=False)
+        loop = object.__new__(cls)
+        object.__setattr__(loop, "vertices", vertices)
+        object.__setattr__(loop, "windings", windings)
+        return loop
+
     @property
     def n(self) -> int:
         return self.vertices.shape[0]
 
     def displacements(self) -> np.ndarray:
         """Chart displacement of each edge, shape (N, 2)."""
-        return np.roll(self.vertices, -1, axis=0) + self.windings - self.vertices
+        v = self.vertices
+        d = np.empty_like(v)
+        np.add(v[1:], self.windings[:-1], out=d[:-1])
+        np.add(v[0], self.windings[-1], out=d[-1])
+        d -= v
+        return d
 
     def midpoints(self) -> np.ndarray:
         return self.vertices + 0.5 * self.displacements()
@@ -83,7 +112,14 @@ class Loop:
         return self.windings.sum(axis=0)
 
     def with_vertices(self, vertices: np.ndarray) -> "Loop":
-        return Loop(vertices, self.windings)
+        """This loop's windings over new vertices.
+
+        ``vertices`` must be a float array of this loop's shape that the
+        caller does not keep writing to: it is frozen and kept, not copied.
+        """
+        if vertices.shape != self.vertices.shape:
+            raise ValueError("vertices must match the loop in shape")
+        return Loop._trusted(vertices, self.windings)
 
 
 def make_point_loop(p, n: int) -> Loop:
@@ -111,8 +147,16 @@ def make_circle(center, r: float, orientation: int, n: int) -> Loop:
 
 def _edge_metric(spec: GeometrySpec, v: np.ndarray, d: np.ndarray):
     """Midpoints, midpoint metrics and Riemannian lengths of the edges d
-    leaving the vertices v."""
+    leaving the vertices v.
+
+    On the flat kinds the metric is the identity: g is None and the length
+    is sqrt(d_x^2 + d_y^2), which is what the tensor formula rounds to (a
+    sum of squares needs no clamp at zero).
+    """
     m = v + 0.5 * d
+    if spec.kind is not GeometryKind.CONFORMAL_TORUS:
+        dx, dy = d[:, 0], d[:, 1]
+        return m, None, np.sqrt(dx * dx + dy * dy)
     g = metric_eval(spec, m)
     return m, g, np.sqrt(np.maximum(np.einsum("ni,nij,nj->n", d, g, d), 0.0))
 
@@ -121,8 +165,9 @@ def edge_geometry(spec: GeometrySpec, loop: Loop):
     """Per-edge kernel (d, m, g, ell) from one displacement pass.
 
     d are the chart displacements, m the midpoints, g the metric at the
-    midpoints and ell the Riemannian edge lengths; every length, action
-    value and gradient is assembled from these.
+    midpoints (None on the flat kinds, where it is the identity) and ell
+    the Riemannian edge lengths; every length, action value and gradient
+    is assembled from these.
     """
     d = loop.displacements()
     return (d, *_edge_metric(spec, loop.vertices, d))
@@ -268,9 +313,10 @@ def interpolate(a: Loop, b: Loop, t: float) -> Loop:
     """Vertexwise linear interpolation; requires matching windings."""
     if a.n != b.n:
         raise ValueError("loops must have equal vertex counts")
-    if not np.array_equal(a.windings, b.windings):
+    if a.windings is not b.windings and \
+            not np.array_equal(a.windings, b.windings):
         raise ValueError("cannot interpolate loops with different windings")
-    return Loop((1.0 - t) * a.vertices + t * b.vertices, a.windings)
+    return Loop._trusted((1.0 - t) * a.vertices + t * b.vertices, a.windings)
 
 
 @dataclass(frozen=True)

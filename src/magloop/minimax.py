@@ -21,6 +21,11 @@ is a positive critical level.  The engine estimates it from above:
 
 Levels in the history are non-increasing, and the reported level equals the
 family maximum at termination.
+
+The engine keeps one value per family loop and updates it whenever a loop
+is replaced: descent, polish and re-interpolation hand back the values of
+the loops they return, so the sweep's argmax, the re-interpolation guard
+and the final argmax read the table instead of re-evaluating the family.
 """
 
 from __future__ import annotations
@@ -94,17 +99,20 @@ def _value(spec, loop, params, cut):
     return action_F_cutoff(spec, loop, params, cut)
 
 
-def _descend(spec, loop, params, cut, settings, budget, step):
-    """Backtracking gradient descent; value never increases.
+def _descend(spec, loop, params, cut, settings, budget, step, val,
+             exit_norm=True):
+    """Backtracking gradient descent from ``loop``, whose value is ``val``;
+    the value never increases.
 
-    Returns (loop, grad_norm_at_exit, last_good_step).
+    Returns (loop, grad_norm_at_exit, last_good_step, value).  When the
+    budget runs out the exit gradient norm is evaluated only if
+    ``exit_norm`` is set; otherwise it is None.
     """
-    val = _value(spec, loop, params, cut)
     for _ in range(budget):
         g = grad_action(spec, loop, params, cut)
         gn = grad_norm(g)
         if gn <= settings.grad_tol:
-            return loop, gn, step
+            return loop, gn, step, val
         accepted = False
         t = step
         for _ in range(40):
@@ -118,9 +126,10 @@ def _descend(spec, loop, params, cut, settings, budget, step):
                 break
             t *= settings.backtrack
         if not accepted:
-            return loop, gn, step
-    g = grad_action(spec, loop, params, cut)
-    return loop, grad_norm(g), step
+            return loop, gn, step, val
+    if not exit_norm:
+        return loop, None, step, val
+    return loop, grad_norm(grad_action(spec, loop, params, cut)), step, val
 
 
 def descend_loop(spec: GeometrySpec, loop: Loop, params: ActionParams,
@@ -129,19 +138,21 @@ def descend_loop(spec: GeometrySpec, loop: Loop, params: ActionParams,
     """Relax a single loop; the functional value is non-increasing across
     accepted steps and descent stops at grad_tol or when the budget runs out.
     """
-    out, gn, _ = _descend(spec, loop, params, cut, settings,
-                          settings.max_iters, settings.step0)
+    out, gn, _, _ = _descend(spec, loop, params, cut, settings,
+                             settings.max_iters, settings.step0,
+                             _value(spec, loop, params, cut))
     return out, gn
 
 
-def _segment_polish(spec, row, idx, params, cut):
-    """Maximize the value over the two family segments adjacent to row[idx].
+def _segment_polish(spec, row, idx, params, cut, val):
+    """Maximize the value over the two family segments adjacent to row[idx],
+    whose value is ``val``.
 
     Returns (loop, value) for the best point found; value is at least the
     value at row[idx] itself.
     """
     best_loop = row[idx]
-    best_val = _value(spec, best_loop, params, cut)
+    best_val = val
     for a, b in ((idx - 1, idx), (idx, idx + 1)):
         if a < 0 or b >= len(row):
             continue
@@ -159,12 +170,14 @@ def _segment_polish(spec, row, idx, params, cut):
     return best_loop, best_val
 
 
-def _reinterp_row(spec, row, params, cut, settings, guard):
+def _reinterp_row(spec, row, params, cut, settings, guard, vals):
     """Equal-spacing re-interpolation of a string, with repair.
 
     Proposed interior loops whose value exceeds ``guard`` are descended; if
-    any still exceeds it the original row is kept, so re-interpolation never
-    raises the family maximum.
+    any still exceeds it the original row (the same object) is returned and
+    ``vals``, the values of its loops, is left alone, so re-interpolation
+    never raises the family maximum.  Otherwise the new row is returned and
+    ``vals`` is updated in place to the values of its loops.
     """
     m = len(row)
     gaps = np.array([rms_distance(row[i], row[i + 1]) for i in range(m - 1)])
@@ -174,19 +187,25 @@ def _reinterp_row(spec, row, params, cut, settings, guard):
     cum = np.concatenate([[0.0], np.cumsum(gaps)])
     slack = 1e-10 * max(1.0, abs(guard))
     new_row = [row[0]]
+    new_vals = [vals[0]]
     for j in range(1, m - 1):
         target = total * j / (m - 1)
         i = int(np.searchsorted(cum, target, side="right") - 1)
         i = min(max(i, 0), m - 2)
         t = 0.0 if gaps[i] == 0.0 else (target - cum[i]) / gaps[i]
         cand = interpolate(row[i], row[i + 1], float(t))
-        if _value(spec, cand, params, cut) > guard + slack:
-            cand, _, _ = _descend(spec, cand, params, cut, settings,
-                                  _REPAIR_DESCENT, settings.step0)
-            if _value(spec, cand, params, cut) > guard + slack:
+        cval = _value(spec, cand, params, cut)
+        if cval > guard + slack:
+            cand, _, _, cval = _descend(spec, cand, params, cut, settings,
+                                        _REPAIR_DESCENT, settings.step0, cval,
+                                        exit_norm=False)
+            if cval > guard + slack:
                 return row
         new_row.append(cand)
+        new_vals.append(cval)
     new_row.append(row[-1])
+    new_vals.append(vals[-1])
+    vals[:] = new_vals
     return new_row
 
 
@@ -211,7 +230,8 @@ def _saddle_refine(spec, loop, params, cut, settings):
     w = loop.windings
 
     def gfun(x):
-        return grad_action(spec, Loop(x.reshape(n, 2), w), params, cut).ravel()
+        return grad_action(spec, Loop._trusted(x.reshape(n, 2), w), params,
+                           cut).ravel()
 
     x = loop.vertices.ravel().copy()
     extent = float(np.ptp(loop.vertices, axis=0).max())
@@ -267,13 +287,14 @@ def _engine(spec, rows, params, cut, settings):
     steps = {}
     history = []
     best_level = math.inf
-    best_rows = None
+    best_rows = best_vals = None
     stall = 0
     k = 0
+    vals = [[_value(spec, lp, params, cut) for lp in row] for row in rows]
     for k in range(settings.max_iters):
-        vals = [[_value(spec, lp, params, cut) for lp in row] for row in rows]
         r0, i0, _ = _argmax_rows(vals)
-        ploop, pval = _segment_polish(spec, rows[r0], i0, params, cut)
+        ploop, pval = _segment_polish(spec, rows[r0], i0, params, cut,
+                                      vals[r0][i0])
         tgt = min(max(i0, 1), m - 2)
         if pval >= vals[r0][tgt]:
             rows[r0][tgt] = ploop
@@ -284,34 +305,35 @@ def _engine(spec, rows, params, cut, settings):
         if level_now <= best_level:
             best_level = level_now
             best_rows = [list(r) for r in rows]
+            best_vals = [list(v) for v in vals]
         stall = 0 if improved else stall + 1
         history.append((k, best_level))
         if stall >= _PLATEAU_SWEEPS and k >= 3:
             break
 
-        for r, row in enumerate(rows):
+        for r, (row, rvals) in enumerate(zip(rows, vals)):
             for i in range(1, m - 1):
-                row[i], _, st = _descend(spec, row[i], params, cut, settings,
-                                         _INNER_DESCENT,
-                                         steps.get((r, i), settings.step0))
+                row[i], _, st, rvals[i] = _descend(
+                    spec, row[i], params, cut, settings, _INNER_DESCENT,
+                    steps.get((r, i), settings.step0), rvals[i],
+                    exit_norm=False)
                 steps[(r, i)] = st
-        guard = max(_value(spec, lp, params, cut)
-                    for row in rows for lp in row)
-        rows = [_reinterp_row(spec, row, params, cut, settings, guard)
-                for row in rows]
-        rows = [list(r) for r in rows]
+        guard = max(max(rvals) for rvals in vals)
+        rows = [list(_reinterp_row(spec, row, params, cut, settings, guard,
+                                   rvals))
+                for row, rvals in zip(rows, vals)]
 
     # adopt the best recorded family, then refine its argmax
     if best_rows is not None:
-        rows = [list(r) for r in best_rows]
-    vals = [[_value(spec, lp, params, cut) for lp in row] for row in rows]
+        rows, vals = best_rows, best_vals
     r0, i0, level = _argmax_rows(vals)
     scale = max(1.0, abs(level))
     if 0 < i0 < m - 1:
         refined, _ = _saddle_refine(spec, rows[r0][i0], params, cut, settings)
-        if _value(spec, refined, params, cut) <= level + 1e-12 * scale:
+        rval = _value(spec, refined, params, cut)
+        if rval <= level + 1e-12 * scale:
             rows[r0][i0] = refined
-    vals = [[_value(spec, lp, params, cut) for lp in row] for row in rows]
+            vals[r0][i0] = rval
     r0, i0, level = _argmax_rows(vals)
     argmax = rows[r0][i0]
     gn = grad_norm(grad_action(spec, argmax, params, cut))

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from magloop import (GeometryKind, GeometrySpec, Loop, action_F_cutoff,
                      action_S, action_S_eps_tau, circulation, cutoff_f,
@@ -11,6 +14,9 @@ from magloop import (GeometryKind, GeometrySpec, Loop, action_F_cutoff,
                      resample_arclength, speeds)
 from magloop.action import (ActionParams, CutoffSpec, _grad_components,
                             action_pair, cutoff_df)
+from magloop.geometry import (metric_eval, metric_grad, potential_eval,
+                              potential_jac)
+from magloop.loops import edge_lengths
 from magloop.oracle import fd_gradient
 
 PLANE = GeometrySpec(GeometryKind.PLANE_CONSTANT_B, B=1.0)
@@ -180,6 +186,98 @@ def test_values_and_gradient_share_the_edge_kernel():
             assert action_S(spec, loop, params.E) == \
                 math.sqrt(params.E) * length(spec, loop) + circulation(spec,
                                                                        loop)
+
+
+def _tensor_edge_lengths(spec, loop):
+    """Edge lengths from the metric tensor at the midpoints."""
+    v, w = loop.vertices, loop.windings
+    d = np.roll(v, -1, axis=0) + w - v
+    g = metric_eval(spec, v + 0.5 * d)
+    return np.sqrt(np.maximum(np.einsum("ni,nij,nj->n", d, g, d), 0.0))
+
+
+def _tensor_gradients(spec, loop, params):
+    """Gradients of S_{0,tau} and S_{eps,tau} from the metric tensor and its
+    derivative, the formula the flat kinds shortcut."""
+    n = loop.n
+    v, w = loop.vertices, loop.windings
+    d = np.roll(v, -1, axis=0) + w - v
+    m = v + 0.5 * d
+    g = metric_eval(spec, m)
+    ell = np.sqrt(np.maximum(np.einsum("ni,nij,nj->n", d, g, d), 0.0))
+    rootE = math.sqrt(params.E)
+    s = rootE * n * ell
+    sf = np.maximum(s, params.delta)
+    w0 = (1.0 + params.tau) * np.power(sf, params.tau) * (s >= params.delta) / n
+    w1 = w0 + 2.0 * params.eps * s / n
+    pos = ell > 0.0
+    dsdq = np.zeros_like(ell)
+    dsdq[pos] = rootE * n / (2.0 * ell[pos])
+    gd = np.einsum("nij,nj->ni", g, d)
+    T = np.einsum("nkij,ni,nj->nk", metric_grad(spec, m), d, d)
+    dq_da = -2.0 * gd + 0.5 * T
+    dq_db = 2.0 * gd + 0.5 * T
+    A = potential_eval(spec, m)
+    half_Jd = 0.5 * np.einsum("nki,ni->nk", potential_jac(spec, m), d)
+
+    def assemble(weights):
+        coef = (weights * dsdq)[:, None]
+        grad = np.zeros((n, 2))
+        grad += coef * dq_da + (half_Jd - A)
+        grad += np.roll(coef * dq_db + (half_Jd + A), 1, axis=0)
+        return grad
+
+    return assemble(w0), assemble(w1)
+
+
+@st.composite
+def _flat_cases(draw):
+    spec = draw(st.sampled_from([
+        GeometrySpec(GeometryKind.PLANE_CONSTANT_B, B=1.3),
+        GeometrySpec(GeometryKind.FLAT_TORUS_SINE, a=3.0, k=2)]))
+    n = draw(st.integers(3, 12))
+    verts = draw(arrays(np.float64, (n, 2), elements=st.floats(-5.0, 5.0)))
+    windings = draw(arrays(np.int64, (n, 2), elements=st.integers(-2, 2)))
+    params = ActionParams(E=draw(st.floats(0.1, 4.0)),
+                          eps=draw(st.sampled_from([0.0, 1e-3, 0.1])),
+                          tau=draw(st.sampled_from([0.0, 1e-2, 0.5])))
+    return spec, Loop(verts, windings), params
+
+
+@given(case=_flat_cases())
+def test_flat_edge_kernel_equals_tensor_formula(case):
+    # the identity-metric shortcut must round exactly like the tensor path,
+    # windings included, or minimax outputs would change in the last bit
+    spec, loop, params = case
+    ref_ell = _tensor_edge_lengths(spec, loop)
+    assert edge_lengths(spec, loop).tobytes() == ref_ell.tobytes()
+    _, _, g0, g1 = _grad_components(spec, loop, params)
+    ref0, ref1 = _tensor_gradients(spec, loop, params)
+    assert g0.tobytes() == ref0.tobytes()
+    assert g1.tobytes() == ref1.tobytes()
+
+
+def test_cutoff_gradient_formula_on_every_branch():
+    # grad S_0 is assembled only where f' != 0; the result must still be
+    # f'(S_0) S_1 grad S_0 + f(S_0) grad S_1 below, inside and above the
+    # window
+    rng = np.random.default_rng(67)
+    params = ActionParams(E=1.0, eps=1e-2, tau=1e-2)
+    for spec in (PLANE, TORUS, CONF):
+        loop = _random_loop(rng, spec, scale=0.05 if spec.is_torus else 0.2)
+        s0, s1, g0, g1 = _grad_components(spec, loop, params)
+        assert s0 > 0.0
+        for c_ref, f_expect in ((40.0 * s0, 0.0), (15.0 * s0, None),
+                                (5.0 * s0, 1.0)):
+            cut = CutoffSpec(c_ref=c_ref, beta=0.1)
+            f, df = cutoff_f(s0, cut), cutoff_df(s0, cut)
+            if f_expect is None:
+                assert 0.0 < f < 1.0 and df > 0.0
+            else:
+                assert f == f_expect and df == 0.0
+            expect = df * s1 * g0 + f * g1
+            assert np.array_equal(grad_action(spec, loop, params, cut),
+                                  expect)
 
 
 def test_gradient_vanishing_near_extremal_circle():

@@ -149,6 +149,25 @@ def test_run_inconclusive_exit_code(tmp_path, monkeypatch):
     assert result["classification"]["case"] == "Inconclusive"
 
 
+# float.hex of each record's level and of the final max residual of
+# criterion 12's run; a change to the algorithm that moves them on purpose
+# records the new values here and says so.
+_GOLDEN_LEVELS = ("0x1.df75d58de846ap+1", "0x1.b60dc4eb49cf2p+1",
+                  "0x1.a3b363d2c636ep+1")
+_GOLDEN_FINAL_RESIDUAL = "0x1.29b11e98a8b80p-5"
+
+
+def test_run_levels_match_recorded_values(tmp_path, monkeypatch):
+    # speed work must leave the outputs bit-identical
+    monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+    cfg = {**_base_config(n_steps=3), "seed": 7}
+    cli.main(["run", "--config", _write_config(tmp_path, cfg)])
+    result = json.loads((tmp_path / "run_out" / "result.json").read_text())
+    records = result["records"]
+    assert tuple(r["level"].hex() for r in records) == _GOLDEN_LEVELS
+    assert records[-1]["residual"]["max_res"].hex() == _GOLDEN_FINAL_RESIDUAL
+
+
 def test_run_output_dir_override(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
     cpath = _write_config(tmp_path, _base_config(n_steps=3))

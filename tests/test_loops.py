@@ -157,6 +157,29 @@ def test_interpolate_endpoints_and_winding_guard():
         interpolate(a, wound, 0.5)
 
 
+def test_derived_loops_reject_non_finite_vertices():
+    # with_vertices and interpolate skip the constructor's checks but keep
+    # the finiteness one
+    a = make_circle((0, 0), 1.0, 1, 16)
+    b = make_circle((0.5, 0.5), 2.0, 1, 16)
+    bad = a.vertices.copy()
+    bad[3, 1] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        a.with_vertices(bad)
+    with pytest.raises(ValueError, match="finite"):
+        a.with_vertices(a.vertices - np.nan)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for t in (np.inf, np.nan, 1e308):
+            with pytest.raises(ValueError, match="finite"):
+                interpolate(a, b, t)
+    with pytest.raises(ValueError):
+        a.with_vertices(np.zeros((8, 2)))
+    out = a.with_vertices(a.vertices + 1.0)
+    assert out.windings is a.windings
+    with pytest.raises(ValueError):
+        out.vertices[0, 0] = 0.0
+
+
 def test_speeds_and_edge_lengths_consistency():
     rng = np.random.default_rng(37)
     loop = _wobbly_loop(rng)

@@ -9,8 +9,11 @@ from magloop import (CutoffSpec, DescentSettings, GeometryKind, GeometrySpec,
                      Loop, action_S, action_S_eps_tau, descend_loop,
                      family_minimax, init_sweep_family, length, make_circle,
                      speed_cv)
-from magloop.action import ActionParams, action_F_cutoff
+from magloop.action import (ActionParams, action_F_cutoff, grad_action,
+                            grad_norm)
 from magloop.errors import NoNegativeLoopFound
+from magloop.loops import interpolate
+from magloop.minimax import _descend, _reinterp_row, _value
 
 PLANE = GeometrySpec(GeometryKind.PLANE_CONSTANT_B, B=1.0)
 
@@ -51,6 +54,57 @@ def test_descend_converges_on_frozen_terminal_loop():
     out, gn = descend_loop(PLANE, big, params, DescentSettings(), cut)
     assert np.array_equal(out.vertices, big.vertices)
     assert gn == 0.0
+
+
+def test_descend_returns_the_value_of_its_loop():
+    # the engine keeps the value _descend hands back instead of evaluating
+    # the returned loop again, so the two must agree exactly
+    params = ActionParams(E=1.0, eps=1e-2, tau=1e-2)
+    settings = DescentSettings()
+    row = init_sweep_family(PLANE, 1.0, "path", 9, 48).rows[0]
+    moved = 0
+    for cut in (None, CutoffSpec(c_ref=3.0, beta=0.3)):
+        for lp in row[1:]:
+            val = _value(PLANE, lp, params, cut)
+            for exit_norm in (True, False):
+                out, gn, _, out_val = _descend(PLANE, lp, params, cut,
+                                               settings, 2, settings.step0,
+                                               val, exit_norm=exit_norm)
+                assert out_val == _value(PLANE, out, params, cut)
+                assert out_val <= val
+                moved += out is not lp
+                if exit_norm:
+                    assert gn == grad_norm(grad_action(PLANE, out, params,
+                                                       cut))
+    assert moved > 0
+
+
+def test_reinterp_row_reports_the_values_of_its_row():
+    params = ActionParams(E=1.0, eps=1e-2, tau=1e-2)
+    settings = DescentSettings()
+    base = init_sweep_family(PLANE, 1.0, "path", 9, 48).rows[0]
+    # unevenly spaced, so re-interpolation proposes new loops
+    row = [base[0]] + [interpolate(base[0], base[-1], t)
+                       for t in (0.05, 0.1, 0.2, 0.4, 0.6, 0.7, 0.9)] + \
+        [base[-1]]
+    vals = [_value(PLANE, lp, params, None) for lp in row]
+    probe = list(vals)
+    free = _reinterp_row(PLANE, row, params, None, settings, math.inf, probe)
+    assert free is not row
+    # a guard just below the highest proposal forces a repair descent
+    for guard in (math.inf, max(probe) - 1e-3):
+        reported = list(vals)
+        out = _reinterp_row(PLANE, row, params, None, settings, guard,
+                            reported)
+        assert out is not row
+        assert reported == [_value(PLANE, lp, params, None) for lp in out]
+        assert max(reported[1:-1]) <= guard
+    assert reported != probe  # the repaired row differs from the free one
+    # rejection hands back the very row and leaves its values alone
+    reported = list(vals)
+    out = _reinterp_row(PLANE, row, params, None, settings, min(vals) - 1.0,
+                        reported)
+    assert out is row and reported == vals
 
 
 def test_mountain_pass_level_matches_circle_scan():
