@@ -120,6 +120,8 @@ def _number(obj, key, where, default=None, required=False, integer=False):
     val = obj[key]
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{where}.{key}: expected a number")
+    if not math.isfinite(val):
+        raise ConfigError(f"{where}.{key}: must be finite")
     if integer:
         if int(val) != val:
             raise ConfigError(f"{where}.{key}: expected an integer")
@@ -324,8 +326,8 @@ def _cmd_mpass(args) -> int:
     config = load_config(args.config)
     eps = config.schedule.eps0 if args.eps is None else args.eps
     tau = config.schedule.tau0 if args.tau is None else args.tau
-    if eps < 0:
-        raise ConfigError("eps must be nonnegative")
+    if not (math.isfinite(eps) and eps >= 0):
+        raise ConfigError("eps must be finite and nonnegative")
     if not (0.0 <= tau < 1.0):
         raise ConfigError("tau must satisfy 0 <= tau < 1")
     params = ActionParams(E=config.E, eps=eps, tau=tau, delta=config.delta)

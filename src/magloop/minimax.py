@@ -14,7 +14,9 @@ is a positive critical level.  The engine estimates it from above:
 3. polish the family maximum by a bounded 1-D search over the two segments
    adjacent to the argmax (the segment maximum dominates the level of the
    continuous piecewise-linear family, so the running minimum of polished
-   values is a true upper-bound history),
+   values is a true upper-bound history); the search is an in-package
+   bounded Brent method that follows SciPy's ``minimize_scalar(method=
+   "bounded")`` iterates exactly,
 4. finish with a Newton refinement of the argmax using a finite-difference
    Hessian of the analytic gradient, accepted only while the gradient norm
    decreases and the value does not rise above the recorded level.
@@ -34,7 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .action import (ActionParams, CutoffSpec, action_F_cutoff, action_S,
                      action_S_eps_tau, grad_action, grad_norm)
@@ -46,6 +47,8 @@ _IMPROVE_RTOL = 1e-9
 _PLATEAU_SWEEPS = 6
 _INNER_DESCENT = 2
 _REPAIR_DESCENT = 8
+_GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
+_SQRT_EPS = math.sqrt(2.2e-16)
 
 
 @dataclass(frozen=True)
@@ -144,6 +147,82 @@ def descend_loop(spec: GeometrySpec, loop: Loop, params: ActionParams,
     return out, gn
 
 
+def _bounded_min(f, lo, hi, xatol, maxfun=500):
+    """Minimize ``f`` on [lo, hi] by Brent's bounded method: golden-section
+    steps with parabolic interpolation (R. P. Brent, Algorithms for
+    Minimization without Derivatives, 1973, ch. 5).
+
+    A step-for-step port of SciPy's ``minimize_scalar(method="bounded")``
+    (``_minimize_scalar_bounded`` in SciPy 1.17): the same constants, the
+    same operation order in every float expression and the same cap of
+    ``maxfun`` evaluations, so it evaluates ``f`` at the same points and
+    returns the same (x, f(x)) bit for bit.  With finite bounds every step
+    is finite, so numpy's step sign ``sign(r) + (r == 0)`` is +1 or -1.
+    """
+    a, b = lo, hi
+    fulc = a + _GOLDEN_MEAN * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = f(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        if abs(e) > tol1:
+            # parabola through the three best points
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if (abs(p) < abs(0.5 * q * r) and p > q * (a - xf)
+                    and p < q * (b - xf)):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * (-1.0 if xm - xf < 0.0 else 1.0)
+            else:
+                golden = True
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = _GOLDEN_MEAN * e
+        x = xf + (-1.0 if rat < 0.0 else 1.0) * max(abs(rat), tol1)
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxfun:
+            break
+    return xf, fx
+
+
 def _segment_polish(spec, row, idx, params, cut, val):
     """Maximize the value over the two family segments adjacent to row[idx],
     whose value is ``val``.
@@ -159,14 +238,12 @@ def _segment_polish(spec, row, idx, params, cut, val):
         la, lb = row[a], row[b]
 
         def neg(t):
-            return -_value(spec, interpolate(la, lb, float(t)), params, cut)
+            return -_value(spec, interpolate(la, lb, t), params, cut)
 
-        res = optimize.minimize_scalar(neg, bounds=(0.0, 1.0),
-                                       method="bounded",
-                                       options={"xatol": 1e-10})
-        if -res.fun > best_val:
-            best_val = float(-res.fun)
-            best_loop = interpolate(la, lb, float(res.x))
+        t, fun = _bounded_min(neg, 0.0, 1.0, 1e-10)
+        if -fun > best_val:
+            best_val = float(-fun)
+            best_loop = interpolate(la, lb, t)
     return best_loop, best_val
 
 

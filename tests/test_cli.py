@@ -3,7 +3,10 @@ and output layout.  Everything runs in-process through cli.main."""
 
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -91,6 +94,27 @@ def test_config_error_messages():
         cli.parse_config_dict(bad)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("discretization.n_vertices", math.inf),
+    ("seed", math.inf),
+    ("action.delta", math.nan),
+    ("action.beta_frac", math.inf),
+    ("solver.step0", math.inf),
+    ("solver.grad_tol", math.inf),
+])
+def test_config_rejects_non_finite_numbers(key, value, tmp_path, monkeypatch,
+                                           capsys):
+    # json reads NaN and Infinity as floats
+    monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+    cfg = _base_config(n_steps=3)
+    *section, name = key.split(".")
+    (cfg[section[0]] if section else cfg)[name] = value
+    assert cli.main(["run", "--config", _write_config(tmp_path, cfg)]) == \
+        cli.EXIT_CONFIG
+    assert f"config.{key}: must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "run_out").exists()
+
+
 def test_malformed_json_reports_position(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{\n  "geometry": {,}\n}')
@@ -168,6 +192,52 @@ def test_run_levels_match_recorded_values(tmp_path, monkeypatch):
     assert records[-1]["residual"]["max_res"].hex() == _GOLDEN_FINAL_RESIDUAL
 
 
+def _run_python(code, *args, env=None):
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          env={**os.environ, **(env or {}),
+                               "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_import_does_not_load_scipy():
+    proc = _run_python("import sys, magloop, magloop.cli; "
+                       "print(sorted(m for m in sys.modules "
+                       "if m.split('.')[0] == 'scipy'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+_WITHOUT_SCIPY = """
+import sys
+
+
+class _NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, _NoScipy())
+from magloop import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_run_needs_no_scipy(tmp_path):
+    # criterion 12's run, in a process where any scipy import fails
+    cfg = {**_base_config(n_steps=3), "seed": 7}
+    proc = _run_python(_WITHOUT_SCIPY, "run", "--config",
+                       _write_config(tmp_path, cfg),
+                       env={cli.OUTPUT_ROOT_ENV: str(tmp_path)})
+    assert proc.returncode == cli.EXIT_INCONCLUSIVE, proc.stderr
+    result = json.loads((tmp_path / "run_out" / "result.json").read_text())
+    assert tuple(r["level"].hex() for r in result["records"]) == \
+        _GOLDEN_LEVELS
+
+
 def test_run_output_dir_override(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
     cpath = _write_config(tmp_path, _base_config(n_steps=3))
@@ -198,6 +268,15 @@ def test_mpass_subcommand(tmp_path, monkeypatch, capsys):
                        .read_text())
     assert saved["level"] == payload["level"]
     assert (tmp_path / "run_out" / "mpass_loop.csv").exists()
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf"])
+def test_mpass_rejects_non_finite_eps(eps, tmp_path, monkeypatch):
+    monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+    cpath = _write_config(tmp_path, _base_config())
+    assert cli.main(["mpass", "--config", cpath, "--eps", eps]) == \
+        cli.EXIT_CONFIG
+    assert not (tmp_path / "run_out").exists()
 
 
 def test_mpass_zero_field_exits_4(tmp_path, monkeypatch):

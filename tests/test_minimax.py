@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from magloop import (CutoffSpec, DescentSettings, GeometryKind, GeometrySpec,
                      Loop, action_S, action_S_eps_tau, descend_loop,
@@ -13,7 +15,7 @@ from magloop.action import (ActionParams, action_F_cutoff, grad_action,
                             grad_norm)
 from magloop.errors import NoNegativeLoopFound
 from magloop.loops import interpolate
-from magloop.minimax import _descend, _reinterp_row, _value
+from magloop.minimax import _bounded_min, _descend, _reinterp_row, _value
 
 PLANE = GeometrySpec(GeometryKind.PLANE_CONSTANT_B, B=1.0)
 
@@ -212,3 +214,58 @@ def test_torus_minimax_argmax_properties(torus_cross):
     assert res.level > 0.0
     assert not np.any(res.argmax.windings)
     assert speed_cv(torus_cross["spec"], res.argmax) < 1e-3
+
+
+@st.composite
+def _scalar_functions(draw):
+    kind = draw(st.sampled_from(["quadratic", "convex", "multimodal",
+                                 "linear", "constant"]))
+    c = draw(st.floats(-0.5, 1.5))
+    s = draw(st.floats(0.1, 10.0))
+    if kind == "quadratic":
+        return lambda t: s * (t - c) ** 2 - 1.0
+    if kind == "convex":
+        return lambda t: (t - c) ** 4 + s * math.exp(t)
+    if kind == "multimodal":
+        w = draw(st.floats(5.0, 60.0))
+        return lambda t: math.sin(w * t + c) + s * (t - 0.5) ** 2
+    if kind == "linear":
+        # the minimum sits on a bound, where the step is clipped to tol1
+        slope = draw(st.sampled_from([-s, s]))
+        return lambda t: slope * (t - c)
+    return lambda t: c
+
+
+def test_bounded_min_matches_scipy_bit_for_bit():
+    optimize = pytest.importorskip("scipy.optimize")
+
+    def counted(f):
+        calls = []
+
+        def g(t):
+            calls.append(t)
+            return f(t)
+        return g, calls
+
+    def check(f, xatol):
+        ref_f, ref_calls = counted(f)
+        ref = optimize.minimize_scalar(ref_f, bounds=(0.0, 1.0),
+                                       method="bounded",
+                                       options={"xatol": xatol})
+        own_f, own_calls = counted(f)
+        x, fun = _bounded_min(own_f, 0.0, 1.0, xatol)
+        assert float(x).hex() == float(ref.x).hex()
+        assert float(fun).hex() == float(ref.fun).hex()
+        assert [float(t).hex() for t in own_calls] == \
+            [float(t).hex() for t in ref_calls]
+        assert len(own_calls) == ref.nfev
+        return len(own_calls)
+
+    @given(f=_scalar_functions(), xatol=st.sampled_from([1e-10, 1e-6, 0.0]))
+    def drawn(f, xatol):
+        check(f, xatol)
+
+    drawn()
+    # rising away from t = 0 with xatol = 0, tol1 shrinks with xf and the
+    # search creeps towards the bound until the evaluation cap stops it
+    assert check(lambda t: 2.0 * t, 0.0) == 500
