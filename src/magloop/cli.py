@@ -47,6 +47,10 @@ EXIT_CONFIG = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_NO_NEGATIVE_LOOP = 4
 
+# upper bound on the vertices of one loop family (rows = m_p for a cylinder,
+# 1 for a path); the family alone then stays below about 160 MB
+MAX_FAMILY_VERTICES = 10 ** 7
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -157,6 +161,11 @@ def parse_config_dict(obj: dict) -> ExperimentConfig:
         raise ConfigError("config.discretization.family_size: must be >= 3")
     if m_p < 1:
         raise ConfigError("config.discretization.m_p: must be >= 1")
+    size = n_vertices * family_size * (m_p if w_shape == "cylinder" else 1)
+    if size > MAX_FAMILY_VERTICES:
+        raise ConfigError(
+            f"config.discretization: n_vertices * family_size * rows = "
+            f"{size} exceeds {MAX_FAMILY_VERTICES}")
 
     act = _require(obj, "action", "config")
     _check_keys(act, {"eps0", "tau0", "rho", "n_steps", "delta", "beta_frac",
@@ -304,7 +313,7 @@ def run_experiment(config: ExperimentConfig, verbose: bool = False) -> int:
         lines.append(
             f"step {rec.step}: eps={rec.eps:.6g} tau={rec.tau:.6g} "
             f"level={rec.level!r} l={rec.l!r} nu={rec.nu:.6g} "
-            f"residual={rec.residual.max_res:.3e}")
+            f"residual={rec.residual.max_res:.3e} stop={rec.minimax.stop}")
     (out / "summary.txt").write_text("\n".join(lines) + "\n")
     if verbose:
         print("\n".join(lines))

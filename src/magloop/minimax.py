@@ -6,20 +6,30 @@ crosses the positive barrier around short loops, so
 
     c = inf over families of max over the family
 
-is a positive critical level.  The engine estimates it from above:
+is a positive critical level.  The engine estimates it from above.  Each
+sweep
 
-1. relax every interior loop by monotone backtracking descent,
-2. re-interpolate each string to equal spacing, accepting the proposal only
-   if repair descent keeps it below the current family maximum,
-3. polish the family maximum by a bounded 1-D search over the two segments
-   adjacent to the argmax (the segment maximum dominates the level of the
-   continuous piecewise-linear family, so the running minimum of polished
-   values is a true upper-bound history); the search is an in-package
-   bounded Brent method that follows SciPy's ``minimize_scalar(method=
-   "bounded")`` iterates exactly,
-4. finish with a Newton refinement of the argmax using a finite-difference
-   Hessian of the analytic gradient, accepted only while the gradient norm
-   decreases and the value does not rise above the recorded level.
+1. polishes the family maximum by a bounded 1-D search over the two
+   segments adjacent to the argmax (the segment maximum dominates the level
+   of the continuous piecewise-linear family, so the running minimum of
+   polished values is a true upper-bound history); the search is an
+   in-package bounded Brent method that follows SciPy's
+   ``minimize_scalar(method="bounded")`` iterates exactly,
+2. stops if the polished family is the best recorded one and the gradient
+   norm at its maximum is at most ``grad_tol``: its top is then already a
+   critical point, which the sweep below would only move off (the
+   convergence test of the climbing image in CI-NEB, Henkelman, Uberuaga &
+   Jonsson 2000),
+3. stops once the level has not improved for a plateau of sweeps,
+4. otherwise relaxes every interior loop by monotone backtracking descent
+   and re-interpolates each string to equal spacing, accepting the proposal
+   only if repair descent keeps it below the current family maximum.
+
+The best recorded family is then adopted, and its argmax finished with a
+Newton refinement using a finite-difference Hessian of the analytic
+gradient, accepted only while the gradient norm decreases and the value
+does not rise above the recorded level.  The result records why the sweeps
+stopped: "critical", "plateau" or "max_iters".
 
 Levels in the history are non-increasing, and the reported level equals the
 family maximum at termination.
@@ -86,6 +96,7 @@ class MinimaxResult:
     grad_norm: float
     history: tuple
     converged: bool
+    stop: str = "max_iters"  # "critical", "plateau" or "max_iters"
 
     def to_json_dict(self) -> dict:
         return {
@@ -93,6 +104,7 @@ class MinimaxResult:
             "converged": self.converged,
             "grad_norm": self.grad_norm,
             "history": [[int(i), float(v)] for i, v in self.history],
+            "stop": self.stop,
         }
 
 
@@ -367,6 +379,7 @@ def _engine(spec, rows, params, cut, settings):
     best_rows = best_vals = None
     stall = 0
     k = 0
+    stop = "max_iters"
     vals = [[_value(spec, lp, params, cut) for lp in row] for row in rows]
     for k in range(settings.max_iters):
         r0, i0, _ = _argmax_rows(vals)
@@ -376,16 +389,26 @@ def _engine(spec, rows, params, cut, settings):
         if pval >= vals[r0][tgt]:
             rows[r0][tgt] = ploop
             vals[r0][tgt] = pval
-        _, _, level_now = _argmax_rows(vals)
+        r1, i1, level_now = _argmax_rows(vals)
 
-        improved = level_now < best_level - _IMPROVE_RTOL * max(1.0, abs(best_level))
+        # sweep 0 has no earlier level to improve on and counts toward the
+        # plateau like a sweep that failed to improve
+        improved = k > 0 and level_now < best_level - _IMPROVE_RTOL * max(
+            1.0, abs(best_level))
         if level_now <= best_level:
             best_level = level_now
             best_rows = [list(r) for r in rows]
             best_vals = [list(v) for v in vals]
         stall = 0 if improved else stall + 1
         history.append((k, best_level))
+        # the best family's maximum is already a critical point; a further
+        # sweep would only move it off again, so stop here
+        if level_now == best_level and grad_norm(grad_action(
+                spec, rows[r1][i1], params, cut)) <= settings.grad_tol:
+            stop = "critical"
+            break
         if stall >= _PLATEAU_SWEEPS and k >= 3:
+            stop = "plateau"
             break
 
         for r, (row, rvals) in enumerate(zip(rows, vals)):
@@ -419,7 +442,8 @@ def _engine(spec, rows, params, cut, settings):
     return (MinimaxResult(level=float(final_level), argmax=argmax,
                           grad_norm=float(gn),
                           history=tuple(history),
-                          converged=bool(gn <= settings.grad_tol)),
+                          converged=bool(gn <= settings.grad_tol),
+                          stop=stop),
             rows)
 
 

@@ -176,9 +176,9 @@ def test_run_inconclusive_exit_code(tmp_path, monkeypatch):
 # float.hex of each record's level and of the final max residual of
 # criterion 12's run; a change to the algorithm that moves them on purpose
 # records the new values here and says so.
-_GOLDEN_LEVELS = ("0x1.df75d58de846ap+1", "0x1.b60dc4eb49cf2p+1",
-                  "0x1.a3b363d2c636ep+1")
-_GOLDEN_FINAL_RESIDUAL = "0x1.29b11e98a8b80p-5"
+_GOLDEN_LEVELS = ("0x1.df75d58de846ep+1", "0x1.b60dc4eb49cf3p+1",
+                  "0x1.a3b363d2c6370p+1")
+_GOLDEN_FINAL_RESIDUAL = "0x1.29b127bd624a0p-5"
 
 
 def test_run_levels_match_recorded_values(tmp_path, monkeypatch):
@@ -190,6 +190,46 @@ def test_run_levels_match_recorded_values(tmp_path, monkeypatch):
     records = result["records"]
     assert tuple(r["level"].hex() for r in records) == _GOLDEN_LEVELS
     assert records[-1]["residual"]["max_res"].hex() == _GOLDEN_FINAL_RESIDUAL
+
+
+def test_run_reports_the_stop_reason(tmp_path, monkeypatch):
+    # every step of criterion 12's run starts from a family whose polished
+    # maximum is already critical, so no relaxation sweep runs
+    monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+    cfg = {**_base_config(n_steps=3), "seed": 7}
+    cli.main(["run", "--config", _write_config(tmp_path, cfg)])
+    out = tmp_path / "run_out"
+    records = json.loads((out / "result.json").read_text())["records"]
+    assert [r["minimax"]["stop"] for r in records] == ["critical"] * 3
+    steps = [line for line in (out / "summary.txt").read_text().splitlines()
+             if line.startswith("step ")]
+    assert len(steps) == 3
+    assert all(line.endswith(" stop=critical") for line in steps)
+
+
+@pytest.mark.parametrize("shape, disc", [
+    ("path", {"n_vertices": 1e300}),
+    ("path", {"family_size": 1e300}),
+    ("cylinder", {"n_vertices": 10_000, "family_size": 101, "m_p": 10}),
+])
+def test_config_rejects_oversized_families(shape, disc, tmp_path,
+                                           monkeypatch, capsys):
+    monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+    cfg = _base_config(n_steps=3)
+    cfg["w_shape"] = shape
+    cfg["discretization"] = {**cfg["discretization"], **disc}
+    assert cli.main(["run", "--config", _write_config(tmp_path, cfg)]) == \
+        cli.EXIT_CONFIG
+    assert f"exceeds {cli.MAX_FAMILY_VERTICES}" in capsys.readouterr().err
+    assert not (tmp_path / "run_out").exists()
+
+
+def test_config_size_bound_counts_rows_only_for_cylinders():
+    # the same sizes as a path family: one row of 1.01e6 vertices
+    cfg = _base_config()
+    cfg["discretization"] = {"n_vertices": 10_000, "family_size": 101,
+                             "m_p": 10}
+    assert cli.parse_config_dict(cfg).n_vertices == 10_000
 
 
 def _run_python(code, *args, env=None):

@@ -15,7 +15,8 @@ from magloop.action import (ActionParams, action_F_cutoff, grad_action,
                             grad_norm)
 from magloop.errors import NoNegativeLoopFound
 from magloop.loops import interpolate
-from magloop.minimax import _bounded_min, _descend, _reinterp_row, _value
+from magloop.minimax import (_PLATEAU_SWEEPS, _bounded_min, _descend,
+                             _reinterp_row, _value)
 
 PLANE = GeometrySpec(GeometryKind.PLANE_CONSTANT_B, B=1.0)
 
@@ -151,7 +152,7 @@ def test_history_monotone_and_level_is_argmax_value():
     assert abs(action_S_eps_tau(PLANE, res.argmax, params)
                - res.level) < 1e-9 * abs(res.level)
     obj = res.to_json_dict()
-    assert set(obj) == {"level", "converged", "grad_norm", "history"}
+    assert set(obj) == {"level", "converged", "grad_norm", "history", "stop"}
 
 
 def test_mountain_pass_deterministic():
@@ -178,6 +179,33 @@ def test_relaxation_lowers_the_level_of_a_poor_family():
     res = family_minimax(spec, fam, params, DescentSettings())
     assert res.converged
     assert res.level < 0.6 * res.history[0][1]
+    assert res.stop == "plateau" and len(res.history) > 2
+
+
+def test_sweep_stops_once_the_family_maximum_is_critical():
+    # the swept circles contain the saddle circle, so the first polish lands
+    # on a critical point and no relaxation sweep runs
+    params = ActionParams(E=1.0, eps=1e-2, tau=1e-2)
+    settings = DescentSettings()
+    fam = init_sweep_family(PLANE, 1.0, "path", 33, 64)
+    res = family_minimax(PLANE, fam, params, settings)
+    assert res.stop == "critical"
+    assert len(res.history) == 2
+    assert grad_norm(grad_action(PLANE, res.argmax, params)) <= \
+        settings.grad_tol
+    assert res.to_json_dict()["stop"] == "critical"
+
+
+def test_plateau_counts_sweep_zero():
+    # a grad_tol below what the polish reaches keeps the certificate from
+    # firing, and this family's level never improves by more than the
+    # relative 1e-9 that counts, so the run stops after the plateau of
+    # sweeps counted from sweep 0; the last history entry is the refinement's
+    params = ActionParams(E=1.0, eps=1e-2, tau=1e-2)
+    fam = init_sweep_family(PLANE, 1.0, "path", 9, 48)
+    res = family_minimax(PLANE, fam, params, DescentSettings(grad_tol=1e-11))
+    assert res.stop == "plateau"
+    assert len(res.history) == _PLATEAU_SWEEPS + 1
 
 
 def test_init_sweep_family_path_invariants():
