@@ -50,6 +50,9 @@ EXIT_NO_NEGATIVE_LOOP = 4
 # upper bound on the vertices of one loop family (rows = m_p for a cylinder,
 # 1 for a path); the family alone then stays below about 160 MB
 MAX_FAMILY_VERTICES = 10 ** 7
+# upper bound on action.n_steps: with rho = 0.5 and eps0 = 1e-2, eps falls
+# below 1e-300 before step 1000
+MAX_STEPS = 1000
 
 
 @dataclass(frozen=True)
@@ -188,6 +191,9 @@ def parse_config_dict(obj: dict) -> ExperimentConfig:
         raise ConfigError("config.action.rho: must lie in (0, 1)")
     if n_steps < 1:
         raise ConfigError("config.action.n_steps: must be >= 1")
+    if n_steps > MAX_STEPS:
+        raise ConfigError(
+            f"config.action.n_steps: {n_steps} exceeds {MAX_STEPS}")
     if delta < 0:
         raise ConfigError("config.action.delta: must be nonnegative")
     if not (beta_frac > 0):
@@ -206,8 +212,6 @@ def parse_config_dict(obj: dict) -> ExperimentConfig:
             grad_tol=_number(sol, "grad_tol", "config.solver", default=1e-6),
             step0=_number(sol, "step0", "config.solver", default=0.1),
             backtrack=_number(sol, "backtrack", "config.solver", default=0.5),
-            family_size=family_size,
-            family_size_p=m_p,
         )
         schedule = Schedule(eps0=eps0, tau0=tau0, rho=rho, n_steps=n_steps)
     except ValueError as exc:
@@ -274,8 +278,10 @@ def run_experiment(config: ExperimentConfig, verbose: bool = False) -> int:
     try:
         records, classification, c_ref = continuation_run(
             config.geometry, config.E, config.w_shape, config.schedule,
-            config.solver, n_vertices=config.n_vertices, delta=config.delta,
-            beta_frac=config.beta_frac, nested=config.nested)
+            config.solver, n_vertices=config.n_vertices,
+            family_size=config.family_size, m_p=config.m_p,
+            delta=config.delta, beta_frac=config.beta_frac,
+            nested=config.nested)
     except NoNegativeLoopFound as exc:
         (out / "summary.txt").write_text(
             f"NoNegativeLoopFound: {exc}\nexit code {EXIT_NO_NEGATIVE_LOOP}\n")

@@ -190,7 +190,8 @@ def classify_outcome(records: list[ContinuationRecord],
 
 def continuation_run(spec: GeometrySpec, E: float, w_shape: str,
                      schedule: Schedule, settings: DescentSettings, *,
-                     n_vertices: int = 128, delta: float = 1e-9,
+                     n_vertices: int = 128, family_size: int = 33,
+                     m_p: int = 8, delta: float = 1e-9,
                      beta_frac: float = 0.1, residual_tol: float = 1e-2,
                      nested: bool = False
                      ) -> tuple[list[ContinuationRecord], Classification, float]:
@@ -200,8 +201,8 @@ def continuation_run(spec: GeometrySpec, E: float, w_shape: str,
     cutoff window is fixed once from the bootstrap level c_ref and kept for
     the whole schedule; beta = beta_frac * c_ref.
     """
-    family = init_sweep_family(spec, E, w_shape, settings.family_size,
-                               n_vertices, m_p=settings.family_size_p)
+    family = init_sweep_family(spec, E, w_shape, family_size, n_vertices,
+                               m_p=m_p)
     params0 = ActionParams(E=E, eps=schedule.eps0, tau=schedule.tau0,
                            delta=delta)
     boot, rows = _engine(spec, family.rows, params0, None, settings)

@@ -25,9 +25,10 @@ extremal equations, using winding-aware central differences:
 
 Both residuals are scale-normalized (divided by the squared speed) so they
 are comparable across energy levels.  Second-order convergence in 1/N on
-smooth extremals is the target, not a property the code has shown: on the
-torus_sine benchmark the final max residual falls by only about 0.7 per
-doubling of N.
+smooth extremals is the target, not a property a run has shown: the
+residual of a shipped run is set by the regularization, not the mesh.  On
+plane_larmor it is about 11.6 * eps at every continuation step, halving as
+eps halves down to 9.0e-4 at the last step.
 """
 
 from __future__ import annotations

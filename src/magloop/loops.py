@@ -294,13 +294,6 @@ def concat(spec: GeometrySpec, first: Loop, second: Loop) -> Loop:
     return Loop(np.concatenate([v1, v2]), np.concatenate([w1, w2]))
 
 
-def vertex_distance(a: Loop, b: Loop) -> float:
-    """Max vertexwise chart distance between two equally sized loops."""
-    if a.n != b.n:
-        raise ValueError("loops must have equal vertex counts")
-    return float(np.abs(a.vertices - b.vertices).max())
-
-
 def rms_distance(a: Loop, b: Loop) -> float:
     """Root-mean-square vertexwise distance; the family interpolation metric."""
     if a.n != b.n:

@@ -21,9 +21,11 @@ sweep
    convergence test of the climbing image in CI-NEB, Henkelman, Uberuaga &
    Jonsson 2000),
 3. stops once the level has not improved for a plateau of sweeps,
-4. otherwise relaxes every interior loop by monotone backtracking descent
-   and re-interpolates each string to equal spacing, accepting the proposal
-   only if repair descent keeps it below the current family maximum.
+4. otherwise relaxes every interior loop by two monotone backtracking
+   descent steps, the first trying ``step0``, and re-interpolates each
+   string to equal spacing (the reparametrization step of the string
+   method, E, Ren & Vanden-Eijnden 2002), rejecting a row whose proposal
+   exceeds the current family maximum.
 
 The best recorded family is then adopted, and its argmax finished with a
 Newton refinement using a finite-difference Hessian of the analytic
@@ -56,7 +58,6 @@ from .loops import Loop, LoopFamily, interpolate, make_circle, make_point_loop, 
 _IMPROVE_RTOL = 1e-9
 _PLATEAU_SWEEPS = 6
 _INNER_DESCENT = 2
-_REPAIR_DESCENT = 8
 _GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
 _SQRT_EPS = math.sqrt(2.2e-16)
 
@@ -69,8 +70,6 @@ class DescentSettings:
     grad_tol: float = 1e-6
     step0: float = 0.1
     backtrack: float = 0.5
-    family_size: int = 33
-    family_size_p: int = 8
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -81,10 +80,6 @@ class DescentSettings:
             raise ValueError("step0 must be positive")
         if not (0.0 < self.backtrack < 1.0):
             raise ValueError("backtrack must lie in (0, 1)")
-        if self.family_size < 3:
-            raise ValueError("family_size must be at least 3")
-        if self.family_size_p < 1:
-            raise ValueError("family_size_p must be positive")
 
 
 @dataclass(frozen=True)
@@ -114,20 +109,22 @@ def _value(spec, loop, params, cut):
     return action_F_cutoff(spec, loop, params, cut)
 
 
-def _descend(spec, loop, params, cut, settings, budget, step, val,
+def _descend(spec, loop, params, cut, settings, budget, val,
              exit_norm=True):
     """Backtracking gradient descent from ``loop``, whose value is ``val``;
-    the value never increases.
+    the value never increases.  The first trial step is ``step0``; an
+    accepted step lets the next search start a little longer.
 
-    Returns (loop, grad_norm_at_exit, last_good_step, value).  When the
-    budget runs out the exit gradient norm is evaluated only if
-    ``exit_norm`` is set; otherwise it is None.
+    Returns (loop, grad_norm_at_exit, value).  When the budget runs out the
+    exit gradient norm is evaluated only if ``exit_norm`` is set; otherwise
+    it is None.
     """
+    step = settings.step0
     for _ in range(budget):
         g = grad_action(spec, loop, params, cut)
         gn = grad_norm(g)
         if gn <= settings.grad_tol:
-            return loop, gn, step, val
+            return loop, gn, val
         accepted = False
         t = step
         for _ in range(40):
@@ -141,10 +138,10 @@ def _descend(spec, loop, params, cut, settings, budget, step, val,
                 break
             t *= settings.backtrack
         if not accepted:
-            return loop, gn, step, val
+            return loop, gn, val
     if not exit_norm:
-        return loop, None, step, val
-    return loop, grad_norm(grad_action(spec, loop, params, cut)), step, val
+        return loop, None, val
+    return loop, grad_norm(grad_action(spec, loop, params, cut)), val
 
 
 def descend_loop(spec: GeometrySpec, loop: Loop, params: ActionParams,
@@ -153,9 +150,8 @@ def descend_loop(spec: GeometrySpec, loop: Loop, params: ActionParams,
     """Relax a single loop; the functional value is non-increasing across
     accepted steps and descent stops at grad_tol or when the budget runs out.
     """
-    out, gn, _, _ = _descend(spec, loop, params, cut, settings,
-                             settings.max_iters, settings.step0,
-                             _value(spec, loop, params, cut))
+    out, gn, _ = _descend(spec, loop, params, cut, settings,
+                          settings.max_iters, _value(spec, loop, params, cut))
     return out, gn
 
 
@@ -259,14 +255,14 @@ def _segment_polish(spec, row, idx, params, cut, val):
     return best_loop, best_val
 
 
-def _reinterp_row(spec, row, params, cut, settings, guard, vals):
-    """Equal-spacing re-interpolation of a string, with repair.
+def _reinterp_row(spec, row, params, cut, guard, vals):
+    """Equal-spacing re-interpolation of a string.
 
-    Proposed interior loops whose value exceeds ``guard`` are descended; if
-    any still exceeds it the original row (the same object) is returned and
-    ``vals``, the values of its loops, is left alone, so re-interpolation
-    never raises the family maximum.  Otherwise the new row is returned and
-    ``vals`` is updated in place to the values of its loops.
+    If any proposed interior loop has a value above ``guard`` the original
+    row (the same object) is returned and ``vals``, the values of its loops,
+    is left alone, so re-interpolation never raises the family maximum.
+    Otherwise the new row is returned and ``vals`` is updated in place to
+    the values of its loops.
     """
     m = len(row)
     gaps = np.array([rms_distance(row[i], row[i + 1]) for i in range(m - 1)])
@@ -285,11 +281,7 @@ def _reinterp_row(spec, row, params, cut, settings, guard, vals):
         cand = interpolate(row[i], row[i + 1], float(t))
         cval = _value(spec, cand, params, cut)
         if cval > guard + slack:
-            cand, _, _, cval = _descend(spec, cand, params, cut, settings,
-                                        _REPAIR_DESCENT, settings.step0, cval,
-                                        exit_norm=False)
-            if cval > guard + slack:
-                return row
+            return row
         new_row.append(cand)
         new_vals.append(cval)
     new_row.append(row[-1])
@@ -373,10 +365,8 @@ def _engine(spec, rows, params, cut, settings):
             raise NoNegativeLoopFound(
                 f"family terminal has action {terminal_action:.6g} >= 0")
 
-    steps = {}
     history = []
     best_level = math.inf
-    best_rows = best_vals = None
     stall = 0
     k = 0
     stop = "max_iters"
@@ -407,25 +397,21 @@ def _engine(spec, rows, params, cut, settings):
                 spec, rows[r1][i1], params, cut)) <= settings.grad_tol:
             stop = "critical"
             break
-        if stall >= _PLATEAU_SWEEPS and k >= 3:
+        if stall >= _PLATEAU_SWEEPS:
             stop = "plateau"
             break
 
-        for r, (row, rvals) in enumerate(zip(rows, vals)):
+        for row, rvals in zip(rows, vals):
             for i in range(1, m - 1):
-                row[i], _, st, rvals[i] = _descend(
+                row[i], _, rvals[i] = _descend(
                     spec, row[i], params, cut, settings, _INNER_DESCENT,
-                    steps.get((r, i), settings.step0), rvals[i],
-                    exit_norm=False)
-                steps[(r, i)] = st
+                    rvals[i], exit_norm=False)
         guard = max(max(rvals) for rvals in vals)
-        rows = [list(_reinterp_row(spec, row, params, cut, settings, guard,
-                                   rvals))
+        rows = [list(_reinterp_row(spec, row, params, cut, guard, rvals))
                 for row, rvals in zip(rows, vals)]
 
     # adopt the best recorded family, then refine its argmax
-    if best_rows is not None:
-        rows, vals = best_rows, best_vals
+    rows, vals = best_rows, best_vals
     r0, i0, level = _argmax_rows(vals)
     scale = max(1.0, abs(level))
     if 0 < i0 < m - 1:
@@ -437,7 +423,7 @@ def _engine(spec, rows, params, cut, settings):
     r0, i0, level = _argmax_rows(vals)
     argmax = rows[r0][i0]
     gn = grad_norm(grad_action(spec, argmax, params, cut))
-    final_level = min(level, history[-1][1]) if history else level
+    final_level = min(level, history[-1][1])
     history.append((k + 1, final_level))
     return (MinimaxResult(level=float(final_level), argmax=argmax,
                           grad_norm=float(gn),
@@ -525,6 +511,8 @@ def init_sweep_family(spec: GeometrySpec, E: float, shape: str, M: int,
         raise ValueError("shape must be 'path' or 'cylinder'")
     if M < 3:
         raise ValueError("family size must be at least 3")
+    if m_p < 1:
+        raise ValueError("m_p must be positive")
     if E <= 0:
         raise ValueError("E must be positive")
 

@@ -180,6 +180,22 @@ _GOLDEN_LEVELS = ("0x1.df75d58de846ep+1", "0x1.b60dc4eb49cf3p+1",
                   "0x1.a3b363d2c6370p+1")
 _GOLDEN_FINAL_RESIDUAL = "0x1.29b127bd624a0p-5"
 
+# A conformal-torus cylinder whose bootstrap adopts the family of its
+# sweep 1 and whose step 1 stops on a plateau, so the relaxation sweep and
+# re-interpolation shape these values: float.hex of c_ref and the levels.
+_CONFORMAL_CONFIG = {
+    "geometry": {"kind": "conformal_torus", "a": 3.0, "k": 1, "u_amp": 0.2},
+    "E": 0.02,
+    "w_shape": "cylinder",
+    "discretization": {"n_vertices": 64, "family_size": 9, "m_p": 2},
+    "action": {"eps0": 1e-2, "tau0": 1e-2, "rho": 0.5, "n_steps": 2},
+    "solver": {},
+    "output_dir": "conformal_out",
+    "seed": 0,
+}
+_CONFORMAL_GOLDEN_C_REF = "0x1.29446039e0e3fp-8"
+_CONFORMAL_GOLDEN_LEVELS = ("0x1.29446039e0e43p-8", "0x1.37744d76b04e0p-8")
+
 
 def test_run_levels_match_recorded_values(tmp_path, monkeypatch):
     # speed work must leave the outputs bit-identical
@@ -190,6 +206,14 @@ def test_run_levels_match_recorded_values(tmp_path, monkeypatch):
     records = result["records"]
     assert tuple(r["level"].hex() for r in records) == _GOLDEN_LEVELS
     assert records[-1]["residual"]["max_res"].hex() == _GOLDEN_FINAL_RESIDUAL
+
+    cli.main(["run", "--config",
+              _write_config(tmp_path, _CONFORMAL_CONFIG, "conformal.json")])
+    result = json.loads(
+        (tmp_path / "conformal_out" / "result.json").read_text())
+    assert result["c_ref"].hex() == _CONFORMAL_GOLDEN_C_REF
+    assert tuple(r["level"].hex() for r in result["records"]) == \
+        _CONFORMAL_GOLDEN_LEVELS
 
 
 def test_run_reports_the_stop_reason(tmp_path, monkeypatch):
@@ -222,6 +246,18 @@ def test_config_rejects_oversized_families(shape, disc, tmp_path,
         cli.EXIT_CONFIG
     assert f"exceeds {cli.MAX_FAMILY_VERTICES}" in capsys.readouterr().err
     assert not (tmp_path / "run_out").exists()
+
+
+def test_config_rejects_too_many_steps(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+    cfg = _base_config()
+    cfg["action"] = {**cfg["action"], "n_steps": 1e300}
+    assert cli.main(["run", "--config", _write_config(tmp_path, cfg)]) == \
+        cli.EXIT_CONFIG
+    assert f"exceeds {cli.MAX_STEPS}" in capsys.readouterr().err
+    assert not (tmp_path / "run_out").exists()
+    cfg["action"]["n_steps"] = cli.MAX_STEPS
+    assert cli.parse_config_dict(cfg).schedule.n_steps == cli.MAX_STEPS
 
 
 def test_config_size_bound_counts_rows_only_for_cylinders():

@@ -9,8 +9,7 @@ from magloop import (GeometryKind, GeometrySpec, Loop, LoopFamily, concat,
                      length, load_loop_csv, make_circle, make_point_loop,
                      resample_arclength, save_loop_csv, speed_cv, speeds)
 from magloop.errors import DegenerateLoop, NotConcatenable
-from magloop.loops import (edge_lengths, interpolate, rms_distance,
-                           vertex_distance)
+from magloop.loops import edge_lengths, interpolate, rms_distance
 
 PLANE = GeometrySpec(GeometryKind.PLANE_CONSTANT_B, B=1.0)
 TORUS = GeometrySpec(GeometryKind.FLAT_TORUS_SINE, a=3.0, k=1)
@@ -192,7 +191,6 @@ def test_speeds_and_edge_lengths_consistency():
 def test_distance_helpers():
     a = make_circle((0, 0), 1.0, 1, 16)
     b = a.with_vertices(a.vertices + np.array([0.3, -0.4]))
-    assert abs(vertex_distance(a, b) - 0.4) < 1e-14
     assert abs(rms_distance(a, b) - 0.5) < 1e-14
 
 

@@ -30,8 +30,13 @@ def test_settings_validation():
         DescentSettings(step0=-0.1)
     with pytest.raises(ValueError):
         DescentSettings(backtrack=1.0)
-    with pytest.raises(ValueError):
-        DescentSettings(family_size=2)
+
+
+def test_init_sweep_family_validates_its_sizes():
+    with pytest.raises(ValueError, match="family size"):
+        init_sweep_family(PLANE, 1.0, "path", 2, 48)
+    with pytest.raises(ValueError, match="m_p"):
+        init_sweep_family(PLANE, 1.0, "cylinder", 9, 48, m_p=0)
 
 
 def test_descend_decreases_value_and_shrinks_subcritical_circle():
@@ -70,9 +75,9 @@ def test_descend_returns_the_value_of_its_loop():
         for lp in row[1:]:
             val = _value(PLANE, lp, params, cut)
             for exit_norm in (True, False):
-                out, gn, _, out_val = _descend(PLANE, lp, params, cut,
-                                               settings, 2, settings.step0,
-                                               val, exit_norm=exit_norm)
+                out, gn, out_val = _descend(PLANE, lp, params, cut,
+                                            settings, 2, val,
+                                            exit_norm=exit_norm)
                 assert out_val == _value(PLANE, out, params, cut)
                 assert out_val <= val
                 moved += out is not lp
@@ -84,30 +89,22 @@ def test_descend_returns_the_value_of_its_loop():
 
 def test_reinterp_row_reports_the_values_of_its_row():
     params = ActionParams(E=1.0, eps=1e-2, tau=1e-2)
-    settings = DescentSettings()
     base = init_sweep_family(PLANE, 1.0, "path", 9, 48).rows[0]
     # unevenly spaced, so re-interpolation proposes new loops
     row = [base[0]] + [interpolate(base[0], base[-1], t)
                        for t in (0.05, 0.1, 0.2, 0.4, 0.6, 0.7, 0.9)] + \
         [base[-1]]
     vals = [_value(PLANE, lp, params, None) for lp in row]
-    probe = list(vals)
-    free = _reinterp_row(PLANE, row, params, None, settings, math.inf, probe)
-    assert free is not row
-    # a guard just below the highest proposal forces a repair descent
-    for guard in (math.inf, max(probe) - 1e-3):
-        reported = list(vals)
-        out = _reinterp_row(PLANE, row, params, None, settings, guard,
-                            reported)
-        assert out is not row
-        assert reported == [_value(PLANE, lp, params, None) for lp in out]
-        assert max(reported[1:-1]) <= guard
-    assert reported != probe  # the repaired row differs from the free one
-    # rejection hands back the very row and leaves its values alone
     reported = list(vals)
-    out = _reinterp_row(PLANE, row, params, None, settings, min(vals) - 1.0,
-                        reported)
-    assert out is row and reported == vals
+    out = _reinterp_row(PLANE, row, params, None, math.inf, reported)
+    assert out is not row
+    assert reported == [_value(PLANE, lp, params, None) for lp in out]
+    # a guard just below the highest proposal rejects the row: the very row
+    # comes back and its values are left alone
+    for guard in (max(reported) - 1e-3, min(vals) - 1.0):
+        again = list(vals)
+        out = _reinterp_row(PLANE, row, params, None, guard, again)
+        assert out is row and again == vals
 
 
 def test_mountain_pass_level_matches_circle_scan():
@@ -142,14 +139,20 @@ def test_mountain_pass_argmax_radius_law():
     assert speed_cv(PLANE, res.argmax) < 1e-8
 
 
-def test_history_monotone_and_level_is_argmax_value():
-    params = ActionParams(E=1.0, eps=1e-2, tau=1e-2)
-    fam = init_sweep_family(PLANE, 1.0, "path", 33, 64)
-    res = family_minimax(PLANE, fam, params, DescentSettings())
+# the plane family stops at sweep 0; the k=2 rectangle family (no circle
+# has negative action on that torus) sweeps about 70 times
+@pytest.mark.parametrize("spec, E, M, n", [
+    (PLANE, 1.0, 33, 64),
+    (GeometrySpec(GeometryKind.FLAT_TORUS_SINE, a=0.3, k=2), 0.05, 9, 48),
+], ids=["plane", "k2_rectangle"])
+def test_history_monotone_and_level_is_argmax_value(spec, E, M, n):
+    params = ActionParams(E=E, eps=1e-2, tau=1e-2)
+    fam = init_sweep_family(spec, E, "path", M, n)
+    res = family_minimax(spec, fam, params, DescentSettings())
     hist = [v for _, v in res.history]
     assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
     assert hist[-1] == res.level
-    assert abs(action_S_eps_tau(PLANE, res.argmax, params)
+    assert abs(action_S_eps_tau(spec, res.argmax, params)
                - res.level) < 1e-9 * abs(res.level)
     obj = res.to_json_dict()
     assert set(obj) == {"level", "converged", "grad_norm", "history", "stop"}
