@@ -66,18 +66,14 @@ class CutoffSpec:
     """Smoothstep window for the cutoff functional.
 
     The reference level c_ref fixes the thresholds lo = c_ref/20 and
-    hi = c_ref/10; beta is the admissible increase of the minimax level
-    introduced by the cutoff.
+    hi = c_ref/10.
     """
 
     c_ref: float
-    beta: float
 
     def __post_init__(self):
         if not (math.isfinite(self.c_ref) and self.c_ref > 0):
             raise ValueError("c_ref must be positive")
-        if not (math.isfinite(self.beta) and self.beta > 0):
-            raise ValueError("beta must be positive")
 
     @property
     def lo(self) -> float:

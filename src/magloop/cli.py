@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .action import ActionParams
-from .continuation import (Classification, ConvergedExtremal,
+from .continuation import (BETA_FRAC, Classification, ConvergedExtremal,
                            DivergingLengths, Inconclusive, Schedule,
                            continuation_run)
 from .dynamics import FlowState, integrate_flow, write_trajectory_csv
@@ -67,8 +67,6 @@ class ExperimentConfig:
     m_p: int
     schedule: Schedule
     delta: float
-    beta_frac: float
-    nested: bool
     solver: DescentSettings
     output_dir: str
     seed: int
@@ -89,14 +87,10 @@ class ExperimentConfig:
                 "rho": self.schedule.rho,
                 "n_steps": self.schedule.n_steps,
                 "delta": self.delta,
-                "beta_frac": self.beta_frac,
-                "nested": self.nested,
             },
             "solver": {
                 "max_iters": self.solver.max_iters,
                 "grad_tol": self.solver.grad_tol,
-                "step0": self.solver.step0,
-                "backtrack": self.solver.backtrack,
             },
             "output_dir": self.output_dir,
         }
@@ -171,18 +165,14 @@ def parse_config_dict(obj: dict) -> ExperimentConfig:
             f"{size} exceeds {MAX_FAMILY_VERTICES}")
 
     act = _require(obj, "action", "config")
-    _check_keys(act, {"eps0", "tau0", "rho", "n_steps", "delta", "beta_frac",
-                      "nested"}, "config.action")
+    _check_keys(act, {"eps0", "tau0", "rho", "n_steps", "delta"},
+                "config.action")
     eps0 = _number(act, "eps0", "config.action", required=True)
     tau0 = _number(act, "tau0", "config.action", required=True)
     rho = _number(act, "rho", "config.action", required=True)
     n_steps = _number(act, "n_steps", "config.action", required=True,
                       integer=True)
     delta = _number(act, "delta", "config.action", default=1e-9)
-    beta_frac = _number(act, "beta_frac", "config.action", default=0.1)
-    nested = act.get("nested", False)
-    if not isinstance(nested, bool):
-        raise ConfigError("config.action.nested: expected a boolean")
     if not (eps0 > 0):
         raise ConfigError("config.action.eps0: must be positive")
     if not (0.0 <= tau0 < 1.0):
@@ -196,12 +186,9 @@ def parse_config_dict(obj: dict) -> ExperimentConfig:
             f"config.action.n_steps: {n_steps} exceeds {MAX_STEPS}")
     if delta < 0:
         raise ConfigError("config.action.delta: must be nonnegative")
-    if not (beta_frac > 0):
-        raise ConfigError("config.action.beta_frac: must be positive")
 
     sol = obj.get("solver", {})
-    _check_keys(sol, {"max_iters", "grad_tol", "step0", "backtrack"},
-                "config.solver")
+    _check_keys(sol, {"max_iters", "grad_tol"}, "config.solver")
     seed = _number(obj, "seed", "config", default=0, integer=True)
     if seed < 0:
         raise ConfigError("config.seed: must be nonnegative")
@@ -210,8 +197,6 @@ def parse_config_dict(obj: dict) -> ExperimentConfig:
             max_iters=_number(sol, "max_iters", "config.solver", default=400,
                               integer=True),
             grad_tol=_number(sol, "grad_tol", "config.solver", default=1e-6),
-            step0=_number(sol, "step0", "config.solver", default=0.1),
-            backtrack=_number(sol, "backtrack", "config.solver", default=0.5),
         )
         schedule = Schedule(eps0=eps0, tau0=tau0, rho=rho, n_steps=n_steps)
     except ValueError as exc:
@@ -224,8 +209,7 @@ def parse_config_dict(obj: dict) -> ExperimentConfig:
     return ExperimentConfig(
         geometry=geometry, E=E, w_shape=w_shape, n_vertices=n_vertices,
         family_size=family_size, m_p=m_p, schedule=schedule, delta=delta,
-        beta_frac=beta_frac, nested=nested, solver=solver,
-        output_dir=output_dir, seed=seed)
+        solver=solver, output_dir=output_dir, seed=seed)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -280,8 +264,7 @@ def run_experiment(config: ExperimentConfig, verbose: bool = False) -> int:
             config.geometry, config.E, config.w_shape, config.schedule,
             config.solver, n_vertices=config.n_vertices,
             family_size=config.family_size, m_p=config.m_p,
-            delta=config.delta, beta_frac=config.beta_frac,
-            nested=config.nested)
+            delta=config.delta)
     except NoNegativeLoopFound as exc:
         (out / "summary.txt").write_text(
             f"NoNegativeLoopFound: {exc}\nexit code {EXIT_NO_NEGATIVE_LOOP}\n")
@@ -301,7 +284,7 @@ def run_experiment(config: ExperimentConfig, verbose: bool = False) -> int:
         "version": __version__,
         "config": config.to_json_dict(include_seed=False),
         "c_ref": c_ref,
-        "beta": config.beta_frac * c_ref if c_ref > 0 else None,
+        "beta": BETA_FRAC * c_ref if c_ref > 0 else None,
         "records": rec_objs,
         "classification": classification.to_json_dict(),
         "timings": {"total_s": elapsed},
@@ -420,6 +403,8 @@ def _random_loop(rng, spec, n):
 
 
 def _cmd_gradcheck(args) -> int:
+    if args.loops < 1 or args.n < 3:
+        raise ConfigError("gradcheck needs --loops >= 1 and --n >= 3")
     rng = np.random.default_rng(args.seed)
     specs = [
         GeometrySpec(GeometryKind.PLANE_CONSTANT_B, B=1.0),
@@ -434,7 +419,7 @@ def _cmd_gradcheck(args) -> int:
         params = ActionParams(E=float(rng.uniform(0.5, 2.0)),
                               eps=float(rng.choice([0.0, 1e-2, 0.1])),
                               tau=float(rng.choice([0.0, 0.3])))
-        cut = CutoffSpec(c_ref=1.0, beta=0.1) if i % 4 == 0 else None
+        cut = CutoffSpec(c_ref=1.0) if i % 4 == 0 else None
         analytic = grad_action(spec, loop, params, cut)
         numeric = fd_gradient(spec, loop, params, cut, h=args.h)
         scale = max(float(np.linalg.norm(numeric.ravel())), 1e-12)
@@ -451,7 +436,12 @@ def _cmd_oracle(args) -> int:
         print(json.dumps({"radius": radius, "level": level}))
         return EXIT_OK
     if args.oracle_cmd == "profile":
-        spec = GeometrySpec(GeometryKind.PLANE_CONSTANT_B, B=args.B)
+        try:
+            spec = GeometrySpec(GeometryKind.PLANE_CONSTANT_B, B=args.B)
+        except ValueError as exc:
+            raise ConfigError(f"geometry: {exc}") from None
+        if args.points < 1:
+            raise ConfigError("points must be >= 1")
         r_grid = np.linspace(0.0, args.r_max, args.points)
         values = circle_action_profile(spec, args.E, r_grid, args.n)
         out = resolve_output_dir(args.output_dir)

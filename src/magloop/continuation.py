@@ -1,11 +1,11 @@
 """Regularization continuation (eps, tau) -> 0 and outcome classification.
 
 A run bootstraps a reference level c_ref by one minimax solve without any
-cutoff at (eps0, tau0), fixes the cutoff window and margin beta from it,
-then follows the minimax level down a geometric schedule, warm-starting each
-step's family from the previous one.  Each step records the argmax loop, its
-rescaled length l = sqrt(E) * length, the combination nu = eps * l, and the
-implied energies of the limiting orbit:
+cutoff at (eps0, tau0), fixes the cutoff window from it, then follows the
+minimax level down a geometric schedule, warm-starting each step's family
+from the previous one.  Each step records the argmax loop, its rescaled
+length l = sqrt(E) * length, the combination nu = eps * l, and the implied
+energies of the limiting orbit:
 
     E_lin = E * (1 + 2 nu)       (first-order shift)
     E_exact = E * (1 + 2 nu)^2     (exact curvature balance)
@@ -27,6 +27,13 @@ from .dynamics import ResidualReport, el_residual_SE
 from .geometry import GeometrySpec
 from .loops import Loop, length
 from .minimax import DescentSettings, MinimaxResult, _engine, init_sweep_family
+
+# the level band beta = BETA_FRAC * c_ref reported with a run
+BETA_FRAC = 0.1
+# classification thresholds: the final extremal-equation residual of a
+# ConvergedExtremal, and the relative spread of its last three lengths
+RESIDUAL_TOL = 1e-2
+LENGTH_WINDOW = 0.01
 
 
 @dataclass(frozen=True)
@@ -54,15 +61,9 @@ class Schedule:
     def tau(self, n: int) -> float:
         return self.tau0 * self.rho ** n
 
-    def pairs(self, nested: bool = False) -> list[tuple[float, float]]:
-        """The (eps, tau) visit order; nested mode sweeps tau first at fixed
-        eps0, then eps at the final tau."""
-        if not nested:
-            return [(self.eps(n), self.tau(n)) for n in range(self.n_steps)]
-        tau_min = self.tau(self.n_steps - 1)
-        first = [(self.eps0, self.tau(n)) for n in range(self.n_steps)]
-        second = [(self.eps(n), tau_min) for n in range(1, self.n_steps)]
-        return first + second
+    def pairs(self) -> list[tuple[float, float]]:
+        """The (eps, tau) visit order."""
+        return [(self.eps(n), self.tau(n)) for n in range(self.n_steps)]
 
 
 def implied_energy(nu: float, E: float) -> tuple[float, float]:
@@ -154,14 +155,12 @@ class Inconclusive:
 Classification = ConvergedExtremal | DivergingLengths | Inconclusive
 
 
-def classify_outcome(records: list[ContinuationRecord],
-                     residual_tol: float = 1e-2,
-                     length_window: float = 0.01) -> Classification:
+def classify_outcome(records: list[ContinuationRecord]) -> Classification:
     """Pattern classification of a finished continuation run.
 
     ConvergedExtremal: the last three rescaled lengths agree within
-    length_window (relative) and the final extremal-equation residual is
-    below residual_tol.  DivergingLengths: the last three lengths strictly
+    LENGTH_WINDOW (relative) and the final extremal-equation residual is
+    below RESIDUAL_TOL.  DivergingLengths: the last three lengths strictly
     increase while nu strictly decreases.  Otherwise Inconclusive.
     """
     if len(records) < 3:
@@ -171,12 +170,12 @@ def classify_outcome(records: list[ContinuationRecord],
     nus = [r.nu for r in tail]
     spread = (max(ls) - min(ls)) / max(min(ls), 1e-300)
     final_res = records[-1].residual.max_res
-    if spread <= length_window:
-        if final_res < residual_tol:
+    if spread <= LENGTH_WINDOW:
+        if final_res < RESIDUAL_TOL:
             return ConvergedExtremal(records[-1].loop, records[-1].residual)
         return Inconclusive(
             f"lengths stabilized (spread {spread:.3g}) but final residual "
-            f"{final_res:.3g} >= {residual_tol:.3g}")
+            f"{final_res:.3g} >= {RESIDUAL_TOL:.3g}")
     if ls[0] < ls[1] < ls[2] and nus[0] > nus[1] > nus[2]:
         return DivergingLengths(
             pairs=tuple((r.E_lin, r.loop) for r in records),
@@ -191,15 +190,13 @@ def classify_outcome(records: list[ContinuationRecord],
 def continuation_run(spec: GeometrySpec, E: float, w_shape: str,
                      schedule: Schedule, settings: DescentSettings, *,
                      n_vertices: int = 128, family_size: int = 33,
-                     m_p: int = 8, delta: float = 1e-9,
-                     beta_frac: float = 0.1, residual_tol: float = 1e-2,
-                     nested: bool = False
+                     m_p: int = 8, delta: float = 1e-9
                      ) -> tuple[list[ContinuationRecord], Classification, float]:
     """Run the full continuation; returns (records, classification, c_ref).
 
     Raises NoNegativeLoopFound if no sweep family can be constructed.  The
     cutoff window is fixed once from the bootstrap level c_ref and kept for
-    the whole schedule; beta = beta_frac * c_ref.
+    the whole schedule.
     """
     family = init_sweep_family(spec, E, w_shape, family_size, n_vertices,
                                m_p=m_p)
@@ -210,10 +207,10 @@ def continuation_run(spec: GeometrySpec, E: float, w_shape: str,
     if not (c_ref > 0.0):
         return [], Inconclusive(
             f"bootstrap level {c_ref:.6g} is not positive"), c_ref
-    cut = CutoffSpec(c_ref=c_ref, beta=beta_frac * c_ref)
+    cut = CutoffSpec(c_ref=c_ref)
 
     records = []
-    for n, (eps_n, tau_n) in enumerate(schedule.pairs(nested)):
+    for n, (eps_n, tau_n) in enumerate(schedule.pairs()):
         params = ActionParams(E=E, eps=eps_n, tau=tau_n, delta=delta)
         result, rows = _engine(spec, rows, params, cut, settings)
         loop = result.argmax
@@ -225,4 +222,4 @@ def continuation_run(spec: GeometrySpec, E: float, w_shape: str,
             step=n, eps=eps_n, tau=tau_n, level=result.level, loop=loop,
             l=l_resc, nu=nu, E_lin=e_lin, E_exact=e_exact,
             residual=rep, minimax=result))
-    return records, classify_outcome(records, residual_tol), c_ref
+    return records, classify_outcome(records), c_ref

@@ -24,11 +24,12 @@ extremal equations, using winding-aware central differences:
     gamma_ddot_j = N^2 * (d_j - d_{j-1})
 
 Both residuals are scale-normalized (divided by the squared speed) so they
-are comparable across energy levels.  Second-order convergence in 1/N on
-smooth extremals is the target, not a property a run has shown: the
-residual of a shipped run is set by the regularization, not the mesh.  On
-plane_larmor it is about 11.6 * eps at every continuation step, halving as
-eps halves down to 9.0e-4 at the last step.
+are comparable across energy levels.  On the exact critical points of the
+discrete S_E that the plane admits, the regular N-gons, the residual and
+the level's gap to pi E / B converge at second order in 1/N (tested for
+N = 32 .. 256).  The residual of a shipped run is still set by the
+regularization, not the mesh: on plane_larmor it is about 11.6 * eps at
+every continuation step, halving as eps halves down to 9.0e-4.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ sweep
    Jonsson 2000),
 3. stops once the level has not improved for a plateau of sweeps,
 4. otherwise relaxes every interior loop by two monotone backtracking
-   descent steps, the first trying ``step0``, and re-interpolates each
+   descent steps, the first trying ``_STEP0``, and re-interpolates each
    string to equal spacing (the reparametrization step of the string
    method, E, Ren & Vanden-Eijnden 2002), rejecting a row whose proposal
    exceeds the current family maximum.
@@ -60,26 +60,24 @@ _PLATEAU_SWEEPS = 6
 _INNER_DESCENT = 2
 _GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
 _SQRT_EPS = math.sqrt(2.2e-16)
+# descent step policy: the first trial step of every call and the
+# backtracking shrink factor
+_STEP0 = 0.1
+_BACKTRACK = 0.5
 
 
 @dataclass(frozen=True)
 class DescentSettings:
-    """Budgets and step policy shared by descent and the minimax engine."""
+    """Budgets shared by descent and the minimax engine."""
 
     max_iters: int = 400
     grad_tol: float = 1e-6
-    step0: float = 0.1
-    backtrack: float = 0.5
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
         if not (self.grad_tol > 0):
             raise ValueError("grad_tol must be positive")
-        if not (self.step0 > 0):
-            raise ValueError("step0 must be positive")
-        if not (0.0 < self.backtrack < 1.0):
-            raise ValueError("backtrack must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -112,14 +110,14 @@ def _value(spec, loop, params, cut):
 def _descend(spec, loop, params, cut, settings, budget, val,
              exit_norm=True):
     """Backtracking gradient descent from ``loop``, whose value is ``val``;
-    the value never increases.  The first trial step is ``step0``; an
+    the value never increases.  The first trial step is ``_STEP0``; an
     accepted step lets the next search start a little longer.
 
     Returns (loop, grad_norm_at_exit, value).  When the budget runs out the
     exit gradient norm is evaluated only if ``exit_norm`` is set; otherwise
     it is None.
     """
-    step = settings.step0
+    step = _STEP0
     for _ in range(budget):
         g = grad_action(spec, loop, params, cut)
         gn = grad_norm(g)
@@ -132,11 +130,10 @@ def _descend(spec, loop, params, cut, settings, budget, val,
             tval = _value(spec, trial, params, cut)
             if tval <= val - 1e-4 * t * gn * gn:
                 loop, val = trial, tval
-                step = min(t / math.sqrt(settings.backtrack),
-                           settings.step0 * 16.0)
+                step = min(t / math.sqrt(_BACKTRACK), _STEP0 * 16.0)
                 accepted = True
                 break
-            t *= settings.backtrack
+            t *= _BACKTRACK
         if not accepted:
             return loop, gn, val
     if not exit_norm:

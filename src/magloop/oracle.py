@@ -31,8 +31,9 @@ def larmor_orbit(E: float, B: float) -> tuple[float, float]:
     Returns (radius, level) = (sqrt(E)/B, pi*E/B): the stationary radius of
     h(r) = 2 pi sqrt(E) r - pi B r^2 and the value there.
     """
-    if not (E > 0 and B > 0):
-        raise InvalidOracleInput("larmor_orbit requires E > 0 and B > 0")
+    if not (0 < E < math.inf and 0 < B < math.inf):
+        raise InvalidOracleInput(
+            "larmor_orbit requires finite E > 0 and B > 0")
     return math.sqrt(E) / B, math.pi * E / B
 
 
@@ -46,13 +47,17 @@ def circle_action_profile(spec: GeometrySpec, E: float, r_grid,
     """
     if spec.kind is not GeometryKind.PLANE_CONSTANT_B:
         raise InvalidOracleInput("circle profile is defined on the plane only")
-    if E <= 0:
-        raise InvalidOracleInput("E must be positive")
+    if not (0 < E < math.inf):
+        raise InvalidOracleInput("E must be finite and positive")
+    if n < 3:
+        raise InvalidOracleInput("n must be >= 3")
+    if len(r_grid) == 0:
+        raise InvalidOracleInput("the radius grid is empty")
     orientation = -1 if spec.B >= 0 else 1
     out = np.empty(len(r_grid))
     for i, r in enumerate(r_grid):
-        if r < 0:
-            raise InvalidOracleInput("radii must be nonnegative")
+        if not (0 <= r < math.inf):
+            raise InvalidOracleInput("radii must be finite and nonnegative")
         out[i] = action_S(spec, make_circle((0.0, 0.0), float(r),
                                             orientation, n), E)
     return out
@@ -65,8 +70,8 @@ def fd_gradient(spec: GeometrySpec, loop: Loop, params: ActionParams,
     Differentiates exactly the function grad_action claims to differentiate:
     S_{eps,tau} without a cutoff, the cutoff functional with one.
     """
-    if h <= 0:
-        raise InvalidOracleInput("h must be positive")
+    if not (0 < h < math.inf):
+        raise InvalidOracleInput("h must be finite and positive")
 
     def value(verts):
         lp = Loop(verts, loop.windings)

@@ -83,7 +83,7 @@ def test_criterion_03_gradient_suite(acc_log):
         params = ActionParams(E=float(rng.uniform(0.5, 2.0)),
                               eps=float(rng.choice([0.0, 1e-2, 0.1])),
                               tau=float(rng.choice([0.0, 0.3])))
-        cut = CutoffSpec(c_ref=1.0, beta=0.1) if i % 4 == 0 else None
+        cut = CutoffSpec(c_ref=1.0) if i % 4 == 0 else None
         analytic = grad_action(spec, loop, params, cut)
         numeric = fd_gradient(spec, loop, params, cut)
         scale = max(float(np.linalg.norm(numeric)), 1e-12)

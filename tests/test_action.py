@@ -124,7 +124,7 @@ def test_monotone_in_eps_and_tau():
 
 
 def test_cutoff_smoothstep_shape():
-    cut = CutoffSpec(c_ref=2.0, beta=0.2)
+    cut = CutoffSpec(c_ref=2.0)
     assert cut.lo == 0.1 and cut.hi == 0.2
     assert cutoff_f(-5.0, cut) == 0.0
     assert cutoff_f(cut.lo, cut) == 0.0
@@ -142,7 +142,7 @@ def test_cutoff_smoothstep_shape():
 
 
 def test_cutoff_functional_limits():
-    cut = CutoffSpec(c_ref=1.0, beta=0.1)
+    cut = CutoffSpec(c_ref=1.0)
     params = ActionParams(E=1.0, eps=1e-2, tau=1e-2)
     pt = make_point_loop((0.0, 0.0), 16)
     assert action_F_cutoff(PLANE, pt, params, cut) == 0.0
@@ -159,7 +159,7 @@ def test_gradient_matches_fd():
             (ActionParams(E=1.3, eps=0.0, tau=0.0), None),
             (ActionParams(E=0.7, eps=1e-2, tau=0.3), None),
             (ActionParams(E=1.0, eps=1e-2, tau=1e-2),
-             CutoffSpec(c_ref=1.0, beta=0.1)),
+             CutoffSpec(c_ref=1.0)),
         ]:
             analytic = grad_action(spec, loop, params, cut)
             numeric = fd_gradient(spec, loop, params, cut)
@@ -179,7 +179,7 @@ def test_values_and_gradient_share_the_edge_kernel():
             s0, s1, _, _ = _grad_components(spec, loop, params)
             assert action_pair(spec, loop, params) == (s0, s1)
             # a window around s0 keeps the cutoff factor strictly inside (0, 1)
-            cut = CutoffSpec(c_ref=15.0 * s0, beta=0.1)
+            cut = CutoffSpec(c_ref=15.0 * s0)
             assert 0.0 < cutoff_f(s0, cut) < 1.0
             assert action_F_cutoff(spec, loop, params, cut) == \
                 cutoff_f(s0, cut) * s1
@@ -269,7 +269,7 @@ def test_cutoff_gradient_formula_on_every_branch():
         assert s0 > 0.0
         for c_ref, f_expect in ((40.0 * s0, 0.0), (15.0 * s0, None),
                                 (5.0 * s0, 1.0)):
-            cut = CutoffSpec(c_ref=c_ref, beta=0.1)
+            cut = CutoffSpec(c_ref=c_ref)
             f, df = cutoff_f(s0, cut), cutoff_df(s0, cut)
             if f_expect is None:
                 assert 0.0 < f < 1.0 and df > 0.0
@@ -300,6 +300,6 @@ def test_action_params_validation():
     with pytest.raises(ValueError):
         ActionParams(E=1.0, delta=-1.0)
     with pytest.raises(ValueError):
-        CutoffSpec(c_ref=-1.0, beta=0.1)
+        CutoffSpec(c_ref=-1.0)
     with pytest.raises(ValueError):
-        CutoffSpec(c_ref=1.0, beta=0.0)
+        CutoffSpec(c_ref=math.inf)

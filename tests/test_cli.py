@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -68,8 +69,56 @@ def test_config_defaults():
     cfg = cli.parse_config_dict(obj)
     assert cfg.n_vertices == 128 and cfg.family_size == 33 and cfg.m_p == 8
     assert cfg.solver.max_iters == 400 and cfg.solver.grad_tol == 1e-6
-    assert cfg.seed == 0 and cfg.delta == 1e-9 and cfg.beta_frac == 0.1
-    assert cfg.nested is False
+    assert cfg.seed == 0 and cfg.delta == 1e-9
+
+
+def _minimal_config():
+    return {"geometry": {"kind": "plane_constant_B"}, "E": 1.0,
+            "w_shape": "path",
+            "action": {"eps0": 1e-2, "tau0": 1e-2, "rho": 0.5, "n_steps": 3},
+            "output_dir": "run_out"}
+
+
+def _leaves(obj, prefix=""):
+    out = {}
+    for key, val in obj.items():
+        if isinstance(val, dict):
+            out.update(_leaves(val, f"{prefix}{key}."))
+        else:
+            out[prefix + key] = val
+    return out
+
+
+def test_readme_config_table_matches_the_parser():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("## Config schema")[1].split("\n## ")[0]
+    table = dict(re.findall(r"^\| `([\w.]+)` \| ([^|]+?) \|", section,
+                            flags=re.M))
+    parsed = _leaves(cli.parse_config_dict(_minimal_config()).to_json_dict())
+    assert set(table) == set(parsed)
+    numeric = 0
+    for key, default in table.items():
+        try:
+            value = float(default)
+        except ValueError:
+            continue
+        numeric += 1
+        assert parsed[key] == value, key
+    assert numeric == 11
+
+
+@pytest.mark.parametrize("key", ["action.nested", "action.beta_frac",
+                                 "solver.step0", "solver.backtrack"])
+def test_config_rejects_removed_keys(key, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+    cfg = _base_config(n_steps=3)
+    section, name = key.split(".")
+    cfg[section][name] = False if name == "nested" else 0.1
+    assert cli.main(["run", "--config", _write_config(tmp_path, cfg)]) == \
+        cli.EXIT_CONFIG
+    assert f"config.{section}: unknown keys ['{name}']" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "run_out").exists()
 
 
 def test_config_error_messages():
@@ -98,8 +147,8 @@ def test_config_error_messages():
     ("discretization.n_vertices", math.inf),
     ("seed", math.inf),
     ("action.delta", math.nan),
-    ("action.beta_frac", math.inf),
-    ("solver.step0", math.inf),
+    ("action.rho", math.inf),
+    ("solver.max_iters", math.inf),
     ("solver.grad_tol", math.inf),
 ])
 def test_config_rejects_non_finite_numbers(key, value, tmp_path, monkeypatch,
@@ -394,6 +443,36 @@ def test_oracle_shoot_bad_input_is_config_error(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
     assert cli.main(["oracle", "shoot", "--E-mech", "nan"]) == \
         cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("argv", [
+    ["larmor", "--E", "inf", "--B", "1"],
+    ["larmor", "--E", "1", "--B", "inf"],
+    ["profile", "--E", "inf", "--B", "1", "--r-max", "2"],
+    ["profile", "--E", "1", "--B", "inf", "--r-max", "2"],
+    ["profile", "--E", "1", "--B", "1", "--r-max", "nan"],
+    ["profile", "--E", "1", "--B", "1", "--r-max", "2", "--points", "0"],
+    ["profile", "--E", "1", "--B", "1", "--r-max", "2", "--points", "-1"],
+    ["profile", "--E", "1", "--B", "1", "--r-max", "2", "--n", "2"],
+])
+def test_oracle_rejects_bad_numbers(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+    assert cli.main(["oracle", *argv]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and "config error" in captured.err
+    assert not (tmp_path / "oracle_out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--loops", "0"],
+    ["--h", "nan"],
+    ["--h", "inf"],
+    ["--n", "2"],
+])
+def test_gradcheck_rejects_bad_numbers(argv, capsys):
+    assert cli.main(["gradcheck", "--loops", "2", *argv]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and "config error" in captured.err
 
 
 def test_gradcheck_subcommand(capsys):

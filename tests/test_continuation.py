@@ -35,12 +35,6 @@ def test_schedule_geometric_and_pairs():
     assert sch.tau(2) == 1e-2 * 0.25
     plain = sch.pairs()
     assert plain == [(sch.eps(n), sch.tau(n)) for n in range(4)]
-    nested = sch.pairs(nested=True)
-    assert len(nested) == 7
-    assert nested[0] == (1e-2, 1e-2)
-    assert nested[3] == (1e-2, sch.tau(3))
-    assert all(t == sch.tau(3) for _, t in nested[4:])
-    assert nested[-1] == (sch.eps(3), sch.tau(3))
 
 
 def test_schedule_validation_messages():

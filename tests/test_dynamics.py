@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from magloop import (ChartPoint, FlowState, GeometryKind, GeometrySpec, Loop,
                      el_residual_SE, el_residual_deq, integrate_flow,
                      kinetic_energy, make_circle)
+from magloop.action import ActionParams, action_S, grad_action, grad_norm
 from magloop.dynamics import _rhs, rk4_step, write_trajectory_csv
 from magloop.geometry import christoffel, field_F, metric_inverse
 
@@ -119,6 +120,25 @@ def test_el_residual_SE_circle_second_order():
         assert rep.speed_cv < 1e-12
     assert res[256] < 2e-4
     assert 13.0 < res[64] / res[256] < 19.0
+
+
+def test_discrete_extremal_converges_at_second_order():
+    # the regular clockwise N-gon of radius sqrt(E) / (B cos(pi/N)) is the
+    # exact critical point of the discrete S_E; its extremal-equation
+    # residual and its level's gap to pi E / B fall like N^-2
+    E, B = 1.0, 1.0
+    spec = GeometrySpec(GeometryKind.PLANE_CONSTANT_B, B=B)
+    params = ActionParams(E=E, eps=0.0, tau=0.0)
+    res, gap = [], []
+    for n in (32, 64, 128, 256):
+        r = math.sqrt(E) / (B * math.cos(math.pi / n))
+        loop = make_circle((0.0, 0.0), r, -1, n)
+        assert grad_norm(grad_action(spec, loop, params)) <= 1e-12
+        res.append(el_residual_SE(spec, loop, E).max_res)
+        gap.append(action_S(spec, loop, E) - math.pi * E / B)
+    for errs in (res, gap):
+        orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
+        assert min(orders) >= 1.9, orders
 
 
 def test_el_residual_SE_internal_resampling():

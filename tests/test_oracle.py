@@ -32,6 +32,9 @@ def test_larmor_closed_form_and_scaling():
         larmor_orbit(0.0, 1.0)
     with pytest.raises(InvalidOracleInput):
         larmor_orbit(1.0, -2.0)
+    for E, B in ((math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0)):
+        with pytest.raises(InvalidOracleInput):
+            larmor_orbit(E, B)
 
 
 def test_circle_action_profile_discrete_max():
@@ -52,8 +55,12 @@ def test_circle_action_profile_discrete_max():
     assert abs(float(vals[i]) - direct) > 0.0 or grid[i] != 0.7
     with pytest.raises(InvalidOracleInput):
         circle_action_profile(spec, -1.0, grid, n)
-    with pytest.raises(InvalidOracleInput):
-        circle_action_profile(spec, E, np.array([-0.1, 0.5]), n)
+    for bad in ((math.inf, grid, n), (E, np.array([-0.1, 0.5]), n),
+                (E, np.array([0.5, math.nan]), n),
+                (E, np.array([math.inf]), n), (E, np.array([]), n),
+                (E, grid, 2)):
+        with pytest.raises(InvalidOracleInput):
+            circle_action_profile(spec, *bad)
     torus = GeometrySpec(GeometryKind.FLAT_TORUS_SINE, a=1.0, k=1)
     with pytest.raises(InvalidOracleInput):
         circle_action_profile(torus, E, grid, n)
@@ -74,8 +81,9 @@ def test_fd_gradient_converges_with_h():
         errs.append(float(np.linalg.norm(approx - exact)))
     assert errs[1] < errs[0]
     assert errs[1] < 1e-7 * max(1.0, float(np.linalg.norm(exact)))
-    with pytest.raises(InvalidOracleInput):
-        fd_gradient(PLANE, loop, params, h=0.0)
+    for h in (0.0, math.nan, math.inf):
+        with pytest.raises(InvalidOracleInput):
+            fd_gradient(PLANE, loop, params, h=h)
 
 
 def test_shooting_finds_larmor_orbit():
