@@ -405,6 +405,8 @@ def _random_loop(rng, spec, n):
 def _cmd_gradcheck(args) -> int:
     if args.loops < 1 or args.n < 3:
         raise ConfigError("gradcheck needs --loops >= 1 and --n >= 3")
+    if not (0 < args.tol < math.inf):
+        raise ConfigError("gradcheck needs a finite, positive --tol")
     rng = np.random.default_rng(args.seed)
     specs = [
         GeometrySpec(GeometryKind.PLANE_CONSTANT_B, B=1.0),
@@ -443,6 +445,12 @@ def _cmd_oracle(args) -> int:
         if args.points < 1:
             raise ConfigError("points must be >= 1")
         r_grid = np.linspace(0.0, args.r_max, args.points)
+        if args.B != 0.0 and args.E > 0.0 and args.n >= 3:
+            # add the exact discrete maximizer; bad E or n fail just below
+            r_star = math.sqrt(args.E) / (abs(args.B)
+                                          * math.cos(math.pi / args.n))
+            if r_star <= args.r_max:
+                r_grid = np.sort(np.append(r_grid, r_star))
         values = circle_action_profile(spec, args.E, r_grid, args.n)
         out = resolve_output_dir(args.output_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -456,6 +464,8 @@ def _cmd_oracle(args) -> int:
         return EXIT_OK
     if args.oracle_cmd == "shoot":
         spec = _geometry_from_args(args)
+        if args.n < 3 or args.seeds < 1:
+            raise ConfigError("shoot needs --n >= 3 and --seeds >= 1")
         rng = np.random.default_rng(args.seed)
         seeds = []
         for _ in range(args.seeds):

@@ -1,11 +1,12 @@
 """Regularization continuation (eps, tau) -> 0 and outcome classification.
 
-A run bootstraps a reference level c_ref by one minimax solve without any
-cutoff at (eps0, tau0), fixes the cutoff window from it, then follows the
-minimax level down a geometric schedule, warm-starting each step's family
-from the previous one.  Each step records the argmax loop, its rescaled
-length l = sqrt(E) * length, the combination nu = eps * l, and the implied
-energies of the limiting orbit:
+A run makes one minimax solve per entry of a geometric schedule, each
+warm-started from the previous step's family.  Step 0 at (eps0, tau0)
+solves without any cutoff; its level c_ref fixes the cutoff window of every
+later step.  Each solve has one tolerance, ``grad_tol``, and refines its
+argmax only if the gradient certificate fails.  Each step records the
+argmax loop, its rescaled length l = sqrt(E) * length, nu = eps * l, and
+the implied energies of the limiting orbit:
 
     E_lin = E * (1 + 2 nu)       (first-order shift)
     E_exact = E * (1 + 2 nu)^2     (exact curvature balance)
@@ -194,25 +195,23 @@ def continuation_run(spec: GeometrySpec, E: float, w_shape: str,
                      ) -> tuple[list[ContinuationRecord], Classification, float]:
     """Run the full continuation; returns (records, classification, c_ref).
 
-    Raises NoNegativeLoopFound if no sweep family can be constructed.  The
-    cutoff window is fixed once from the bootstrap level c_ref and kept for
-    the whole schedule.
+    Raises NoNegativeLoopFound if no sweep family can be constructed.  Step
+    0 solves without the cutoff; its level is c_ref, which fixes the cutoff
+    window of steps 1 onward.
     """
-    family = init_sweep_family(spec, E, w_shape, family_size, n_vertices,
-                               m_p=m_p)
-    params0 = ActionParams(E=E, eps=schedule.eps0, tau=schedule.tau0,
-                           delta=delta)
-    boot, rows = _engine(spec, family.rows, params0, None, settings)
-    c_ref = boot.level
-    if not (c_ref > 0.0):
-        return [], Inconclusive(
-            f"bootstrap level {c_ref:.6g} is not positive"), c_ref
-    cut = CutoffSpec(c_ref=c_ref)
-
+    rows = init_sweep_family(spec, E, w_shape, family_size, n_vertices,
+                             m_p=m_p).rows
+    cut = None
     records = []
     for n, (eps_n, tau_n) in enumerate(schedule.pairs()):
         params = ActionParams(E=E, eps=eps_n, tau=tau_n, delta=delta)
         result, rows = _engine(spec, rows, params, cut, settings)
+        if cut is None:
+            c_ref = result.level
+            if not (c_ref > 0.0):
+                return [], Inconclusive(
+                    f"bootstrap level {c_ref:.6g} is not positive"), c_ref
+            cut = CutoffSpec(c_ref=c_ref)
         loop = result.argmax
         l_resc = math.sqrt(E) * length(spec, loop)
         nu = eps_n * l_resc

@@ -27,11 +27,12 @@ sweep
    method, E, Ren & Vanden-Eijnden 2002), rejecting a row whose proposal
    exceeds the current family maximum.
 
-The best recorded family is then adopted, and its argmax finished with a
-Newton refinement using a finite-difference Hessian of the analytic
-gradient, accepted only while the gradient norm decreases and the value
-does not rise above the recorded level.  The result records why the sweeps
-stopped: "critical", "plateau" or "max_iters".
+The best recorded family is then adopted.  Unless the sweeps stopped on
+the gradient certificate of item 2, its argmax is finished down to the same
+``grad_tol`` by a Newton refinement using a finite-difference Hessian of
+the analytic gradient, accepted only while the gradient norm decreases and
+the value does not rise above the recorded level.  The result records why
+the sweeps stopped: "critical", "plateau" or "max_iters".
 
 Levels in the history are non-increasing, and the reported level equals the
 family maximum at termination.
@@ -302,7 +303,8 @@ def _saddle_refine(spec, loop, params, cut, settings):
 
     Symmetry directions (translations, rotations, reparameterizations) give
     near-null Hessian modes; lstsq with an rcond floor projects them out.
-    Steps are accepted only when the gradient norm decreases.
+    Steps are accepted only when the gradient norm decreases, and the
+    iteration stops once it is at most ``settings.grad_tol``.
     """
     n = loop.n
     w = loop.windings
@@ -318,7 +320,7 @@ def _saddle_refine(spec, loop, params, cut, settings):
     g = gfun(x)
     gn = float(np.linalg.norm(g))
     for _ in range(30):
-        if gn <= 0.1 * settings.grad_tol:
+        if gn <= settings.grad_tol:
             break
         H = _fd_hessian(gfun, x, h)
         step, *_ = np.linalg.lstsq(H, -g, rcond=1e-9)
@@ -388,12 +390,12 @@ def _engine(spec, rows, params, cut, settings):
             best_vals = [list(v) for v in vals]
         stall = 0 if improved else stall + 1
         history.append((k, best_level))
-        # the best family's maximum is already a critical point; a further
-        # sweep would only move it off again, so stop here
-        if level_now == best_level and grad_norm(grad_action(
-                spec, rows[r1][i1], params, cut)) <= settings.grad_tol:
-            stop = "critical"
-            break
+        # a critical maximum of the best family: a sweep would only move it off
+        if level_now == best_level:
+            gn = grad_norm(grad_action(spec, rows[r1][i1], params, cut))
+            if gn <= settings.grad_tol:
+                stop = "critical"
+                break
         if stall >= _PLATEAU_SWEEPS:
             stop = "plateau"
             break
@@ -407,22 +409,21 @@ def _engine(spec, rows, params, cut, settings):
         rows = [list(_reinterp_row(spec, row, params, cut, guard, rvals))
                 for row, rvals in zip(rows, vals)]
 
-    # adopt the best recorded family, then refine its argmax
+    # adopt the best recorded family; refine its argmax unless certified
     rows, vals = best_rows, best_vals
     r0, i0, level = _argmax_rows(vals)
-    scale = max(1.0, abs(level))
-    if 0 < i0 < m - 1:
-        refined, _ = _saddle_refine(spec, rows[r0][i0], params, cut, settings)
-        rval = _value(spec, refined, params, cut)
-        if rval <= level + 1e-12 * scale:
-            rows[r0][i0] = refined
-            vals[r0][i0] = rval
-    r0, i0, level = _argmax_rows(vals)
-    argmax = rows[r0][i0]
-    gn = grad_norm(grad_action(spec, argmax, params, cut))
+    if stop != "critical":
+        if 0 < i0 < m - 1:
+            refined, _ = _saddle_refine(spec, rows[r0][i0], params, cut,
+                                        settings)
+            rval = _value(spec, refined, params, cut)
+            if rval <= level + 1e-12 * max(1.0, abs(level)):
+                rows[r0][i0], vals[r0][i0] = refined, rval
+        r0, i0, level = _argmax_rows(vals)
+        gn = grad_norm(grad_action(spec, rows[r0][i0], params, cut))
     final_level = min(level, history[-1][1])
     history.append((k + 1, final_level))
-    return (MinimaxResult(level=float(final_level), argmax=argmax,
+    return (MinimaxResult(level=float(final_level), argmax=rows[r0][i0],
                           grad_norm=float(gn),
                           history=tuple(history),
                           converged=bool(gn <= settings.grad_tol),

@@ -229,9 +229,10 @@ _GOLDEN_LEVELS = ("0x1.df75d58de846ep+1", "0x1.b60dc4eb49cf3p+1",
                   "0x1.a3b363d2c6370p+1")
 _GOLDEN_FINAL_RESIDUAL = "0x1.29b127bd624a0p-5"
 
-# A conformal-torus cylinder whose bootstrap adopts the family of its
-# sweep 1 and whose step 1 stops on a plateau, so the relaxation sweep and
-# re-interpolation shape these values: float.hex of c_ref and the levels.
+# A conformal-torus cylinder whose two steps both stop on a plateau, so the
+# relaxation sweep and re-interpolation shape these values: float.hex of
+# c_ref and the levels.  Step 0 solves without the cutoff, so its level is
+# c_ref itself.
 _CONFORMAL_CONFIG = {
     "geometry": {"kind": "conformal_torus", "a": 3.0, "k": 1, "u_amp": 0.2},
     "E": 0.02,
@@ -243,7 +244,7 @@ _CONFORMAL_CONFIG = {
     "seed": 0,
 }
 _CONFORMAL_GOLDEN_C_REF = "0x1.29446039e0e3fp-8"
-_CONFORMAL_GOLDEN_LEVELS = ("0x1.29446039e0e43p-8", "0x1.37744d76b04e0p-8")
+_CONFORMAL_GOLDEN_LEVELS = ("0x1.29446039e0e3fp-8", "0x1.37744d76b04e3p-8")
 
 
 def test_run_levels_match_recorded_values(tmp_path, monkeypatch):
@@ -446,6 +447,22 @@ def test_oracle_shoot_bad_input_is_config_error(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [
+    ["--n", "2"],
+    ["--seeds", "0"],
+    ["--seeds", "-1"],
+])
+def test_oracle_shoot_rejects_bad_sizes(argv, tmp_path, monkeypatch, capsys):
+    # checked before the search runs, so nothing is written
+    monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+    assert cli.main(["oracle", "shoot", "--kind", "flat_torus_sine",
+                     "--a", "3.0", "--E-mech", "0.01", "--seeds", "1",
+                     "--period-cap", "0.6", *argv]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and "config error" in captured.err
+    assert not (tmp_path / "oracle_out").exists()
+
+
+@pytest.mark.parametrize("argv", [
     ["larmor", "--E", "inf", "--B", "1"],
     ["larmor", "--E", "1", "--B", "inf"],
     ["profile", "--E", "inf", "--B", "1", "--r-max", "2"],
@@ -468,6 +485,10 @@ def test_oracle_rejects_bad_numbers(argv, tmp_path, monkeypatch, capsys):
     ["--h", "nan"],
     ["--h", "inf"],
     ["--n", "2"],
+    ["--tol", "nan"],
+    ["--tol", "inf"],
+    ["--tol", "0"],
+    ["--tol=-1e-5"],
 ])
 def test_gradcheck_rejects_bad_numbers(argv, capsys):
     assert cli.main(["gradcheck", "--loops", "2", *argv]) == cli.EXIT_CONFIG
@@ -502,4 +523,22 @@ def test_oracle_profile_subcommand(tmp_path, monkeypatch, capsys):
     assert abs(payload["level"] - math.pi) < 1e-3
     lines = (tmp_path / "oracle_out" / "profile.csv").read_text().splitlines()
     assert lines[0] == "r,S"
-    assert len(lines) == 402
+    # the 401 grid radii plus the exact discrete maximizer
+    assert len(lines) == 403
+
+
+@pytest.mark.parametrize("E, B, r_max", [(1.0, 1.0, 2.0), (2.0, -0.5, 4.0)])
+def test_oracle_profile_reports_the_exact_discrete_maximum(
+        E, B, r_max, tmp_path, monkeypatch, capsys):
+    # the regular 256-gon of circumradius sqrt(E)/(|B| cos(pi/n)) maximizes
+    # the discrete profile at E n tan(pi/n) / |B|, even on a coarse grid
+    monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+    n = 256
+    rc = cli.main(["oracle", "profile", "--E", str(E), "--B", str(B),
+                   "--r-max", str(r_max), "--points", "5", "--n", str(n)])
+    assert rc == cli.EXIT_OK
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    level = E * n * math.tan(math.pi / n) / abs(B)
+    assert payload["level"] == pytest.approx(level, rel=1e-12)
+    assert payload["r_max"] == pytest.approx(
+        math.sqrt(E) / (abs(B) * math.cos(math.pi / n)), rel=1e-15)

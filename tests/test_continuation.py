@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from magloop import (ContinuationRecord, ConvergedExtremal, DivergingLengths,
-                     GeometryKind, GeometrySpec, Inconclusive, MinimaxResult,
-                     Schedule, classify_outcome, implied_energy, make_circle)
+from magloop import (ContinuationRecord, ConvergedExtremal, DescentSettings,
+                     DivergingLengths, GeometryKind, GeometrySpec,
+                     Inconclusive, MinimaxResult, Schedule, classify_outcome,
+                     continuation_run, implied_energy, make_circle)
+from magloop import continuation
 from magloop.dynamics import ResidualReport
 
 
@@ -155,3 +157,25 @@ def test_benchmark_implied_energies_consistent(plane_bench):
         assert rec.E_lin == E * (1.0 + 2.0 * rec.nu)
         assert rec.E_exact == E * (1.0 + 2.0 * rec.nu) ** 2
         assert rec.nu == rec.eps * rec.l
+
+
+def test_run_makes_one_solve_per_step(monkeypatch):
+    # step 0 solves without the cutoff, so it is the bootstrap: its level is
+    # c_ref and no extra solve precedes it
+    calls = []
+    engine = continuation._engine
+
+    def counting(spec, rows, params, cut, settings):
+        calls.append(cut)
+        return engine(spec, rows, params, cut, settings)
+
+    monkeypatch.setattr(continuation, "_engine", counting)
+    spec = GeometrySpec(GeometryKind.PLANE_CONSTANT_B, B=1.0)
+    schedule = Schedule(eps0=1e-2, tau0=1e-2, rho=0.5, n_steps=3)
+    records, _, c_ref = continuation_run(
+        spec, 1.0, "path", schedule, DescentSettings(), n_vertices=48,
+        family_size=9)
+    assert len(calls) == schedule.n_steps == len(records)
+    assert calls[0] is None
+    assert all(cut.c_ref == c_ref for cut in calls[1:])
+    assert records[0].level == c_ref

@@ -11,12 +11,13 @@ from magloop import (CutoffSpec, DescentSettings, GeometryKind, GeometrySpec,
                      Loop, action_S, action_S_eps_tau, descend_loop,
                      family_minimax, init_sweep_family, length, make_circle,
                      speed_cv)
+from magloop import minimax
 from magloop.action import (ActionParams, action_F_cutoff, grad_action,
                             grad_norm)
 from magloop.errors import NoNegativeLoopFound
 from magloop.loops import interpolate
 from magloop.minimax import (_PLATEAU_SWEEPS, _bounded_min, _descend,
-                             _reinterp_row, _value)
+                             _reinterp_row, _saddle_refine, _value)
 
 PLANE = GeometrySpec(GeometryKind.PLANE_CONSTANT_B, B=1.0)
 
@@ -217,6 +218,34 @@ def test_sweep_stops_once_the_family_maximum_is_critical():
     assert grad_norm(grad_action(PLANE, res.argmax, params)) <= \
         settings.grad_tol
     assert res.to_json_dict()["stop"] == "critical"
+
+
+def _no_call(*args, **kwargs):
+    raise AssertionError("must not be called")
+
+
+def test_certified_argmax_skips_the_saddle_refine(monkeypatch):
+    params = ActionParams(E=1.0, eps=1e-2, tau=1e-2)
+    fam = init_sweep_family(PLANE, 1.0, "path", 33, 64)
+    monkeypatch.setattr(minimax, "_saddle_refine", _no_call)
+    res = family_minimax(PLANE, fam, params, DescentSettings())
+    assert res.stop == "critical" and res.converged
+    assert res.grad_norm == grad_norm(grad_action(PLANE, res.argmax, params))
+
+
+def test_saddle_refine_stops_at_grad_tol(monkeypatch):
+    # refine and certificate share one tolerance: a loop whose gradient
+    # norm g lies in (0.1 tol, tol] takes no Newton step
+    params = ActionParams(E=1.0, eps=1e-2, tau=1e-2)
+    fam = init_sweep_family(PLANE, 1.0, "path", 33, 64)
+    res = family_minimax(PLANE, fam, params, DescentSettings())
+    g = res.grad_norm
+    assert g > 0.0
+    monkeypatch.setattr(minimax, "_fd_hessian", _no_call)
+    loop, gn = _saddle_refine(PLANE, res.argmax, params, None,
+                              DescentSettings(grad_tol=2.0 * g))
+    assert np.array_equal(loop.vertices, res.argmax.vertices)
+    assert gn == pytest.approx(g, rel=1e-12)
 
 
 def test_plateau_counts_sweep_zero():
