@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .geometry import GeometrySpec, metric_grad, potential_eval, potential_jac
 from .loops import Loop, edge_geometry
 
@@ -52,13 +53,13 @@ class ActionParams:
 
     def __post_init__(self):
         if not (math.isfinite(self.E) and self.E > 0):
-            raise ValueError("E must be positive")
+            raise ConfigError("E must be positive")
         if not (math.isfinite(self.eps) and self.eps >= 0):
-            raise ValueError("eps must be nonnegative")
+            raise ConfigError("eps must be nonnegative")
         if not (0.0 <= self.tau < 1.0):
-            raise ValueError("tau must satisfy 0 <= tau < 1")
+            raise ConfigError("tau must satisfy 0 <= tau < 1")
         if not (math.isfinite(self.delta) and self.delta >= 0):
-            raise ValueError("delta must be nonnegative")
+            raise ConfigError("delta must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -73,7 +74,7 @@ class CutoffSpec:
 
     def __post_init__(self):
         if not (math.isfinite(self.c_ref) and self.c_ref > 0):
-            raise ValueError("c_ref must be positive")
+            raise ConfigError("c_ref must be positive")
 
     @property
     def lo(self) -> float:
@@ -119,8 +120,8 @@ def circulation(spec: GeometrySpec, loop: Loop) -> float:
 
 def action_S(spec: GeometrySpec, loop: Loop, E: float) -> float:
     """Length-type action sqrt(E) * length + circulation."""
-    if E <= 0:
-        raise ValueError("E must be positive")
+    if not (E > 0):
+        raise ConfigError("E must be positive")
     d, m, _, ell = edge_geometry(spec, loop)
     return math.sqrt(E) * float(ell.sum()) + _circulation(spec, d, m)[1]
 

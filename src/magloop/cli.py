@@ -8,7 +8,8 @@ Subcommands:
   gradcheck  analytic vs finite-difference gradients on random loops
   oracle     reference values (larmor / profile / shoot)
 
-Exit codes: 0 ConvergedExtremal or DivergingLengths, 2 config error,
+Exit codes: 0 ConvergedExtremal or DivergingLengths, 2 config error (a
+ConfigError, raised by the type or entry point that owns the check),
 3 Inconclusive (also a failed mpass/gradcheck), 4 NoNegativeLoopFound.
 No network access; all output lands under the experiment's output_dir.
 Relative output paths resolve under $MAGLOOP_OUTPUT_ROOT when that is set.
@@ -17,12 +18,12 @@ Relative output paths resolve under $MAGLOOP_OUTPUT_ROOT when that is set.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,8 +34,10 @@ from .continuation import (BETA_FRAC, Classification, ConvergedExtremal,
                            DivergingLengths, Inconclusive, Schedule,
                            continuation_run)
 from .dynamics import FlowState, integrate_flow, write_trajectory_csv
-from .errors import ConfigError, InvalidOracleInput, NoNegativeLoopFound
-from .geometry import ChartPoint, GeometryKind, GeometrySpec, metric_eval
+from .errors import (ConfigError, NoNegativeLoopFound, _check_keys, _number,
+                     _require)
+from .geometry import (ChartPoint, GeometryKind, GeometrySpec, metric_eval,
+                       torus_gap)
 from .loops import Loop, save_loop_csv
 from .minimax import DescentSettings, family_minimax, init_sweep_family
 from .oracle import (circle_action_profile, fd_gradient, larmor_orbit,
@@ -55,7 +58,7 @@ MAX_FAMILY_VERTICES = 10 ** 7
 MAX_STEPS = 1000
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
     """Validated experiment description (see README for the JSON schema)."""
 
@@ -99,45 +102,12 @@ class ExperimentConfig:
         return obj
 
 
-def _require(obj: dict, key: str, where: str):
-    if key not in obj:
-        raise ConfigError(f"{where}: missing required key '{key}'")
-    return obj[key]
-
-
-def _check_keys(obj: dict, allowed: set, where: str):
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where}: expected a JSON object")
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-
-
-def _number(obj, key, where, default=None, required=False, integer=False):
-    if key not in obj:
-        if required:
-            raise ConfigError(f"{where}: missing required key '{key}'")
-        return default
-    val = obj[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{where}.{key}: expected a number")
-    if not math.isfinite(val):
-        raise ConfigError(f"{where}.{key}: must be finite")
-    if integer:
-        if int(val) != val:
-            raise ConfigError(f"{where}.{key}: expected an integer")
-        return int(val)
-    return float(val)
-
-
 def parse_config_dict(obj: dict) -> ExperimentConfig:
     _check_keys(obj, {"geometry", "E", "w_shape", "discretization", "action",
                       "solver", "output_dir", "seed"}, "config")
     geometry = GeometrySpec.from_json_dict(_require(obj, "geometry", "config"))
 
     E = _number(obj, "E", "config", required=True)
-    if not (math.isfinite(E) and E > 0):
-        raise ConfigError("config.E: must be positive")
 
     w_shape = _require(obj, "w_shape", "config")
     if w_shape not in ("path", "cylinder"):
@@ -167,40 +137,28 @@ def parse_config_dict(obj: dict) -> ExperimentConfig:
     act = _require(obj, "action", "config")
     _check_keys(act, {"eps0", "tau0", "rho", "n_steps", "delta"},
                 "config.action")
-    eps0 = _number(act, "eps0", "config.action", required=True)
-    tau0 = _number(act, "tau0", "config.action", required=True)
-    rho = _number(act, "rho", "config.action", required=True)
-    n_steps = _number(act, "n_steps", "config.action", required=True,
-                      integer=True)
-    delta = _number(act, "delta", "config.action", default=1e-9)
-    if not (eps0 > 0):
-        raise ConfigError("config.action.eps0: must be positive")
-    if not (0.0 <= tau0 < 1.0):
-        raise ConfigError("config.action.tau0: tau must satisfy 0 <= tau < 1")
-    if not (0.0 < rho < 1.0):
-        raise ConfigError("config.action.rho: must lie in (0, 1)")
-    if n_steps < 1:
-        raise ConfigError("config.action.n_steps: must be >= 1")
-    if n_steps > MAX_STEPS:
+    schedule = Schedule(
+        eps0=_number(act, "eps0", "config.action", required=True),
+        tau0=_number(act, "tau0", "config.action", required=True),
+        rho=_number(act, "rho", "config.action", required=True),
+        n_steps=_number(act, "n_steps", "config.action", required=True,
+                        integer=True))
+    if schedule.n_steps > MAX_STEPS:
         raise ConfigError(
-            f"config.action.n_steps: {n_steps} exceeds {MAX_STEPS}")
-    if delta < 0:
-        raise ConfigError("config.action.delta: must be nonnegative")
+            f"config.action.n_steps: {schedule.n_steps} exceeds {MAX_STEPS}")
+    delta = _number(act, "delta", "config.action", default=1e-9)
+    # the action of step 0, built for its checks of E and delta
+    ActionParams(E=E, eps=schedule.eps0, tau=schedule.tau0, delta=delta)
 
     sol = obj.get("solver", {})
     _check_keys(sol, {"max_iters", "grad_tol"}, "config.solver")
+    solver = DescentSettings(
+        max_iters=_number(sol, "max_iters", "config.solver", default=400,
+                          integer=True),
+        grad_tol=_number(sol, "grad_tol", "config.solver", default=1e-6))
     seed = _number(obj, "seed", "config", default=0, integer=True)
     if seed < 0:
         raise ConfigError("config.seed: must be nonnegative")
-    try:
-        solver = DescentSettings(
-            max_iters=_number(sol, "max_iters", "config.solver", default=400,
-                              integer=True),
-            grad_tol=_number(sol, "grad_tol", "config.solver", default=1e-6),
-        )
-        schedule = Schedule(eps0=eps0, tau0=tau0, rho=rho, n_steps=n_steps)
-    except ValueError as exc:
-        raise ConfigError(f"config: {exc}") from None
 
     output_dir = _require(obj, "output_dir", "config")
     if not isinstance(output_dir, str) or not output_dir:
@@ -315,8 +273,7 @@ def run_experiment(config: ExperimentConfig, verbose: bool = False) -> int:
 def _cmd_run(args) -> int:
     config = load_config(args.config)
     if args.output_dir:
-        config = ExperimentConfig(
-            **{**config.__dict__, "output_dir": args.output_dir})
+        config = dataclasses.replace(config, output_dir=args.output_dir)
     return run_experiment(config, verbose=args.verbose)
 
 
@@ -324,10 +281,6 @@ def _cmd_mpass(args) -> int:
     config = load_config(args.config)
     eps = config.schedule.eps0 if args.eps is None else args.eps
     tau = config.schedule.tau0 if args.tau is None else args.tau
-    if not (math.isfinite(eps) and eps >= 0):
-        raise ConfigError("eps must be finite and nonnegative")
-    if not (0.0 <= tau < 1.0):
-        raise ConfigError("tau must satisfy 0 <= tau < 1")
     params = ActionParams(E=config.E, eps=eps, tau=tau, delta=config.delta)
     family = init_sweep_family(config.geometry, config.E, config.w_shape,
                                config.family_size, config.n_vertices,
@@ -344,26 +297,16 @@ def _cmd_mpass(args) -> int:
 
 
 def _geometry_from_args(args) -> GeometrySpec:
-    try:
-        kind = GeometryKind(args.kind)
-    except ValueError:
-        raise ConfigError(f"unknown geometry kind {args.kind!r}") from None
-    try:
-        return GeometrySpec(kind=kind, B=args.B, a=args.a, k=args.k,
-                            u_amp=args.u_amp)
-    except ValueError as exc:
-        raise ConfigError(f"geometry: {exc}") from None
+    return GeometrySpec(kind=GeometryKind(args.kind), B=args.B, a=args.a,
+                        k=args.k, u_amp=args.u_amp)
 
 
 def _cmd_flow(args) -> int:
     spec = _geometry_from_args(args)
-    for name in ("x0", "y0", "angle", "speed", "T"):
-        if not math.isfinite(getattr(args, name)):
-            raise ConfigError(f"{name} must be finite")
-    if args.speed <= 0:
-        raise ConfigError("speed must be positive")
-    if args.T <= 0 or args.steps < 1:
-        raise ConfigError("T must be positive and steps >= 1")
+    if not (0 < args.speed < math.inf):
+        raise ConfigError("speed must be finite and positive")
+    if not math.isfinite(args.angle):
+        raise ConfigError("angle must be finite")
     p = ChartPoint(args.x0, args.y0)
     direction = np.array([math.cos(args.angle), math.sin(args.angle)])
     g = metric_eval(spec, p)
@@ -376,8 +319,7 @@ def _cmd_flow(args) -> int:
                                     args.T)
     first, last = states[0].as_array(), states[-1].as_array()
     gap = last - first
-    if spec.is_torus:
-        gap[:2] = gap[:2] - np.round(gap[:2])
+    gap[:2] = torus_gap(spec, gap[:2])
     closure = float(np.linalg.norm(gap))
     drift = max(abs(e - energies[0]) for e in energies)
     print(json.dumps({"closure_residual": closure, "energy_drift": drift}))
@@ -438,10 +380,7 @@ def _cmd_oracle(args) -> int:
         print(json.dumps({"radius": radius, "level": level}))
         return EXIT_OK
     if args.oracle_cmd == "profile":
-        try:
-            spec = GeometrySpec(GeometryKind.PLANE_CONSTANT_B, B=args.B)
-        except ValueError as exc:
-            raise ConfigError(f"geometry: {exc}") from None
+        spec = GeometrySpec(GeometryKind.PLANE_CONSTANT_B, B=args.B)
         if args.points < 1:
             raise ConfigError("points must be >= 1")
         r_grid = np.linspace(0.0, args.r_max, args.points)
@@ -577,7 +516,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, InvalidOracleInput) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NoNegativeLoopFound as exc:

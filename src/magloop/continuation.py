@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 from .action import ActionParams, CutoffSpec
 from .dynamics import ResidualReport, el_residual_SE
+from .errors import ConfigError
 from .geometry import GeometrySpec
 from .loops import Loop, length
 from .minimax import DescentSettings, MinimaxResult, _engine, init_sweep_family
@@ -48,13 +49,13 @@ class Schedule:
 
     def __post_init__(self):
         if not (math.isfinite(self.eps0) and self.eps0 > 0):
-            raise ValueError("eps0 must be positive")
+            raise ConfigError("eps0 must be positive")
         if not (0.0 <= self.tau0 < 1.0):
-            raise ValueError("tau must satisfy 0 <= tau < 1")
+            raise ConfigError("tau must satisfy 0 <= tau < 1")
         if not (0.0 < self.rho < 1.0):
-            raise ValueError("rho must lie in (0, 1)")
+            raise ConfigError("rho must lie in (0, 1)")
         if self.n_steps < 1:
-            raise ValueError("n_steps must be positive")
+            raise ConfigError("n_steps must be positive")
 
     def eps(self, n: int) -> float:
         return self.eps0 * self.rho ** n
@@ -70,10 +71,10 @@ class Schedule:
 def implied_energy(nu: float, E: float) -> tuple[float, float]:
     """(first-order, exact) energies of the orbit a diverging sequence
     approximates: E(1+2nu) and E(1+2nu)^2."""
-    if nu < 0:
-        raise ValueError("nu must be nonnegative")
-    if E <= 0:
-        raise ValueError("E must be positive")
+    if not (nu >= 0):
+        raise ConfigError("nu must be nonnegative")
+    if not (E > 0):
+        raise ConfigError("E must be positive")
     shift = 1.0 + 2.0 * nu
     return E * shift, E * shift * shift
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateLoop
+from .errors import ConfigError, DegenerateLoop
 from .geometry import (TWO_PI, ChartPoint, GeometryKind, GeometrySpec,
                        christoffel, field_F, metric_eval, metric_inverse)
 from .loops import Loop, resample_arclength, speed_cv
@@ -58,9 +58,9 @@ class FlowState:
     def __post_init__(self):
         v = np.asarray(self.v, dtype=float)
         if v.shape != (2,):
-            raise ValueError("v must be a 2-vector")
+            raise ConfigError("v must be a 2-vector")
         if not np.all(np.isfinite(v)):
-            raise ValueError("v must be finite")
+            raise ConfigError("v must be finite")
         v = np.array(v)
         v.setflags(write=False)
         object.__setattr__(self, "v", v)
@@ -158,9 +158,9 @@ def integrate_flow(spec: GeometrySpec, state: FlowState, T: float,
     needed.
     """
     if steps < 1:
-        raise ValueError("steps must be positive")
-    if not math.isfinite(T) or T <= 0:
-        raise ValueError("T must be positive")
+        raise ConfigError("steps must be positive")
+    if not (0 < T < math.inf):
+        raise ConfigError("T must be finite and positive")
     h = T / steps
     y = state.as_array()
     out = [state]
@@ -246,8 +246,8 @@ def el_residual_SE(spec: GeometrySpec, loop: Loop, E: float) -> ResidualReport:
     internally (the equation presumes that parameterization); the reported
     speed_cv always refers to the input loop.
     """
-    if E <= 0:
-        raise ValueError("E must be positive")
+    if not (E > 0):
+        raise ConfigError("E must be positive")
     cv = speed_cv(spec, loop)
     work = loop if cv <= _UNIFORM_CV else resample_arclength(spec, loop, loop.n)
     g, cov_acc, lorentz, sp = _covariant_parts(spec, work)
@@ -264,8 +264,8 @@ def el_residual_deq(spec: GeometrySpec, loop: Loop, eps: float, tau: float,
     floor as the action; at eps = tau = 0 the equation coincides with the
     length-type one at E = 1 on arc-length loops.
     """
-    if eps < 0 or not (0.0 <= tau < 1.0):
-        raise ValueError("require eps >= 0 and 0 <= tau < 1")
+    if not (eps >= 0 and 0.0 <= tau < 1.0):
+        raise ConfigError("require eps >= 0 and 0 <= tau < 1")
     cv = speed_cv(spec, loop)
     g, cov_acc, lorentz, sp = _covariant_parts(spec, loop)
     denom = 2.0 * eps + (1.0 + tau) * np.power(np.maximum(sp, delta), tau - 1.0)

@@ -1,12 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the readers of JSON
+config sections that raise them."""
+
+import math
 
 
 class MagloopError(Exception):
     """Base class for package errors."""
 
 
-class ConfigError(MagloopError):
-    """Experiment configuration is malformed or out of range."""
+class ConfigError(MagloopError, ValueError):
+    """An input is malformed or out of range: a config value, a command-line
+    argument or an argument of a public type or entry point."""
 
 
 class DegenerateLoop(MagloopError):
@@ -21,5 +25,36 @@ class NoNegativeLoopFound(MagloopError):
     """The geometry admits no sweep family with negative terminal action."""
 
 
-class InvalidOracleInput(MagloopError):
+class InvalidOracleInput(ConfigError):
     """Reference-value request outside the oracle's domain."""
+
+
+def _require(obj: dict, key: str, where: str):
+    if key not in obj:
+        raise ConfigError(f"{where}: missing required key '{key}'")
+    return obj[key]
+
+
+def _check_keys(obj: dict, allowed: set, where: str):
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: expected a JSON object")
+    unknown = set(obj) - allowed
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+
+
+def _number(obj, key, where, default=None, required=False, integer=False):
+    if key not in obj:
+        if required:
+            raise ConfigError(f"{where}: missing required key '{key}'")
+        return default
+    val = obj[key]
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ConfigError(f"{where}.{key}: expected a number")
+    if not math.isfinite(val):
+        raise ConfigError(f"{where}.{key}: must be finite")
+    if integer:
+        if int(val) != val:
+            raise ConfigError(f"{where}.{key}: expected an integer")
+        return int(val)
+    return float(val)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, _check_keys, _number, _require
 
 TWO_PI = 2.0 * math.pi
 
@@ -44,7 +44,7 @@ class ChartPoint:
 
     def __post_init__(self):
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError("chart coordinates must be finite")
+            raise ConfigError("chart coordinates must be finite")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y], dtype=float)
@@ -66,12 +66,12 @@ class GeometrySpec:
 
     def __post_init__(self):
         if not isinstance(self.kind, GeometryKind):
-            raise ValueError("kind must be a GeometryKind")
+            raise ConfigError("kind must be a GeometryKind")
         for name in ("B", "a", "u_amp"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+                raise ConfigError(f"{name} must be finite")
         if int(self.k) != self.k or self.k < 1:
-            raise ValueError("k must be a positive integer")
+            raise ConfigError("k must be a positive integer")
 
     @property
     def is_torus(self) -> bool:
@@ -91,33 +91,21 @@ class GeometrySpec:
         """Build a spec from a JSON object.
 
         Absent numeric parameters default to 0 (k defaults to 1); unknown
-        keys are rejected.
+        keys, non-numbers and a non-integer k are rejected.
         """
-        if not isinstance(obj, dict):
-            raise ConfigError("geometry must be a JSON object")
-        allowed = {"kind", "B", "a", "k", "u_amp"}
-        unknown = set(obj) - allowed
-        if unknown:
-            raise ConfigError(f"geometry: unknown keys {sorted(unknown)}")
-        if "kind" not in obj:
-            raise ConfigError("geometry: missing 'kind'")
-        try:
-            kind = GeometryKind(obj["kind"])
-        except ValueError:
-            names = [m.value for m in GeometryKind]
+        _check_keys(obj, {"kind", "B", "a", "k", "u_amp"}, "geometry")
+        kind = _require(obj, "kind", "geometry")
+        names = [m.value for m in GeometryKind]
+        if kind not in names:
             raise ConfigError(
-                f"geometry: unknown kind {obj['kind']!r}; expected one of {names}"
-            ) from None
-        try:
-            return cls(
-                kind=kind,
-                B=float(obj.get("B", 0.0)),
-                a=float(obj.get("a", 0.0)),
-                k=int(obj.get("k", 1)),
-                u_amp=float(obj.get("u_amp", 0.0)),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"geometry: {exc}") from None
+                f"geometry: unknown kind {kind!r}; expected one of {names}")
+        return cls(
+            kind=GeometryKind(kind),
+            B=_number(obj, "B", "geometry", default=0.0),
+            a=_number(obj, "a", "geometry", default=0.0),
+            k=_number(obj, "k", "geometry", default=1, integer=True),
+            u_amp=_number(obj, "u_amp", "geometry", default=0.0),
+        )
 
 
 def _as_xy(p) -> np.ndarray:
@@ -143,6 +131,14 @@ def wrap_point(spec: GeometrySpec, p):
     if not spec.is_torus:
         return np.array(xy, dtype=float)
     return xy - np.floor(xy)
+
+
+def torus_gap(spec: GeometrySpec, delta):
+    """A chart-coordinate difference taken to its nearest lattice translate
+    on the torus kinds; ``delta`` itself on the plane."""
+    if spec.is_torus:
+        return delta - np.round(delta)
+    return delta
 
 
 def _wrapped_x(spec: GeometrySpec, xy: np.ndarray) -> np.ndarray:

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateLoop, NotConcatenable
-from .geometry import GeometryKind, GeometrySpec, metric_eval
+from .errors import ConfigError, DegenerateLoop, NotConcatenable
+from .geometry import GeometryKind, GeometrySpec, metric_eval, torus_gap
 
 _SHARED_VERTEX_TOL = 1e-9
 
@@ -135,9 +135,9 @@ def make_circle(center, r: float, orientation: int, n: int) -> Loop:
     plane_constant_B the sign of the enclosed flux flips with it.
     """
     if orientation not in (1, -1):
-        raise ValueError("orientation must be +1 or -1")
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
+        raise ConfigError("orientation must be +1 or -1")
+    if not (0 <= r < math.inf):
+        raise ConfigError("radius must be finite and nonnegative")
     c = np.asarray([center.x, center.y] if hasattr(center, "x") else center,
                    dtype=float)
     theta = orientation * 2.0 * np.pi * np.arange(n) / n
@@ -258,13 +258,6 @@ def resample_arclength(spec: GeometrySpec, loop: Loop, n_out: int) -> Loop:
     return Loop(best_v, w)
 
 
-def _torus_vertex_gap(spec: GeometrySpec, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    gap = p - q
-    if spec.is_torus:
-        gap = gap - np.round(gap)
-    return gap
-
-
 def concat(spec: GeometrySpec, first: Loop, second: Loop) -> Loop:
     """Concatenate two loops at a shared vertex (tolerance 1e-9).
 
@@ -273,8 +266,8 @@ def concat(spec: GeometrySpec, first: Loop, second: Loop) -> Loop:
     edges.  Raises NotConcatenable when no vertex pair matches.  On a torus
     vertices may match through an integer chart translation.
     """
-    gaps = _torus_vertex_gap(
-        spec, first.vertices[:, None, :], second.vertices[None, :, :])
+    gaps = torus_gap(
+        spec, first.vertices[:, None, :] - second.vertices[None, :, :])
     dist = np.abs(gaps).max(axis=2)
     i, j = np.unravel_index(np.argmin(dist), dist.shape)
     if dist[i, j] > _SHARED_VERTEX_TOL:

@@ -52,7 +52,7 @@ import numpy as np
 
 from .action import (ActionParams, CutoffSpec, action_F_cutoff, action_S,
                      action_S_eps_tau, grad_action, grad_norm)
-from .errors import NoNegativeLoopFound
+from .errors import ConfigError, NoNegativeLoopFound
 from .geometry import GeometrySpec, field_strength
 from .loops import Loop, LoopFamily, interpolate, make_circle, make_point_loop, rms_distance
 
@@ -76,9 +76,9 @@ class DescentSettings:
 
     def __post_init__(self):
         if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
+            raise ConfigError("max_iters must be positive")
         if not (self.grad_tol > 0):
-            raise ValueError("grad_tol must be positive")
+            raise ConfigError("grad_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -506,13 +506,13 @@ def init_sweep_family(spec: GeometrySpec, E: float, shape: str, M: int,
     for positional compatibility and not read.
     """
     if shape not in ("path", "cylinder"):
-        raise ValueError("shape must be 'path' or 'cylinder'")
+        raise ConfigError("shape must be 'path' or 'cylinder'")
     if M < 3:
-        raise ValueError("family size must be at least 3")
+        raise ConfigError("family size must be at least 3")
     if m_p < 1:
-        raise ValueError("m_p must be positive")
-    if E <= 0:
-        raise ValueError("E must be positive")
+        raise ConfigError("m_p must be positive")
+    if not (math.isfinite(E) and E > 0):
+        raise ConfigError("E must be positive")
 
     if spec.is_torus:
         xs = np.arange(512) / 512.0

@@ -16,13 +16,21 @@ from .action import (ActionParams, CutoffSpec, action_F_cutoff, action_S,
                      action_S_eps_tau)
 from .dynamics import FlowState, integrate_flow, kinetic_energy, rk4_step
 from .errors import InvalidOracleInput
-from .geometry import ChartPoint, GeometryKind, GeometrySpec, metric_eval
+from .geometry import (ChartPoint, GeometryKind, GeometrySpec, metric_eval,
+                       torus_gap)
 from .loops import Loop, make_circle
 
 __all__ = [
     "larmor_orbit", "circle_action_profile", "fd_gradient",
     "OrbitCandidate", "shooting_periodic", "orbit_to_loop",
 ]
+
+# upper bound on the RK4 steps of one return search, period_cap / dt; the
+# shipped searches take 600 to 2,000
+MAX_RETURN_STEPS = 10 ** 6
+# orbit samples and point-set distance below which two candidates are merged
+_DEDUP_PROBE = 256
+_DEDUP_TOL = 1e-3
 
 
 def larmor_orbit(E: float, B: float) -> tuple[float, float]:
@@ -119,14 +127,8 @@ def _normalize_state(spec, state, E_mech):
     return FlowState(state.p, v * (math.sqrt(2.0 * E_mech) / norm))
 
 
-def _torus_gap(spec, delta):
-    if spec.is_torus:
-        return delta - np.round(delta)
-    return delta
-
-
 def _state_gap(spec, y, y0):
-    pos = _torus_gap(spec, y[:2] - y0[:2])
+    pos = torus_gap(spec, y[:2] - y0[:2])
     return float(np.linalg.norm(np.concatenate([pos, y[2:] - y0[2:]])))
 
 
@@ -136,7 +138,7 @@ def _first_return(spec, y0, p_base, nhat, dt, t_cap):
     """
 
     def h(y):
-        return float(_torus_gap(spec, y[:2] - p_base) @ nhat)
+        return float(torus_gap(spec, y[:2] - p_base) @ nhat)
 
     y, t = y0.copy(), 0.0
     h_y = h(y)
@@ -183,6 +185,9 @@ def shooting_periodic(spec: GeometrySpec, E_mech: float, seed_grid,
     if not all(math.isfinite(v) and v > 0 for v in (period_cap, tol, dt)):
         raise InvalidOracleInput(
             "period_cap, tol, dt must be positive and finite")
+    if not (period_cap / dt <= MAX_RETURN_STEPS):
+        raise InvalidOracleInput(
+            f"period_cap / dt exceeds {MAX_RETURN_STEPS} RK4 steps")
     speed = math.sqrt(2.0 * E_mech)
 
     candidates = []
@@ -206,7 +211,7 @@ def shooting_periodic(spec: GeometrySpec, E_mech: float, seed_grid,
             if ret is None:
                 return None
             t_cross, y_cross = ret
-            c_out = float(_torus_gap(spec, y_cross[:2] - p_base) @ mhat)
+            c_out = float(torus_gap(spec, y_cross[:2] - p_base) @ mhat)
             phi_out = math.atan2(y_cross[3], y_cross[2])
             dphi = (phi_out - u[1] + math.pi) % (2.0 * math.pi) - math.pi
             return np.array([c_out - u[0], dphi]), t_cross, y_cross
@@ -261,14 +266,12 @@ def _sample_orbit(spec, cand, n):
     return np.array([[s.p.x, s.p.y] for s in states])
 
 
-def _polyline_gap(P, Q, wrap: bool) -> float:
+def _polyline_gap(spec, P, Q) -> float:
     """Max over the points of P of the distance to the closed polyline Q
     (torus differences wrapped to the nearest period)."""
     A = Q
     edges = np.roll(Q, -1, axis=0) - A
-    diff = P[:, None, :] - A[None, :, :]
-    if wrap:
-        diff = diff - np.round(diff)
+    diff = torus_gap(spec, P[:, None, :] - A[None, :, :])
     denom = np.maximum((edges * edges).sum(axis=1), 1e-300)
     t = np.clip((diff * edges[None, :, :]).sum(axis=2) / denom, 0.0, 1.0)
     foot = diff - t[:, :, None] * edges[None, :, :]
@@ -276,8 +279,7 @@ def _polyline_gap(P, Q, wrap: bool) -> float:
     return float(d.min(axis=1).max())
 
 
-def _dedup_candidates(spec, candidates, n_probe: int = 256,
-                      dist_tol: float = 1e-3):
+def _dedup_candidates(spec, candidates):
     """Merge candidates tracing the same orbit up to the field's exact
     translation symmetries (all translations on the constant-field plane,
     y-translations on the torus kinds, whose field and metric depend on x
@@ -287,7 +289,7 @@ def _dedup_candidates(spec, candidates, n_probe: int = 256,
     kept = []
     samples = []
     for cand in candidates:
-        pts = _sample_orbit(spec, cand, n_probe)[:-1]
+        pts = _sample_orbit(spec, cand, _DEDUP_PROBE)[:-1]
         duplicate = False
         for other, opts in zip(kept, samples):
             if abs(cand.period - other.period) > 0.05 * max(cand.period,
@@ -297,9 +299,9 @@ def _dedup_candidates(spec, candidates, n_probe: int = 256,
             if spec.is_torus:
                 shift_mean[0] = 0.0  # x is not a symmetry direction
             aligned = opts + shift_mean
-            gap = max(_polyline_gap(pts, aligned, spec.is_torus),
-                      _polyline_gap(aligned, pts, spec.is_torus))
-            if gap < dist_tol:
+            gap = max(_polyline_gap(spec, pts, aligned),
+                      _polyline_gap(spec, aligned, pts))
+            if gap < _DEDUP_TOL:
                 duplicate = True
                 break
         if not duplicate:

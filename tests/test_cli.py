@@ -133,7 +133,7 @@ def test_config_error_messages():
         bad = _base_config()
         bad["action"]["tau0"] = 1.5
         cli.parse_config_dict(bad)
-    with pytest.raises(ConfigError, match="config.E"):
+    with pytest.raises(ConfigError, match="E must be positive"):
         cli.parse_config_dict({**_base_config(), "E": -1.0})
     with pytest.raises(ConfigError, match="w_shape"):
         cli.parse_config_dict({**_base_config(), "w_shape": "sphere"})
@@ -161,6 +161,22 @@ def test_config_rejects_non_finite_numbers(key, value, tmp_path, monkeypatch,
     assert cli.main(["run", "--config", _write_config(tmp_path, cfg)]) == \
         cli.EXIT_CONFIG
     assert f"config.{key}: must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "run_out").exists()
+
+
+@pytest.mark.parametrize("key, value", [("k", 2.9), ("k", 1.5), ("B", True),
+                                        ("B", "2")])
+def test_config_rejects_geometry_values_that_are_not_its_numbers(
+        key, value, tmp_path, monkeypatch, capsys):
+    # a non-integer k once ran the field of int(k), and a bool or string
+    # field strength was coerced by float()
+    monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+    cfg = _base_config(n_steps=3)
+    cfg["geometry"] = {"kind": "flat_torus_sine", "a": 3.0, key: value}
+    assert cli.main(["run", "--config", _write_config(tmp_path, cfg)]) == \
+        cli.EXIT_CONFIG
+    expected = "an integer" if key == "k" else "a number"
+    assert f"geometry.{key}: expected {expected}" in capsys.readouterr().err
     assert not (tmp_path / "run_out").exists()
 
 
@@ -440,6 +456,23 @@ def test_flow_rejects_nan(flag, tmp_path, monkeypatch):
     assert not (tmp_path / "flow_out").exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--x0", "inf"), ("--angle", "inf"),
+                                         ("--angle", "nan"), ("--T", "inf"),
+                                         ("--steps", "0"), ("--k", "0")])
+def test_flow_start_is_checked_by_the_types(flag, value, tmp_path,
+                                            monkeypatch, capsys):
+    # ChartPoint, integrate_flow and GeometrySpec own these checks; --speed
+    # and --angle, which no type sees, are checked by the command
+    monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+    args = {"--kind": "flat_torus_sine", "--a": "1.0", "--speed": "1.0",
+            "--T": "1.0", "--steps": "10", flag: value}
+    assert cli.main(["flow", *[t for kv in args.items() for t in kv]]) == \
+        cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and "config error" in captured.err
+    assert not (tmp_path / "flow_out").exists()
+
+
 def test_oracle_shoot_bad_input_is_config_error(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
     assert cli.main(["oracle", "shoot", "--E-mech", "nan"]) == \
@@ -450,6 +483,7 @@ def test_oracle_shoot_bad_input_is_config_error(tmp_path, monkeypatch):
     ["--n", "2"],
     ["--seeds", "0"],
     ["--seeds", "-1"],
+    ["--dt", "1e-320"],
 ])
 def test_oracle_shoot_rejects_bad_sizes(argv, tmp_path, monkeypatch, capsys):
     # checked before the search runs, so nothing is written

@@ -167,3 +167,9 @@ def test_spec_from_json_dict_validation():
         GeometrySpec.from_json_dict({"kind": "no_such_kind"})
     with pytest.raises(ConfigError):
         GeometrySpec.from_json_dict({"kind": "flat_torus_sine", "k": 0})
+    for key, value in (("k", 2.9), ("k", "1"), ("a", True), ("B", "2")):
+        with pytest.raises(ConfigError, match=f"geometry.{key}: expected"):
+            GeometrySpec.from_json_dict({"kind": "flat_torus_sine",
+                                         key: value})
+    assert GeometrySpec.from_json_dict(
+        {"kind": "flat_torus_sine", "a": 3, "k": 2.0}).k == 2

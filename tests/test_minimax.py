@@ -206,6 +206,25 @@ def test_relaxation_lowers_the_level_of_a_poor_family():
     assert res.stop == "plateau" and len(res.history) > 2
 
 
+def test_sweep_cap_stops_with_max_iters(monkeypatch):
+    # the rectangle family above sweeps about 70 times; a cap of 3 sweeps
+    # ends it, and the saddle refine still runs on the adopted argmax
+    spec = GeometrySpec(GeometryKind.FLAT_TORUS_SINE, a=0.3, k=2)
+    fam = init_sweep_family(spec, 0.05, "path", 9, 48)
+    params = ActionParams(E=0.05, eps=1e-2, tau=1e-2)
+    refines = []
+    refine = minimax._saddle_refine
+    monkeypatch.setattr(minimax, "_saddle_refine",
+                        lambda *args: refines.append(1) or refine(*args))
+    res = family_minimax(spec, fam, params, DescentSettings(max_iters=3))
+    assert res.stop == "max_iters"
+    assert [i for i, _ in res.history] == [0, 1, 2, 3]
+    levels = [v for _, v in res.history]
+    assert all(b <= a for a, b in zip(levels, levels[1:]))
+    assert refines == [1]
+    assert math.isfinite(res.grad_norm) and res.grad_norm > 0.0
+
+
 def test_sweep_stops_once_the_family_maximum_is_critical():
     # the swept circles contain the saddle circle, so the first polish lands
     # on a critical point and no relaxation sweep runs

@@ -9,6 +9,7 @@ from magloop import (ChartPoint, FlowState, GeometryKind, GeometrySpec, Loop,
                      action_S, circle_action_profile, fd_gradient,
                      grad_action, larmor_orbit, length, make_circle,
                      orbit_to_loop, shooting_periodic, speed_cv)
+from magloop import oracle
 from magloop.action import ActionParams
 from magloop.errors import InvalidOracleInput
 
@@ -141,6 +142,21 @@ def test_shooting_rejects_non_finite_inputs(E_mech, period_cap, tol, dt):
     with pytest.raises(InvalidOracleInput):
         shooting_periodic(PLANE, E_mech, seeds, period_cap=period_cap,
                           tol=tol, dt=dt)
+
+
+def test_shooting_rejects_a_search_over_the_step_bound(monkeypatch):
+    # period_cap / dt = 6e8 RK4 steps per return search; refused before any
+    # integration
+    def no_step(*args):
+        raise AssertionError("integrated before the bound was checked")
+
+    monkeypatch.setattr(oracle, "rk4_step", no_step)
+    seeds = [FlowState(ChartPoint(0.0, 0.5), np.array([1.0, 0.0]))]
+    spec = GeometrySpec(GeometryKind.FLAT_TORUS_SINE, a=3.0, k=1)
+    with pytest.raises(InvalidOracleInput, match="exceeds"):
+        shooting_periodic(spec, 0.01, seeds, period_cap=0.6, tol=1e-8,
+                          dt=1e-9)
+    assert 0.6 / 1e-9 > oracle.MAX_RETURN_STEPS >= 2.0 / 1e-3
 
 
 def test_torus_candidate_matches_local_larmor(torus_cross):
