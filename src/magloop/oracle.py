@@ -31,6 +31,8 @@ MAX_RETURN_STEPS = 10 ** 6
 # orbit samples and point-set distance below which two candidates are merged
 _DEDUP_PROBE = 256
 _DEDUP_TOL = 1e-3
+# Newton iterations of one return-map search
+_NEWTON_ITERS = 12
 
 
 def larmor_orbit(E: float, B: float) -> tuple[float, float]:
@@ -132,22 +134,36 @@ def _state_gap(spec, y, y0):
     return float(np.linalg.norm(np.concatenate([pos, y[2:] - y0[2:]])))
 
 
+def _section_offset(spec, dx, dy, nx, ny):
+    """Offset (dx, dy) . (nx, ny) of a chart difference along a unit
+    vector, the difference wrapped as torus_gap wraps it (round is half to
+    even, as np.round).  Float arithmetic: it runs once per RK4 step."""
+    if spec.is_torus:
+        dx -= round(dx)
+        dy -= round(dy)
+    return dx * nx + dy * ny
+
+
 def _first_return(spec, y0, p_base, nhat, dt, t_cap):
     """First same-direction crossing of the section through p_base with
     normal nhat, after a short blanking interval.  Returns (t, y) or None.
     """
+    bx, by = p_base.tolist()
+    nx, ny = nhat.tolist()
 
     def h(y):
-        return float(torus_gap(spec, y[:2] - p_base) @ nhat)
+        px, py = y[:2].tolist()
+        return _section_offset(spec, px - bx, py - by, nx, ny)
 
     y, t = y0.copy(), 0.0
     h_y = h(y)
     steps = int(math.ceil(t_cap / dt))
     for _ in range(steps):
         y_next = rk4_step(spec, y, dt)
-        h_next = h(y_next)
+        px, py, vx, vy = y_next.tolist()
+        h_next = _section_offset(spec, px - bx, py - by, nx, ny)
         if (t > 2.0 * dt and h_y < 0.0 <= h_next
-                and y_next[2:] @ nhat > 0.0):
+                and vx * nx + vy * ny > 0.0):
             lo, hi, ylo = 0.0, dt, y
             for _ in range(60):
                 mid = 0.5 * (lo + hi)
@@ -174,11 +190,14 @@ def shooting_periodic(spec: GeometrySpec, E_mech: float, seed_grid,
     along the section, launch angle) is driven to a fixed point by a damped
     finite-difference Newton iteration; least-squares solves tolerate the
     singular directions produced by continuous symmetries (a translated
-    orbit is equally periodic).  A refined orbit whose full phase-space gap
-    after one return is below tol becomes a candidate; near-duplicates
-    (close periods and close discrete Frechet distance) are merged.  The
-    list may be empty; that is evidence against a periodic orbit near the
-    seeds at this resolution.
+    orbit is equally periodic).  A step must shrink the return gap: the
+    first one that does not ends the iteration and the best launch found is
+    kept.  (The finite-difference Jacobian is noisier than the 1e-12 gap
+    test, so past the best iterate the steps only wander.)  A refined orbit
+    whose full phase-space gap after one return is below tol becomes a
+    candidate; near-duplicates (close periods and close discrete Frechet
+    distance) are merged.  The list may be empty; that is evidence against
+    a periodic orbit near the seeds at this resolution.
     """
     if not (math.isfinite(E_mech) and E_mech > 0):
         raise InvalidOracleInput("E_mech must be positive and finite")
@@ -222,8 +241,9 @@ def shooting_periodic(spec: GeometrySpec, E_mech: float, seed_grid,
             continue
         gap_vec, t_cross, y_cross = first
         t_cap = min(period_cap, 1.6 * t_cross + 4.0 * dt)
-        for _ in range(12):
-            if np.linalg.norm(gap_vec) < 1e-12:
+        gap = float(np.linalg.norm(gap_vec))
+        for _ in range(_NEWTON_ITERS):
+            if gap < 1e-12:
                 break
             fd = 1e-7
             J = np.empty((2, 2))
@@ -238,14 +258,17 @@ def shooting_periodic(spec: GeometrySpec, E_mech: float, seed_grid,
                 J[:, j] = (probe[0] - gap_vec) / fd
             if failed:
                 break
-            step, *_ = np.linalg.lstsq(J, -gap_vec, rcond=1e-12)
+            step = np.linalg.lstsq(J, -gap_vec, rcond=1e-12)[0]
             norm = float(np.linalg.norm(step))
             if norm > 0.1:
                 step *= 0.1 / norm
             nxt = return_gap(u + step, t_cap)
             if nxt is None:
                 break
-            u, (gap_vec, t_cross, y_cross) = u + step, nxt
+            nxt_gap = float(np.linalg.norm(nxt[0]))
+            if not nxt_gap < gap:
+                break  # the step does not shrink the gap: keep the best
+            u, (gap_vec, t_cross, y_cross), gap = u + step, nxt, nxt_gap
         y_start = launch(u)
         closure = _state_gap(spec, y_cross, y_start)
         if closure >= tol:

@@ -79,7 +79,21 @@ def plane_bench_b2e4():
 
 
 @pytest.fixture(scope="session")
-def torus_cross():
+def criterion10_seeds():
+    """Criterion 10's four shooting seed states: x near the field maximum of
+    the sine torus, y anywhere, any direction (rng 7)."""
+    rng = np.random.default_rng(7)
+    seeds = []
+    for _ in range(4):
+        p = ChartPoint(float(rng.uniform(-0.04, 0.04)),
+                       float(rng.uniform(0.0, 1.0)))
+        ang = float(rng.uniform(0.0, 2.0 * np.pi))
+        seeds.append(FlowState(p, np.array([np.cos(ang), np.sin(ang)])))
+    return tuple(seeds)
+
+
+@pytest.fixture(scope="session")
+def torus_cross(criterion10_seeds):
     """Cross-solver data on the sine-field torus (a=3, k=1, E=0.02): a
     cylinder-family minimax level and independently shot periodic orbits."""
     spec = GeometrySpec(GeometryKind.FLAT_TORUS_SINE, a=3.0, k=1)
@@ -88,15 +102,8 @@ def torus_cross():
     family = init_sweep_family(spec, E, "cylinder", 33, 128)
     params = ActionParams(E=E, eps=1e-3, tau=0.0)
     result = family_minimax(spec, family, params, DescentSettings())
-    rng = np.random.default_rng(7)
-    seeds = []
-    for _ in range(4):
-        p = ChartPoint(float(rng.uniform(-0.04, 0.04)),
-                       float(rng.uniform(0.0, 1.0)))
-        ang = float(rng.uniform(0.0, 2.0 * np.pi))
-        seeds.append(FlowState(p, np.array([np.cos(ang), np.sin(ang)])))
-    candidates = shooting_periodic(spec, E / 2.0, seeds, period_cap=0.6,
-                                   tol=1e-8, dt=1e-3)
+    candidates = shooting_periodic(spec, E / 2.0, criterion10_seeds,
+                                   period_cap=0.6, tol=1e-8, dt=1e-3)
     elapsed = time.perf_counter() - t0
     return {"spec": spec, "E": E, "minimax": result,
             "candidates": candidates, "elapsed": elapsed}
