@@ -16,16 +16,15 @@ from .continuation import (Classification, ContinuationRecord,
                            Schedule, classify_outcome, continuation_run,
                            implied_energy)
 from .dynamics import (FlowState, ResidualReport, el_residual_SE,
-                       el_residual_deq, integrate_flow, kinetic_energy)
+                       integrate_flow, kinetic_energy)
 from .errors import (ConfigError, DegenerateLoop, InvalidOracleInput,
                      MagloopError, NoNegativeLoopFound, NotConcatenable)
 from .geometry import (ChartPoint, GeometryKind, GeometrySpec, christoffel,
-                       field_F, field_strength, metric_eval, potential_eval,
-                       wrap_point)
+                       field_F, field_strength, metric_eval, potential_eval)
 from .loops import (Loop, LoopFamily, concat, length, load_loop_csv,
                     make_circle, make_point_loop, resample_arclength,
                     save_loop_csv, speed_cv, speeds)
-from .minimax import (DescentSettings, MinimaxResult, descend_loop,
-                      family_minimax, init_sweep_family)
+from .minimax import (DescentSettings, MinimaxResult, family_minimax,
+                      init_sweep_family)
 from .oracle import (OrbitCandidate, circle_action_profile, fd_gradient,
                      larmor_orbit, orbit_to_loop, shooting_periodic)

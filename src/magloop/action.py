@@ -209,15 +209,6 @@ def _grad_kernel(spec: GeometrySpec, loop: Loop, params: ActionParams):
     return p0 + circ, p0 + p1 + circ, w0, w1, assemble
 
 
-def _grad_components(spec: GeometrySpec, loop: Loop, params: ActionParams):
-    """Exact gradients of S_{0,tau} and S_{eps,tau} plus their values.
-
-    Returns (s0, s1, grad0, grad1) with grads of shape (N, 2).
-    """
-    s0, s1, w0, w1, assemble = _grad_kernel(spec, loop, params)
-    return s0, s1, assemble(w0), assemble(w1)
-
-
 def grad_action(spec: GeometrySpec, loop: Loop, params: ActionParams,
                 cut: CutoffSpec | None = None) -> np.ndarray:
     """Gradient of S_{eps,tau} (cut None) or of the cutoff functional F.

@@ -30,7 +30,8 @@ import numpy as np
 
 from . import __version__
 from .action import ActionParams
-from .continuation import (BETA_FRAC, Classification, ConvergedExtremal,
+from .continuation import (BETA_FRAC, FAMILY_SIZE, M_P, N_VERTICES,
+                           Classification, ConvergedExtremal,
                            DivergingLengths, Inconclusive, Schedule,
                            continuation_run)
 from .dynamics import FlowState, integrate_flow, write_trajectory_csv
@@ -74,8 +75,8 @@ class ExperimentConfig:
     output_dir: str
     seed: int
 
-    def to_json_dict(self, include_seed: bool = True) -> dict:
-        obj = {
+    def to_json_dict(self) -> dict:
+        return {
             "geometry": self.geometry.to_json_dict(),
             "E": self.E,
             "w_shape": self.w_shape,
@@ -96,10 +97,8 @@ class ExperimentConfig:
                 "grad_tol": self.solver.grad_tol,
             },
             "output_dir": self.output_dir,
+            "seed": self.seed,
         }
-        if include_seed:
-            obj["seed"] = self.seed
-        return obj
 
 
 def parse_config_dict(obj: dict) -> ExperimentConfig:
@@ -117,10 +116,10 @@ def parse_config_dict(obj: dict) -> ExperimentConfig:
     _check_keys(disc, {"n_vertices", "family_size", "m_p"},
                 "config.discretization")
     n_vertices = _number(disc, "n_vertices", "config.discretization",
-                         default=128, integer=True)
+                         default=N_VERTICES, integer=True)
     family_size = _number(disc, "family_size", "config.discretization",
-                          default=33, integer=True)
-    m_p = _number(disc, "m_p", "config.discretization", default=8,
+                          default=FAMILY_SIZE, integer=True)
+    m_p = _number(disc, "m_p", "config.discretization", default=M_P,
                   integer=True)
     if n_vertices < 3:
         raise ConfigError("config.discretization.n_vertices: must be >= 3")
@@ -146,16 +145,18 @@ def parse_config_dict(obj: dict) -> ExperimentConfig:
     if schedule.n_steps > MAX_STEPS:
         raise ConfigError(
             f"config.action.n_steps: {schedule.n_steps} exceeds {MAX_STEPS}")
-    delta = _number(act, "delta", "config.action", default=1e-9)
+    delta = _number(act, "delta", "config.action",
+                    default=ActionParams.delta)
     # the action of step 0, built for its checks of E and delta
     ActionParams(E=E, eps=schedule.eps0, tau=schedule.tau0, delta=delta)
 
     sol = obj.get("solver", {})
     _check_keys(sol, {"max_iters", "grad_tol"}, "config.solver")
     solver = DescentSettings(
-        max_iters=_number(sol, "max_iters", "config.solver", default=400,
-                          integer=True),
-        grad_tol=_number(sol, "grad_tol", "config.solver", default=1e-6))
+        max_iters=_number(sol, "max_iters", "config.solver",
+                          default=DescentSettings.max_iters, integer=True),
+        grad_tol=_number(sol, "grad_tol", "config.solver",
+                         default=DescentSettings.grad_tol))
     seed = _number(obj, "seed", "config", default=0, integer=True)
     if seed < 0:
         raise ConfigError("config.seed: must be nonnegative")
@@ -182,10 +183,6 @@ def load_config(path) -> ExperimentConfig:
             f"malformed JSON: {exc.msg} at line {exc.lineno} "
             f"column {exc.colno}") from None
     return parse_config_dict(obj)
-
-
-def serialize_config(config: ExperimentConfig) -> str:
-    return json.dumps(config.to_json_dict(), sort_keys=True, indent=2)
 
 
 def resolve_output_dir(path_str: str) -> Path:
@@ -240,7 +237,9 @@ def run_experiment(config: ExperimentConfig, verbose: bool = False) -> int:
 
     result = {
         "version": __version__,
-        "config": config.to_json_dict(include_seed=False),
+        # the seed is echoed in summary.txt only; no computation reads it
+        "config": {key: val for key, val in config.to_json_dict().items()
+                   if key != "seed"},
         "c_ref": c_ref,
         "beta": BETA_FRAC * c_ref if c_ref > 0 else None,
         "records": rec_objs,

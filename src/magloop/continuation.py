@@ -36,6 +36,11 @@ BETA_FRAC = 0.1
 # ConvergedExtremal, and the relative spread of its last three lengths
 RESIDUAL_TOL = 1e-2
 LENGTH_WINDOW = 0.01
+# the default mesh of a run: vertices per loop, loops per family row and
+# rows of a cylinder family
+N_VERTICES = 128
+FAMILY_SIZE = 33
+M_P = 8
 
 
 @dataclass(frozen=True)
@@ -128,7 +133,6 @@ class DivergingLengths:
     """Lengths grow while nu shrinks; each recorded loop approximates an
     extremal at its implied energy."""
 
-    pairs: tuple
     ladder_lin: tuple
     ladder_exact: tuple
 
@@ -180,7 +184,6 @@ def classify_outcome(records: list[ContinuationRecord]) -> Classification:
             f"{final_res:.3g} >= {RESIDUAL_TOL:.3g}")
     if ls[0] < ls[1] < ls[2] and nus[0] > nus[1] > nus[2]:
         return DivergingLengths(
-            pairs=tuple((r.E_lin, r.loop) for r in records),
             ladder_lin=tuple(r.E_lin for r in records),
             ladder_exact=tuple(r.E_exact for r in records),
         )
@@ -191,14 +194,17 @@ def classify_outcome(records: list[ContinuationRecord]) -> Classification:
 
 def continuation_run(spec: GeometrySpec, E: float, w_shape: str,
                      schedule: Schedule, settings: DescentSettings, *,
-                     n_vertices: int = 128, family_size: int = 33,
-                     m_p: int = 8, delta: float = 1e-9
+                     n_vertices: int = N_VERTICES,
+                     family_size: int = FAMILY_SIZE, m_p: int = M_P,
+                     delta: float = ActionParams.delta
                      ) -> tuple[list[ContinuationRecord], Classification, float]:
     """Run the full continuation; returns (records, classification, c_ref).
 
     Raises NoNegativeLoopFound if no sweep family can be constructed.  Step
     0 solves without the cutoff; its level is c_ref, which fixes the cutoff
-    window of steps 1 onward.
+    window of steps 1 onward.  A run stops Inconclusive, keeping the records
+    before it, at a step whose argmax is the one-point loop: no curve was
+    found there.
     """
     rows = init_sweep_family(spec, E, w_shape, family_size, n_vertices,
                              m_p=m_p).rows
@@ -214,6 +220,10 @@ def continuation_run(spec: GeometrySpec, E: float, w_shape: str,
                     f"bootstrap level {c_ref:.6g} is not positive"), c_ref
             cut = CutoffSpec(c_ref=c_ref)
         loop = result.argmax
+        if loop.is_point():
+            return records, Inconclusive(
+                f"step {n}: the argmax is the one-point loop (level "
+                f"{result.level:.6g})"), c_ref
         l_resc = math.sqrt(E) * length(spec, loop)
         nu = eps_n * l_resc
         e_lin, e_exact = implied_energy(nu, E)

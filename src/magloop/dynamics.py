@@ -17,14 +17,15 @@ geometry call; on the flat kinds a step equals the tensor formula
 -Gamma(v, v) + g^-1 F v bit for bit.  The residuals below use the
 vectorized geometry tensors.
 
-Residual evaluators measure how far a polygonal loop is from solving the
-extremal equations, using winding-aware central differences:
+The residual measures how far a polygonal loop is from solving the
+length-type extremal equation at energy E, using winding-aware central
+differences:
 
     gamma_dot_j  = N * (d_j + d_{j-1}) / 2
     gamma_ddot_j = N^2 * (d_j - d_{j-1})
 
-Both residuals are scale-normalized (divided by the squared speed) so they
-are comparable across energy levels.  On the exact critical points of the
+It is scale-normalized (divided by the squared speed) so that it is
+comparable across energy levels.  On the exact critical points of the
 discrete S_E that the plane admits, the regular N-gons, the residual and
 the level's gap to pi E / B converge at second order in 1/N (tested for
 N = 32 .. 256).  The residual of a shipped run is still set by the
@@ -67,10 +68,6 @@ class FlowState:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.p.x, self.p.y, self.v[0], self.v[1]])
-
-    @classmethod
-    def from_array(cls, y: np.ndarray) -> "FlowState":
-        return cls(ChartPoint(float(y[0]), float(y[1])), y[2:4])
 
     @classmethod
     def _from_step(cls, y: np.ndarray) -> "FlowState":
@@ -192,9 +189,8 @@ def write_trajectory_csv(path, spec: GeometrySpec, states: list[FlowState],
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Per-vertex extremal-equation defect of a loop."""
+    """Largest and mean per-vertex extremal-equation defect of a loop."""
 
-    per_vertex: np.ndarray
     max_res: float
     mean_res: float
     speed_cv: float
@@ -215,28 +211,6 @@ def _central_derivatives(loop: Loop):
     return vel, acc
 
 
-def _covariant_parts(spec: GeometrySpec, loop: Loop):
-    v = loop.vertices
-    gamma = christoffel(spec, v)
-    g = metric_eval(spec, v)
-    gi = metric_inverse(spec, v)
-    F = field_F(spec, v)
-    vel, acc = _central_derivatives(loop)
-    cov_acc = acc + np.einsum("nijk,nj,nk->ni", gamma, vel, vel)
-    lorentz = np.einsum("nij,njk,nk->ni", gi, F, vel)
-    sp = np.sqrt(np.maximum(np.einsum("ni,nij,nj->n", vel, g, vel), 0.0))
-    if np.any(sp == 0.0):
-        raise DegenerateLoop("residual undefined where the speed vanishes")
-    return g, cov_acc, lorentz, sp
-
-
-def _report(spec: GeometrySpec, loop: Loop, res: np.ndarray,
-            g: np.ndarray, cv: float) -> ResidualReport:
-    norms = np.sqrt(np.maximum(np.einsum("ni,nij,nj->n", res, g, res), 0.0))
-    return ResidualReport(per_vertex=norms, max_res=float(norms.max()),
-                          mean_res=float(norms.mean()), speed_cv=cv)
-
-
 def el_residual_SE(spec: GeometrySpec, loop: Loop, E: float) -> ResidualReport:
     """Defect of the length-type extremal equation at energy E.
 
@@ -250,24 +224,16 @@ def el_residual_SE(spec: GeometrySpec, loop: Loop, E: float) -> ResidualReport:
         raise ConfigError("E must be positive")
     cv = speed_cv(spec, loop)
     work = loop if cv <= _UNIFORM_CV else resample_arclength(spec, loop, loop.n)
-    g, cov_acc, lorentz, sp = _covariant_parts(spec, work)
-    rootE = math.sqrt(E)
-    res = rootE * cov_acc / (sp * sp)[:, None] - lorentz / sp[:, None]
-    return _report(spec, work, res, g, cv)
-
-
-def el_residual_deq(spec: GeometrySpec, loop: Loop, eps: float, tau: float,
-                    delta: float = 1e-9) -> ResidualReport:
-    """Defect of the regularized extremal equation at (eps, tau).
-
-    The force denominator is 2*eps + (1+tau) * s^(tau-1) with the same speed
-    floor as the action; at eps = tau = 0 the equation coincides with the
-    length-type one at E = 1 on arc-length loops.
-    """
-    if not (eps >= 0 and 0.0 <= tau < 1.0):
-        raise ConfigError("require eps >= 0 and 0 <= tau < 1")
-    cv = speed_cv(spec, loop)
-    g, cov_acc, lorentz, sp = _covariant_parts(spec, loop)
-    denom = 2.0 * eps + (1.0 + tau) * np.power(np.maximum(sp, delta), tau - 1.0)
-    res = (cov_acc - lorentz / denom[:, None]) / (sp * sp)[:, None]
-    return _report(spec, loop, res, g, cv)
+    v = work.vertices
+    g = metric_eval(spec, v)
+    vel, acc = _central_derivatives(work)
+    cov_acc = acc + np.einsum("nijk,nj,nk->ni", christoffel(spec, v), vel, vel)
+    lorentz = np.einsum("nij,njk,nk->ni", metric_inverse(spec, v),
+                        field_F(spec, v), vel)
+    sp = np.sqrt(np.maximum(np.einsum("ni,nij,nj->n", vel, g, vel), 0.0))
+    if np.any(sp == 0.0):
+        raise DegenerateLoop("residual undefined where the speed vanishes")
+    res = math.sqrt(E) * cov_acc / (sp * sp)[:, None] - lorentz / sp[:, None]
+    norms = np.sqrt(np.maximum(np.einsum("ni,nij,nj->n", res, g, res), 0.0))
+    return ResidualReport(max_res=float(norms.max()),
+                          mean_res=float(norms.mean()), speed_cv=cv)

@@ -51,7 +51,11 @@ def _number(obj, key, where, default=None, required=False, integer=False):
     val = obj[key]
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{where}.{key}: expected a number")
-    if not math.isfinite(val):
+    try:
+        finite = math.isfinite(val)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
         raise ConfigError(f"{where}.{key}: must be finite")
     if integer:
         if int(val) != val:

@@ -72,6 +72,16 @@ class GeometrySpec:
                 raise ConfigError(f"{name} must be finite")
         if int(self.k) != self.k or self.k < 1:
             raise ConfigError("k must be a positive integer")
+        # the field amplitude and the conformal factor must stay floats
+        try:
+            amplitude = TWO_PI * self.k * self.a
+            math.exp(2.0 * abs(self.u_amp))
+        except OverflowError:
+            amplitude = math.inf
+        if not math.isfinite(amplitude):
+            raise ConfigError(
+                "the field amplitude 2 pi k a and the conformal factor "
+                "exp(2 |u_amp|) must be finite")
 
     @property
     def is_torus(self) -> bool:
@@ -116,21 +126,6 @@ def _as_xy(p) -> np.ndarray:
     if arr.shape[-1] != 2:
         raise ValueError("points must have trailing dimension 2")
     return arr
-
-
-def wrap_point(spec: GeometrySpec, p):
-    """Wrap chart coordinates into the fundamental domain [0,1)^2.
-
-    Identity on the plane.  Returns the same container type as the input.
-    """
-    if isinstance(p, ChartPoint):
-        if not spec.is_torus:
-            return p
-        return ChartPoint(p.x - math.floor(p.x), p.y - math.floor(p.y))
-    xy = _as_xy(p)
-    if not spec.is_torus:
-        return np.array(xy, dtype=float)
-    return xy - np.floor(xy)
 
 
 def torus_gap(spec: GeometrySpec, delta):

@@ -339,14 +339,6 @@ class LoopFamily:
                     raise ValueError("adjacent loops must share windings")
         object.__setattr__(self, "rows", rows)
 
-    @property
-    def n_rows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def row_len(self) -> int:
-        return len(self.rows[0])
-
 
 def save_loop_csv(path, loop: Loop, torus: bool | None = None):
     """Write a loop as CSV: index,x,y on the plane, plus wx,wy on a torus."""

@@ -15,11 +15,12 @@ sweep
    polished values is a true upper-bound history); the search is an
    in-package bounded Brent method that follows SciPy's
    ``minimize_scalar(method="bounded")`` iterates exactly,
-2. stops if the polished family is the best recorded one and the gradient
-   norm at its maximum is at most ``grad_tol``: its top is then already a
-   critical point, which the sweep below would only move off (the
-   convergence test of the climbing image in CI-NEB, Henkelman, Uberuaga &
-   Jonsson 2000),
+2. stops if the polished family is the best recorded one, its maximum is
+   an interior loop (not the one-point loop, whose zero gradient certifies
+   nothing) and the gradient norm there is at most ``grad_tol``: its top is
+   then already a critical point, which the sweep below would only move off
+   (the convergence test of the climbing image in CI-NEB, Henkelman,
+   Uberuaga & Jonsson 2000),
 3. stops once the level has not improved for a plateau of sweeps,
 4. otherwise relaxes every interior loop by two monotone backtracking
    descent steps, the first trying ``_STEP0``, and re-interpolates each
@@ -32,7 +33,8 @@ the gradient certificate of item 2, its argmax is finished down to the same
 ``grad_tol`` by a Newton refinement using a finite-difference Hessian of
 the analytic gradient, accepted only while the gradient norm decreases and
 the value does not rise above the recorded level.  The result records why
-the sweeps stopped: "critical", "plateau" or "max_iters".
+the sweeps stopped: "critical", "plateau" or "max_iters", and is converged
+only if its argmax is interior and meets ``grad_tol``.
 
 Levels in the history are non-increasing, and the reported level equals the
 family maximum at termination.
@@ -108,23 +110,21 @@ def _value(spec, loop, params, cut):
     return action_F_cutoff(spec, loop, params, cut)
 
 
-def _descend(spec, loop, params, cut, settings, budget, val,
-             exit_norm=True):
+def _descend(spec, loop, params, cut, settings, budget, val):
     """Backtracking gradient descent from ``loop``, whose value is ``val``;
     the value never increases.  The first trial step is ``_STEP0``; an
-    accepted step lets the next search start a little longer.
+    accepted step lets the next search start a little longer.  Stops at
+    ``grad_tol``, when no step is accepted, or when the budget runs out.
 
-    Returns (loop, grad_norm_at_exit, value).  When the budget runs out the
-    exit gradient norm is evaluated only if ``exit_norm`` is set; otherwise
-    it is None.
+    Returns (loop, value); the loop is the input object if no step was
+    accepted.
     """
     step = _STEP0
     for _ in range(budget):
         g = grad_action(spec, loop, params, cut)
         gn = grad_norm(g)
         if gn <= settings.grad_tol:
-            return loop, gn, val
-        accepted = False
+            break
         t = step
         for _ in range(40):
             trial = loop.with_vertices(loop.vertices - t * g)
@@ -132,25 +132,11 @@ def _descend(spec, loop, params, cut, settings, budget, val,
             if tval <= val - 1e-4 * t * gn * gn:
                 loop, val = trial, tval
                 step = min(t / math.sqrt(_BACKTRACK), _STEP0 * 16.0)
-                accepted = True
                 break
             t *= _BACKTRACK
-        if not accepted:
-            return loop, gn, val
-    if not exit_norm:
-        return loop, None, val
-    return loop, grad_norm(grad_action(spec, loop, params, cut)), val
-
-
-def descend_loop(spec: GeometrySpec, loop: Loop, params: ActionParams,
-                 settings: DescentSettings,
-                 cut: CutoffSpec | None = None) -> tuple[Loop, float]:
-    """Relax a single loop; the functional value is non-increasing across
-    accepted steps and descent stops at grad_tol or when the budget runs out.
-    """
-    out, gn, _ = _descend(spec, loop, params, cut, settings,
-                          settings.max_iters, _value(spec, loop, params, cut))
-    return out, gn
+        else:
+            break
+    return loop, val
 
 
 def _bounded_min(f, lo, hi, xatol, maxfun=500):
@@ -391,7 +377,7 @@ def _engine(spec, rows, params, cut, settings):
         stall = 0 if improved else stall + 1
         history.append((k, best_level))
         # a critical maximum of the best family: a sweep would only move it off
-        if level_now == best_level:
+        if level_now == best_level and 0 < i1 < m - 1:
             gn = grad_norm(grad_action(spec, rows[r1][i1], params, cut))
             if gn <= settings.grad_tol:
                 stop = "critical"
@@ -402,9 +388,8 @@ def _engine(spec, rows, params, cut, settings):
 
         for row, rvals in zip(rows, vals):
             for i in range(1, m - 1):
-                row[i], _, rvals[i] = _descend(
-                    spec, row[i], params, cut, settings, _INNER_DESCENT,
-                    rvals[i], exit_norm=False)
+                row[i], rvals[i] = _descend(spec, row[i], params, cut,
+                                            settings, _INNER_DESCENT, rvals[i])
         guard = max(max(rvals) for rvals in vals)
         rows = [list(_reinterp_row(spec, row, params, cut, guard, rvals))
                 for row, rvals in zip(rows, vals)]
@@ -426,7 +411,8 @@ def _engine(spec, rows, params, cut, settings):
     return (MinimaxResult(level=float(final_level), argmax=rows[r0][i0],
                           grad_norm=float(gn),
                           history=tuple(history),
-                          converged=bool(gn <= settings.grad_tol),
+                          converged=bool(gn <= settings.grad_tol
+                                         and 0 < i0 < m - 1),
                           stop=stop),
             rows)
 

@@ -12,7 +12,7 @@ from magloop import (GeometryKind, GeometrySpec, Loop, action_F_cutoff,
                      action_S, action_S_eps_tau, circulation, cutoff_f,
                      grad_action, length, make_circle, make_point_loop,
                      resample_arclength, speeds)
-from magloop.action import (ActionParams, CutoffSpec, _grad_components,
+from magloop.action import (ActionParams, CutoffSpec, _grad_kernel,
                             action_pair, cutoff_df)
 from magloop.geometry import (metric_eval, metric_grad, potential_eval,
                               potential_jac)
@@ -176,7 +176,7 @@ def test_values_and_gradient_share_the_edge_kernel():
         loop = _random_loop(rng, spec, scale=0.3 if spec.is_torus else 1.0)
         for params in (ActionParams(E=1.3), ActionParams(E=0.7, eps=1e-2,
                                                          tau=0.3)):
-            s0, s1, _, _ = _grad_components(spec, loop, params)
+            s0, s1, *_ = _grad_kernel(spec, loop, params)
             assert action_pair(spec, loop, params) == (s0, s1)
             # a window around s0 keeps the cutoff factor strictly inside (0, 1)
             cut = CutoffSpec(c_ref=15.0 * s0)
@@ -251,7 +251,8 @@ def test_flat_edge_kernel_equals_tensor_formula(case):
     spec, loop, params = case
     ref_ell = _tensor_edge_lengths(spec, loop)
     assert edge_lengths(spec, loop).tobytes() == ref_ell.tobytes()
-    _, _, g0, g1 = _grad_components(spec, loop, params)
+    _, _, w0, w1, assemble = _grad_kernel(spec, loop, params)
+    g0, g1 = assemble(w0), assemble(w1)
     ref0, ref1 = _tensor_gradients(spec, loop, params)
     assert g0.tobytes() == ref0.tobytes()
     assert g1.tobytes() == ref1.tobytes()
@@ -265,7 +266,8 @@ def test_cutoff_gradient_formula_on_every_branch():
     params = ActionParams(E=1.0, eps=1e-2, tau=1e-2)
     for spec in (PLANE, TORUS, CONF):
         loop = _random_loop(rng, spec, scale=0.05 if spec.is_torus else 0.2)
-        s0, s1, g0, g1 = _grad_components(spec, loop, params)
+        s0, s1, w0, w1, assemble = _grad_kernel(spec, loop, params)
+        g0, g1 = assemble(w0), assemble(w1)
         assert s0 > 0.0
         for c_ref, f_expect in ((40.0 * s0, 0.0), (15.0 * s0, None),
                                 (5.0 * s0, 1.0)):

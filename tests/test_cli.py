@@ -17,6 +17,7 @@ from magloop.continuation import (ConvergedExtremal, DivergingLengths,
                                   Inconclusive)
 from magloop.dynamics import ResidualReport
 from magloop.errors import ConfigError
+from magloop.geometry import GeometryKind, GeometrySpec
 from magloop.loops import load_loop_csv, make_circle
 
 
@@ -42,7 +43,7 @@ def _write_config(tmp_path, cfg, name="cfg.json"):
 
 def test_config_round_trip():
     cfg = cli.parse_config_dict(_base_config())
-    again = cli.parse_config_dict(json.loads(cli.serialize_config(cfg)))
+    again = cli.parse_config_dict(json.loads(json.dumps(cfg.to_json_dict())))
     assert again == cfg
 
 
@@ -195,12 +196,11 @@ def test_missing_config_file_is_config_error(tmp_path):
 
 def test_classification_exit_codes():
     loop = make_circle((0.0, 0.0), 1.0, -1, 8)
-    rep = ResidualReport(per_vertex=np.zeros(1), max_res=0.0, mean_res=0.0,
-                         speed_cv=0.0)
+    rep = ResidualReport(max_res=0.0, mean_res=0.0, speed_cv=0.0)
     assert cli.classification_exit_code(
         ConvergedExtremal(loop, rep)) == cli.EXIT_OK
     assert cli.classification_exit_code(
-        DivergingLengths((), (), ())) == cli.EXIT_OK
+        DivergingLengths((), ())) == cli.EXIT_OK
     assert cli.classification_exit_code(
         Inconclusive("nope")) == cli.EXIT_INCONCLUSIVE
     with pytest.raises(TypeError):
@@ -236,6 +236,62 @@ def test_run_inconclusive_exit_code(tmp_path, monkeypatch):
     assert cli.main(["run", "--config", cpath]) == cli.EXIT_INCONCLUSIVE
     result = json.loads((tmp_path / "run_out" / "result.json").read_text())
     assert result["classification"]["case"] == "Inconclusive"
+
+
+def test_point_loop_argmax_is_not_a_critical_maximum(tmp_path, monkeypatch,
+                                                     capsys):
+    # a field so strong that every circle of the family has negative action:
+    # the family maximum is the one-point loop at the speed-floor level,
+    # whose zero gradient certifies nothing
+    monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+    cfg = {**_base_config(n_steps=3),
+           "geometry": {"kind": "flat_torus_sine", "a": 1e8, "k": 1},
+           "E": 0.02, "discretization": {"n_vertices": 32, "family_size": 9},
+           "solver": {"max_iters": 20}}
+    cpath = _write_config(tmp_path, cfg)
+    assert cli.main(["run", "--config", cpath]) == cli.EXIT_INCONCLUSIVE
+    out = tmp_path / "run_out"
+    result = json.loads((out / "result.json").read_text())
+    assert result["records"] == []
+    assert result["classification"]["reason"].startswith(
+        "step 0: the argmax is the one-point loop")
+    assert "classification: Inconclusive" in \
+        (out / "summary.txt").read_text()
+
+    assert cli.main(["mpass", "--config", cpath]) == cli.EXIT_INCONCLUSIVE
+    assert '"converged": false' in capsys.readouterr().out
+    mpass = json.loads((out / "mpass_result.json").read_text())
+    assert mpass["converged"] is False and mpass["stop"] != "critical"
+
+
+_OVERFLOWING_GEOMETRY = [
+    {"kind": "flat_torus_sine", "a": 1e308},
+    {"kind": "conformal_torus", "a": 3.0, "u_amp": 400.0},
+    {"kind": "flat_torus_sine", "a": 3.0, "k": 10 ** 400},
+]
+
+
+@pytest.mark.parametrize("geometry", _OVERFLOWING_GEOMETRY,
+                         ids=["a", "u_amp", "k"])
+def test_geometry_whose_field_or_metric_overflows_is_rejected(
+        geometry, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+    params = {key: val for key, val in geometry.items() if key != "kind"}
+    with pytest.raises(ConfigError):
+        GeometrySpec(GeometryKind(geometry["kind"]), **params)
+    flags = ["--kind", geometry["kind"]]
+    for key, val in params.items():
+        flags += ["--u-amp" if key == "u_amp" else f"--{key}", str(val)]
+    assert cli.main(["oracle", "shoot", *flags, "--E-mech", "0.01",
+                     "--seeds", "1", "--period-cap", "0.1"]) == \
+        cli.EXIT_CONFIG
+    assert cli.main(["flow", *flags, "--speed", "1.0", "--T", "1.0"]) == \
+        cli.EXIT_CONFIG
+    cfg = {**_base_config(n_steps=3), "geometry": geometry, "E": 0.02}
+    assert cli.main(["run", "--config", _write_config(tmp_path, cfg)]) == \
+        cli.EXIT_CONFIG
+    assert capsys.readouterr().err.count("config error") == 3
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
 
 # float.hex of each record's level and of the final max residual of

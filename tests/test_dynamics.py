@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from magloop import (ChartPoint, FlowState, GeometryKind, GeometrySpec, Loop,
-                     el_residual_SE, el_residual_deq, integrate_flow,
+                     el_residual_SE, integrate_flow,
                      kinetic_energy, make_circle)
 from magloop.action import ActionParams, action_S, grad_action, grad_norm
 from magloop.dynamics import _rhs, rk4_step, write_trajectory_csv
@@ -104,7 +104,7 @@ def test_rk4_fourth_order_closure():
 
 def test_flow_state_array_round_trip():
     st = FlowState(ChartPoint(0.25, -1.5), np.array([0.3, 0.4]))
-    back = FlowState.from_array(st.as_array())
+    back = FlowState._from_step(st.as_array())
     assert back.p.x == st.p.x and back.p.y == st.p.y
     assert np.array_equal(back.v, st.v)
 
@@ -155,20 +155,6 @@ def test_el_residual_SE_internal_resampling():
     assert rep.max_res < 1e-2
     assert rep.mean_res < 1e-3
     assert rep.speed_cv > 1e-4
-
-
-def test_el_residual_deq_regularized_circle():
-    # at tau = 0 the regularized extremal circle satisfies
-    # kappa = B / (1 + 2 eps v), i.e. radius 1 / (B - 4 pi eps) for E = 1
-    eps = 0.05
-    r = 1.0 / (1.0 - 4.0 * math.pi * eps)
-    res = {}
-    for n in (64, 256):
-        loop = make_circle((0.0, 0.0), r, -1, n)
-        rep = el_residual_deq(PLANE, loop, eps, 0.0)
-        res[n] = rep.max_res
-    assert res[256] < 1e-4
-    assert 13.0 < res[64] / res[256] < 19.0
 
 
 def test_residual_report_json_keys():

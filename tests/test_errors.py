@@ -10,8 +10,7 @@ import pytest
 from magloop import (ActionParams, ChartPoint, ConfigError, CutoffSpec,
                      DescentSettings, FlowState, GeometryKind, GeometrySpec,
                      InvalidOracleInput, Loop, LoopFamily, MagloopError,
-                     Schedule, action_S, el_residual_SE, el_residual_deq,
-                     implied_energy, init_sweep_family, integrate_flow,
+                     Schedule, action_S, el_residual_SE, implied_energy, init_sweep_family, integrate_flow,
                      make_circle)
 from magloop.geometry import _as_xy
 from magloop.loops import interpolate, rms_distance
@@ -45,9 +44,6 @@ BAD_ARGUMENTS = {
     "integrate_flow.steps": lambda: integrate_flow(PLANE, STATE, 1.0, 0),
     "integrate_flow.T": lambda: integrate_flow(PLANE, STATE, math.nan, 10),
     "el_residual_SE.E": lambda: el_residual_SE(PLANE, CIRCLE, 0.0),
-    "el_residual_deq.tau": lambda: el_residual_deq(PLANE, CIRCLE, 0.0, 1.0),
-    "el_residual_deq.eps_nan": lambda: el_residual_deq(PLANE, CIRCLE,
-                                                       math.nan, 0.0),
     "ChartPoint": lambda: ChartPoint(math.nan, 0.0),
     "GeometrySpec.kind": lambda: GeometrySpec("plane_constant_B"),
     "GeometrySpec.B": lambda: GeometrySpec(GeometryKind.PLANE_CONSTANT_B,

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from magloop import (ChartPoint, GeometryKind, GeometrySpec, christoffel,
-                     field_F, field_strength, metric_eval, potential_eval,
-                     wrap_point)
+                     field_F, field_strength, metric_eval, potential_eval)
 from magloop.errors import ConfigError
 from magloop.geometry import metric_grad, metric_inverse, potential_jac
 
@@ -143,15 +142,6 @@ def test_torus_periodicity_bitwise_at_dyadic_points(spec):
             assert np.array_equal(metric_eval(spec, p), metric_eval(spec, q))
             assert np.array_equal(potential_eval(spec, p),
                                   potential_eval(spec, q))
-
-
-def test_wrap_point():
-    plane = ALL_SPECS[0]
-    torus = ALL_SPECS[2]
-    p = ChartPoint(1.75, -0.25)
-    assert wrap_point(plane, p) == p
-    w = wrap_point(torus, p)
-    assert abs(w.x - 0.75) < 1e-15 and abs(w.y - 0.75) < 1e-15
 
 
 def test_spec_from_json_dict_validation():

@@ -200,7 +200,7 @@ def test_loop_family_invariants():
         row.append(make_circle((0.0, 0.0), float(r), 1, 16))
     fam = LoopFamily("path", (tuple(row),))
     assert fam.rows[0][0].is_point()
-    assert fam.n_rows == 1 and fam.row_len == 8
+    assert len(fam.rows) == 1 and len(fam.rows[0]) == 8
     with pytest.raises(ValueError):
         LoopFamily("path", (tuple(row[1:]),))  # rows must start at a point
     with pytest.raises(ValueError):

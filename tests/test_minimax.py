@@ -8,9 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from magloop import (CutoffSpec, DescentSettings, GeometryKind, GeometrySpec,
-                     Loop, action_S, action_S_eps_tau, descend_loop,
-                     family_minimax, init_sweep_family, length, make_circle,
-                     speed_cv)
+                     Loop, action_S, action_S_eps_tau, family_minimax,
+                     init_sweep_family, length, make_circle, speed_cv)
 from magloop import minimax
 from magloop.action import (ActionParams, action_F_cutoff, grad_action,
                             grad_norm)
@@ -40,12 +39,11 @@ def test_descend_decreases_value_and_shrinks_subcritical_circle():
     # below the barrier the only way down is collapse toward a point
     params = ActionParams(E=1.0, eps=1e-2)
     start = make_circle((0.0, 0.0), 0.5, -1, 64)
-    out, gn = descend_loop(PLANE, start, params,
-                           DescentSettings(max_iters=400))
-    assert action_S_eps_tau(PLANE, out, params) < action_S_eps_tau(
-        PLANE, start, params)
+    val = action_S_eps_tau(PLANE, start, params)
+    out, out_val = _descend(PLANE, start, params, None, DescentSettings(),
+                            400, val)
+    assert out_val == action_S_eps_tau(PLANE, out, params) < val
     assert length(PLANE, out) < 0.2 * length(PLANE, start)
-    assert gn >= 0.0
 
 
 def test_descend_converges_on_frozen_terminal_loop():
@@ -56,9 +54,9 @@ def test_descend_converges_on_frozen_terminal_loop():
     big = make_circle((0.0, 0.0), 4.0, -1, 64)
     assert action_S(PLANE, big, 1.0) < 0.0
     assert action_F_cutoff(PLANE, big, params, cut) == 0.0
-    out, gn = descend_loop(PLANE, big, params, DescentSettings(), cut)
-    assert np.array_equal(out.vertices, big.vertices)
-    assert gn == 0.0
+    out, out_val = _descend(PLANE, big, params, cut, DescentSettings(), 400,
+                            0.0)
+    assert out is big and out_val == 0.0
 
 
 def test_descend_returns_the_value_of_its_loop():
@@ -71,16 +69,11 @@ def test_descend_returns_the_value_of_its_loop():
     for cut in (None, CutoffSpec(c_ref=3.0)):
         for lp in row[1:]:
             val = _value(PLANE, lp, params, cut)
-            for exit_norm in (True, False):
-                out, gn, out_val = _descend(PLANE, lp, params, cut,
-                                            settings, 2, val,
-                                            exit_norm=exit_norm)
-                assert out_val == _value(PLANE, out, params, cut)
-                assert out_val <= val
-                moved += out is not lp
-                if exit_norm:
-                    assert gn == grad_norm(grad_action(PLANE, out, params,
-                                                       cut))
+            out, out_val = _descend(PLANE, lp, params, cut, settings, 2,
+                                    val)
+            assert out_val == _value(PLANE, out, params, cut)
+            assert out_val <= val
+            moved += out is not lp
     assert moved > 0
 
 
@@ -281,7 +274,7 @@ def test_plateau_counts_sweep_zero():
 
 def test_init_sweep_family_path_invariants():
     fam = init_sweep_family(PLANE, 1.0, "path", 21, 64)
-    assert fam.shape == "path" and fam.n_rows == 1
+    assert fam.shape == "path" and len(fam.rows) == 1
     row = fam.rows[0]
     assert len(row) == 21
     assert row[0].is_point()
@@ -293,7 +286,7 @@ def test_init_sweep_family_path_invariants():
 def test_init_sweep_family_torus_cylinder_invariants():
     spec = GeometrySpec(GeometryKind.FLAT_TORUS_SINE, a=3.0, k=1)
     fam = init_sweep_family(spec, 0.02, "cylinder", 15, 48, m_p=6)
-    assert fam.shape == "cylinder" and fam.n_rows == 6
+    assert fam.shape == "cylinder" and len(fam.rows) == 6
     for row in fam.rows:
         assert row[0].is_point()
         assert action_S(spec, row[-1], 0.02) < 0.0
