@@ -255,6 +255,8 @@ def run_experiment(config: ExperimentConfig, verbose: bool = False) -> int:
         f"bootstrap level c_ref = {c_ref!r}",
         f"elapsed {elapsed:.3f} s",
     ]
+    if isinstance(classification, Inconclusive):
+        lines.insert(3, f"reason: {classification.reason}")
     for rec in records:
         lines.append(
             f"step {rec.step}: eps={rec.eps:.6g} tau={rec.tau:.6g} "

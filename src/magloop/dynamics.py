@@ -13,9 +13,10 @@ The single-point right-hand side is written in closed form for each chart
 kind on Python floats: F_12 v-rotation on the plane and the flat torus,
 plus the conformal Christoffel terms u_x (v_x^2 - v_y^2, 2 v_x v_y) and the
 factor exp(-2u) on the conformal torus.  It builds no tensors and makes no
-geometry call; on the flat kinds a step equals the tensor formula
--Gamma(v, v) + g^-1 F v bit for bit.  The residuals below use the
-vectorized geometry tensors.
+geometry call.  Each integration builds it once, with the chart's constants
+folded in, and steps one float RK4 kernel on plain (x, y, vx, vy) tuples; on
+the flat kinds a step equals the tensor formula -Gamma(v, v) + g^-1 F v bit
+for bit.  The residuals below use the vectorized geometry tensors.
 
 The residual measures how far a polygonal loop is from solving the
 length-type extremal equation at energy E, using winding-aware central
@@ -71,9 +72,9 @@ class FlowState:
 
     @classmethod
     def _from_step(cls, y: np.ndarray) -> "FlowState":
-        """State over a fresh packed (p, v) array that nothing else writes,
-        such as an rk4_step output: v is a frozen view of it, not a copy.
-        Only the finiteness check of the constructor is kept."""
+        """State over a packed (p, v) row that nothing else writes, such as
+        a row of an integrate_flow trajectory: v is a frozen view of it, not
+        a copy.  Only the finiteness check of the constructor is kept."""
         px, py, vx, vy = y.tolist()
         if not (math.isfinite(vx) and math.isfinite(vy)):
             raise ValueError("v must be finite")
@@ -91,9 +92,8 @@ def kinetic_energy(spec: GeometrySpec, state: FlowState) -> float:
     return 0.5 * float(state.v @ g @ state.v)
 
 
-def _rhs(spec: GeometrySpec, x: float, y: float, vx: float,
-         vy: float) -> tuple[float, float]:
-    """Acceleration (ax, ay) of the Lorentz flow at one phase-space point.
+def _build_rhs(spec: GeometrySpec):
+    """Acceleration rhs(x, y, vx, vy) -> (ax, ay) of the Lorentz flow.
 
     Closed form per chart kind, operation for operation equal to
     -Gamma(v, v) + g^-1 F v on the flat kinds:
@@ -102,48 +102,72 @@ def _rhs(spec: GeometrySpec, x: float, y: float, vx: float,
     * flat torus: F_12 = 2 pi k a cos(2 pi k x) at the wrapped x, Gamma = 0.
     * conformal torus: the same field over g = exp(2u) delta, u = u(x), where
       Gamma^x_xx = -Gamma^x_yy = Gamma^y_xy = u_x.
+
+    The constants are formed once per call, grouped as the left-to-right
+    products above group them (2 pi k, then times a), so the accelerations
+    are the same floats as those of the formulas written out in full.
     """
     kind = spec.kind
     if kind is GeometryKind.PLANE_CONSTANT_B:
         F = spec.B
-        return F * vy, -F * vx
-    x = x - math.floor(x)
-    F = TWO_PI * spec.k * spec.a * math.cos(TWO_PI * spec.k * x)
+
+        def rhs(x, y, vx, vy):
+            return F * vy, -F * vx
+        return rhs
+    w = TWO_PI * spec.k
+    amp = w * spec.a
+    floor, cos = math.floor, math.cos
     if kind is GeometryKind.FLAT_TORUS_SINE:
-        return F * vy, -F * vx
-    u = spec.u_amp * math.cos(TWO_PI * x)
-    ux = -TWO_PI * spec.u_amp * math.sin(TWO_PI * x)
-    gi = math.exp(-2.0 * u)
-    return (-(ux * vx * vx - ux * vy * vy) + gi * F * vy,
-            -2.0 * ux * vx * vy - gi * F * vx)
+        def rhs(x, y, vx, vy):
+            F = amp * cos(w * (x - floor(x)))
+            return F * vy, -F * vx
+        return rhs
+    u_amp = spec.u_amp
+    c = -TWO_PI * u_amp
+    sin, exp = math.sin, math.exp
+
+    def rhs(x, y, vx, vy):
+        x = x - floor(x)
+        F = amp * cos(w * x)
+        ux = c * sin(TWO_PI * x)
+        gF = exp(-2.0 * (u_amp * cos(TWO_PI * x))) * F
+        return (-(ux * vx * vx - ux * vy * vy) + gF * vy,
+                -2.0 * ux * vx * vy - gF * vx)
+    return rhs
 
 
-def rk4_step(spec: GeometrySpec, y: np.ndarray, h: float) -> np.ndarray:
-    """One classical RK4 step of length h from the packed state (p, v).
+def _rhs(spec: GeometrySpec, x: float, y: float, vx: float,
+         vy: float) -> tuple[float, float]:
+    """Acceleration (ax, ay) of the Lorentz flow at one phase-space point.
+
+    The one-point form of _build_rhs; perfbench's tracer declares its
+    dynamics.rhs_* metrics from this name."""
+    return _build_rhs(spec)(x, y, vx, vy)
+
+
+def _rk4(rhs, px, py, vx, vy, h):
+    """One classical RK4 step of length h from (px, py, vx, vy).
 
     The stages run on Python floats in the order of the array expression
     y + (h/6) (k1 + 2 k2 + 2 k3 + k4), so the step equals its ndarray
     form bit for bit.
     """
-    px, py, vx, vy = y.tolist()
     hh = 0.5 * h
-    a1x, a1y = _rhs(spec, px, py, vx, vy)
+    a1x, a1y = rhs(px, py, vx, vy)
     px2, py2 = px + hh * vx, py + hh * vy
     vx2, vy2 = vx + hh * a1x, vy + hh * a1y
-    a2x, a2y = _rhs(spec, px2, py2, vx2, vy2)
+    a2x, a2y = rhs(px2, py2, vx2, vy2)
     px3, py3 = px + hh * vx2, py + hh * vy2
     vx3, vy3 = vx + hh * a2x, vy + hh * a2y
-    a3x, a3y = _rhs(spec, px3, py3, vx3, vy3)
+    a3x, a3y = rhs(px3, py3, vx3, vy3)
     px4, py4 = px + h * vx3, py + h * vy3
     vx4, vy4 = vx + h * a3x, vy + h * a3y
-    a4x, a4y = _rhs(spec, px4, py4, vx4, vy4)
+    a4x, a4y = rhs(px4, py4, vx4, vy4)
     h6 = h / 6.0
-    return np.array([
-        px + h6 * (vx + 2.0 * vx2 + 2.0 * vx3 + vx4),
-        py + h6 * (vy + 2.0 * vy2 + 2.0 * vy3 + vy4),
-        vx + h6 * (a1x + 2.0 * a2x + 2.0 * a3x + a4x),
-        vy + h6 * (a1y + 2.0 * a2y + 2.0 * a3y + a4y),
-    ])
+    return (px + h6 * (vx + 2.0 * vx2 + 2.0 * vx3 + vx4),
+            py + h6 * (vy + 2.0 * vy2 + 2.0 * vy3 + vy4),
+            vx + h6 * (a1x + 2.0 * a2x + 2.0 * a3x + a4x),
+            vy + h6 * (a1y + 2.0 * a2y + 2.0 * a3y + a4y))
 
 
 def integrate_flow(spec: GeometrySpec, state: FlowState, T: float,
@@ -152,19 +176,24 @@ def integrate_flow(spec: GeometrySpec, state: FlowState, T: float,
 
     Returns steps + 1 states including the initial one.  Positions are kept
     in the unwrapped chart so trajectories are continuous; wrap on output if
-    needed.
+    needed.  A state thrown to infinity raises ValueError, as a non-finite
+    step state does.
     """
     if steps < 1:
         raise ConfigError("steps must be positive")
     if not (0 < T < math.inf):
         raise ConfigError("T must be finite and positive")
     h = T / steps
-    y = state.as_array()
-    out = [state]
-    for _ in range(steps):
-        y = rk4_step(spec, y, h)
-        out.append(FlowState._from_step(y))
-    return out
+    rhs = _build_rhs(spec)
+    y = tuple(state.as_array().tolist())
+    rows = []
+    try:
+        for _ in range(steps):
+            y = _rk4(rhs, *y, h)
+            rows.append(y)
+    except OverflowError:  # math.floor of an infinite position
+        raise ValueError("v must be finite") from None
+    return [state] + [FlowState._from_step(row) for row in np.array(rows)]
 
 
 def write_trajectory_csv(path, spec: GeometrySpec, states: list[FlowState],

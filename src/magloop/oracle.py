@@ -14,7 +14,8 @@ import numpy as np
 
 from .action import (ActionParams, CutoffSpec, action_F_cutoff, action_S,
                      action_S_eps_tau)
-from .dynamics import FlowState, integrate_flow, kinetic_energy, rk4_step
+from .dynamics import (FlowState, _build_rhs, _rk4, integrate_flow,
+                       kinetic_energy)
 from .errors import InvalidOracleInput
 from .geometry import (ChartPoint, GeometryKind, GeometrySpec, metric_eval,
                        torus_gap)
@@ -137,7 +138,8 @@ def _state_gap(spec, y, y0):
 def _section_offset(spec, dx, dy, nx, ny):
     """Offset (dx, dy) . (nx, ny) of a chart difference along a unit
     vector, the difference wrapped as torus_gap wraps it (round is half to
-    even, as np.round).  Float arithmetic: it runs once per RK4 step."""
+    even, as np.round).  Float arithmetic; _first_return's step loop
+    computes the same expression inline."""
     if spec.is_torus:
         dx -= round(dx)
         dy -= round(dy)
@@ -147,35 +149,45 @@ def _section_offset(spec, dx, dy, nx, ny):
 def _first_return(spec, y0, p_base, nhat, dt, t_cap):
     """First same-direction crossing of the section through p_base with
     normal nhat, after a short blanking interval.  Returns (t, y) or None.
+
+    The field is built once and the RK4 loop runs on float tuples; the
+    crossing is bisected in the step that brackets it.  A state thrown to
+    infinity raises ValueError, as integrate_flow does.
     """
+    rhs = _build_rhs(spec)
+    wrap = spec.is_torus
     bx, by = p_base.tolist()
     nx, ny = nhat.tolist()
-
-    def h(y):
-        px, py = y[:2].tolist()
-        return _section_offset(spec, px - bx, py - by, nx, ny)
-
-    y, t = y0.copy(), 0.0
-    h_y = h(y)
+    y = tuple(y0.tolist())
+    h_y = _section_offset(spec, y[0] - bx, y[1] - by, nx, ny)
+    t, blank = 0.0, 2.0 * dt
     steps = int(math.ceil(t_cap / dt))
-    for _ in range(steps):
-        y_next = rk4_step(spec, y, dt)
-        px, py, vx, vy = y_next.tolist()
-        h_next = _section_offset(spec, px - bx, py - by, nx, ny)
-        if (t > 2.0 * dt and h_y < 0.0 <= h_next
-                and vx * nx + vy * ny > 0.0):
-            lo, hi, ylo = 0.0, dt, y
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                ymid = rk4_step(spec, ylo, mid - lo)
-                if h(ymid) < 0.0:
-                    lo, ylo = mid, ymid
-                else:
-                    hi = mid
-                if hi - lo < 1e-16:
-                    break
-            return t + 0.5 * (lo + hi), rk4_step(spec, ylo, 0.5 * (hi - lo))
-        y, h_y, t = y_next, h_next, t + dt
+    try:
+        for _ in range(steps):
+            y_next = _rk4(rhs, *y, dt)
+            px, py, vx, vy = y_next
+            dx, dy = px - bx, py - by
+            if wrap:
+                dx -= round(dx)
+                dy -= round(dy)
+            h_next = dx * nx + dy * ny
+            if t > blank and h_y < 0.0 <= h_next and vx * nx + vy * ny > 0.0:
+                lo, hi, ylo = 0.0, dt, y
+                for _ in range(60):
+                    mid = 0.5 * (lo + hi)
+                    ymid = _rk4(rhs, *ylo, mid - lo)
+                    if _section_offset(spec, ymid[0] - bx, ymid[1] - by,
+                                       nx, ny) < 0.0:
+                        lo, ylo = mid, ymid
+                    else:
+                        hi = mid
+                    if hi - lo < 1e-16:
+                        break
+                return (t + 0.5 * (lo + hi),
+                        np.array(_rk4(rhs, *ylo, 0.5 * (hi - lo))))
+            y, h_y, t = y_next, h_next, t + dt
+    except OverflowError:  # round or math.floor of an infinite position
+        raise ValueError("v must be finite") from None
     return None
 
 
@@ -195,8 +207,8 @@ def shooting_periodic(spec: GeometrySpec, E_mech: float, seed_grid,
     kept.  (The finite-difference Jacobian is noisier than the 1e-12 gap
     test, so past the best iterate the steps only wander.)  A refined orbit
     whose full phase-space gap after one return is below tol becomes a
-    candidate; near-duplicates (close periods and close discrete Frechet
-    distance) are merged.  The list may be empty; that is evidence against
+    candidate; near-duplicates (close periods and close point sets, see
+    _dedup_candidates) are merged.  The list may be empty; that is evidence against
     a periodic orbit near the seeds at this resolution.
     """
     if not (math.isfinite(E_mech) and E_mech > 0):
@@ -302,13 +314,35 @@ def _polyline_gap(spec, P, Q) -> float:
     return float(d.min(axis=1).max())
 
 
+def _vertex_gap(spec, P, Q) -> float:
+    """Symmetric Hausdorff distance of the vertex sets P and Q, with the
+    differences wrapped as torus_gap wraps them.  It bounds the polyline
+    distances of _polyline_gap from above: a point's distance to a closed
+    polyline is at most its distance to the polyline's nearest vertex."""
+    dx = P[:, 0, None] - Q[None, :, 0]
+    dy = P[:, 1, None] - Q[None, :, 1]
+    if spec.is_torus:
+        dx -= np.round(dx)
+        dy -= np.round(dy)
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return math.sqrt(max(dx.min(axis=1).max(), dx.min(axis=0).max()))
+
+
 def _dedup_candidates(spec, candidates):
     """Merge candidates tracing the same orbit up to the field's exact
     translation symmetries (all translations on the constant-field plane,
     y-translations on the torus kinds, whose field and metric depend on x
     only).  Orbits are compared as point sets by symmetric polyline
     Hausdorff distance, which is indifferent to the starting phase, after a
-    quick period prefilter."""
+    quick period prefilter.
+
+    _vertex_gap screens each pair first; a pair below _DEDUP_TOL there is
+    a duplicate by the polyline test too.  The polyline test stays for the
+    rest: samples can be further apart than the tolerance (0.025 on a unit
+    Larmor circle), so two phases of one orbit can differ vertex to
+    vertex by more than it."""
     kept = []
     samples = []
     for cand in candidates:
@@ -322,9 +356,9 @@ def _dedup_candidates(spec, candidates):
             if spec.is_torus:
                 shift_mean[0] = 0.0  # x is not a symmetry direction
             aligned = opts + shift_mean
-            gap = max(_polyline_gap(spec, pts, aligned),
-                      _polyline_gap(spec, aligned, pts))
-            if gap < _DEDUP_TOL:
+            if (_vertex_gap(spec, pts, aligned) < _DEDUP_TOL
+                    or max(_polyline_gap(spec, pts, aligned),
+                           _polyline_gap(spec, aligned, pts)) < _DEDUP_TOL):
                 duplicate = True
                 break
         if not duplicate:

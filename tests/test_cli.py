@@ -255,8 +255,9 @@ def test_point_loop_argmax_is_not_a_critical_maximum(tmp_path, monkeypatch,
     assert result["records"] == []
     assert result["classification"]["reason"].startswith(
         "step 0: the argmax is the one-point loop")
-    assert "classification: Inconclusive" in \
-        (out / "summary.txt").read_text()
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert summary[2] == "classification: Inconclusive"
+    assert summary[3] == f"reason: {result['classification']['reason']}"
 
     assert cli.main(["mpass", "--config", cpath]) == cli.EXIT_INCONCLUSIVE
     assert '"converged": false' in capsys.readouterr().out
@@ -496,6 +497,17 @@ def test_flow_subcommand(tmp_path, monkeypatch, capsys):
     assert payload["closure_residual"] < 1e-5
     assert payload["energy_drift"] < 1e-9
     assert (tmp_path / "flow_out" / "trajectory.csv").exists()
+
+
+def test_flow_blow_up_is_not_a_config_error(tmp_path, monkeypatch):
+    # a field that passes the amplitude check (2 pi a = 6.3e300) throws the
+    # state to infinity within the first step: a numerical failure, not bad
+    # input, so it is the plain ValueError of a non-finite step state
+    monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+    with pytest.raises(ValueError, match="v must be finite") as info:
+        cli.main(["flow", "--kind", "flat_torus_sine", "--a", "1e300",
+                  "--speed", "1", "--T", "1", "--steps", "100"])
+    assert not isinstance(info.value, ConfigError)
 
 
 def test_flow_rejects_bad_speed():

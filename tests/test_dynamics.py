@@ -4,15 +4,15 @@ import csv
 import math
 
 import numpy as np
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from magloop import (ChartPoint, FlowState, GeometryKind, GeometrySpec, Loop,
                      el_residual_SE, integrate_flow,
                      kinetic_energy, make_circle)
 from magloop.action import ActionParams, action_S, grad_action, grad_norm
-from magloop.dynamics import _rhs, rk4_step, write_trajectory_csv
-from magloop.geometry import christoffel, field_F, metric_inverse
+from magloop.dynamics import _build_rhs, _rk4, write_trajectory_csv
+from magloop.geometry import TWO_PI, christoffel, field_F, metric_inverse
 
 PLANE = GeometrySpec(GeometryKind.PLANE_CONSTANT_B, B=1.0)
 
@@ -62,7 +62,7 @@ def test_closed_form_rhs_matches_tensor_formula(y, spec):
     # the geodesic and Lorentz parts cannot hide a wrong term
     p, v = y[:2], y[2:]
     ref = _tensor_acc(spec, y)
-    got = np.array(_rhs(spec, *y.tolist()))
+    got = np.array(_build_rhs(spec)(*y.tolist()))
     scale = (np.abs(christoffel(spec, p)).sum() * float(v @ v)
              + np.abs(metric_inverse(spec, p) @ field_F(spec, p)).sum()
              * float(np.abs(v).sum()))
@@ -71,8 +71,68 @@ def test_closed_form_rhs_matches_tensor_formula(y, spec):
 
 @given(y=_state, h=st.floats(1e-4, 0.5), spec=st.sampled_from(_FLAT_SPECS))
 def test_rk4_step_equals_tensor_rk4_on_flat_kinds(y, h, spec):
-    got, ref = rk4_step(spec, y, h), _tensor_rk4(spec, y, h)
+    got = np.array(_rk4(_build_rhs(spec), *y.tolist(), h))
+    ref = _tensor_rk4(spec, y, h)
     assert got.tobytes() == ref.tobytes()
+
+
+def _frozen_rhs(spec, x, y, vx, vy):
+    """The single-point right-hand side as it was written before the field
+    was built once per integration: every constant formed in place."""
+    kind = spec.kind
+    if kind is GeometryKind.PLANE_CONSTANT_B:
+        F = spec.B
+        return F * vy, -F * vx
+    x = x - math.floor(x)
+    F = TWO_PI * spec.k * spec.a * math.cos(TWO_PI * spec.k * x)
+    if kind is GeometryKind.FLAT_TORUS_SINE:
+        return F * vy, -F * vx
+    u = spec.u_amp * math.cos(TWO_PI * x)
+    ux = -TWO_PI * spec.u_amp * math.sin(TWO_PI * x)
+    gi = math.exp(-2.0 * u)
+    return (-(ux * vx * vx - ux * vy * vy) + gi * F * vy,
+            -2.0 * ux * vx * vy - gi * F * vx)
+
+
+def _frozen_rk4_step(spec, y, h):
+    """The packed-array RK4 step over _frozen_rhs, stage for stage."""
+    px, py, vx, vy = y.tolist()
+    hh = 0.5 * h
+    a1x, a1y = _frozen_rhs(spec, px, py, vx, vy)
+    px2, py2 = px + hh * vx, py + hh * vy
+    vx2, vy2 = vx + hh * a1x, vy + hh * a1y
+    a2x, a2y = _frozen_rhs(spec, px2, py2, vx2, vy2)
+    px3, py3 = px + hh * vx2, py + hh * vy2
+    vx3, vy3 = vx + hh * a2x, vy + hh * a2y
+    a3x, a3y = _frozen_rhs(spec, px3, py3, vx3, vy3)
+    px4, py4 = px + h * vx3, py + h * vy3
+    vx4, vy4 = vx + h * a3x, vy + h * a3y
+    a4x, a4y = _frozen_rhs(spec, px4, py4, vx4, vy4)
+    h6 = h / 6.0
+    return np.array([
+        px + h6 * (vx + 2.0 * vx2 + 2.0 * vx3 + vx4),
+        py + h6 * (vy + 2.0 * vy2 + 2.0 * vy3 + vy4),
+        vx + h6 * (a1x + 2.0 * a2x + 2.0 * a3x + a4x),
+        vy + h6 * (a1y + 2.0 * a2y + 2.0 * a3y + a4y),
+    ])
+
+
+# non-integer constants, so that a regrouped product would round apart;
+# the coordinates reach |x| = 20 on both sides of every wrap
+_KERNEL_SPECS = _ALL_SPECS + [
+    GeometrySpec(GeometryKind.PLANE_CONSTANT_B, B=-0.37),
+    GeometrySpec(GeometryKind.FLAT_TORUS_SINE, a=0.731, k=3),
+    GeometrySpec(GeometryKind.CONFORMAL_TORUS, a=2.9, k=1, u_amp=0.213),
+]
+
+
+@given(y=_state, h=st.floats(1e-4, 0.5),
+       spec=st.sampled_from(_KERNEL_SPECS))
+@example(y=np.array([-1e-3, 0.4, 2.0, -1.0]), h=0.01, spec=_KERNEL_SPECS[-1])
+@example(y=np.array([-20.0, 20.0, -0.3, 1.7]), h=0.1, spec=_KERNEL_SPECS[-2])
+def test_rk4_kernel_equals_the_frozen_scalar_step(y, h, spec):
+    got = np.array(_rk4(_build_rhs(spec), *y.tolist(), h))
+    assert got.tobytes() == _frozen_rk4_step(spec, y, h).tobytes()
 
 
 def test_energy_conservation_all_kinds():

@@ -154,7 +154,7 @@ def test_shooting_rejects_a_search_over_the_step_bound(monkeypatch):
     def no_step(*args):
         raise AssertionError("integrated before the bound was checked")
 
-    monkeypatch.setattr(oracle, "rk4_step", no_step)
+    monkeypatch.setattr(oracle, "_rk4", no_step)
     seeds = [FlowState(ChartPoint(0.0, 0.5), np.array([1.0, 0.0]))]
     spec = GeometrySpec(GeometryKind.FLAT_TORUS_SINE, a=3.0, k=1)
     with pytest.raises(InvalidOracleInput, match="exceeds"):
@@ -246,3 +246,66 @@ def test_shooting_on_the_conformal_torus(criterion10_seeds):
         assert cand.closure_residual < 1e-8
         loop = orbit_to_loop(spec, cand, 256)
         assert el_residual_SE(spec, loop, 0.02).max_res < 1e-2
+
+
+def _larmor_candidate(phase, speed=1.0):
+    # the clockwise circle of radius `speed` about (0, -1) in the unit plane
+    # field, entered at angle `phase` past its top; period 2 pi at any speed
+    p = ChartPoint(speed * math.sin(phase), -1.0 + speed * math.cos(phase))
+    v = speed * np.array([math.cos(phase), -math.sin(phase)])
+    return oracle.OrbitCandidate(
+        state=FlowState(p, v), period=2.0 * math.pi, closure_residual=0.0,
+        energy_mech=0.5 * speed * speed, energy_match=speed * speed)
+
+
+def _aligned_samples(spec, a, b):
+    pa = oracle._sample_orbit(spec, a, oracle._DEDUP_PROBE)[:-1]
+    pb = oracle._sample_orbit(spec, b, oracle._DEDUP_PROBE)[:-1]
+    return pa, pb + (pa.mean(axis=0) - pb.mean(axis=0))
+
+
+def test_dedup_merges_phases_further_apart_than_the_tolerance():
+    # half a probe spacing apart in phase, the vertices of one sampling sit
+    # 0.012 from those of the other, but only 7.5e-5 from its chords
+    a = _larmor_candidate(0.0)
+    b = _larmor_candidate(math.pi / oracle._DEDUP_PROBE)
+    pa, pb = _aligned_samples(PLANE, a, b)
+    assert oracle._vertex_gap(PLANE, pa, pb) >= oracle._DEDUP_TOL
+    assert max(oracle._polyline_gap(PLANE, pa, pb),
+               oracle._polyline_gap(PLANE, pb, pa)) < oracle._DEDUP_TOL
+    assert oracle._dedup_candidates(PLANE, [a, b]) == [a]
+
+
+def test_dedup_keeps_circles_of_different_radius():
+    a, b = _larmor_candidate(0.0), _larmor_candidate(0.0, speed=1.5)
+    assert oracle._dedup_candidates(PLANE, [a, b]) == [a, b]
+
+
+def test_dedup_vertex_screen_merges_the_criterion10_translates(
+        criterion10_seeds, monkeypatch):
+    # the four seeds close on y-translates of one orbit, sampled at phases
+    # whose vertices lie within the tolerance of each other
+    before_dedup = []
+    dedup = oracle._dedup_candidates
+
+    def recorded_dedup(spec, candidates):
+        before_dedup.extend(candidates)
+        return dedup(spec, candidates)
+
+    monkeypatch.setattr(oracle, "_dedup_candidates", recorded_dedup)
+    kept = shooting_periodic(SINE_TORUS, 0.01, criterion10_seeds,
+                             period_cap=0.6, tol=1e-8, dt=1e-3)
+    assert len(before_dedup) == 4 and kept == before_dedup[:1]
+    for other in before_dedup[1:]:
+        pa, pb = _aligned_samples(SINE_TORUS, before_dedup[0], other)
+        assert oracle._vertex_gap(SINE_TORUS, pa, pb) < oracle._DEDUP_TOL
+
+
+def test_shooting_blow_up_is_not_invalid_input():
+    # a field that passes the amplitude check throws the orbit to infinity
+    # in the first return search: a plain ValueError, as in integrate_flow
+    spec = GeometrySpec(GeometryKind.FLAT_TORUS_SINE, a=1e300, k=1)
+    seeds = [FlowState(ChartPoint(0.0, 0.5), np.array([1.0, 0.0]))]
+    with pytest.raises(ValueError, match="v must be finite") as info:
+        shooting_periodic(spec, 0.5, seeds, period_cap=1.0, tol=1e-8)
+    assert not isinstance(info.value, InvalidOracleInput)
