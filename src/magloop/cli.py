@@ -34,15 +34,15 @@ from .continuation import (BETA_FRAC, FAMILY_SIZE, M_P, N_VERTICES,
                            Classification, ConvergedExtremal,
                            DivergingLengths, Inconclusive, Schedule,
                            continuation_run)
-from .dynamics import FlowState, integrate_flow, write_trajectory_csv
+from .dynamics import (FlowState, _norm_sq, integrate_flow,
+                       write_trajectory_csv)
 from .errors import (ConfigError, NoNegativeLoopFound, _check_keys, _number,
                      _require)
-from .geometry import (ChartPoint, GeometryKind, GeometrySpec, metric_eval,
-                       torus_gap)
+from .geometry import ChartPoint, GeometryKind, GeometrySpec
 from .loops import Loop, save_loop_csv
 from .minimax import DescentSettings, family_minimax, init_sweep_family
-from .oracle import (circle_action_profile, fd_gradient, larmor_orbit,
-                     orbit_to_loop, shooting_periodic)
+from .oracle import (_state_gap, circle_action_profile, fd_gradient,
+                     larmor_orbit, orbit_to_loop, shooting_periodic)
 
 OUTPUT_ROOT_ENV = "MAGLOOP_OUTPUT_ROOT"
 
@@ -310,18 +310,14 @@ def _cmd_flow(args) -> int:
         raise ConfigError("angle must be finite")
     p = ChartPoint(args.x0, args.y0)
     direction = np.array([math.cos(args.angle), math.sin(args.angle)])
-    g = metric_eval(spec, p)
-    direction = direction / math.sqrt(float(direction @ g @ direction))
-    state = FlowState(p, args.speed * direction)
-    states = integrate_flow(spec, state, args.T, args.steps)
+    direction = direction / math.sqrt(_norm_sq(spec, p, direction))
+    traj = integrate_flow(spec, FlowState(p, args.speed * direction), args.T,
+                          args.steps)
     out = resolve_output_dir(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    energies = write_trajectory_csv(out / "trajectory.csv", spec, states,
+    energies = write_trajectory_csv(out / "trajectory.csv", spec, traj,
                                     args.T)
-    first, last = states[0].as_array(), states[-1].as_array()
-    gap = last - first
-    gap[:2] = torus_gap(spec, gap[:2])
-    closure = float(np.linalg.norm(gap))
+    closure = _state_gap(spec, traj[-1], traj[0])
     drift = max(abs(e - energies[0]) for e in energies)
     print(json.dumps({"closure_residual": closure, "energy_drift": drift}))
     return EXIT_OK

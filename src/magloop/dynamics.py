@@ -16,7 +16,11 @@ factor exp(-2u) on the conformal torus.  It builds no tensors and makes no
 geometry call.  Each integration builds it once, with the chart's constants
 folded in, and steps one float RK4 kernel on plain (x, y, vx, vy) tuples; on
 the flat kinds a step equals the tensor formula -Gamma(v, v) + g^-1 F v bit
-for bit.  The residuals below use the vectorized geometry tensors.
+for bit.  The packed row (x, y, vx, vy) is the one phase-space state past
+the input: integrate_flow returns its trajectory as a (steps + 1, 4) array,
+and kinetic_energy and write_trajectory_csv read such rows.  FlowState is
+the validated input type only.  The residuals below use the vectorized
+geometry tensors.
 
 The residual measures how far a polygonal loop is from solving the
 length-type extremal equation at energy E, using winding-aware central
@@ -52,7 +56,8 @@ _UNIFORM_CV = 1e-9
 
 @dataclass(frozen=True)
 class FlowState:
-    """Phase-space point: chart position and tangent vector."""
+    """Validated phase-space input: chart position and tangent vector;
+    as_array packs it as a trajectory row (x, y, vx, vy)."""
 
     p: ChartPoint
     v: np.ndarray
@@ -70,26 +75,15 @@ class FlowState:
     def as_array(self) -> np.ndarray:
         return np.array([self.p.x, self.p.y, self.v[0], self.v[1]])
 
-    @classmethod
-    def _from_step(cls, y: np.ndarray) -> "FlowState":
-        """State over a packed (p, v) row that nothing else writes, such as
-        a row of an integrate_flow trajectory: v is a frozen view of it, not
-        a copy.  Only the finiteness check of the constructor is kept."""
-        px, py, vx, vy = y.tolist()
-        if not (math.isfinite(vx) and math.isfinite(vy)):
-            raise ValueError("v must be finite")
-        v = y[2:]
-        v.setflags(write=False)
-        state = object.__new__(cls)
-        object.__setattr__(state, "p", ChartPoint(px, py))
-        object.__setattr__(state, "v", v)
-        return state
+
+def _norm_sq(spec: GeometrySpec, p, v: np.ndarray) -> float:
+    """g_p(v, v), the squared metric length of v at the chart point p."""
+    return float(v @ metric_eval(spec, p) @ v)
 
 
-def kinetic_energy(spec: GeometrySpec, state: FlowState) -> float:
-    """Conserved mechanical energy (1/2) g_p(v, v)."""
-    g = metric_eval(spec, state.p)
-    return 0.5 * float(state.v @ g @ state.v)
+def kinetic_energy(spec: GeometrySpec, y: np.ndarray) -> float:
+    """Conserved mechanical energy (1/2) g_p(v, v) of a row (x, y, vx, vy)."""
+    return 0.5 * _norm_sq(spec, y[:2], y[2:])
 
 
 def _build_rhs(spec: GeometrySpec):
@@ -171,13 +165,14 @@ def _rk4(rhs, px, py, vx, vy, h):
 
 
 def integrate_flow(spec: GeometrySpec, state: FlowState, T: float,
-                   steps: int) -> list[FlowState]:
+                   steps: int) -> np.ndarray:
     """Integrate the Lorentz flow for time T with `steps` RK4 steps.
 
-    Returns steps + 1 states including the initial one.  Positions are kept
-    in the unwrapped chart so trajectories are continuous; wrap on output if
-    needed.  A state thrown to infinity raises ValueError, as a non-finite
-    step state does.
+    Returns the trajectory as one (steps + 1, 4) array of packed rows
+    (x, y, vx, vy), the initial state first.  Positions are kept in the
+    unwrapped chart so trajectories are continuous; wrap on output if
+    needed.  A trajectory with a non-finite entry, such as a state thrown
+    to infinity, raises ValueError.
     """
     if steps < 1:
         raise ConfigError("steps must be positive")
@@ -186,33 +181,32 @@ def integrate_flow(spec: GeometrySpec, state: FlowState, T: float,
     h = T / steps
     rhs = _build_rhs(spec)
     y = tuple(state.as_array().tolist())
-    rows = []
+    rows = [y]
     try:
         for _ in range(steps):
             y = _rk4(rhs, *y, h)
             rows.append(y)
     except OverflowError:  # math.floor of an infinite position
         raise ValueError("v must be finite") from None
-    return [state] + [FlowState._from_step(row) for row in np.array(rows)]
+    traj = np.array(rows)
+    if not np.isfinite(traj).all():
+        raise ValueError("v must be finite")
+    return traj
 
 
-def write_trajectory_csv(path, spec: GeometrySpec, states: list[FlowState],
+def write_trajectory_csv(path, spec: GeometrySpec, traj: np.ndarray,
                          T: float) -> list[float]:
-    """Write t,x,y,vx,vy,energy rows for an integrate_flow output.
+    """Write t,x,y,vx,vy,energy rows for an integrate_flow trajectory.
 
-    Returns the kinetic energies written, one per state.
+    Returns the kinetic energies written, one per row.
     """
-    n = len(states) - 1
-    energies = []
+    n = len(traj) - 1
+    energies = [kinetic_energy(spec, y) for y in traj]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "x", "y", "vx", "vy", "energy"])
-        for i, st in enumerate(states):
-            e = kinetic_energy(spec, st)
-            energies.append(e)
-            writer.writerow([repr(i * T / n), repr(float(st.p.x)),
-                             repr(float(st.p.y)), repr(float(st.v[0])),
-                             repr(float(st.v[1])), repr(e)])
+        for i, (row, e) in enumerate(zip(traj.tolist(), energies)):
+            writer.writerow([repr(i * T / n), *map(repr, row), repr(e)])
     return energies
 
 

@@ -212,9 +212,10 @@ def resample_arclength(spec: GeometrySpec, loop: Loop, n_out: int) -> Loop:
 
     Vertices are placed on the input polygon (lifted to the covering chart),
     anchored at the input's first vertex, by iterating cumulative-length
-    redistribution until the measured edge lengths equalize.  Already uniform
-    loops are returned unchanged up to roundoff.  The total winding class is
-    preserved.
+    redistribution.  The pass with the lowest edge-length CV is returned;
+    the iteration stops at the first pass that does not lower it once it is
+    below 1e-9.  Already uniform loops are returned unchanged up to
+    roundoff.  The total winding class is preserved.
     """
     if n_out < 3:
         raise ValueError("n_out must be at least 3")
@@ -244,8 +245,8 @@ def resample_arclength(spec: GeometrySpec, loop: Loop, n_out: int) -> Loop:
         cv = float(c.std() / c.mean())
         if cv < best_cv:
             best_cv, best_v = cv, v
-        if cv < 1e-13:
-            break
+        elif best_cv < 1e-9:
+            break  # at the rounding floor: further passes only trade noise
         # remap: equalize measured chord lengths, keeping the anchor fixed
         cum = np.concatenate([[0.0], np.cumsum(c)])
         targets = np.arange(n_out) * (ctot / n_out)
@@ -340,10 +341,8 @@ class LoopFamily:
         object.__setattr__(self, "rows", rows)
 
 
-def save_loop_csv(path, loop: Loop, torus: bool | None = None):
+def save_loop_csv(path, loop: Loop, torus: bool):
     """Write a loop as CSV: index,x,y on the plane, plus wx,wy on a torus."""
-    if torus is None:
-        torus = bool(np.any(loop.windings))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         if torus:

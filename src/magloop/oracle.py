@@ -14,11 +14,10 @@ import numpy as np
 
 from .action import (ActionParams, CutoffSpec, action_F_cutoff, action_S,
                      action_S_eps_tau)
-from .dynamics import (FlowState, _build_rhs, _rk4, integrate_flow,
+from .dynamics import (FlowState, _build_rhs, _norm_sq, _rk4, integrate_flow,
                        kinetic_energy)
 from .errors import InvalidOracleInput
-from .geometry import (ChartPoint, GeometryKind, GeometrySpec, metric_eval,
-                       torus_gap)
+from .geometry import ChartPoint, GeometryKind, GeometrySpec, torus_gap
 from .loops import Loop, make_circle
 
 __all__ = [
@@ -122,12 +121,12 @@ class OrbitCandidate:
 
 
 def _normalize_state(spec, state, E_mech):
-    g = metric_eval(spec, state.p)
-    v = np.asarray(state.v, dtype=float)
-    norm = math.sqrt(float(v @ g @ v))
+    """Packed row (x, y, vx, vy) of a seed state rescaled to energy E_mech."""
+    norm = math.sqrt(_norm_sq(spec, state.p, state.v))
     if norm == 0.0:
         raise InvalidOracleInput("seed velocity must be nonzero")
-    return FlowState(state.p, v * (math.sqrt(2.0 * E_mech) / norm))
+    v = state.v * (math.sqrt(2.0 * E_mech) / norm)
+    return np.array([state.p.x, state.p.y, v[0], v[1]])
 
 
 def _state_gap(spec, y, y0):
@@ -223,8 +222,7 @@ def shooting_periodic(spec: GeometrySpec, E_mech: float, seed_grid,
 
     candidates = []
     for seed in seed_grid:
-        state = _normalize_state(spec, seed, E_mech)
-        y0 = state.as_array()
+        y0 = _normalize_state(spec, seed, E_mech)
         p_base = y0[:2].copy()
         nhat = y0[2:] / np.linalg.norm(y0[2:])
         mhat = np.array([-nhat[1], nhat[0]])
@@ -233,8 +231,7 @@ def shooting_periodic(spec: GeometrySpec, E_mech: float, seed_grid,
         def launch(u):
             pos = p_base + u[0] * mhat
             vdir = np.array([math.cos(u[1]), math.sin(u[1])])
-            g = metric_eval(spec, pos)
-            vel = vdir * (speed / math.sqrt(float(vdir @ g @ vdir)))
+            vel = vdir * (speed / math.sqrt(_norm_sq(spec, pos, vdir)))
             return np.concatenate([pos, vel])
 
         def return_gap(u, t_cap):
@@ -285,20 +282,13 @@ def shooting_periodic(spec: GeometrySpec, E_mech: float, seed_grid,
         closure = _state_gap(spec, y_cross, y_start)
         if closure >= tol:
             continue
-        refined = FlowState(ChartPoint(float(y_start[0]), float(y_start[1])),
-                            y_start[2:])
         candidates.append(OrbitCandidate(
-            state=refined, period=float(t_cross),
-            closure_residual=float(closure),
-            energy_mech=float(kinetic_energy(spec, refined)),
+            state=FlowState(ChartPoint(*y_start[:2].tolist()), y_start[2:]),
+            period=float(t_cross), closure_residual=float(closure),
+            energy_mech=kinetic_energy(spec, y_start),
             energy_match=float(speed * speed)))
 
     return _dedup_candidates(spec, candidates)
-
-
-def _sample_orbit(spec, cand, n):
-    states = integrate_flow(spec, cand.state, cand.period, n)
-    return np.array([[s.p.x, s.p.y] for s in states])
 
 
 def _polyline_gap(spec, P, Q) -> float:
@@ -346,7 +336,8 @@ def _dedup_candidates(spec, candidates):
     kept = []
     samples = []
     for cand in candidates:
-        pts = _sample_orbit(spec, cand, _DEDUP_PROBE)[:-1]
+        pts = integrate_flow(spec, cand.state, cand.period,
+                             _DEDUP_PROBE)[:-1, :2]
         duplicate = False
         for other, opts in zip(kept, samples):
             if abs(cand.period - other.period) > 0.05 * max(cand.period,
@@ -371,8 +362,7 @@ def orbit_to_loop(spec: GeometrySpec, cand: OrbitCandidate, n: int) -> Loop:
     """Sample a candidate orbit into an n-gon Loop (torus windings recovered
     from the net chart drift over one period)."""
     oversample = 8
-    states = integrate_flow(spec, cand.state, cand.period, n * oversample)
-    pts = np.array([[s.p.x, s.p.y] for s in states])
+    pts = integrate_flow(spec, cand.state, cand.period, n * oversample)[:, :2]
     verts = pts[:-1:oversample]
     w = np.zeros((n, 2), dtype=int)
     if spec.is_torus:

@@ -487,6 +487,20 @@ def test_mpass_zero_field_exits_4(tmp_path, monkeypatch):
         cli.EXIT_NO_NEGATIVE_LOOP
 
 
+def test_run_zero_field_exits_4(tmp_path, monkeypatch):
+    # the run twin of the mpass case: the zero-field torus admits no loop of
+    # negative action, and summary.txt says so
+    monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+    cfg = _base_config()
+    cfg["geometry"] = {"kind": "flat_torus_sine", "a": 0.0, "k": 1}
+    cpath = _write_config(tmp_path, cfg)
+    assert cli.main(["run", "--config", cpath]) == \
+        cli.EXIT_NO_NEGATIVE_LOOP
+    summary = (tmp_path / "run_out" / "summary.txt").read_text()
+    assert summary.startswith("NoNegativeLoopFound: ")
+    assert summary.endswith(f"exit code {cli.EXIT_NO_NEGATIVE_LOOP}\n")
+
+
 def test_flow_subcommand(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
     rc = cli.main(["flow", "--kind", "plane_constant_B", "--B", "1.0",
@@ -497,6 +511,26 @@ def test_flow_subcommand(tmp_path, monkeypatch, capsys):
     assert payload["closure_residual"] < 1e-5
     assert payload["energy_drift"] < 1e-9
     assert (tmp_path / "flow_out" / "trajectory.csv").exists()
+
+
+def test_oracle_shoot_writes_the_orbits(tmp_path, monkeypatch, capsys):
+    # criterion 10's sine torus: the four seeds close on translates of one
+    # orbit, which is written as a closed n-gon of total winding zero
+    monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+    rc = cli.main(["oracle", "shoot", "--kind", "flat_torus_sine", "--a", "3",
+                   "--k", "1", "--E-mech", "0.01", "--period-cap", "0.6",
+                   "--tol", "1e-8", "--dt", "1e-3", "--seeds", "4",
+                   "--seed", "7", "--output-dir", "shoot_out"])
+    assert rc == cli.EXIT_OK
+    printed = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    out = tmp_path / "shoot_out"
+    orbits = json.loads((out / "orbits.json").read_text())
+    assert printed["n_candidates"] == len(orbits) >= 1
+    for entry in orbits:
+        assert abs(entry["period"] - 0.3335187507) <= 1e-6 * 0.3335187507
+        loop = load_loop_csv(out / entry["loop_csv"])
+        assert loop.n == 256  # the default of --n
+        assert loop.total_winding().tolist() == [0, 0]
 
 
 def test_flow_blow_up_is_not_a_config_error(tmp_path, monkeypatch):

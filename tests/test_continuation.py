@@ -86,6 +86,9 @@ def test_classify_diverging_pattern_with_exact_ladder():
     assert out.ladder_exact == tuple(E * (1.0 + 2.0 * e * l) ** 2
                                      for e, l in zip(eps, ls))
     assert out.case == "DivergingLengths"
+    assert out.to_json_dict() == {"case": "DivergingLengths",
+                                  "ladder_lin": list(out.ladder_lin),
+                                  "ladder_exact": list(out.ladder_exact)}
 
 
 def test_classify_inconclusive_patterns():

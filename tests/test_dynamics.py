@@ -147,7 +147,7 @@ def test_larmor_flow_closes():
     # unit speed in a unit field: circular orbit with period 2 pi
     st = FlowState(ChartPoint(0.0, 0.0), np.array([1.0, 0.0]))
     states = integrate_flow(PLANE, st, 2.0 * math.pi, 10000)
-    gap = states[-1].as_array() - states[0].as_array()
+    gap = states[-1] - states[0]
     assert float(np.linalg.norm(gap)) < 1e-6
 
 
@@ -156,17 +156,9 @@ def test_rk4_fourth_order_closure():
     errs = []
     for steps in (500, 1000):
         states = integrate_flow(PLANE, st, 2.0 * math.pi, steps)
-        errs.append(float(np.linalg.norm(
-            states[-1].as_array() - states[0].as_array())))
+        errs.append(float(np.linalg.norm(states[-1] - states[0])))
     ratio = errs[0] / errs[1]
     assert 12.0 < ratio < 20.0
-
-
-def test_flow_state_array_round_trip():
-    st = FlowState(ChartPoint(0.25, -1.5), np.array([0.3, 0.4]))
-    back = FlowState._from_step(st.as_array())
-    assert back.p.x == st.p.x and back.p.y == st.p.y
-    assert np.array_equal(back.v, st.v)
 
 
 def test_el_residual_SE_circle_second_order():

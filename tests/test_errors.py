@@ -89,8 +89,12 @@ STRUCTURAL = {
     "rms_distance": lambda: rms_distance(CIRCLE,
                                          make_circle((0, 0), 1, 1, 8)),
     "LoopFamily": lambda: LoopFamily(shape="path", rows=((CIRCLE,) * 3,)),
-    "FlowState._from_step": lambda: FlowState._from_step(
-        np.array([0.0, 0.0, math.nan, 0.0])),
+    "integrate_flow.finite": lambda: integrate_flow(
+        GeometrySpec(GeometryKind.PLANE_CONSTANT_B, B=1e300),
+        FlowState(ChartPoint(0.0, 0.0), np.array([1e300, 0.0])), 1.0, 10),
+    "integrate_flow.position": lambda: integrate_flow(
+        GeometrySpec(GeometryKind.PLANE_CONSTANT_B, B=0.0),
+        FlowState(ChartPoint(0.0, 0.0), np.array([1e300, 0.0])), 1e10, 10),
     "geometry._as_xy": lambda: _as_xy(np.zeros(3)),
 }
 

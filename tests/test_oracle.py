@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from magloop import (ChartPoint, FlowState, GeometryKind, GeometrySpec, Loop,
                      action_S, circle_action_profile, el_residual_SE,
-                     fd_gradient, grad_action, larmor_orbit, length,
-                     make_circle, orbit_to_loop, shooting_periodic, speed_cv)
+                     fd_gradient, grad_action, integrate_flow, larmor_orbit,
+                     length, make_circle, orbit_to_loop, shooting_periodic,
+                     speed_cv)
 from magloop import oracle
 from magloop.action import ActionParams
 from magloop.errors import InvalidOracleInput
@@ -259,8 +260,8 @@ def _larmor_candidate(phase, speed=1.0):
 
 
 def _aligned_samples(spec, a, b):
-    pa = oracle._sample_orbit(spec, a, oracle._DEDUP_PROBE)[:-1]
-    pb = oracle._sample_orbit(spec, b, oracle._DEDUP_PROBE)[:-1]
+    pa, pb = (integrate_flow(spec, c.state, c.period,
+                             oracle._DEDUP_PROBE)[:-1, :2] for c in (a, b))
     return pa, pb + (pa.mean(axis=0) - pb.mean(axis=0))
 
 
