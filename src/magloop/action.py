@@ -24,6 +24,7 @@ form q_j = d_j . g . d_j with respect to the edge's two end vertices are
 -2 d_j and 2 d_j, formed without metric tensors; they equal the tensor
 formula bit for bit.  The cutoff gradient assembles the gradient of
 S_{0,tau} only inside the smoothstep window, where f' is non-zero.
+``values`` takes vertex stacks (..., N, 2) through the same edge kernel.
 """
 
 from __future__ import annotations
@@ -104,9 +105,9 @@ def cutoff_df(x: float, cut: CutoffSpec) -> float:
 
 
 def _circulation(spec: GeometrySpec, d: np.ndarray, m: np.ndarray):
-    """Potential at the midpoints and the circulation sum_j A(m_j) . d_j."""
+    """Midpoint potential and circulation sum_j A(m_j) . d_j of each loop."""
     A = potential_eval(spec, m)
-    return A, float(np.einsum("ni,ni->", A, d))
+    return A, np.einsum("...ni,...ni->...", A, d)
 
 
 def circulation(spec: GeometrySpec, loop: Loop) -> float:
@@ -115,33 +116,43 @@ def circulation(spec: GeometrySpec, loop: Loop) -> float:
     Exact for the linear plane potential: equals B times the signed polygon
     area.
     """
-    return _circulation(spec, loop.displacements(), loop.midpoints())[1]
+    d, m, _, _ = edge_geometry(spec, loop.vertices, loop.windings)
+    return float(_circulation(spec, d, m)[1])
 
 
 def action_S(spec: GeometrySpec, loop: Loop, E: float) -> float:
     """Length-type action sqrt(E) * length + circulation."""
     if not (E > 0):
         raise ConfigError("E must be positive")
-    d, m, _, ell = edge_geometry(spec, loop)
-    return math.sqrt(E) * float(ell.sum()) + _circulation(spec, d, m)[1]
+    d, m, _, ell = edge_geometry(spec, loop.vertices, loop.windings)
+    circ = float(_circulation(spec, d, m)[1])
+    return math.sqrt(E) * float(ell.sum()) + circ
 
 
 def _speed_sums(s: np.ndarray, n: int, params: ActionParams):
-    """Returns (sum s^(1+tau)/N with floor, sum eps*s^2/N)."""
+    """(sum s^(1+tau)/N with floor, sum eps*s^2/N) over the last axis."""
     sf = np.maximum(s, params.delta)
-    p0 = float(np.power(sf, 1.0 + params.tau).sum()) / n
-    p1 = params.eps * float((s * s).sum()) / n
+    p0 = np.power(sf, 1.0 + params.tau).sum(axis=-1) / n
+    p1 = params.eps * (s * s).sum(axis=-1) / n
     return p0, p1
+
+
+def values(spec: GeometrySpec, v: np.ndarray, w: np.ndarray,
+           params: ActionParams):
+    """(S_{0,tau}, S_{eps,tau}) of each loop of the vertex stack v, shape
+    (..., N, 2), over the shared windings w; arrays of shape (...)."""
+    n = v.shape[-2]
+    d, m, _, ell = edge_geometry(spec, v, w)
+    p0, p1 = _speed_sums(math.sqrt(params.E) * n * ell, n, params)
+    circ = _circulation(spec, d, m)[1]
+    return p0 + circ, p0 + p1 + circ
 
 
 def action_pair(spec: GeometrySpec, loop: Loop,
                 params: ActionParams) -> tuple[float, float]:
     """(S_{0,tau}, S_{eps,tau}) evaluated in one pass."""
-    d, m, _, ell = edge_geometry(spec, loop)
-    s = math.sqrt(params.E) * loop.n * ell
-    p0, p1 = _speed_sums(s, loop.n, params)
-    circ = _circulation(spec, d, m)[1]
-    return p0 + circ, p0 + p1 + circ
+    s0, s1 = values(spec, loop.vertices, loop.windings, params)
+    return float(s0), float(s1)
 
 
 def action_S_eps_tau(spec: GeometrySpec, loop: Loop,
@@ -163,7 +174,7 @@ def _grad_kernel(spec: GeometrySpec, loop: Loop, params: ActionParams):
     S_{eps,tau}, and ``assemble``, which turns a weight vector into the
     exact gradient of the functional it weights, shape (N, 2)."""
     n = loop.n
-    d, m, g, ell = edge_geometry(spec, loop)
+    d, m, g, ell = edge_geometry(spec, loop.vertices, loop.windings)
     rootE = math.sqrt(params.E)
     s = rootE * n * ell
     p0, p1 = _speed_sums(s, n, params)

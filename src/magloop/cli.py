@@ -310,9 +310,11 @@ def _cmd_flow(args) -> int:
         raise ConfigError("angle must be finite")
     p = ChartPoint(args.x0, args.y0)
     direction = np.array([math.cos(args.angle), math.sin(args.angle)])
-    direction = direction / math.sqrt(_norm_sq(spec, p, direction))
-    traj = integrate_flow(spec, FlowState(p, args.speed * direction), args.T,
-                          args.steps)
+    v = args.speed * (direction / math.sqrt(_norm_sq(spec, p, direction)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not math.isfinite(_norm_sq(spec, p, v)):
+            raise ConfigError("launch kinetic energy is not finite")
+    traj = integrate_flow(spec, FlowState(p, v), args.T, args.steps)
     out = resolve_output_dir(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     energies = write_trajectory_csv(out / "trajectory.csv", spec, traj,

@@ -16,7 +16,8 @@ assigned to edge j of an N-gon is N times that length (the loop parameter
 runs over [0, 1]).  On the flat kinds (plane_constant_B, flat_torus_sine)
 the metric is the identity, so the edge kernel takes the length straight
 from sqrt(d_x^2 + d_y^2) and builds no metric tensor; the result equals the
-tensor formula bit for bit.  conformal_torus evaluates the metric.
+tensor formula bit for bit.  conformal_torus evaluates the metric.  The
+edge kernel also takes vertex stacks (..., N, 2), bit for bit per loop.
 
 Loops derived from an existing loop (with_vertices, interpolate) are built
 by a trusted constructor that reuses the parent's frozen windings and takes
@@ -94,15 +95,7 @@ class Loop:
 
     def displacements(self) -> np.ndarray:
         """Chart displacement of each edge, shape (N, 2)."""
-        v = self.vertices
-        d = np.empty_like(v)
-        np.add(v[1:], self.windings[:-1], out=d[:-1])
-        np.add(v[0], self.windings[-1], out=d[-1])
-        d -= v
-        return d
-
-    def midpoints(self) -> np.ndarray:
-        return self.vertices + 0.5 * self.displacements()
+        return _displacements(self.vertices, self.windings)
 
     def is_point(self) -> bool:
         """True iff the loop is a one-point curve (all displacements zero)."""
@@ -145,9 +138,17 @@ def make_circle(center, r: float, orientation: int, n: int) -> Loop:
     return Loop(v)
 
 
+def _displacements(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Edge displacements v_{j+1} + w_j - v_j of a stack v (..., N, 2)."""
+    d = np.concatenate((v[..., 1:, :], v[..., :1, :]), axis=-2)
+    d += w
+    d -= v
+    return d
+
+
 def _edge_metric(spec: GeometrySpec, v: np.ndarray, d: np.ndarray):
     """Midpoints, midpoint metrics and Riemannian lengths of the edges d
-    leaving the vertices v.
+    leaving the vertices v, both of shape (..., N, 2).
 
     On the flat kinds the metric is the identity: g is None and the length
     is sqrt(d_x^2 + d_y^2), which is what the tensor formula rounds to (a
@@ -155,27 +156,29 @@ def _edge_metric(spec: GeometrySpec, v: np.ndarray, d: np.ndarray):
     """
     m = v + 0.5 * d
     if spec.kind is not GeometryKind.CONFORMAL_TORUS:
-        dx, dy = d[:, 0], d[:, 1]
+        dx, dy = d[..., 0], d[..., 1]
         return m, None, np.sqrt(dx * dx + dy * dy)
     g = metric_eval(spec, m)
-    return m, g, np.sqrt(np.maximum(np.einsum("ni,nij,nj->n", d, g, d), 0.0))
+    return m, g, np.sqrt(np.maximum(
+        np.einsum("...i,...ij,...j->...", d, g, d), 0.0))
 
 
-def edge_geometry(spec: GeometrySpec, loop: Loop):
-    """Per-edge kernel (d, m, g, ell) from one displacement pass.
+def edge_geometry(spec: GeometrySpec, v: np.ndarray, w: np.ndarray):
+    """Per-edge kernel (d, m, g, ell) of a vertex stack v (..., N, 2) over
+    the shared windings w, from one displacement pass.
 
     d are the chart displacements, m the midpoints, g the metric at the
     midpoints (None on the flat kinds, where it is the identity) and ell
     the Riemannian edge lengths; every length, action value and gradient
     is assembled from these.
     """
-    d = loop.displacements()
-    return (d, *_edge_metric(spec, loop.vertices, d))
+    d = _displacements(v, w)
+    return (d, *_edge_metric(spec, v, d))
 
 
 def edge_lengths(spec: GeometrySpec, loop: Loop) -> np.ndarray:
     """Riemannian length of each edge under the midpoint metric."""
-    return edge_geometry(spec, loop)[3]
+    return edge_geometry(spec, loop.vertices, loop.windings)[3]
 
 
 def length(spec: GeometrySpec, loop: Loop) -> float:
@@ -342,21 +345,14 @@ class LoopFamily:
 
 
 def save_loop_csv(path, loop: Loop, torus: bool):
-    """Write a loop as CSV: index,x,y on the plane, plus wx,wy on a torus."""
+    """Write a loop as CSV: index,x,y on the plane, plus wx,wy on a torus.
+    The bytes are csv.writer's for these rows: CRLF ends and repr floats."""
+    rows = loop.vertices.tolist()
+    if torus:
+        rows = [r + w for r, w in zip(rows, loop.windings.tolist())]
+    lines = [",".join(map(str, [i, *r])) for i, r in enumerate(rows)]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if torus:
-            writer.writerow(["index", "x", "y", "wx", "wy"])
-            for i in range(loop.n):
-                writer.writerow([i, repr(float(loop.vertices[i, 0])),
-                                 repr(float(loop.vertices[i, 1])),
-                                 int(loop.windings[i, 0]),
-                                 int(loop.windings[i, 1])])
-        else:
-            writer.writerow(["index", "x", "y"])
-            for i in range(loop.n):
-                writer.writerow([i, repr(float(loop.vertices[i, 0])),
-                                 repr(float(loop.vertices[i, 1]))])
+        fh.write("\r\n".join(["index,x,y" + ",wx,wy" * torus, *lines, ""]))
 
 
 def load_loop_csv(path) -> Loop:

@@ -43,6 +43,9 @@ The engine keeps one value per family loop and updates it whenever a loop
 is replaced: descent, polish and re-interpolation hand back the values of
 the loops they return, so the sweep's argmax, the re-interpolation guard
 and the final argmax read the table instead of re-evaluating the family.
+One stacked ``action.values`` call fills each row's table, and the polish
+evaluates raw vertex arrays, building a Loop only for the point it accepts;
+both give the bits of the one-loop functionals.
 """
 
 from __future__ import annotations
@@ -53,7 +56,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action import (ActionParams, CutoffSpec, action_F_cutoff, action_S,
-                     action_S_eps_tau, grad_action, grad_norm)
+                     action_S_eps_tau, cutoff_f, grad_action, grad_norm,
+                     values)
 from .errors import ConfigError, NoNegativeLoopFound
 from .geometry import GeometrySpec, field_strength
 from .loops import Loop, LoopFamily, interpolate, make_circle, make_point_loop, rms_distance
@@ -228,9 +232,15 @@ def _segment_polish(spec, row, idx, params, cut, val):
         if a < 0 or b >= len(row):
             continue
         la, lb = row[a], row[b]
+        if not np.array_equal(la.windings, lb.windings):
+            raise ValueError("segment ends must share windings")
 
         def neg(t):
-            return -_value(spec, interpolate(la, lb, t), params, cut)
+            v = (1.0 - t) * la.vertices + t * lb.vertices
+            if not np.isfinite(v).all():
+                raise ValueError("vertices must be finite")
+            s0, s1 = values(spec, v, la.windings, params)
+            return -(s1 if cut is None else cutoff_f(s0, cut) * s1)
 
         t, fun = _bounded_min(neg, 0.0, 1.0, 1e-10)
         if -fun > best_val:
@@ -355,7 +365,12 @@ def _engine(spec, rows, params, cut, settings):
     stall = 0
     k = 0
     stop = "max_iters"
-    vals = [[_value(spec, lp, params, cut) for lp in row] for row in rows]
+    vals = []
+    for row in rows:  # a row's loops share windings (LoopFamily checks it)
+        s0, s1 = values(spec, np.stack([lp.vertices for lp in row]),
+                        row[0].windings, params)
+        vals.append([b if cut is None else cutoff_f(a, cut) * b
+                     for a, b in zip(s0.tolist(), s1.tolist())])
     for k in range(settings.max_iters):
         r0, i0, _ = _argmax_rows(vals)
         ploop, pval = _segment_polish(spec, rows[r0], i0, params, cut,

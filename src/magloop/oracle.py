@@ -122,9 +122,10 @@ class OrbitCandidate:
 
 def _normalize_state(spec, state, E_mech):
     """Packed row (x, y, vx, vy) of a seed state rescaled to energy E_mech."""
-    norm = math.sqrt(_norm_sq(spec, state.p, state.v))
-    if norm == 0.0:
-        raise InvalidOracleInput("seed velocity must be nonzero")
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = math.sqrt(_norm_sq(spec, state.p, state.v))
+    if not 0.0 < norm < math.inf:
+        raise InvalidOracleInput("seed g(v, v) must be finite and nonzero")
     v = state.v * (math.sqrt(2.0 * E_mech) / norm)
     return np.array([state.p.x, state.p.y, v[0], v[1]])
 

@@ -319,6 +319,16 @@ _CONFORMAL_CONFIG = {
 _CONFORMAL_GOLDEN_C_REF = "0x1.29446039e0e3fp-8"
 _CONFORMAL_GOLDEN_LEVELS = ("0x1.29446039e0e3fp-8", "0x1.37744d76b04e3p-8")
 
+# The sine-potential value path: a small flat-torus path family whose three
+# steps all stop on a plateau; float.hex of the levels and of the final max
+# residual.
+_TORUS_CONFIG = {**_base_config(n_steps=3), "E": 0.02,
+                 "geometry": {"kind": "flat_torus_sine", "a": 3.0, "k": 1},
+                 "output_dir": "torus_out"}
+_TORUS_GOLDEN_LEVELS = ("0x1.8b9e77eac6f83p-9", "0x1.a0335c39a7531p-9",
+                        "0x1.aad0fa6b5e740p-9")
+_TORUS_GOLDEN_FINAL_RESIDUAL = "0x1.e36892366f400p-3"
+
 
 def test_run_levels_match_recorded_values(tmp_path, monkeypatch):
     # speed work must leave the outputs bit-identical
@@ -337,6 +347,15 @@ def test_run_levels_match_recorded_values(tmp_path, monkeypatch):
     assert result["c_ref"].hex() == _CONFORMAL_GOLDEN_C_REF
     assert tuple(r["level"].hex() for r in result["records"]) == \
         _CONFORMAL_GOLDEN_LEVELS
+
+    cli.main(["run", "--config",
+              _write_config(tmp_path, _TORUS_CONFIG, "torus.json")])
+    records = json.loads(
+        (tmp_path / "torus_out" / "result.json").read_text())["records"]
+    assert [r["minimax"]["stop"] for r in records] == ["plateau"] * 3
+    assert tuple(r["level"].hex() for r in records) == _TORUS_GOLDEN_LEVELS
+    assert records[-1]["residual"]["max_res"].hex() == \
+        _TORUS_GOLDEN_FINAL_RESIDUAL
 
 
 def test_run_reports_the_stop_reason(tmp_path, monkeypatch):
@@ -542,6 +561,19 @@ def test_flow_blow_up_is_not_a_config_error(tmp_path, monkeypatch):
         cli.main(["flow", "--kind", "flat_torus_sine", "--a", "1e300",
                   "--speed", "1", "--T", "1", "--steps", "100"])
     assert not isinstance(info.value, ConfigError)
+
+
+@pytest.mark.parametrize("kind", ["plane_constant_B", "flat_torus_sine",
+                                  "conformal_torus"])
+def test_flow_rejects_a_launch_whose_energy_overflows(kind, tmp_path,
+                                                      monkeypatch, capsys):
+    # a finite speed whose kinetic energy overflows a float used to print
+    # Infinity and NaN and exit 0
+    monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+    assert cli.main(["flow", "--kind", kind, "--B", "1", "--speed", "1e200",
+                     "--T", "1", "--steps", "10"]) == cli.EXIT_CONFIG
+    assert "kinetic energy" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_flow_rejects_bad_speed():

@@ -1,5 +1,7 @@
 """Polygonal loop container: resampling, concatenation, CSV round-trips."""
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -140,6 +142,39 @@ def test_csv_round_trip(tmp_path):
     back2 = load_loop_csv(path2)
     assert np.array_equal(back2.vertices, tl.vertices)
     assert np.array_equal(back2.windings, tl.windings)
+
+
+def _csv_writer_bytes(loop, torus):
+    """The bytes csv.writer wrote for a loop before save_loop_csv formatted
+    its rows itself."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["index", "x", "y", "wx", "wy"] if torus
+                    else ["index", "x", "y"])
+    for i in range(loop.n):
+        row = [i, repr(float(loop.vertices[i, 0])),
+               repr(float(loop.vertices[i, 1]))]
+        if torus:
+            row += [int(loop.windings[i, 0]), int(loop.windings[i, 1])]
+        writer.writerow(row)
+    return buf.getvalue().encode()
+
+
+def test_csv_bytes_equal_the_csv_writer_rows(tmp_path):
+    rng = np.random.default_rng(37)
+    plane = _wobbly_loop(rng, n=33)
+    plane = plane.with_vertices(plane.vertices * np.array([1e-7, -3e5]))
+    w = rng.integers(-2, 3, size=(33, 2))
+    w[0] = (0, 0)
+    torus = Loop(np.concatenate([[[-0.0, 1e-300]], rng.uniform(
+        -1.0, 2.0, size=(32, 2))]), w)
+    for loop, is_torus in ((plane, False), (torus, True)):
+        path = tmp_path / "loop.csv"
+        save_loop_csv(path, loop, torus=is_torus)
+        assert path.read_bytes() == _csv_writer_bytes(loop, is_torus)
+        back = load_loop_csv(path)
+        assert back.vertices.tobytes() == loop.vertices.tobytes()
+        assert np.array_equal(back.windings, loop.windings)
 
 
 def test_interpolate_endpoints_and_winding_guard():

@@ -6,17 +6,19 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from magloop import (CutoffSpec, DescentSettings, GeometryKind, GeometrySpec,
                      Loop, action_S, action_S_eps_tau, family_minimax,
                      init_sweep_family, length, make_circle, speed_cv)
 from magloop import minimax
-from magloop.action import (ActionParams, action_F_cutoff, grad_action,
-                            grad_norm)
+from magloop.action import (ActionParams, action_F_cutoff, action_pair,
+                            cutoff_f, grad_action, grad_norm, values)
 from magloop.errors import NoNegativeLoopFound
 from magloop.loops import interpolate
 from magloop.minimax import (_PLATEAU_SWEEPS, _bounded_min, _descend,
-                             _reinterp_row, _saddle_refine, _value)
+                             _reinterp_row, _saddle_refine, _segment_polish,
+                             _value)
 
 PLANE = GeometrySpec(GeometryKind.PLANE_CONSTANT_B, B=1.0)
 
@@ -75,6 +77,76 @@ def test_descend_returns_the_value_of_its_loop():
             assert out_val <= val
             moved += out is not lp
     assert moved > 0
+
+
+@st.composite
+def _stacks(draw):
+    spec = draw(st.sampled_from([
+        PLANE, GeometrySpec(GeometryKind.FLAT_TORUS_SINE, a=3.0, k=2),
+        GeometrySpec(GeometryKind.CONFORMAL_TORUS, a=1.0, k=1, u_amp=0.3)]))
+    m, n = draw(st.integers(2, 5)), draw(st.integers(3, 12))
+    v = draw(arrays(np.float64, (m, n, 2), elements=st.floats(-5.0, 5.0)))
+    w = draw(arrays(np.int64, (n, 2), elements=st.integers(-2, 2)))
+    w[draw(st.integers(0, n - 1)), draw(st.integers(0, 1))] = \
+        draw(st.sampled_from([-1, 1]))
+    params = ActionParams(E=draw(st.floats(0.1, 4.0)),
+                          eps=draw(st.floats(0.0, 0.5)),
+                          tau=draw(st.floats(0.0, 0.9)))
+    cut = draw(st.one_of(st.none(), st.builds(CutoffSpec,
+                                              st.floats(1e-2, 1e2))))
+    return spec, v, w, params, cut, draw(st.floats(0.0, 1.0))
+
+
+def _hex(x):
+    return float(x).hex()
+
+
+@given(case=_stacks())
+def test_stacked_values_equal_single_loop_values(case):
+    # the value table and the segment polish evaluate raw vertex arrays;
+    # each value must be the bits the one-loop functionals give
+    spec, v, w, params, cut, t = case
+    s0, s1 = values(spec, v, w, params)
+    rows = [Loop(vk, w) for vk in v]
+    for k, lp in enumerate(rows):
+        one = values(spec, v[k], w, params)
+        assert (s0[k].tobytes(), s1[k].tobytes()) == \
+            (one[0].tobytes(), one[1].tobytes())
+        assert (_hex(s0[k]), _hex(s1[k])) == \
+            tuple(map(_hex, action_pair(spec, lp, params)))
+
+    # the polish's value of a raw interpolated vertex array
+    a, b = rows[0], rows[-1]
+    r0, r1 = values(spec, (1.0 - t) * v[0] + t * v[-1], w, params)
+    if cut is None:
+        assert _hex(r1) == _hex(action_S_eps_tau(spec, interpolate(a, b, t),
+                                                 params))
+    else:
+        assert _hex(cutoff_f(r0, cut) * r1) == _hex(action_F_cutoff(
+            spec, interpolate(a, b, t), params, cut))
+
+    # the polish, against the same search over interpolate's loops
+    val = _value(spec, rows[1], params, cut)
+    best_loop, best_val = rows[1], val
+    for la, lb in zip(rows[:3], rows[1:3]):
+        x, fun = _bounded_min(
+            lambda u: -_value(spec, interpolate(la, lb, u), params, cut),
+            0.0, 1.0, 1e-10)
+        if -fun > best_val:
+            best_loop, best_val = interpolate(la, lb, x), float(-fun)
+    loop, pval = _segment_polish(spec, rows, 1, params, cut, val)
+    assert _hex(pval) == _hex(best_val)
+    assert loop.vertices.tobytes() == best_loop.vertices.tobytes()
+
+
+def test_segment_polish_refuses_segments_of_different_windings():
+    a = make_circle((0, 0), 1.0, 1, 16)
+    w = np.zeros((16, 2), dtype=int)
+    w[-1, 0] = 1
+    wound = Loop(a.vertices + 0.1, w)
+    with pytest.raises(ValueError, match="windings"):
+        _segment_polish(PLANE, [a, wound], 0, ActionParams(), None,
+                        _value(PLANE, a, ActionParams(), None))
 
 
 def test_reinterp_row_reports_the_values_of_its_row():

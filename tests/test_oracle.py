@@ -135,6 +135,18 @@ def test_shooting_validation():
             period_cap=1.0, tol=1e-6)
 
 
+@pytest.mark.parametrize("spec", [
+    GeometrySpec(GeometryKind.FLAT_TORUS_SINE, a=3.0, k=1),
+    GeometrySpec(GeometryKind.CONFORMAL_TORUS, a=3.0, k=1, u_amp=0.2)],
+    ids=["flat", "conformal"])
+def test_shooting_rejects_a_seed_whose_speed_overflows(spec):
+    # g(v, v) of a finite seed overflows a float: refused as bad input, with
+    # no numpy overflow warning on the way
+    seeds = [FlowState(ChartPoint(0.1, 0.2), np.array([1e200, 0.0]))]
+    with pytest.raises(InvalidOracleInput, match="finite"):
+        shooting_periodic(spec, 0.01, seeds, 0.6, 1e-8)
+
+
 @pytest.mark.parametrize("E_mech, period_cap, tol, dt", [
     (0.5, 1.0, math.nan, 1e-3),       # `closure >= nan` never rejects
     (0.5, 1.0, 1e-6, math.inf),       # zero steps: silently no candidate
