@@ -56,6 +56,7 @@ class GeometrySpec:
 
     Unused parameters are kept at their defaults; ``B`` only matters on the
     plane, ``a``/``k`` on the torus kinds, ``u_amp`` on the conformal torus.
+    The torus fields have zero mean, so ``B`` other than 0 is refused there.
     """
 
     kind: GeometryKind
@@ -70,6 +71,8 @@ class GeometrySpec:
         for name in ("B", "a", "u_amp"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")
+        if self.is_torus and self.B != 0.0:
+            raise ConfigError("B must be 0 on the torus kinds")
         if int(self.k) != self.k or self.k < 1:
             raise ConfigError("k must be a positive integer")
         # the field amplitude and the conformal factor must stay floats

@@ -14,7 +14,9 @@ sweep
    of the continuous piecewise-linear family, so the running minimum of
    polished values is a true upper-bound history); the search is an
    in-package bounded Brent method that follows SciPy's
-   ``minimize_scalar(method="bounded")`` iterates exactly,
+   ``minimize_scalar(method="bounded")`` iterates exactly, and it runs
+   only on a segment whose one-sided slope at the argmax is not strictly
+   negative (a downhill segment's search never beat the argmax value),
 2. stops if the polished family is the best recorded one, its maximum is
    an interior loop (not the one-point loop, whose zero gradient certifies
    nothing) and the gradient norm there is at most ``grad_tol``: its top is
@@ -223,17 +225,25 @@ def _segment_polish(spec, row, idx, params, cut, val):
     """Maximize the value over the two family segments adjacent to row[idx],
     whose value is ``val``.
 
+    A segment whose one-sided slope g . (other end - row[idx]), g the
+    gradient at row[idx], is strictly negative is not searched: such a
+    search walks back to row[idx], and 0 of 523 on the plane_path draws and
+    torus_sine beat ``val``.  A zero or NaN slope is searched.
+
     Returns (loop, value) for the best point found; value is at least the
     value at row[idx] itself.
     """
     best_loop = row[idx]
     best_val = val
+    g = grad_action(spec, row[idx], params, cut)
     for a, b in ((idx - 1, idx), (idx, idx + 1)):
         if a < 0 or b >= len(row):
             continue
         la, lb = row[a], row[b]
         if not np.array_equal(la.windings, lb.windings):
             raise ValueError("segment ends must share windings")
+        if np.vdot(g, row[a + b - idx].vertices - row[idx].vertices) < 0.0:
+            continue  # downhill from row[idx] into the segment
 
         def neg(t):
             v = (1.0 - t) * la.vertices + t * lb.vertices

@@ -2,11 +2,14 @@
 raises ConfigError, while the structural checks that solver-made data can
 reach stay a plain ValueError."""
 
+import json
 import math
+import os
 
 import numpy as np
 import pytest
 
+from magloop import cli
 from magloop import (ActionParams, ChartPoint, ConfigError, CutoffSpec,
                      DescentSettings, FlowState, GeometryKind, GeometrySpec,
                      InvalidOracleInput, Loop, LoopFamily, MagloopError,
@@ -50,6 +53,10 @@ BAD_ARGUMENTS = {
                                            B=math.inf),
     "GeometrySpec.k": lambda: GeometrySpec(GeometryKind.FLAT_TORUS_SINE,
                                            k=1.5),
+    "GeometrySpec.B_flat_torus": lambda: GeometrySpec(
+        GeometryKind.FLAT_TORUS_SINE, B=5.0, a=3.0),
+    "GeometrySpec.B_conformal_torus": lambda: GeometrySpec(
+        GeometryKind.CONFORMAL_TORUS, B=-1e-300, a=1.0, u_amp=0.3),
     "make_circle.orientation": lambda: make_circle((0.0, 0.0), 1.0, 0, 8),
     "make_circle.r": lambda: make_circle((0.0, 0.0), -1.0, 1, 8),
     "make_circle.r_inf": lambda: make_circle((0.0, 0.0), math.inf, 1, 8),
@@ -106,3 +113,23 @@ def test_structural_checks_are_not_config_errors(call):
     with pytest.raises(ValueError) as info:
         call()
     assert not isinstance(info.value, MagloopError)
+
+
+@pytest.mark.parametrize("kind", ["flat_torus_sine", "conformal_torus"])
+def test_cli_refuses_B_on_the_torus_and_writes_nothing(kind, tmp_path,
+                                                        monkeypatch, capsys):
+    # the torus fields have zero mean, and B used to be accepted and
+    # silently ignored there
+    monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+    cfg = {"geometry": {"kind": kind, "a": 3.0, "B": 5},
+           "E": 0.02, "w_shape": "path", "output_dir": "run_out"}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", "--config", str(path)]) == cli.EXIT_CONFIG
+    assert cli.main(["flow", "--kind", kind, "--a", "3", "--B", "5",
+                     "--speed", "1", "--T", "1"]) == cli.EXIT_CONFIG
+    assert cli.main(["oracle", "shoot", "--kind", kind, "--a", "3", "--B",
+                     "5", "--E-mech", "0.01", "--seeds", "1"]) == \
+        cli.EXIT_CONFIG
+    assert capsys.readouterr().err.count("B must be 0 on the torus") == 3
+    assert os.listdir(tmp_path) == ["cfg.json"]

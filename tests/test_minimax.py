@@ -1,6 +1,8 @@
 """Minimax engine: saddle location, level semantics, family construction."""
 
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -9,9 +11,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from magloop import (CutoffSpec, DescentSettings, GeometryKind, GeometrySpec,
-                     Loop, action_S, action_S_eps_tau, family_minimax,
-                     init_sweep_family, length, make_circle, speed_cv)
-from magloop import minimax
+                     Loop, Schedule, action_S, action_S_eps_tau,
+                     continuation_run, family_minimax, init_sweep_family,
+                     length, make_circle, make_point_loop, speed_cv)
+from magloop import cli, minimax
 from magloop.action import (ActionParams, action_F_cutoff, action_pair,
                             cutoff_f, grad_action, grad_norm, values)
 from magloop.errors import NoNegativeLoopFound
@@ -125,21 +128,108 @@ def test_stacked_values_equal_single_loop_values(case):
         assert _hex(cutoff_f(r0, cut) * r1) == _hex(action_F_cutoff(
             spec, interpolate(a, b, t), params, cut))
 
-    # the polish, against the same search over interpolate's loops
+    # the polish, against the same screened search over interpolate's loops
     val = _value(spec, rows[1], params, cut)
-    best_loop, best_val = rows[1], val
-    for la, lb in zip(rows[:3], rows[1:3]):
-        x, fun = _bounded_min(
-            lambda u: -_value(spec, interpolate(la, lb, u), params, cut),
-            0.0, 1.0, 1e-10)
-        if -fun > best_val:
-            best_loop, best_val = interpolate(la, lb, x), float(-fun)
+    best_loop, best_val = _reference_polish(spec, rows, 1, params, cut, val,
+                                            screen=True)
     loop, pval = _segment_polish(spec, rows, 1, params, cut, val)
     assert _hex(pval) == _hex(best_val)
     assert loop.vertices.tobytes() == best_loop.vertices.tobytes()
 
 
+def _downhill(spec, row, idx, params, cut):
+    """Per segment next to row[idx] (left first), whether the functional
+    leaves row[idx] strictly downhill into it."""
+    g = grad_action(spec, row[idx], params, cut)
+    return [np.vdot(g, row[j].vertices - row[idx].vertices) < 0.0
+            for j in (idx - 1, idx + 1) if 0 <= j < len(row)]
+
+
+def _reference_polish(spec, row, idx, params, cut, val, screen):
+    """The segment polish over interpolate's loops: a bounded search on each
+    segment next to row[idx], with ``screen`` skipping the downhill ones."""
+    best_loop, best_val = row[idx], val
+    segments = [(a, a + 1) for a in (idx - 1, idx) if 0 <= a < len(row) - 1]
+    for (a, b), down in zip(segments, _downhill(spec, row, idx, params, cut)):
+        if screen and down:
+            continue
+        la, lb = row[a], row[b]
+        x, fun = _bounded_min(
+            lambda u: -_value(spec, interpolate(la, lb, u), params, cut),
+            0.0, 1.0, 1e-10)
+        if -fun > best_val:
+            best_loop, best_val = interpolate(la, lb, x), float(-fun)
+    return best_loop, best_val
+
+
+@pytest.mark.parametrize("spec, E", [
+    (PLANE, 1.0),
+    (GeometrySpec(GeometryKind.FLAT_TORUS_SINE, a=3.0, k=1), 0.02),
+    (GeometrySpec(GeometryKind.CONFORMAL_TORUS, a=3.0, k=1, u_amp=0.2), 0.02),
+], ids=["plane", "flat_torus", "conformal_torus"])
+def test_segment_screen_is_exact_on_real_families(spec, E, monkeypatch):
+    # skipping the downhill segments must return the loop and value bits of
+    # searching both, at every polish of a real continuation run
+    polish = minimax._segment_polish
+    skipped = []
+
+    def checked(spec, row, idx, params, cut, val):
+        loop, pval = polish(spec, row, idx, params, cut, val)
+        ref_loop, ref_val = _reference_polish(spec, row, idx, params, cut,
+                                              val, screen=False)
+        assert _hex(pval) == _hex(ref_val)
+        assert loop.vertices.tobytes() == ref_loop.vertices.tobytes()
+        assert np.array_equal(loop.windings, ref_loop.windings)
+        skipped.append(sum(_downhill(spec, row, idx, params, cut)))
+        return loop, pval
+
+    monkeypatch.setattr(minimax, "_segment_polish", checked)
+    schedule = Schedule(eps0=1e-2, tau0=1e-2, rho=0.5, n_steps=3)
+    continuation_run(spec, E, "path", schedule, DescentSettings(),
+                     n_vertices=48, family_size=9)
+    assert len(skipped) >= 3 and sum(skipped) > 0
+
+
+def test_segment_polish_searches_a_zero_slope_segment():
+    # the one-point loop's gradient is exactly zero, so the slope into its
+    # segment is 0: not downhill, and the search finds the bump beyond it
+    params = ActionParams()
+    row = [make_point_loop((0.0, 0.0), 32), make_circle((0.0, 0.0), 3.0, -1,
+                                                        32)]
+    val = _value(PLANE, row[0], params, None)
+    assert val > _value(PLANE, row[1], params, None)
+    assert not grad_action(PLANE, row[0], params, None).any()
+    assert _downhill(PLANE, row, 0, params, None) == [False]
+    loop, pval = _segment_polish(PLANE, row, 0, params, None, val)
+    ref_loop, ref_val = _reference_polish(PLANE, row, 0, params, None, val,
+                                          screen=False)
+    assert pval > 3.0 and _hex(pval) == _hex(ref_val)
+    assert loop.vertices.tobytes() == ref_loop.vertices.tobytes()
+
+
+def test_segment_polish_skips_both_segments_at_a_strict_maximum(monkeypatch):
+    # a counterclockwise circle's action grows with its radius and ignores
+    # translations, so a circle between two smaller, shifted ones is a
+    # strict maximum along both segments: no search runs and the input
+    # loop and value come back
+    params = ActionParams()
+    row = [make_circle((-0.3, 0.0), 0.45, 1, 32),
+           make_circle((0.0, 0.0), 0.5, 1, 32),
+           make_circle((0.3, 0.1), 0.4, 1, 32)]
+    val = _value(PLANE, row[1], params, None)
+    assert _downhill(PLANE, row, 1, params, None) == [True, True]
+    evaluated = []
+    stacked = minimax.values
+    monkeypatch.setattr(minimax, "values",
+                        lambda *args: evaluated.append(1) or stacked(*args))
+    loop, pval = _segment_polish(PLANE, row, 1, params, None, val)
+    assert loop is row[1] and pval == val
+    assert evaluated == []
+
+
 def test_segment_polish_refuses_segments_of_different_windings():
+    # the windings check runs before the slope screen, so it raises for a
+    # neutral (translated) and for a downhill (shrunk) other end alike
     a = make_circle((0, 0), 1.0, 1, 16)
     w = np.zeros((16, 2), dtype=int)
     w[-1, 0] = 1
@@ -147,6 +237,41 @@ def test_segment_polish_refuses_segments_of_different_windings():
     with pytest.raises(ValueError, match="windings"):
         _segment_polish(PLANE, [a, wound], 0, ActionParams(), None,
                         _value(PLANE, a, ActionParams(), None))
+    shrunk = Loop(0.5 * a.vertices, w)
+    assert _downhill(PLANE, [a, shrunk], 0, ActionParams(), None) == [True]
+    with pytest.raises(ValueError, match="windings"):
+        _segment_polish(PLANE, [a, shrunk], 0, ActionParams(), None,
+                        _value(PLANE, a, ActionParams(), None))
+
+
+def test_plane_larmor_run_evaluates_few_loops(tmp_path, monkeypatch):
+    # a counter guard on the polish screen: the value table and the polish
+    # evaluate their loops through minimax.values (739 loops without the
+    # screen, 359 with it), and each step takes the polish's gradient and
+    # the certificate's
+    counts = {"loops": 0, "grads": 0}
+    stacked, grad = minimax.values, minimax.grad_action
+
+    def counting_values(spec, v, w, params):
+        counts["loops"] += int(np.prod(np.shape(v)[:-2]))
+        return stacked(spec, v, w, params)
+
+    def counting_grad(*args):
+        counts["grads"] += 1
+        return grad(*args)
+
+    monkeypatch.setattr(minimax, "values", counting_values)
+    monkeypatch.setattr(minimax, "grad_action", counting_grad)
+    monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+    config = pathlib.Path(__file__).resolve().parents[1] / "configs" / \
+        "plane_larmor.json"
+    assert cli.main(["run", "--config", str(config)]) == cli.EXIT_OK
+    result = json.loads(
+        (tmp_path / "runs" / "plane_larmor" / "result.json").read_text())
+    steps = len(result["records"])
+    assert steps == 8
+    assert counts["loops"] <= 400
+    assert counts["grads"] <= 2 * steps
 
 
 def test_reinterp_row_reports_the_values_of_its_row():
