@@ -9,8 +9,8 @@ implied energy ladder.
 
 __version__ = "0.1.0"
 
-from .action import (ActionParams, CutoffSpec, action_F_cutoff, action_S,
-                     action_S_eps_tau, circulation, cutoff_f, grad_action)
+from .action import (ActionParams, action_S, action_S_eps_tau, circulation,
+                     grad_action)
 from .continuation import (Classification, ContinuationRecord,
                            ConvergedExtremal, DivergingLengths, Inconclusive,
                            Schedule, classify_outcome, continuation_run,

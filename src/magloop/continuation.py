@@ -1,12 +1,12 @@
 """Regularization continuation (eps, tau) -> 0 and outcome classification.
 
 A run makes one minimax solve per entry of a geometric schedule, each
-warm-started from the previous step's family.  Step 0 at (eps0, tau0)
-solves without any cutoff; its level c_ref fixes the cutoff window of every
-later step.  Each solve has one tolerance, ``grad_tol``, and refines its
-argmax only if the gradient certificate fails.  Each step records the
-argmax loop, its rescaled length l = sqrt(E) * length, nu = eps * l, and
-the implied energies of the limiting orbit:
+warm-started from the previous step's family.  The level of step 0 at
+(eps0, tau0) is the run's reference level c_ref.  Each solve has one
+tolerance, ``grad_tol``, and refines its argmax only if the gradient
+certificate fails.  Each step records the argmax loop, its rescaled length
+l = sqrt(E) * length, nu = eps * l, and the implied energies of the
+limiting orbit:
 
     E_lin = E * (1 + 2 nu)       (first-order shift)
     E_exact = E * (1 + 2 nu)^2     (exact curvature balance)
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .action import ActionParams, CutoffSpec
+from .action import ActionParams
 from .dynamics import ResidualReport, el_residual_SE
 from .errors import ConfigError
 from .geometry import GeometrySpec
@@ -200,25 +200,22 @@ def continuation_run(spec: GeometrySpec, E: float, w_shape: str,
                      ) -> tuple[list[ContinuationRecord], Classification, float]:
     """Run the full continuation; returns (records, classification, c_ref).
 
-    Raises NoNegativeLoopFound if no sweep family can be constructed.  Step
-    0 solves without the cutoff; its level is c_ref, which fixes the cutoff
-    window of steps 1 onward.  A run stops Inconclusive, keeping the records
-    before it, at a step whose argmax is the one-point loop: no curve was
-    found there.
+    Raises NoNegativeLoopFound if no sweep family can be constructed.  The
+    level of step 0 is c_ref; a run whose c_ref is not positive stops there.
+    A run stops Inconclusive, keeping the records before it, at a step
+    whose argmax is the one-point loop: no curve was found there.
     """
     rows = init_sweep_family(spec, E, w_shape, family_size, n_vertices,
                              m_p=m_p).rows
-    cut = None
     records = []
     for n, (eps_n, tau_n) in enumerate(schedule.pairs()):
         params = ActionParams(E=E, eps=eps_n, tau=tau_n, delta=delta)
-        result, rows = _engine(spec, rows, params, cut, settings)
-        if cut is None:
+        result, rows = _engine(spec, rows, params, settings)
+        if n == 0:
             c_ref = result.level
             if not (c_ref > 0.0):
                 return [], Inconclusive(
                     f"bootstrap level {c_ref:.6g} is not positive"), c_ref
-            cut = CutoffSpec(c_ref=c_ref)
         loop = result.argmax
         if loop.is_point():
             return records, Inconclusive(

@@ -57,9 +57,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .action import (ActionParams, CutoffSpec, action_F_cutoff, action_S,
-                     action_S_eps_tau, cutoff_f, grad_action, grad_norm,
-                     values)
+from .action import (ActionParams, action_S, action_S_eps_tau, grad_action,
+                     grad_norm, values)
 from .errors import ConfigError, NoNegativeLoopFound
 from .geometry import GeometrySpec, field_strength
 from .loops import Loop, LoopFamily, interpolate, make_circle, make_point_loop, rms_distance
@@ -110,13 +109,7 @@ class MinimaxResult:
         }
 
 
-def _value(spec, loop, params, cut):
-    if cut is None:
-        return action_S_eps_tau(spec, loop, params)
-    return action_F_cutoff(spec, loop, params, cut)
-
-
-def _descend(spec, loop, params, cut, settings, budget, val):
+def _descend(spec, loop, params, settings, budget, val):
     """Backtracking gradient descent from ``loop``, whose value is ``val``;
     the value never increases.  The first trial step is ``_STEP0``; an
     accepted step lets the next search start a little longer.  Stops at
@@ -127,14 +120,14 @@ def _descend(spec, loop, params, cut, settings, budget, val):
     """
     step = _STEP0
     for _ in range(budget):
-        g = grad_action(spec, loop, params, cut)
+        g = grad_action(spec, loop, params)
         gn = grad_norm(g)
         if gn <= settings.grad_tol:
             break
         t = step
         for _ in range(40):
             trial = loop.with_vertices(loop.vertices - t * g)
-            tval = _value(spec, trial, params, cut)
+            tval = action_S_eps_tau(spec, trial, params)
             if tval <= val - 1e-4 * t * gn * gn:
                 loop, val = trial, tval
                 step = min(t / math.sqrt(_BACKTRACK), _STEP0 * 16.0)
@@ -221,7 +214,7 @@ def _bounded_min(f, lo, hi, xatol, maxfun=500):
     return xf, fx
 
 
-def _segment_polish(spec, row, idx, params, cut, val):
+def _segment_polish(spec, row, idx, params, val):
     """Maximize the value over the two family segments adjacent to row[idx],
     whose value is ``val``.
 
@@ -235,7 +228,7 @@ def _segment_polish(spec, row, idx, params, cut, val):
     """
     best_loop = row[idx]
     best_val = val
-    g = grad_action(spec, row[idx], params, cut)
+    g = grad_action(spec, row[idx], params)
     for a, b in ((idx - 1, idx), (idx, idx + 1)):
         if a < 0 or b >= len(row):
             continue
@@ -249,8 +242,7 @@ def _segment_polish(spec, row, idx, params, cut, val):
             v = (1.0 - t) * la.vertices + t * lb.vertices
             if not np.isfinite(v).all():
                 raise ValueError("vertices must be finite")
-            s0, s1 = values(spec, v, la.windings, params)
-            return -(s1 if cut is None else cutoff_f(s0, cut) * s1)
+            return -values(spec, v, la.windings, params)
 
         t, fun = _bounded_min(neg, 0.0, 1.0, 1e-10)
         if -fun > best_val:
@@ -259,7 +251,7 @@ def _segment_polish(spec, row, idx, params, cut, val):
     return best_loop, best_val
 
 
-def _reinterp_row(spec, row, params, cut, guard, vals):
+def _reinterp_row(spec, row, params, guard, vals):
     """Equal-spacing re-interpolation of a string.
 
     If any proposed interior loop has a value above ``guard`` the original
@@ -283,7 +275,7 @@ def _reinterp_row(spec, row, params, cut, guard, vals):
         i = min(max(i, 0), m - 2)
         t = 0.0 if gaps[i] == 0.0 else (target - cum[i]) / gaps[i]
         cand = interpolate(row[i], row[i + 1], float(t))
-        cval = _value(spec, cand, params, cut)
+        cval = action_S_eps_tau(spec, cand, params)
         if cval > guard + slack:
             return row
         new_row.append(cand)
@@ -304,7 +296,7 @@ def _fd_hessian(gfun, x, h):
     return 0.5 * (H + H.T)
 
 
-def _saddle_refine(spec, loop, params, cut, settings):
+def _saddle_refine(spec, loop, params, settings):
     """Newton iteration on the gradient with a pseudo-inverse Hessian solve.
 
     Symmetry directions (translations, rotations, reparameterizations) give
@@ -316,8 +308,8 @@ def _saddle_refine(spec, loop, params, cut, settings):
     w = loop.windings
 
     def gfun(x):
-        return grad_action(spec, Loop._trusted(x.reshape(n, 2), w), params,
-                           cut).ravel()
+        return grad_action(spec, Loop._trusted(x.reshape(n, 2), w),
+                           params).ravel()
 
     x = loop.vertices.ravel().copy()
     extent = float(np.ptp(loop.vertices, axis=0).max())
@@ -360,7 +352,7 @@ def _argmax_rows(vals):
     return best[1], best[2], best[0]
 
 
-def _engine(spec, rows, params, cut, settings):
+def _engine(spec, rows, params, settings):
     """Shared path/cylinder minimax driver; returns (MinimaxResult, rows)."""
     rows = [list(r) for r in rows]
     m = len(rows[0])
@@ -377,13 +369,11 @@ def _engine(spec, rows, params, cut, settings):
     stop = "max_iters"
     vals = []
     for row in rows:  # a row's loops share windings (LoopFamily checks it)
-        s0, s1 = values(spec, np.stack([lp.vertices for lp in row]),
-                        row[0].windings, params)
-        vals.append([b if cut is None else cutoff_f(a, cut) * b
-                     for a, b in zip(s0.tolist(), s1.tolist())])
+        vals.append(values(spec, np.stack([lp.vertices for lp in row]),
+                           row[0].windings, params).tolist())
     for k in range(settings.max_iters):
         r0, i0, _ = _argmax_rows(vals)
-        ploop, pval = _segment_polish(spec, rows[r0], i0, params, cut,
+        ploop, pval = _segment_polish(spec, rows[r0], i0, params,
                                       vals[r0][i0])
         tgt = min(max(i0, 1), m - 2)
         if pval >= vals[r0][tgt]:
@@ -403,7 +393,7 @@ def _engine(spec, rows, params, cut, settings):
         history.append((k, best_level))
         # a critical maximum of the best family: a sweep would only move it off
         if level_now == best_level and 0 < i1 < m - 1:
-            gn = grad_norm(grad_action(spec, rows[r1][i1], params, cut))
+            gn = grad_norm(grad_action(spec, rows[r1][i1], params))
             if gn <= settings.grad_tol:
                 stop = "critical"
                 break
@@ -413,10 +403,10 @@ def _engine(spec, rows, params, cut, settings):
 
         for row, rvals in zip(rows, vals):
             for i in range(1, m - 1):
-                row[i], rvals[i] = _descend(spec, row[i], params, cut,
-                                            settings, _INNER_DESCENT, rvals[i])
+                row[i], rvals[i] = _descend(spec, row[i], params, settings,
+                                            _INNER_DESCENT, rvals[i])
         guard = max(max(rvals) for rvals in vals)
-        rows = [list(_reinterp_row(spec, row, params, cut, guard, rvals))
+        rows = [list(_reinterp_row(spec, row, params, guard, rvals))
                 for row, rvals in zip(rows, vals)]
 
     # adopt the best recorded family; refine its argmax unless certified
@@ -424,13 +414,12 @@ def _engine(spec, rows, params, cut, settings):
     r0, i0, level = _argmax_rows(vals)
     if stop != "critical":
         if 0 < i0 < m - 1:
-            refined, _ = _saddle_refine(spec, rows[r0][i0], params, cut,
-                                        settings)
-            rval = _value(spec, refined, params, cut)
+            refined, _ = _saddle_refine(spec, rows[r0][i0], params, settings)
+            rval = action_S_eps_tau(spec, refined, params)
             if rval <= level + 1e-12 * max(1.0, abs(level)):
                 rows[r0][i0], vals[r0][i0] = refined, rval
         r0, i0, level = _argmax_rows(vals)
-        gn = grad_norm(grad_action(spec, rows[r0][i0], params, cut))
+        gn = grad_norm(grad_action(spec, rows[r0][i0], params))
     final_level = min(level, history[-1][1])
     history.append((k + 1, final_level))
     return (MinimaxResult(level=float(final_level), argmax=rows[r0][i0],
@@ -443,10 +432,11 @@ def _engine(spec, rows, params, cut, settings):
 
 
 def family_minimax(spec: GeometrySpec, family: LoopFamily,
-                   params: ActionParams, settings: DescentSettings,
-                   cut: CutoffSpec | None = None) -> MinimaxResult:
-    """Minimax estimate over a path or cylinder family."""
-    result, _ = _engine(spec, family.rows, params, cut, settings)
+                   params: ActionParams,
+                   settings: DescentSettings) -> MinimaxResult:
+    """Minimax estimate of the S_{eps,tau} level over a path or cylinder
+    family."""
+    result, _ = _engine(spec, family.rows, params, settings)
     return result
 
 

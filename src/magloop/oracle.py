@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .action import (ActionParams, CutoffSpec, action_F_cutoff, action_S,
-                     action_S_eps_tau)
+from .action import ActionParams, action_S, action_S_eps_tau
 from .dynamics import (FlowState, _build_rhs, _norm_sq, _rk4, integrate_flow,
                        kinetic_energy)
 from .errors import InvalidOracleInput
@@ -74,20 +73,14 @@ def circle_action_profile(spec: GeometrySpec, E: float, r_grid,
 
 
 def fd_gradient(spec: GeometrySpec, loop: Loop, params: ActionParams,
-                cut: CutoffSpec | None = None, h: float = 1e-6) -> np.ndarray:
-    """Central finite differences of the action value, shape (N, 2).
-
-    Differentiates exactly the function grad_action claims to differentiate:
-    S_{eps,tau} without a cutoff, the cutoff functional with one.
-    """
+                h: float = 1e-6) -> np.ndarray:
+    """Central finite differences of S_{eps,tau}, shape (N, 2): the function
+    grad_action differentiates."""
     if not (0 < h < math.inf):
         raise InvalidOracleInput("h must be finite and positive")
 
     def value(verts):
-        lp = Loop(verts, loop.windings)
-        if cut is None:
-            return action_S_eps_tau(spec, lp, params)
-        return action_F_cutoff(spec, lp, params, cut)
+        return action_S_eps_tau(spec, Loop(verts, loop.windings), params)
 
     base = loop.vertices
     out = np.empty_like(base)

@@ -8,12 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from magloop import (GeometryKind, GeometrySpec, Loop, action_F_cutoff,
-                     action_S, action_S_eps_tau, circulation, cutoff_f,
-                     grad_action, length, make_circle, make_point_loop,
-                     resample_arclength, speeds)
-from magloop.action import (ActionParams, CutoffSpec, _grad_kernel,
-                            action_pair, cutoff_df)
+from magloop import (GeometryKind, GeometrySpec, Loop, action_S,
+                     action_S_eps_tau, circulation, grad_action, length,
+                     make_circle, make_point_loop, resample_arclength, speeds)
+from magloop.action import ActionParams, values
 from magloop.geometry import (metric_eval, metric_grad, potential_eval,
                               potential_jac)
 from magloop.loops import edge_lengths
@@ -123,66 +121,32 @@ def test_monotone_in_eps_and_tau():
             prev = val
 
 
-def test_cutoff_smoothstep_shape():
-    cut = CutoffSpec(c_ref=2.0)
-    assert cut.lo == 0.1 and cut.hi == 0.2
-    assert cutoff_f(-5.0, cut) == 0.0
-    assert cutoff_f(cut.lo, cut) == 0.0
-    assert cutoff_f(cut.hi, cut) == 1.0
-    assert cutoff_f(5.0, cut) == 1.0
-    mid = 0.5 * (cut.lo + cut.hi)
-    assert abs(cutoff_f(mid, cut) - 0.5) < 1e-15
-    xs = np.linspace(0.05, 0.25, 101)
-    vals = [cutoff_f(float(x), cut) for x in xs]
-    assert all(b >= a for a, b in zip(vals, vals[1:]))
-    h = 1e-7
-    for x in (0.12, 0.15, 0.18):
-        fd = (cutoff_f(x + h, cut) - cutoff_f(x - h, cut)) / (2 * h)
-        assert abs(cutoff_df(x, cut) - fd) < 1e-6
-
-
-def test_cutoff_functional_limits():
-    cut = CutoffSpec(c_ref=1.0)
-    params = ActionParams(E=1.0, eps=1e-2, tau=1e-2)
-    pt = make_point_loop((0.0, 0.0), 16)
-    assert action_F_cutoff(PLANE, pt, params, cut) == 0.0
-    big = make_circle((0.0, 0.0), 0.5, 1, 64)  # action well above hi
-    assert action_F_cutoff(PLANE, big, params, cut) == action_S_eps_tau(
-        PLANE, big, params)
-
-
 def test_gradient_matches_fd():
     rng = np.random.default_rng(59)
     for spec in (PLANE, TORUS, CONF):
         loop = _random_loop(rng, spec, scale=0.3 if spec.is_torus else 1.0)
-        for params, cut in [
-            (ActionParams(E=1.3, eps=0.0, tau=0.0), None),
-            (ActionParams(E=0.7, eps=1e-2, tau=0.3), None),
-            (ActionParams(E=1.0, eps=1e-2, tau=1e-2),
-             CutoffSpec(c_ref=1.0)),
-        ]:
-            analytic = grad_action(spec, loop, params, cut)
-            numeric = fd_gradient(spec, loop, params, cut)
+        for params in (ActionParams(E=1.3, eps=0.0, tau=0.0),
+                       ActionParams(E=0.7, eps=1e-2, tau=0.3)):
+            analytic = grad_action(spec, loop, params)
+            numeric = fd_gradient(spec, loop, params)
             scale = max(float(np.linalg.norm(numeric)), 1e-12)
             rel = float(np.linalg.norm(analytic - numeric)) / scale
             assert rel < 1e-6
 
 
 def test_values_and_gradient_share_the_edge_kernel():
-    # value and gradient are assembled from one edge kernel, so the values
-    # returned next to the gradient are the action values bit for bit
+    # a stacked ``values`` call gives each loop's one-loop value bit for bit
     rng = np.random.default_rng(61)
     for spec in (PLANE, TORUS, CONF):
-        loop = _random_loop(rng, spec, scale=0.3 if spec.is_torus else 1.0)
+        loops = [_random_loop(rng, spec, scale=0.3 if spec.is_torus else 1.0)
+                 for _ in range(3)]
         for params in (ActionParams(E=1.3), ActionParams(E=0.7, eps=1e-2,
                                                          tau=0.3)):
-            s0, s1, *_ = _grad_kernel(spec, loop, params)
-            assert action_pair(spec, loop, params) == (s0, s1)
-            # a window around s0 keeps the cutoff factor strictly inside (0, 1)
-            cut = CutoffSpec(c_ref=15.0 * s0)
-            assert 0.0 < cutoff_f(s0, cut) < 1.0
-            assert action_F_cutoff(spec, loop, params, cut) == \
-                cutoff_f(s0, cut) * s1
+            stacked = values(spec, np.stack([lp.vertices for lp in loops]),
+                             loops[0].windings, params).tolist()
+            assert stacked == [action_S_eps_tau(spec, lp, params)
+                               for lp in loops]
+            loop = loops[0]
             assert action_S(spec, loop, params.E) == \
                 math.sqrt(params.E) * length(spec, loop) + circulation(spec,
                                                                        loop)
@@ -196,9 +160,9 @@ def _tensor_edge_lengths(spec, loop):
     return np.sqrt(np.maximum(np.einsum("ni,nij,nj->n", d, g, d), 0.0))
 
 
-def _tensor_gradients(spec, loop, params):
-    """Gradients of S_{0,tau} and S_{eps,tau} from the metric tensor and its
-    derivative, the formula the flat kinds shortcut."""
+def _tensor_gradient(spec, loop, params):
+    """Gradient of S_{eps,tau} from the metric tensor and its derivative,
+    the formula the flat kinds shortcut."""
     n = loop.n
     v, w = loop.vertices, loop.windings
     d = np.roll(v, -1, axis=0) + w - v
@@ -220,14 +184,11 @@ def _tensor_gradients(spec, loop, params):
     A = potential_eval(spec, m)
     half_Jd = 0.5 * np.einsum("nki,ni->nk", potential_jac(spec, m), d)
 
-    def assemble(weights):
-        coef = (weights * dsdq)[:, None]
-        grad = np.zeros((n, 2))
-        grad += coef * dq_da + (half_Jd - A)
-        grad += np.roll(coef * dq_db + (half_Jd + A), 1, axis=0)
-        return grad
-
-    return assemble(w0), assemble(w1)
+    coef = (w1 * dsdq)[:, None]
+    grad = np.zeros((n, 2))
+    grad += coef * dq_da + (half_Jd - A)
+    grad += np.roll(coef * dq_db + (half_Jd + A), 1, axis=0)
+    return grad
 
 
 @st.composite
@@ -251,35 +212,8 @@ def test_flat_edge_kernel_equals_tensor_formula(case):
     spec, loop, params = case
     ref_ell = _tensor_edge_lengths(spec, loop)
     assert edge_lengths(spec, loop).tobytes() == ref_ell.tobytes()
-    _, _, w0, w1, assemble = _grad_kernel(spec, loop, params)
-    g0, g1 = assemble(w0), assemble(w1)
-    ref0, ref1 = _tensor_gradients(spec, loop, params)
-    assert g0.tobytes() == ref0.tobytes()
-    assert g1.tobytes() == ref1.tobytes()
-
-
-def test_cutoff_gradient_formula_on_every_branch():
-    # grad S_0 is assembled only where f' != 0; the result must still be
-    # f'(S_0) S_1 grad S_0 + f(S_0) grad S_1 below, inside and above the
-    # window
-    rng = np.random.default_rng(67)
-    params = ActionParams(E=1.0, eps=1e-2, tau=1e-2)
-    for spec in (PLANE, TORUS, CONF):
-        loop = _random_loop(rng, spec, scale=0.05 if spec.is_torus else 0.2)
-        s0, s1, w0, w1, assemble = _grad_kernel(spec, loop, params)
-        g0, g1 = assemble(w0), assemble(w1)
-        assert s0 > 0.0
-        for c_ref, f_expect in ((40.0 * s0, 0.0), (15.0 * s0, None),
-                                (5.0 * s0, 1.0)):
-            cut = CutoffSpec(c_ref=c_ref)
-            f, df = cutoff_f(s0, cut), cutoff_df(s0, cut)
-            if f_expect is None:
-                assert 0.0 < f < 1.0 and df > 0.0
-            else:
-                assert f == f_expect and df == 0.0
-            expect = df * s1 * g0 + f * g1
-            assert np.array_equal(grad_action(spec, loop, params, cut),
-                                  expect)
+    assert grad_action(spec, loop, params).tobytes() == \
+        _tensor_gradient(spec, loop, params).tobytes()
 
 
 def test_gradient_vanishing_near_extremal_circle():
@@ -301,7 +235,3 @@ def test_action_params_validation():
         ActionParams(E=1.0, tau=1.0)
     with pytest.raises(ValueError):
         ActionParams(E=1.0, delta=-1.0)
-    with pytest.raises(ValueError):
-        CutoffSpec(c_ref=-1.0)
-    with pytest.raises(ValueError):
-        CutoffSpec(c_ref=math.inf)

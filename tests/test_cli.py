@@ -304,8 +304,7 @@ _GOLDEN_FINAL_RESIDUAL = "0x1.29b127bd624a0p-5"
 
 # A conformal-torus cylinder whose two steps both stop on a plateau, so the
 # relaxation sweep and re-interpolation shape these values: float.hex of
-# c_ref and the levels.  Step 0 solves without the cutoff, so its level is
-# c_ref itself.
+# c_ref and the levels.  Step 0's level is c_ref itself.
 _CONFORMAL_CONFIG = {
     "geometry": {"kind": "conformal_torus", "a": 3.0, "k": 1, "u_amp": 0.2},
     "E": 0.02,
@@ -339,6 +338,7 @@ def test_run_levels_match_recorded_values(tmp_path, monkeypatch):
     records = result["records"]
     assert tuple(r["level"].hex() for r in records) == _GOLDEN_LEVELS
     assert records[-1]["residual"]["max_res"].hex() == _GOLDEN_FINAL_RESIDUAL
+    c_refs = [result["c_ref"]]
 
     cli.main(["run", "--config",
               _write_config(tmp_path, _CONFORMAL_CONFIG, "conformal.json")])
@@ -347,15 +347,24 @@ def test_run_levels_match_recorded_values(tmp_path, monkeypatch):
     assert result["c_ref"].hex() == _CONFORMAL_GOLDEN_C_REF
     assert tuple(r["level"].hex() for r in result["records"]) == \
         _CONFORMAL_GOLDEN_LEVELS
+    c_refs.append(result["c_ref"])
 
     cli.main(["run", "--config",
               _write_config(tmp_path, _TORUS_CONFIG, "torus.json")])
-    records = json.loads(
-        (tmp_path / "torus_out" / "result.json").read_text())["records"]
+    result = json.loads((tmp_path / "torus_out" / "result.json").read_text())
+    records = result["records"]
     assert [r["minimax"]["stop"] for r in records] == ["plateau"] * 3
     assert tuple(r["level"].hex() for r in records) == _TORUS_GOLDEN_LEVELS
     assert records[-1]["residual"]["max_res"].hex() == \
         _TORUS_GOLDEN_FINAL_RESIDUAL
+    c_refs.append(result["c_ref"])
+
+    # no level comes near c_ref/10, below which the existence argument's
+    # cutoff of short loops would act; the solver has no cutoff, so a run
+    # that gets there fails here
+    levels = [_GOLDEN_LEVELS, _CONFORMAL_GOLDEN_LEVELS, _TORUS_GOLDEN_LEVELS]
+    for c_ref, hexes in zip(c_refs, levels):
+        assert all(float.fromhex(h) >= 0.5 * c_ref for h in hexes)
 
 
 def test_run_reports_the_stop_reason(tmp_path, monkeypatch):
@@ -672,6 +681,20 @@ def test_gradcheck_subcommand(capsys):
     payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert payload["loops"] == 6
     assert payload["max_rel_error"] < 1e-5
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_gradcheck_fails_on_non_finite_errors(capsys):
+    # a step of 1e300 overflows the difference quotients; the check must
+    # fail rather than report them as a zero error
+    rc = cli.main(["gradcheck", "--loops", "4", "--h", "1e300"])
+    assert rc == cli.EXIT_INCONCLUSIVE
+    line = capsys.readouterr().out.strip().splitlines()[-1]
+    payload = json.loads(line, parse_constant=_refuse_constant)
+    assert payload["max_rel_error"] is None
 
 
 def test_oracle_larmor_subcommand(capsys):

@@ -159,14 +159,14 @@ def test_benchmark_implied_energies_consistent(plane_bench):
 
 
 def test_run_makes_one_solve_per_step(monkeypatch):
-    # step 0 solves without the cutoff, so it is the bootstrap: its level is
-    # c_ref and no extra solve precedes it
+    # step 0 is the bootstrap: its level is c_ref and no extra solve
+    # precedes it
     calls = []
     engine = continuation._engine
 
-    def counting(spec, rows, params, cut, settings):
-        calls.append(cut)
-        return engine(spec, rows, params, cut, settings)
+    def counting(spec, rows, params, settings):
+        calls.append(params)
+        return engine(spec, rows, params, settings)
 
     monkeypatch.setattr(continuation, "_engine", counting)
     spec = GeometrySpec(GeometryKind.PLANE_CONSTANT_B, B=1.0)
@@ -175,6 +175,5 @@ def test_run_makes_one_solve_per_step(monkeypatch):
         spec, 1.0, "path", schedule, DescentSettings(), n_vertices=48,
         family_size=9)
     assert len(calls) == schedule.n_steps == len(records)
-    assert calls[0] is None
-    assert all(cut.c_ref == c_ref for cut in calls[1:])
+    assert [(p.eps, p.tau) for p in calls] == schedule.pairs()
     assert records[0].level == c_ref

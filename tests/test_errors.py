@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from magloop import cli
-from magloop import (ActionParams, ChartPoint, ConfigError, CutoffSpec,
+from magloop import (ActionParams, ChartPoint, ConfigError,
                      DescentSettings, FlowState, GeometryKind, GeometrySpec,
                      InvalidOracleInput, Loop, LoopFamily, MagloopError,
                      Schedule, action_S, el_residual_SE, implied_energy, init_sweep_family, integrate_flow,
@@ -27,7 +27,6 @@ BAD_ARGUMENTS = {
     "ActionParams.eps": lambda: ActionParams(eps=math.nan),
     "ActionParams.tau": lambda: ActionParams(tau=1.0),
     "ActionParams.delta": lambda: ActionParams(delta=-1e-9),
-    "CutoffSpec.c_ref": lambda: CutoffSpec(c_ref=math.inf),
     "action_S.E": lambda: action_S(PLANE, CIRCLE, math.nan),
     "Schedule.eps0": lambda: Schedule(eps0=0.0, tau0=0.0, rho=0.5,
                                       n_steps=3),

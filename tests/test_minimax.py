@@ -10,18 +10,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from magloop import (CutoffSpec, DescentSettings, GeometryKind, GeometrySpec,
-                     Loop, Schedule, action_S, action_S_eps_tau,
-                     continuation_run, family_minimax, init_sweep_family,
-                     length, make_circle, make_point_loop, speed_cv)
+from magloop import (DescentSettings, GeometryKind, GeometrySpec, Loop,
+                     Schedule, action_S, action_S_eps_tau, continuation_run,
+                     family_minimax, init_sweep_family, length, make_circle,
+                     make_point_loop, speed_cv)
 from magloop import cli, minimax
-from magloop.action import (ActionParams, action_F_cutoff, action_pair,
-                            cutoff_f, grad_action, grad_norm, values)
+from magloop.action import ActionParams, grad_action, grad_norm, values
 from magloop.errors import NoNegativeLoopFound
 from magloop.loops import interpolate
 from magloop.minimax import (_PLATEAU_SWEEPS, _bounded_min, _descend,
-                             _reinterp_row, _saddle_refine, _segment_polish,
-                             _value)
+                             _reinterp_row, _saddle_refine, _segment_polish)
 
 PLANE = GeometrySpec(GeometryKind.PLANE_CONSTANT_B, B=1.0)
 
@@ -45,23 +43,22 @@ def test_descend_decreases_value_and_shrinks_subcritical_circle():
     params = ActionParams(E=1.0, eps=1e-2)
     start = make_circle((0.0, 0.0), 0.5, -1, 64)
     val = action_S_eps_tau(PLANE, start, params)
-    out, out_val = _descend(PLANE, start, params, None, DescentSettings(),
-                            400, val)
+    out, out_val = _descend(PLANE, start, params, DescentSettings(), 400,
+                            val)
     assert out_val == action_S_eps_tau(PLANE, out, params) < val
     assert length(PLANE, out) < 0.2 * length(PLANE, start)
 
 
-def test_descend_converges_on_frozen_terminal_loop():
-    # below the cutoff window the functional is identically zero, so a
-    # negative-action loop is already critical and must come back unchanged
-    cut = CutoffSpec(c_ref=3.0)
-    params = ActionParams(E=1.0, eps=1e-2, tau=1e-2)
-    big = make_circle((0.0, 0.0), 4.0, -1, 64)
-    assert action_S(PLANE, big, 1.0) < 0.0
-    assert action_F_cutoff(PLANE, big, params, cut) == 0.0
-    out, out_val = _descend(PLANE, big, params, cut, DescentSettings(), 400,
-                            0.0)
-    assert out is big and out_val == 0.0
+def test_descend_returns_a_critical_loop_unchanged():
+    # the discrete stationary circle of S_E meets grad_tol, so descent takes
+    # no step and hands back the very loop and value
+    params = ActionParams(E=1.0)
+    n = 64
+    circle = make_circle((0.0, 0.0), 1.0 / math.cos(math.pi / n), -1, n)
+    val = action_S_eps_tau(PLANE, circle, params)
+    out, out_val = _descend(PLANE, circle, params, DescentSettings(), 400,
+                            val)
+    assert out is circle and out_val == val
 
 
 def test_descend_returns_the_value_of_its_loop():
@@ -71,14 +68,12 @@ def test_descend_returns_the_value_of_its_loop():
     settings = DescentSettings()
     row = init_sweep_family(PLANE, 1.0, "path", 9, 48).rows[0]
     moved = 0
-    for cut in (None, CutoffSpec(c_ref=3.0)):
-        for lp in row[1:]:
-            val = _value(PLANE, lp, params, cut)
-            out, out_val = _descend(PLANE, lp, params, cut, settings, 2,
-                                    val)
-            assert out_val == _value(PLANE, out, params, cut)
-            assert out_val <= val
-            moved += out is not lp
+    for lp in row[1:]:
+        val = action_S_eps_tau(PLANE, lp, params)
+        out, out_val = _descend(PLANE, lp, params, settings, 2, val)
+        assert out_val == action_S_eps_tau(PLANE, out, params)
+        assert out_val <= val
+        moved += out is not lp
     assert moved > 0
 
 
@@ -95,9 +90,7 @@ def _stacks(draw):
     params = ActionParams(E=draw(st.floats(0.1, 4.0)),
                           eps=draw(st.floats(0.0, 0.5)),
                           tau=draw(st.floats(0.0, 0.9)))
-    cut = draw(st.one_of(st.none(), st.builds(CutoffSpec,
-                                              st.floats(1e-2, 1e2))))
-    return spec, v, w, params, cut, draw(st.floats(0.0, 1.0))
+    return spec, v, w, params, draw(st.floats(0.0, 1.0))
 
 
 def _hex(x):
@@ -108,54 +101,46 @@ def _hex(x):
 def test_stacked_values_equal_single_loop_values(case):
     # the value table and the segment polish evaluate raw vertex arrays;
     # each value must be the bits the one-loop functionals give
-    spec, v, w, params, cut, t = case
-    s0, s1 = values(spec, v, w, params)
+    spec, v, w, params, t = case
+    stacked = values(spec, v, w, params)
     rows = [Loop(vk, w) for vk in v]
     for k, lp in enumerate(rows):
-        one = values(spec, v[k], w, params)
-        assert (s0[k].tobytes(), s1[k].tobytes()) == \
-            (one[0].tobytes(), one[1].tobytes())
-        assert (_hex(s0[k]), _hex(s1[k])) == \
-            tuple(map(_hex, action_pair(spec, lp, params)))
+        assert stacked[k].tobytes() == values(spec, v[k], w, params).tobytes()
+        assert _hex(stacked[k]) == _hex(action_S_eps_tau(spec, lp, params))
 
     # the polish's value of a raw interpolated vertex array
     a, b = rows[0], rows[-1]
-    r0, r1 = values(spec, (1.0 - t) * v[0] + t * v[-1], w, params)
-    if cut is None:
-        assert _hex(r1) == _hex(action_S_eps_tau(spec, interpolate(a, b, t),
-                                                 params))
-    else:
-        assert _hex(cutoff_f(r0, cut) * r1) == _hex(action_F_cutoff(
-            spec, interpolate(a, b, t), params, cut))
+    assert _hex(values(spec, (1.0 - t) * v[0] + t * v[-1], w, params)) == \
+        _hex(action_S_eps_tau(spec, interpolate(a, b, t), params))
 
     # the polish, against the same screened search over interpolate's loops
-    val = _value(spec, rows[1], params, cut)
-    best_loop, best_val = _reference_polish(spec, rows, 1, params, cut, val,
+    val = action_S_eps_tau(spec, rows[1], params)
+    best_loop, best_val = _reference_polish(spec, rows, 1, params, val,
                                             screen=True)
-    loop, pval = _segment_polish(spec, rows, 1, params, cut, val)
+    loop, pval = _segment_polish(spec, rows, 1, params, val)
     assert _hex(pval) == _hex(best_val)
     assert loop.vertices.tobytes() == best_loop.vertices.tobytes()
 
 
-def _downhill(spec, row, idx, params, cut):
+def _downhill(spec, row, idx, params):
     """Per segment next to row[idx] (left first), whether the functional
     leaves row[idx] strictly downhill into it."""
-    g = grad_action(spec, row[idx], params, cut)
+    g = grad_action(spec, row[idx], params)
     return [np.vdot(g, row[j].vertices - row[idx].vertices) < 0.0
             for j in (idx - 1, idx + 1) if 0 <= j < len(row)]
 
 
-def _reference_polish(spec, row, idx, params, cut, val, screen):
+def _reference_polish(spec, row, idx, params, val, screen):
     """The segment polish over interpolate's loops: a bounded search on each
     segment next to row[idx], with ``screen`` skipping the downhill ones."""
     best_loop, best_val = row[idx], val
     segments = [(a, a + 1) for a in (idx - 1, idx) if 0 <= a < len(row) - 1]
-    for (a, b), down in zip(segments, _downhill(spec, row, idx, params, cut)):
+    for (a, b), down in zip(segments, _downhill(spec, row, idx, params)):
         if screen and down:
             continue
         la, lb = row[a], row[b]
         x, fun = _bounded_min(
-            lambda u: -_value(spec, interpolate(la, lb, u), params, cut),
+            lambda u: -action_S_eps_tau(spec, interpolate(la, lb, u), params),
             0.0, 1.0, 1e-10)
         if -fun > best_val:
             best_loop, best_val = interpolate(la, lb, x), float(-fun)
@@ -173,14 +158,14 @@ def test_segment_screen_is_exact_on_real_families(spec, E, monkeypatch):
     polish = minimax._segment_polish
     skipped = []
 
-    def checked(spec, row, idx, params, cut, val):
-        loop, pval = polish(spec, row, idx, params, cut, val)
-        ref_loop, ref_val = _reference_polish(spec, row, idx, params, cut,
-                                              val, screen=False)
+    def checked(spec, row, idx, params, val):
+        loop, pval = polish(spec, row, idx, params, val)
+        ref_loop, ref_val = _reference_polish(spec, row, idx, params, val,
+                                              screen=False)
         assert _hex(pval) == _hex(ref_val)
         assert loop.vertices.tobytes() == ref_loop.vertices.tobytes()
         assert np.array_equal(loop.windings, ref_loop.windings)
-        skipped.append(sum(_downhill(spec, row, idx, params, cut)))
+        skipped.append(sum(_downhill(spec, row, idx, params)))
         return loop, pval
 
     monkeypatch.setattr(minimax, "_segment_polish", checked)
@@ -196,12 +181,12 @@ def test_segment_polish_searches_a_zero_slope_segment():
     params = ActionParams()
     row = [make_point_loop((0.0, 0.0), 32), make_circle((0.0, 0.0), 3.0, -1,
                                                         32)]
-    val = _value(PLANE, row[0], params, None)
-    assert val > _value(PLANE, row[1], params, None)
-    assert not grad_action(PLANE, row[0], params, None).any()
-    assert _downhill(PLANE, row, 0, params, None) == [False]
-    loop, pval = _segment_polish(PLANE, row, 0, params, None, val)
-    ref_loop, ref_val = _reference_polish(PLANE, row, 0, params, None, val,
+    val = action_S_eps_tau(PLANE, row[0], params)
+    assert val > action_S_eps_tau(PLANE, row[1], params)
+    assert not grad_action(PLANE, row[0], params).any()
+    assert _downhill(PLANE, row, 0, params) == [False]
+    loop, pval = _segment_polish(PLANE, row, 0, params, val)
+    ref_loop, ref_val = _reference_polish(PLANE, row, 0, params, val,
                                           screen=False)
     assert pval > 3.0 and _hex(pval) == _hex(ref_val)
     assert loop.vertices.tobytes() == ref_loop.vertices.tobytes()
@@ -216,13 +201,13 @@ def test_segment_polish_skips_both_segments_at_a_strict_maximum(monkeypatch):
     row = [make_circle((-0.3, 0.0), 0.45, 1, 32),
            make_circle((0.0, 0.0), 0.5, 1, 32),
            make_circle((0.3, 0.1), 0.4, 1, 32)]
-    val = _value(PLANE, row[1], params, None)
-    assert _downhill(PLANE, row, 1, params, None) == [True, True]
+    val = action_S_eps_tau(PLANE, row[1], params)
+    assert _downhill(PLANE, row, 1, params) == [True, True]
     evaluated = []
     stacked = minimax.values
     monkeypatch.setattr(minimax, "values",
                         lambda *args: evaluated.append(1) or stacked(*args))
-    loop, pval = _segment_polish(PLANE, row, 1, params, None, val)
+    loop, pval = _segment_polish(PLANE, row, 1, params, val)
     assert loop is row[1] and pval == val
     assert evaluated == []
 
@@ -235,13 +220,13 @@ def test_segment_polish_refuses_segments_of_different_windings():
     w[-1, 0] = 1
     wound = Loop(a.vertices + 0.1, w)
     with pytest.raises(ValueError, match="windings"):
-        _segment_polish(PLANE, [a, wound], 0, ActionParams(), None,
-                        _value(PLANE, a, ActionParams(), None))
+        _segment_polish(PLANE, [a, wound], 0, ActionParams(),
+                        action_S_eps_tau(PLANE, a, ActionParams()))
     shrunk = Loop(0.5 * a.vertices, w)
-    assert _downhill(PLANE, [a, shrunk], 0, ActionParams(), None) == [True]
+    assert _downhill(PLANE, [a, shrunk], 0, ActionParams()) == [True]
     with pytest.raises(ValueError, match="windings"):
-        _segment_polish(PLANE, [a, shrunk], 0, ActionParams(), None,
-                        _value(PLANE, a, ActionParams(), None))
+        _segment_polish(PLANE, [a, shrunk], 0, ActionParams(),
+                        action_S_eps_tau(PLANE, a, ActionParams()))
 
 
 def test_plane_larmor_run_evaluates_few_loops(tmp_path, monkeypatch):
@@ -281,16 +266,16 @@ def test_reinterp_row_reports_the_values_of_its_row():
     row = [base[0]] + [interpolate(base[0], base[-1], t)
                        for t in (0.05, 0.1, 0.2, 0.4, 0.6, 0.7, 0.9)] + \
         [base[-1]]
-    vals = [_value(PLANE, lp, params, None) for lp in row]
+    vals = [action_S_eps_tau(PLANE, lp, params) for lp in row]
     reported = list(vals)
-    out = _reinterp_row(PLANE, row, params, None, math.inf, reported)
+    out = _reinterp_row(PLANE, row, params, math.inf, reported)
     assert out is not row
-    assert reported == [_value(PLANE, lp, params, None) for lp in out]
+    assert reported == [action_S_eps_tau(PLANE, lp, params) for lp in out]
     # a guard just below the highest proposal rejects the row: the very row
     # comes back and its values are left alone
     for guard in (max(reported) - 1e-3, min(vals) - 1.0):
         again = list(vals)
-        out = _reinterp_row(PLANE, row, params, None, guard, again)
+        out = _reinterp_row(PLANE, row, params, guard, again)
         assert out is row and again == vals
 
 
@@ -451,7 +436,7 @@ def test_saddle_refine_stops_at_grad_tol(monkeypatch):
     g = res.grad_norm
     assert g > 0.0
     monkeypatch.setattr(minimax, "_fd_hessian", _no_call)
-    loop, gn = _saddle_refine(PLANE, res.argmax, params, None,
+    loop, gn = _saddle_refine(PLANE, res.argmax, params,
                               DescentSettings(grad_tol=2.0 * g))
     assert np.array_equal(loop.vertices, res.argmax.vertices)
     assert gn == pytest.approx(g, rel=1e-12)
