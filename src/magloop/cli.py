@@ -34,15 +34,16 @@ from .continuation import (BETA_FRAC, FAMILY_SIZE, M_P, N_VERTICES,
                            Classification, ConvergedExtremal,
                            DivergingLengths, Inconclusive, Schedule,
                            continuation_run)
-from .dynamics import (FlowState, _norm_sq, integrate_flow,
+from .dynamics import (MAX_RETURN_STEPS, FlowState, _norm_sq, integrate_flow,
                        write_trajectory_csv)
 from .errors import (ConfigError, NoNegativeLoopFound, _check_keys, _number,
                      _require)
 from .geometry import ChartPoint, GeometryKind, GeometrySpec
 from .loops import Loop, save_loop_csv
 from .minimax import DescentSettings, family_minimax, init_sweep_family
-from .oracle import (_state_gap, circle_action_profile, fd_gradient,
-                     larmor_orbit, orbit_to_loop, shooting_periodic)
+from .oracle import (_LOOP_OVERSAMPLE, _state_gap, circle_action_profile,
+                     fd_gradient, larmor_orbit, orbit_to_loop,
+                     shooting_periodic)
 
 OUTPUT_ROOT_ENV = "MAGLOOP_OUTPUT_ROOT"
 
@@ -409,6 +410,10 @@ def _cmd_oracle(args) -> int:
         spec = _geometry_from_args(args)
         if args.n < 3 or args.seeds < 1:
             raise ConfigError("shoot needs --n >= 3 and --seeds >= 1")
+        if args.n * _LOOP_OVERSAMPLE > MAX_RETURN_STEPS:
+            raise ConfigError(
+                f"--n {args.n} exceeds {MAX_RETURN_STEPS // _LOOP_OVERSAMPLE}"
+                f" ({_LOOP_OVERSAMPLE} RK4 steps per loop vertex)")
         rng = np.random.default_rng(args.seed)
         seeds = []
         for _ in range(args.seeds):

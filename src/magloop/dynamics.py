@@ -52,6 +52,10 @@ from .geometry import (TWO_PI, ChartPoint, GeometryKind, GeometrySpec,
 from .loops import Loop, resample_arclength, speed_cv
 
 _UNIFORM_CV = 1e-9
+# upper bound on the RK4 steps of one integration: integrate_flow's steps
+# and one shooting return search's period_cap / dt (the shipped runs take
+# 256 to 10,000 and 600 to 2,000); a trajectory row is 32 bytes
+MAX_RETURN_STEPS = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -174,8 +178,8 @@ def integrate_flow(spec: GeometrySpec, state: FlowState, T: float,
     needed.  A trajectory with a non-finite entry, such as a state thrown
     to infinity, raises ValueError.
     """
-    if steps < 1:
-        raise ConfigError("steps must be positive")
+    if not 1 <= steps <= MAX_RETURN_STEPS:
+        raise ConfigError(f"steps must be in [1, {MAX_RETURN_STEPS}]")
     if not (0 < T < math.inf):
         raise ConfigError("T must be finite and positive")
     h = T / steps

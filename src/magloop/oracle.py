@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action import ActionParams, action_S, action_S_eps_tau
-from .dynamics import (FlowState, _build_rhs, _norm_sq, _rk4, integrate_flow,
-                       kinetic_energy)
+from .dynamics import (MAX_RETURN_STEPS, FlowState, _build_rhs, _norm_sq,
+                       _rk4, integrate_flow, kinetic_energy)
 from .errors import InvalidOracleInput
 from .geometry import ChartPoint, GeometryKind, GeometrySpec, torus_gap
 from .loops import Loop, make_circle
@@ -24,9 +24,8 @@ __all__ = [
     "OrbitCandidate", "shooting_periodic", "orbit_to_loop",
 ]
 
-# upper bound on the RK4 steps of one return search, period_cap / dt; the
-# shipped searches take 600 to 2,000
-MAX_RETURN_STEPS = 10 ** 6
+# flow samples per vertex of orbit_to_loop's n-gon
+_LOOP_OVERSAMPLE = 8
 # orbit samples and point-set distance below which two candidates are merged
 _DEDUP_PROBE = 256
 _DEDUP_TOL = 1e-3
@@ -143,28 +142,29 @@ def _first_return(spec, y0, p_base, nhat, dt, t_cap):
     """First same-direction crossing of the section through p_base with
     normal nhat, after a short blanking interval.  Returns (t, y) or None.
 
-    The field is built once and the RK4 loop runs on float tuples; the
-    crossing is bisected in the step that brackets it.  A state thrown to
-    infinity raises ValueError, as integrate_flow does.
+    The field is built once and the RK4 loop steps four floats; the
+    crossing is bisected from the start of the step that brackets it, and
+    the sign change is tested first, as it fails on almost every step.  A
+    state thrown to infinity raises ValueError, as integrate_flow does.
     """
     rhs = _build_rhs(spec)
     wrap = spec.is_torus
     bx, by = p_base.tolist()
     nx, ny = nhat.tolist()
-    y = tuple(y0.tolist())
-    h_y = _section_offset(spec, y[0] - bx, y[1] - by, nx, ny)
+    px, py, vx, vy = y0.tolist()
+    h_y = _section_offset(spec, px - bx, py - by, nx, ny)
     t, blank = 0.0, 2.0 * dt
     steps = int(math.ceil(t_cap / dt))
     try:
         for _ in range(steps):
-            y_next = _rk4(rhs, *y, dt)
-            px, py, vx, vy = y_next
+            y = px, py, vx, vy
+            px, py, vx, vy = _rk4(rhs, px, py, vx, vy, dt)
             dx, dy = px - bx, py - by
             if wrap:
                 dx -= round(dx)
                 dy -= round(dy)
             h_next = dx * nx + dy * ny
-            if t > blank and h_y < 0.0 <= h_next and vx * nx + vy * ny > 0.0:
+            if h_y < 0.0 <= h_next and t > blank and vx * nx + vy * ny > 0.0:
                 lo, hi, ylo = 0.0, dt, y
                 for _ in range(60):
                     mid = 0.5 * (lo + hi)
@@ -178,7 +178,7 @@ def _first_return(spec, y0, p_base, nhat, dt, t_cap):
                         break
                 return (t + 0.5 * (lo + hi),
                         np.array(_rk4(rhs, *ylo, 0.5 * (hi - lo))))
-            y, h_y, t = y_next, h_next, t + dt
+            h_y, t = h_next, t + dt
     except OverflowError:  # round or math.floor of an infinite position
         raise ValueError("v must be finite") from None
     return None
@@ -195,14 +195,15 @@ def shooting_periodic(spec: GeometrySpec, E_mech: float, seed_grid,
     along the section, launch angle) is driven to a fixed point by a damped
     finite-difference Newton iteration; least-squares solves tolerate the
     singular directions produced by continuous symmetries (a translated
-    orbit is equally periodic).  A step must shrink the return gap: the
-    first one that does not ends the iteration and the best launch found is
-    kept.  (The finite-difference Jacobian is noisier than the 1e-12 gap
-    test, so past the best iterate the steps only wander.)  A refined orbit
+    orbit is equally periodic).  The polish stops once the return gap is
+    below tol/10, where the launch already closes to the caller's
+    tolerance, or at the first step that does not shrink the gap, where
+    the finite-difference Jacobian's noise makes the steps wander; the best
+    launch found is kept.  It must still close below tol: a refined orbit
     whose full phase-space gap after one return is below tol becomes a
     candidate; near-duplicates (close periods and close point sets, see
-    _dedup_candidates) are merged.  The list may be empty; that is evidence against
-    a periodic orbit near the seeds at this resolution.
+    _dedup_candidates) are merged.  The list may be empty; that is evidence
+    against a periodic orbit near the seeds at this resolution.
     """
     if not (math.isfinite(E_mech) and E_mech > 0):
         raise InvalidOracleInput("E_mech must be positive and finite")
@@ -246,7 +247,7 @@ def shooting_periodic(spec: GeometrySpec, E_mech: float, seed_grid,
         t_cap = min(period_cap, 1.6 * t_cross + 4.0 * dt)
         gap = float(np.linalg.norm(gap_vec))
         for _ in range(_NEWTON_ITERS):
-            if gap < 1e-12:
+            if gap < 0.1 * tol:
                 break
             fd = 1e-7
             J = np.empty((2, 2))
@@ -355,9 +356,9 @@ def _dedup_candidates(spec, candidates):
 def orbit_to_loop(spec: GeometrySpec, cand: OrbitCandidate, n: int) -> Loop:
     """Sample a candidate orbit into an n-gon Loop (torus windings recovered
     from the net chart drift over one period)."""
-    oversample = 8
-    pts = integrate_flow(spec, cand.state, cand.period, n * oversample)[:, :2]
-    verts = pts[:-1:oversample]
+    pts = integrate_flow(spec, cand.state, cand.period,
+                         n * _LOOP_OVERSAMPLE)[:, :2]
+    verts = pts[:-1:_LOOP_OVERSAMPLE]
     w = np.zeros((n, 2), dtype=int)
     if spec.is_torus:
         w[-1] = np.round(pts[-1] - pts[0]).astype(int)

@@ -12,10 +12,10 @@ import sys
 import numpy as np
 import pytest
 
-from magloop import cli
+from magloop import cli, dynamics, oracle
 from magloop.continuation import (ConvergedExtremal, DivergingLengths,
                                   Inconclusive)
-from magloop.dynamics import ResidualReport
+from magloop.dynamics import MAX_RETURN_STEPS, ResidualReport
 from magloop.errors import ConfigError
 from magloop.geometry import GeometryKind, GeometrySpec
 from magloop.loops import load_loop_csv, make_circle
@@ -419,19 +419,19 @@ def test_config_size_bound_counts_rows_only_for_cylinders():
     assert cli.parse_config_dict(cfg).n_vertices == 10_000
 
 
-def _run_python(code, *args, env=None):
+def _run_python(*argv, env=None):
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", code, *args],
+    return subprocess.run([sys.executable, *argv],
                           env={**os.environ, **(env or {}),
                                "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=300)
 
 
 def test_import_does_not_load_scipy():
-    proc = _run_python("import sys, magloop, magloop.cli; "
-                       "print(sorted(m for m in sys.modules "
-                       "if m.split('.')[0] == 'scipy'))")
+    proc = _run_python("-c", "import sys, magloop, magloop.cli; "
+                             "print(sorted(m for m in sys.modules "
+                             "if m.split('.')[0] == 'scipy'))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
@@ -453,10 +453,17 @@ sys.exit(cli.main(sys.argv[1:]))
 """
 
 
+def test_python_m_magloop_runs_the_cli():
+    proc = _run_python("-m", "magloop", "oracle", "larmor", "--E", "1",
+                       "--B", "1")
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    assert json.loads(proc.stdout)["level"] == math.pi
+
+
 def test_run_needs_no_scipy(tmp_path):
     # criterion 12's run, in a process where any scipy import fails
     cfg = {**_base_config(n_steps=3), "seed": 7}
-    proc = _run_python(_WITHOUT_SCIPY, "run", "--config",
+    proc = _run_python("-c", _WITHOUT_SCIPY, "run", "--config",
                        _write_config(tmp_path, cfg),
                        env={cli.OUTPUT_ROOT_ENV: str(tmp_path)})
     assert proc.returncode == cli.EXIT_INCONCLUSIVE, proc.stderr
@@ -639,6 +646,35 @@ def test_oracle_shoot_rejects_bad_sizes(argv, tmp_path, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and "config error" in captured.err
     assert not (tmp_path / "oracle_out").exists()
+
+
+class _Integrated(Exception):
+    pass
+
+
+@pytest.mark.parametrize("argv, limit, out", [
+    (["flow", "--speed", "1", "--T", "1", "--steps"], MAX_RETURN_STEPS,
+     "flow_out"),
+    # orbit_to_loop integrates 8 n steps; refused before the search runs
+    (["oracle", "shoot", "--kind", "flat_torus_sine", "--a", "3.0",
+      "--E-mech", "0.01", "--seeds", "1", "--period-cap", "0.6", "--n"],
+     MAX_RETURN_STEPS // oracle._LOOP_OVERSAMPLE, "oracle_out"),
+], ids=["flow_steps", "shoot_n"])
+def test_sizes_over_the_step_bound_are_refused(argv, limit, out, tmp_path,
+                                               monkeypatch, capsys):
+    # every RK4 step raises, so a run past the bound never starts
+    def no_step(*args):
+        raise _Integrated
+
+    monkeypatch.setattr(dynamics, "_rk4", no_step)
+    monkeypatch.setattr(oracle, "_rk4", no_step)
+    monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+    assert cli.main([*argv, str(limit + 1)]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and "config error" in captured.err
+    assert not (tmp_path / out).exists()
+    with pytest.raises(_Integrated):  # the bound itself is admitted
+        cli.main([*argv, str(limit)])
 
 
 @pytest.mark.parametrize("argv", [

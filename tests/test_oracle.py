@@ -192,14 +192,9 @@ def test_torus_candidate_matches_local_larmor(torus_cross):
     assert abs(length(spec, loop) - cand.period * speed) < 1e-3
 
 
-def test_shooting_newton_keeps_its_best_iterate(criterion10_seeds,
-                                                monkeypatch):
-    # The finite-difference Jacobian is noisier than the 1e-12 gap test, so
-    # the Newton iteration rarely stops on it.  Stopping at the first step
-    # that does not shrink the return gap keeps the best launch: every seed
-    # closes far below tol, in 46 return searches.  Running all the
-    # iterations and keeping the last iterate takes 148 searches and leaves
-    # two of the four seeds above tol.
+def _recorded_shooting(seeds, tol, monkeypatch):
+    """Criterion 10's sine-torus search at tol: (return searches,
+    pre-dedup candidates, kept candidates)."""
     returns = 0
     before_dedup = []
     first_return, dedup = oracle._first_return, oracle._dedup_candidates
@@ -213,13 +208,49 @@ def test_shooting_newton_keeps_its_best_iterate(criterion10_seeds,
         before_dedup.extend(candidates)
         return dedup(spec, candidates)
 
-    monkeypatch.setattr(oracle, "_first_return", counted_return)
-    monkeypatch.setattr(oracle, "_dedup_candidates", recorded_dedup)
-    shooting_periodic(SINE_TORUS, 0.01, criterion10_seeds, period_cap=0.6,
-                      tol=1e-8, dt=1e-3)
+    with monkeypatch.context() as mp:
+        mp.setattr(oracle, "_first_return", counted_return)
+        mp.setattr(oracle, "_dedup_candidates", recorded_dedup)
+        kept = shooting_periodic(SINE_TORUS, 0.01, seeds, period_cap=0.6,
+                                 tol=tol, dt=1e-3)
+    return returns, before_dedup, kept
+
+
+def test_shooting_newton_keeps_its_best_iterate(criterion10_seeds,
+                                                monkeypatch):
+    # The polish stops once the return gap is below tol/10: on these seeds
+    # every later step cost three return searches and was rejected, as the
+    # finite-difference Jacobian is noisier than such a gap.  Stopping also
+    # at the first step that does not shrink the gap keeps the best launch:
+    # every seed closes far below tol, in 34 return searches.  Running all the
+    # iterations and keeping the last iterate takes 148 searches and leaves
+    # two of the four seeds above tol.
+    returns, before_dedup, _ = _recorded_shooting(criterion10_seeds, 1e-8,
+                                                  monkeypatch)
     assert len(before_dedup) == len(criterion10_seeds)
     assert all(c.closure_residual < 1e-10 for c in before_dedup)
-    assert returns <= 60
+    assert returns == 34
+    assert [(c.period.hex(), c.closure_residual.hex())
+            for c in before_dedup] == [
+        ("0x1.5585f07b8e7bap-2", "0x1.01996d0d957bep-36"),
+        ("0x1.5585f07b9adbep-2", "0x1.230b02cf89dc8p-36"),
+        ("0x1.5585f07c236c4p-2", "0x1.92dab517ba8cdp-34"),
+        ("0x1.5585f07bac3efp-2", "0x1.9baad3775d6dap-36"),
+    ]
+
+
+def test_shooting_stops_the_polish_at_a_tenth_of_a_loose_tol(
+        criterion10_seeds, monkeypatch):
+    # at tol = 1e-4 two seeds stop polishing earlier: fewer searches, and
+    # each candidate still closes below the caller's tol on the same orbit
+    tight, _, _ = _recorded_shooting(criterion10_seeds, 1e-8, monkeypatch)
+    loose, before_dedup, kept = _recorded_shooting(criterion10_seeds, 1e-4,
+                                                   monkeypatch)
+    assert loose < tight
+    assert len(before_dedup) == len(criterion10_seeds)
+    assert all(c.closure_residual < 1e-4 for c in before_dedup)
+    assert len(kept) == 1
+    assert abs(kept[0].period - 0.3335187507) <= 1e-6 * 0.3335187507
 
 
 _HALF_WRAP = st.builds(
