@@ -19,8 +19,8 @@ from .dynamics import (FlowState, ResidualReport, el_residual_SE,
                        integrate_flow, kinetic_energy)
 from .errors import (ConfigError, DegenerateLoop, InvalidOracleInput,
                      MagloopError, NoNegativeLoopFound, NotConcatenable)
-from .geometry import (ChartPoint, GeometryKind, GeometrySpec, christoffel,
-                       field_F, field_strength, metric_eval, potential_eval)
+from .geometry import (ChartPoint, GeometryKind, GeometrySpec, field_strength,
+                       potential_eval)
 from .loops import (Loop, LoopFamily, concat, length, load_loop_csv,
                     make_circle, make_point_loop, resample_arclength,
                     save_loop_csv, speed_cv, speeds)

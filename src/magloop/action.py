@@ -15,13 +15,13 @@ floor.
 
 Gradients are exact derivatives of these discrete sums (midpoint metric and
 potential, forward-difference edges), not discretizations of a continuum
-formula; finite differences of the values reproduce them to roundoff.  On
-the flat kinds (plane_constant_B, flat_torus_sine) the metric is the
-identity and its derivative vanishes, so the derivatives of the quadratic
-form q_j = d_j . g . d_j with respect to the edge's two end vertices are
--2 d_j and 2 d_j, formed without metric tensors; they equal the tensor
-formula bit for bit.  ``values`` takes vertex stacks (..., N, 2) through the
-same edge kernel.
+formula; finite differences of the values reproduce them to roundoff.  With
+g = lam delta (lam = exp(2u), a function of x), the quadratic form
+q_j = lam |d_j|^2 has derivatives -2 lam d_j + h_j and 2 lam d_j + h_j at
+the edge's start and end, h_j = (d_x lam |d_j|^2 / 2, 0); on the flat kinds
+lam = 1 and h_j = 0.  The chart fields are contracted by hand, each product
+rounded as in the tensor formula.  ``values`` takes vertex stacks
+(..., N, 2) through the same edge kernel.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import GeometrySpec, metric_grad, potential_eval, potential_jac
+from .geometry import (GeometrySpec, conformal_exponent, potential_dA,
+                       potential_eval)
 from .loops import Loop, edge_geometry
 
 
@@ -112,7 +113,7 @@ def grad_action(spec: GeometrySpec, loop: Loop,
     defined on torus loops in any covering representative.
     """
     n = loop.n
-    d, m, g, ell = edge_geometry(spec, loop.vertices, loop.windings)
+    d, m, lam, ell = edge_geometry(spec, loop.vertices, loop.windings)
     rootE = math.sqrt(params.E)
     s = rootE * n * ell
     A = potential_eval(spec, m)
@@ -127,19 +128,21 @@ def grad_action(spec: GeometrySpec, loop: Loop,
     dsdq = np.zeros_like(ell)
     dsdq[pos] = rootE * n / (2.0 * ell[pos])
 
-    if g is None:
-        # flat kinds: g = identity, dg = 0
+    dx, dy = d[:, 0], d[:, 1]
+    if spec.is_flat:
         dq_da = -2.0 * d
         dq_db = 2.0 * d
     else:
-        gd = np.einsum("nij,nj->ni", g, d)
-        dG = metric_grad(spec, m)
-        T = np.einsum("nkij,ni,nj->nk", dG, d, d)
-        dq_da = -2.0 * gd + 0.5 * T
-        dq_db = 2.0 * gd + 0.5 * T
+        gd = lam[:, None] * d
+        dlam = 2.0 * conformal_exponent(spec, m)[1] * lam
+        half_T = 0.5 * ((dlam * dx) * dx + (dlam * dy) * dy)
+        dq_da = -2.0 * gd
+        dq_db = 2.0 * gd
+        dq_da[:, 0] += half_T
+        dq_db[:, 0] += half_T
 
-    J = potential_jac(spec, m)
-    half_Jd = 0.5 * np.einsum("nki,ni->nk", J, d)
+    dxAy, dyAx = potential_dA(spec, m)
+    half_Jd = np.stack((0.5 * (dxAy * dy), 0.5 * (dyAx * dx)), axis=1)
 
     # vertex j collects the a-end of edge j and the b-end of edge j-1
     coef = (w1 * dsdq)[:, None]

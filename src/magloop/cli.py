@@ -58,6 +58,16 @@ MAX_FAMILY_VERTICES = 10 ** 7
 # upper bound on action.n_steps: with rho = 0.5 and eps0 = 1e-2, eps falls
 # below 1e-300 before step 1000
 MAX_STEPS = 1000
+# upper bounds on the reference subcommands (defaults in brackets): oracle
+# profile evaluates one n-gon per grid radius, so points * n <= 10^8
+# vertices [201, 256]; gradcheck's finite differences take 4 n action values
+# of n edges per loop [50 loops of 32]; each oracle shoot seed is one Newton
+# search of up to 3 * oracle._NEWTON_ITERS return searches [5]
+MAX_PROFILE_POINTS = 10 ** 4
+MAX_PROFILE_N = 10 ** 4
+MAX_GRADCHECK_LOOPS = 1000
+MAX_GRADCHECK_N = 512
+MAX_SHOOT_SEEDS = 1000
 
 
 @dataclasses.dataclass(frozen=True)
@@ -345,8 +355,10 @@ def _random_loop(rng, spec, n):
 
 
 def _cmd_gradcheck(args) -> int:
-    if args.loops < 1 or args.n < 3:
-        raise ConfigError("gradcheck needs --loops >= 1 and --n >= 3")
+    if not 1 <= args.loops <= MAX_GRADCHECK_LOOPS:
+        raise ConfigError(f"--loops must be in [1, {MAX_GRADCHECK_LOOPS}]")
+    if not 3 <= args.n <= MAX_GRADCHECK_N:
+        raise ConfigError(f"--n must be in [3, {MAX_GRADCHECK_N}]")
     if not (0 < args.tol < math.inf):
         raise ConfigError("gradcheck needs a finite, positive --tol")
     rng = np.random.default_rng(args.seed)
@@ -386,8 +398,10 @@ def _cmd_oracle(args) -> int:
         return EXIT_OK
     if args.oracle_cmd == "profile":
         spec = GeometrySpec(GeometryKind.PLANE_CONSTANT_B, B=args.B)
-        if args.points < 1:
-            raise ConfigError("points must be >= 1")
+        if not 1 <= args.points <= MAX_PROFILE_POINTS:
+            raise ConfigError(f"points must be in [1, {MAX_PROFILE_POINTS}]")
+        if args.n > MAX_PROFILE_N:
+            raise ConfigError(f"n must be at most {MAX_PROFILE_N}")
         r_grid = np.linspace(0.0, args.r_max, args.points)
         if args.B != 0.0 and args.E > 0.0 and args.n >= 3:
             # add the exact discrete maximizer; bad E or n fail just below
@@ -408,8 +422,9 @@ def _cmd_oracle(args) -> int:
         return EXIT_OK
     if args.oracle_cmd == "shoot":
         spec = _geometry_from_args(args)
-        if args.n < 3 or args.seeds < 1:
-            raise ConfigError("shoot needs --n >= 3 and --seeds >= 1")
+        if args.n < 3 or not 1 <= args.seeds <= MAX_SHOOT_SEEDS:
+            raise ConfigError(f"shoot needs --n >= 3 and --seeds in "
+                              f"[1, {MAX_SHOOT_SEEDS}]")
         if args.n * _LOOP_OVERSAMPLE > MAX_RETURN_STEPS:
             raise ConfigError(
                 f"--n {args.n} exceeds {MAX_RETURN_STEPS // _LOOP_OVERSAMPLE}"

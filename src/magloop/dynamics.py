@@ -9,18 +9,11 @@ whose kinetic energy (1/2) g(v, v) is a first integral.  Integration uses
 classical fixed-step RK4, so the energy drift scales like h^4 and stays
 below 1e-8 for the step sizes used in the benchmarks.
 
-The single-point right-hand side is written in closed form for each chart
-kind on Python floats: F_12 v-rotation on the plane and the flat torus,
-plus the conformal Christoffel terms u_x (v_x^2 - v_y^2, 2 v_x v_y) and the
-factor exp(-2u) on the conformal torus.  It builds no tensors and makes no
-geometry call.  Each integration builds it once, with the chart's constants
-folded in, and steps one float RK4 kernel on plain (x, y, vx, vy) tuples; on
-the flat kinds a step equals the tensor formula -Gamma(v, v) + g^-1 F v bit
-for bit.  The packed row (x, y, vx, vy) is the one phase-space state past
-the input: integrate_flow returns its trajectory as a (steps + 1, 4) array,
-and kinetic_energy and write_trajectory_csv read such rows.  FlowState is
-the validated input type only.  The residuals below use the vectorized
-geometry tensors.
+The right-hand side is geometry._build_rhs, built once per integration;
+RK4 steps it on plain (x, y, vx, vy) floats.  That packed row is the one
+phase-space state past the input: integrate_flow returns a (steps + 1, 4)
+array of them, and kinetic_energy and write_trajectory_csv read such rows.
+FlowState is the validated input type only.
 
 The residual measures how far a polygonal loop is from solving the
 length-type extremal equation at energy E, using winding-aware central
@@ -30,12 +23,15 @@ differences:
     gamma_ddot_j = N^2 * (d_j - d_{j-1})
 
 It is scale-normalized (divided by the squared speed) so that it is
-comparable across energy levels.  On the exact critical points of the
-discrete S_E that the plane admits, the regular N-gons, the residual and
-the level's gap to pi E / B converge at second order in 1/N (tested for
-N = 32 .. 256).  The residual of a shipped run is still set by the
-regularization, not the mesh: on plane_larmor it is about 11.6 * eps at
-every continuation step, halving as eps halves down to 9.0e-4.
+comparable across energy levels.  It contracts the chart fields by hand,
+each product in the order of the general tensor contraction, so that
+Gamma^x_xx = exp(-2u) d_x exp(2u) / 2 rounds as the tensor formula does.
+On the exact critical points of the discrete S_E that the plane admits,
+the regular N-gons, the residual and the level's gap to pi E / B converge
+at second order in 1/N (tested for N = 32 .. 256).  The residual of a
+shipped run is still set by the regularization, not the mesh: on
+plane_larmor it is about 11.6 * eps at every continuation step, halving as
+eps halves down to 9.0e-4.
 """
 
 from __future__ import annotations
@@ -47,8 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateLoop
-from .geometry import (TWO_PI, ChartPoint, GeometryKind, GeometrySpec,
-                       christoffel, field_F, metric_eval, metric_inverse)
+from .geometry import (ChartPoint, GeometrySpec, _build_rhs,
+                       conformal_exponent, field_strength)
 from .loops import Loop, resample_arclength, speed_cv
 
 _UNIFORM_CV = 1e-9
@@ -81,57 +77,14 @@ class FlowState:
 
 
 def _norm_sq(spec: GeometrySpec, p, v: np.ndarray) -> float:
-    """g_p(v, v), the squared metric length of v at the chart point p."""
-    return float(v @ metric_eval(spec, p) @ v)
+    """g_p(v, v) = exp(2u) |v|^2 at the chart point p, rounded as v.g.v."""
+    lam = np.exp(2.0 * conformal_exponent(spec, p)[0])
+    return float((v * lam) @ v)
 
 
 def kinetic_energy(spec: GeometrySpec, y: np.ndarray) -> float:
     """Conserved mechanical energy (1/2) g_p(v, v) of a row (x, y, vx, vy)."""
     return 0.5 * _norm_sq(spec, y[:2], y[2:])
-
-
-def _build_rhs(spec: GeometrySpec):
-    """Acceleration rhs(x, y, vx, vy) -> (ax, ay) of the Lorentz flow.
-
-    Closed form per chart kind, operation for operation equal to
-    -Gamma(v, v) + g^-1 F v on the flat kinds:
-
-    * plane: F_12 = B, Gamma = 0.
-    * flat torus: F_12 = 2 pi k a cos(2 pi k x) at the wrapped x, Gamma = 0.
-    * conformal torus: the same field over g = exp(2u) delta, u = u(x), where
-      Gamma^x_xx = -Gamma^x_yy = Gamma^y_xy = u_x.
-
-    The constants are formed once per call, grouped as the left-to-right
-    products above group them (2 pi k, then times a), so the accelerations
-    are the same floats as those of the formulas written out in full.
-    """
-    kind = spec.kind
-    if kind is GeometryKind.PLANE_CONSTANT_B:
-        F = spec.B
-
-        def rhs(x, y, vx, vy):
-            return F * vy, -F * vx
-        return rhs
-    w = TWO_PI * spec.k
-    amp = w * spec.a
-    floor, cos = math.floor, math.cos
-    if kind is GeometryKind.FLAT_TORUS_SINE:
-        def rhs(x, y, vx, vy):
-            F = amp * cos(w * (x - floor(x)))
-            return F * vy, -F * vx
-        return rhs
-    u_amp = spec.u_amp
-    c = -TWO_PI * u_amp
-    sin, exp = math.sin, math.exp
-
-    def rhs(x, y, vx, vy):
-        x = x - floor(x)
-        F = amp * cos(w * x)
-        ux = c * sin(TWO_PI * x)
-        gF = exp(-2.0 * (u_amp * cos(TWO_PI * x))) * F
-        return (-(ux * vx * vx - ux * vy * vy) + gF * vy,
-                -2.0 * ux * vx * vy - gF * vx)
-    return rhs
 
 
 def _rhs(spec: GeometrySpec, x: float, y: float, vx: float,
@@ -251,16 +204,20 @@ def el_residual_SE(spec: GeometrySpec, loop: Loop, E: float) -> ResidualReport:
         raise ConfigError("E must be positive")
     cv = speed_cv(spec, loop)
     work = loop if cv <= _UNIFORM_CV else resample_arclength(spec, loop, loop.n)
-    v = work.vertices
-    g = metric_eval(spec, v)
+    u, ux = conformal_exponent(spec, work.vertices)
+    lam, lam_inv = np.exp(2.0 * u), np.exp(-2.0 * u)
+    c = 0.5 * (lam_inv * (2.0 * ux * lam))
+    F = field_strength(spec, work.vertices)
     vel, acc = _central_derivatives(work)
-    cov_acc = acc + np.einsum("nijk,nj,nk->ni", christoffel(spec, v), vel, vel)
-    lorentz = np.einsum("nij,njk,nk->ni", metric_inverse(spec, v),
-                        field_F(spec, v), vel)
-    sp = np.sqrt(np.maximum(np.einsum("ni,nij,nj->n", vel, g, vel), 0.0))
+    vx, vy = vel[:, 0], vel[:, 1]
+    cov_acc = acc + np.stack(((c * vx) * vx + (-c * vy) * vy,
+                              (c * vx) * vy + (c * vy) * vx), axis=1)
+    lorentz = np.stack(((lam_inv * F) * vy, (lam_inv * -F) * vx), axis=1)
+    sp = np.sqrt((vx * lam) * vx + (vy * lam) * vy)
     if np.any(sp == 0.0):
         raise DegenerateLoop("residual undefined where the speed vanishes")
     res = math.sqrt(E) * cov_acc / (sp * sp)[:, None] - lorentz / sp[:, None]
-    norms = np.sqrt(np.maximum(np.einsum("ni,nij,nj->n", res, g, res), 0.0))
+    rx, ry = res[:, 0], res[:, 1]
+    norms = np.sqrt((rx * lam) * rx + (ry * lam) * ry)
     return ResidualReport(max_res=float(norms.max()),
                           mean_res=float(norms.mean()), speed_cv=cv)

@@ -1,19 +1,25 @@
-"""Two-dimensional Riemannian charts carrying exact magnetic potentials.
+"""Chart formulas of conformally flat surfaces with exact magnetic potentials.
 
-Three chart kinds are built in:
+Every chart is conformally flat, g = exp(2u) delta with u = u(x), and three
+kinds are built in:
 
-* ``plane_constant_B``: Euclidean metric on R^2, potential
-  A = (-B*y/2, B*x/2), constant field F_12 = B.
-* ``flat_torus_sine``: flat unit-square torus, potential
-  A = (0, a*sin(2*pi*k*x)), field F_12 = 2*pi*k*a*cos(2*pi*k*x).
-  The field has zero mean, so A is a globally defined one-form.
-* ``conformal_torus``: same potential over the metric exp(2*u)*delta_ij
-  with u = u_amp*cos(2*pi*x).
+* ``plane_constant_B``: u = 0 on R^2, A = (-B*y/2, B*x/2), F_12 = B.
+* ``flat_torus_sine``: u = 0 on the unit-square torus,
+  A = (0, a*sin(2*pi*k*x)), F_12 = 2*pi*k*a*cos(2*pi*k*x).  The field has
+  zero mean, so A is a globally defined one-form.
+* ``conformal_torus``: the same potential, u = u_amp*cos(2*pi*x).
 
-All evaluations accept a single ChartPoint or an array of shape (..., 2)
-and broadcast.  On the torus kinds coordinates are wrapped into [0, 1)
-before any trigonometric evaluation, so field values are exactly periodic
-(bitwise) under integer translations of the chart coordinates.
+The fields are closed forms of the wrapped x (and of y on the plane): u and
+u_x, A, the off-diagonal entries d_x A_y and d_y A_x of its Jacobian, and
+F_12.  No tensor is built; callers contract the fields by hand, with
+g^-1 = exp(-2u) delta, d_x g = 2 u_x exp(2u) delta and
+Gamma^x_xx = -Gamma^x_yy = Gamma^y_xy = u_x.  _build_rhs is the float form
+of the same formulas at one phase-space point.
+
+The fields accept a ChartPoint or an array of shape (..., 2) and broadcast.
+On the torus kinds x is wrapped into [0, 1) before any trigonometric
+evaluation, so the fields are exactly periodic (bitwise) under integer
+translations of the chart coordinates.
 """
 
 from __future__ import annotations
@@ -90,6 +96,11 @@ class GeometrySpec:
     def is_torus(self) -> bool:
         return self.kind is not GeometryKind.PLANE_CONSTANT_B
 
+    @property
+    def is_flat(self) -> bool:
+        """True when u = 0, so the metric is the Euclidean delta."""
+        return self.kind is not GeometryKind.CONFORMAL_TORUS
+
     def to_json_dict(self) -> dict:
         return {
             "kind": self.kind.value,
@@ -139,116 +150,91 @@ def torus_gap(spec: GeometrySpec, delta):
     return delta
 
 
-def _wrapped_x(spec: GeometrySpec, xy: np.ndarray) -> np.ndarray:
-    x = xy[..., 0]
+def _wrapped_x(spec: GeometrySpec, p) -> np.ndarray:
+    """The x coordinate of p, wrapped into [0, 1) on the torus kinds."""
+    x = _as_xy(p)[..., 0]
     if spec.is_torus:
         x = x - np.floor(x)
     return x
 
 
-def _conformal_u(spec: GeometrySpec, xy: np.ndarray) -> np.ndarray:
-    return spec.u_amp * np.cos(TWO_PI * _wrapped_x(spec, xy))
-
-
-def metric_eval(spec: GeometrySpec, p) -> np.ndarray:
-    """Metric tensor g_ij at p, shape (..., 2, 2).  Symmetric positive definite."""
-    xy = _as_xy(p)
-    base = xy.shape[:-1]
-    g = np.zeros(base + (2, 2), dtype=float)
-    if spec.kind is GeometryKind.CONFORMAL_TORUS:
-        lam = np.exp(2.0 * _conformal_u(spec, xy))
-        g[..., 0, 0] = lam
-        g[..., 1, 1] = lam
-    else:
-        g[..., 0, 0] = 1.0
-        g[..., 1, 1] = 1.0
-    return g
-
-
-def metric_grad(spec: GeometrySpec, p) -> np.ndarray:
-    """Coordinate derivatives of the metric: out[..., k, i, j] = d_k g_ij."""
-    xy = _as_xy(p)
-    base = xy.shape[:-1]
-    dg = np.zeros(base + (2, 2, 2), dtype=float)
-    if spec.kind is GeometryKind.CONFORMAL_TORUS:
-        x = _wrapped_x(spec, xy)
-        lam = np.exp(2.0 * spec.u_amp * np.cos(TWO_PI * x))
-        ux = -TWO_PI * spec.u_amp * np.sin(TWO_PI * x)
-        d = 2.0 * ux * lam  # d_x exp(2u); u has no y dependence
-        dg[..., 0, 0, 0] = d
-        dg[..., 0, 1, 1] = d
-    return dg
-
-
-def metric_inverse(spec: GeometrySpec, p) -> np.ndarray:
-    """Inverse metric g^ij at p, shape (..., 2, 2)."""
-    xy = _as_xy(p)
-    base = xy.shape[:-1]
-    gi = np.zeros(base + (2, 2), dtype=float)
-    if spec.kind is GeometryKind.CONFORMAL_TORUS:
-        lam = np.exp(-2.0 * _conformal_u(spec, xy))
-        gi[..., 0, 0] = lam
-        gi[..., 1, 1] = lam
-    else:
-        gi[..., 0, 0] = 1.0
-        gi[..., 1, 1] = 1.0
-    return gi
-
-
-def christoffel(spec: GeometrySpec, p) -> np.ndarray:
-    """Christoffel symbols of g: out[..., i, j, k] = Gamma^i_{jk}.
-
-    Assembled from the exact metric derivatives via
-    Gamma^i_{jk} = (1/2) g^{il} (d_j g_{lk} + d_k g_{lj} - d_l g_{jk}),
-    which reduces to the usual conformal closed form on conformal_torus
-    and to zero on the flat kinds.
-    """
-    xy = _as_xy(p)
-    base = xy.shape[:-1]
-    if spec.kind is not GeometryKind.CONFORMAL_TORUS:
-        return np.zeros(base + (2, 2, 2), dtype=float)
-    dg = metric_grad(spec, xy)
-    gi = metric_inverse(spec, xy)
-    # brackets[..., l, j, k] = d_j g_{lk} + d_k g_{lj} - d_l g_{jk}
-    br = (np.einsum("...jlk->...ljk", dg)
-          + np.einsum("...klj->...ljk", dg)
-          - dg)
-    return 0.5 * np.einsum("...il,...ljk->...ijk", gi, br)
+def conformal_exponent(spec: GeometrySpec, p):
+    """Exponent u of the metric g = exp(2u) delta at p and its x-derivative
+    u_x, each of shape (...); both are the float 0.0 on the flat kinds."""
+    if spec.is_flat:
+        return 0.0, 0.0
+    x = _wrapped_x(spec, p)
+    return (spec.u_amp * np.cos(TWO_PI * x),
+            -TWO_PI * spec.u_amp * np.sin(TWO_PI * x))
 
 
 def potential_eval(spec: GeometrySpec, p) -> np.ndarray:
     """Magnetic potential one-form components (A_1, A_2) at p, shape (..., 2)."""
     xy = _as_xy(p)
     A = np.zeros_like(xy)
-    if spec.kind is GeometryKind.PLANE_CONSTANT_B:
+    if spec.is_torus:
+        A[..., 1] = spec.a * np.sin(TWO_PI * spec.k * _wrapped_x(spec, xy))
+    else:
         A[..., 0] = -0.5 * spec.B * xy[..., 1]
         A[..., 1] = 0.5 * spec.B * xy[..., 0]
-    else:
-        x = _wrapped_x(spec, xy)
-        A[..., 1] = spec.a * np.sin(TWO_PI * spec.k * x)
     return A
 
 
-def potential_jac(spec: GeometrySpec, p) -> np.ndarray:
-    """Jacobian of the potential: out[..., i, j] = d_i A_j."""
-    xy = _as_xy(p)
-    base = xy.shape[:-1]
-    J = np.zeros(base + (2, 2), dtype=float)
-    if spec.kind is GeometryKind.PLANE_CONSTANT_B:
-        J[..., 0, 1] = 0.5 * spec.B
-        J[..., 1, 0] = -0.5 * spec.B
-    else:
-        x = _wrapped_x(spec, xy)
-        J[..., 0, 1] = TWO_PI * spec.k * spec.a * np.cos(TWO_PI * spec.k * x)
-    return J
+def potential_dA(spec: GeometrySpec, p):
+    """Off-diagonal entries (d_x A_y, d_y A_x) of the potential's Jacobian
+    at p; its diagonal vanishes.  Constants (floats) where they do not vary,
+    so the pair broadcasts against the shape (...) of the points."""
+    if spec.is_torus:
+        x = _wrapped_x(spec, p)
+        return TWO_PI * spec.k * spec.a * np.cos(TWO_PI * spec.k * x), 0.0
+    return 0.5 * spec.B, -0.5 * spec.B
 
 
-def field_F(spec: GeometrySpec, p) -> np.ndarray:
-    """Field two-form components F_ij = d_i A_j - d_j A_i, shape (..., 2, 2)."""
-    J = potential_jac(spec, p)
-    return J - np.swapaxes(J, -1, -2)
+def field_strength(spec: GeometrySpec, p):
+    """Field F_12 = d_x A_y - d_y A_x at p."""
+    dxAy, dyAx = potential_dA(spec, p)
+    return dxAy - dyAx
 
 
-def field_strength(spec: GeometrySpec, p) -> np.ndarray:
-    """Scalar field component F_12 at p."""
-    return field_F(spec, p)[..., 0, 1]
+def _build_rhs(spec: GeometrySpec):
+    """Acceleration rhs(x, y, vx, vy) -> (ax, ay) of the Lorentz flow.
+
+    Closed form per chart kind, operation for operation equal to
+    -Gamma(v, v) + g^-1 F v on the flat kinds:
+
+    * plane: F_12 = B, Gamma = 0.
+    * flat torus: F_12 = 2 pi k a cos(2 pi k x) at the wrapped x, Gamma = 0.
+    * conformal torus: the same field over g = exp(2u) delta, u = u(x), where
+      Gamma^x_xx = -Gamma^x_yy = Gamma^y_xy = u_x.
+
+    The constants are formed once per call, grouped as the left-to-right
+    products above group them (2 pi k, then times a), so the accelerations
+    are the same floats as those of the formulas written out in full.
+    """
+    kind = spec.kind
+    if kind is GeometryKind.PLANE_CONSTANT_B:
+        F = spec.B
+
+        def rhs(x, y, vx, vy):
+            return F * vy, -F * vx
+        return rhs
+    w = TWO_PI * spec.k
+    amp = w * spec.a
+    floor, cos = math.floor, math.cos
+    if kind is GeometryKind.FLAT_TORUS_SINE:
+        def rhs(x, y, vx, vy):
+            F = amp * cos(w * (x - floor(x)))
+            return F * vy, -F * vx
+        return rhs
+    u_amp = spec.u_amp
+    c = -TWO_PI * u_amp
+    sin, exp = math.sin, math.exp
+
+    def rhs(x, y, vx, vy):
+        x = x - floor(x)
+        F = amp * cos(w * x)
+        ux = c * sin(TWO_PI * x)
+        gF = exp(-2.0 * (u_amp * cos(TWO_PI * x))) * F
+        return (-(ux * vx * vx - ux * vy * vy) + gF * vy,
+                -2.0 * ux * vx * vy - gF * vx)
+    return rhs

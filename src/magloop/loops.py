@@ -10,14 +10,13 @@ connects to.  On the plane offsets are identically zero.  Vertices are kept
 unwrapped; all field evaluations wrap internally, so a loop may be stored in
 any covering-chart representative without changing its invariants.
 
-Geometric quantities use the midpoint metric per edge: the Riemannian edge
-length is sqrt(d_j . g(m_j) . d_j) with m_j = v_j + d_j / 2, and the speed
-assigned to edge j of an N-gon is N times that length (the loop parameter
-runs over [0, 1]).  On the flat kinds (plane_constant_B, flat_torus_sine)
-the metric is the identity, so the edge kernel takes the length straight
-from sqrt(d_x^2 + d_y^2) and builds no metric tensor; the result equals the
-tensor formula bit for bit.  conformal_torus evaluates the metric.  The
-edge kernel also takes vertex stacks (..., N, 2), bit for bit per loop.
+Geometric quantities use the midpoint metric per edge: with g = lam delta,
+lam = exp(2u) the chart's conformal factor, the Riemannian edge length is
+sqrt(lam(m_j) |d_j|^2) with m_j = v_j + d_j / 2, and the speed assigned to
+edge j of an N-gon is N times that length (the loop parameter runs over
+[0, 1]).  On the flat kinds lam = 1 and the multiply is skipped, which
+changes no bit.  The edge kernel also takes vertex stacks (..., N, 2), bit
+for bit per loop.
 
 Loops derived from an existing loop (with_vertices, interpolate) are built
 by a trusted constructor that reuses the parent's frozen windings and takes
@@ -34,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateLoop, NotConcatenable
-from .geometry import GeometryKind, GeometrySpec, metric_eval, torus_gap
+from .geometry import GeometrySpec, conformal_exponent, torus_gap
 
 _SHARED_VERTEX_TOL = 1e-9
 
@@ -147,30 +146,28 @@ def _displacements(v: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _edge_metric(spec: GeometrySpec, v: np.ndarray, d: np.ndarray):
-    """Midpoints, midpoint metrics and Riemannian lengths of the edges d
-    leaving the vertices v, both of shape (..., N, 2).
+    """Midpoints, midpoint conformal factors lam and Riemannian lengths of
+    the edges d leaving the vertices v, both of shape (..., N, 2).
 
-    On the flat kinds the metric is the identity: g is None and the length
-    is sqrt(d_x^2 + d_y^2), which is what the tensor formula rounds to (a
-    sum of squares needs no clamp at zero).
+    The length is sqrt((d_x lam) d_x + (d_y lam) d_y), the rounding of the
+    contraction d . g . d; lam is the float 1.0 on the flat kinds.
     """
     m = v + 0.5 * d
-    if spec.kind is not GeometryKind.CONFORMAL_TORUS:
-        dx, dy = d[..., 0], d[..., 1]
-        return m, None, np.sqrt(dx * dx + dy * dy)
-    g = metric_eval(spec, m)
-    return m, g, np.sqrt(np.maximum(
-        np.einsum("...i,...ij,...j->...", d, g, d), 0.0))
+    dx, dy = d[..., 0], d[..., 1]
+    if spec.is_flat:
+        return m, 1.0, np.sqrt(dx * dx + dy * dy)
+    lam = np.exp(2.0 * conformal_exponent(spec, m)[0])
+    return m, lam, np.sqrt((dx * lam) * dx + (dy * lam) * dy)
 
 
 def edge_geometry(spec: GeometrySpec, v: np.ndarray, w: np.ndarray):
-    """Per-edge kernel (d, m, g, ell) of a vertex stack v (..., N, 2) over
+    """Per-edge kernel (d, m, lam, ell) of a vertex stack v (..., N, 2) over
     the shared windings w, from one displacement pass.
 
-    d are the chart displacements, m the midpoints, g the metric at the
-    midpoints (None on the flat kinds, where it is the identity) and ell
-    the Riemannian edge lengths; every length, action value and gradient
-    is assembled from these.
+    d are the chart displacements, m the midpoints, lam the conformal
+    factor at the midpoints (1.0 on the flat kinds) and ell the Riemannian
+    edge lengths; every length, action value and gradient is assembled
+    from these.
     """
     d = _displacements(v, w)
     return (d, *_edge_metric(spec, v, d))

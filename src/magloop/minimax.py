@@ -53,6 +53,7 @@ both give the bits of the one-loop functionals.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,10 +83,11 @@ class DescentSettings:
     grad_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ConfigError("max_iters must be positive")
-        if not (self.grad_tol > 0):
-            raise ConfigError("grad_tol must be positive")
+        if not (isinstance(self.max_iters, numbers.Integral)
+                and self.max_iters >= 1):
+            raise ConfigError("max_iters must be a positive integer")
+        if not (0 < self.grad_tol < math.inf):
+            raise ConfigError("grad_tol must be finite and positive")
 
 
 @dataclass(frozen=True)

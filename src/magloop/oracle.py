@@ -13,10 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action import ActionParams, action_S, action_S_eps_tau
-from .dynamics import (MAX_RETURN_STEPS, FlowState, _build_rhs, _norm_sq,
-                       _rk4, integrate_flow, kinetic_energy)
+from .dynamics import (MAX_RETURN_STEPS, FlowState, _norm_sq, _rk4,
+                       integrate_flow, kinetic_energy)
 from .errors import InvalidOracleInput
-from .geometry import ChartPoint, GeometryKind, GeometrySpec, torus_gap
+from .geometry import ChartPoint, GeometrySpec, _build_rhs, torus_gap
 from .loops import Loop, make_circle
 
 __all__ = [
@@ -53,7 +53,7 @@ def circle_action_profile(spec: GeometrySpec, E: float, r_grid,
     (the branch with an interior maximum).  Torus charts are refused; the
     profile is only a faithful one-parameter reduction on the plane.
     """
-    if spec.kind is not GeometryKind.PLANE_CONSTANT_B:
+    if spec.is_torus:
         raise InvalidOracleInput("circle profile is defined on the plane only")
     if not (0 < E < math.inf):
         raise InvalidOracleInput("E must be finite and positive")

@@ -12,10 +12,10 @@ from magloop import (GeometryKind, GeometrySpec, Loop, action_S,
                      action_S_eps_tau, circulation, grad_action, length,
                      make_circle, make_point_loop, resample_arclength, speeds)
 from magloop.action import ActionParams, values
-from magloop.geometry import (metric_eval, metric_grad, potential_eval,
-                              potential_jac)
+from magloop.geometry import potential_eval
 from magloop.loops import edge_lengths
 from magloop.oracle import fd_gradient
+from test_geometry import _tensors
 
 PLANE = GeometrySpec(GeometryKind.PLANE_CONSTANT_B, B=1.0)
 TORUS = GeometrySpec(GeometryKind.FLAT_TORUS_SINE, a=3.0, k=1)
@@ -156,18 +156,18 @@ def _tensor_edge_lengths(spec, loop):
     """Edge lengths from the metric tensor at the midpoints."""
     v, w = loop.vertices, loop.windings
     d = np.roll(v, -1, axis=0) + w - v
-    g = metric_eval(spec, v + 0.5 * d)
+    g = _tensors(spec, v + 0.5 * d)[0]
     return np.sqrt(np.maximum(np.einsum("ni,nij,nj->n", d, g, d), 0.0))
 
 
 def _tensor_gradient(spec, loop, params):
     """Gradient of S_{eps,tau} from the metric tensor and its derivative,
-    the formula the flat kinds shortcut."""
+    the formula that grad_action contracts by hand."""
     n = loop.n
     v, w = loop.vertices, loop.windings
     d = np.roll(v, -1, axis=0) + w - v
     m = v + 0.5 * d
-    g = metric_eval(spec, m)
+    g, _, dg, _, J = _tensors(spec, m)
     ell = np.sqrt(np.maximum(np.einsum("ni,nij,nj->n", d, g, d), 0.0))
     rootE = math.sqrt(params.E)
     s = rootE * n * ell
@@ -178,11 +178,11 @@ def _tensor_gradient(spec, loop, params):
     dsdq = np.zeros_like(ell)
     dsdq[pos] = rootE * n / (2.0 * ell[pos])
     gd = np.einsum("nij,nj->ni", g, d)
-    T = np.einsum("nkij,ni,nj->nk", metric_grad(spec, m), d, d)
+    T = np.einsum("nkij,ni,nj->nk", dg, d, d)
     dq_da = -2.0 * gd + 0.5 * T
     dq_db = 2.0 * gd + 0.5 * T
     A = potential_eval(spec, m)
-    half_Jd = 0.5 * np.einsum("nki,ni->nk", potential_jac(spec, m), d)
+    half_Jd = 0.5 * np.einsum("nki,ni->nk", J, d)
 
     coef = (w1 * dsdq)[:, None]
     grad = np.zeros((n, 2))
@@ -191,11 +191,16 @@ def _tensor_gradient(spec, loop, params):
     return grad
 
 
+_FLAT_KERNEL_SPECS = [GeometrySpec(GeometryKind.PLANE_CONSTANT_B, B=1.3),
+                      GeometrySpec(GeometryKind.FLAT_TORUS_SINE, a=3.0, k=2)]
+_CONFORMAL_KERNEL_SPECS = [
+    GeometrySpec(GeometryKind.CONFORMAL_TORUS, a=1.0, k=2, u_amp=0.4),
+    GeometrySpec(GeometryKind.CONFORMAL_TORUS, a=-2.9, k=1, u_amp=-1.3)]
+
+
 @st.composite
-def _flat_cases(draw):
-    spec = draw(st.sampled_from([
-        GeometrySpec(GeometryKind.PLANE_CONSTANT_B, B=1.3),
-        GeometrySpec(GeometryKind.FLAT_TORUS_SINE, a=3.0, k=2)]))
+def _kernel_cases(draw, specs=_FLAT_KERNEL_SPECS):
+    spec = draw(st.sampled_from(specs))
     n = draw(st.integers(3, 12))
     verts = draw(arrays(np.float64, (n, 2), elements=st.floats(-5.0, 5.0)))
     windings = draw(arrays(np.int64, (n, 2), elements=st.integers(-2, 2)))
@@ -205,10 +210,21 @@ def _flat_cases(draw):
     return spec, Loop(verts, windings), params
 
 
-@given(case=_flat_cases())
+@given(case=_kernel_cases())
 def test_flat_edge_kernel_equals_tensor_formula(case):
     # the identity-metric shortcut must round exactly like the tensor path,
     # windings included, or minimax outputs would change in the last bit
+    spec, loop, params = case
+    ref_ell = _tensor_edge_lengths(spec, loop)
+    assert edge_lengths(spec, loop).tobytes() == ref_ell.tobytes()
+    assert grad_action(spec, loop, params).tobytes() == \
+        _tensor_gradient(spec, loop, params).tobytes()
+
+
+@given(case=_kernel_cases(_CONFORMAL_KERNEL_SPECS))
+def test_conformal_edge_kernel_equals_tensor_formula(case):
+    # the hand contractions of lam, d_x lam and d_x A_y must round like the
+    # zero-filled tensors they replace
     spec, loop, params = case
     ref_ell = _tensor_edge_lengths(spec, loop)
     assert edge_lengths(spec, loop).tobytes() == ref_ell.tobytes()

@@ -677,6 +677,34 @@ def test_sizes_over_the_step_bound_are_refused(argv, limit, out, tmp_path,
         cli.main([*argv, str(limit)])
 
 
+@pytest.mark.parametrize("argv, limit, worker", [
+    (["oracle", "profile", "--E", "1", "--B", "1", "--r-max", "2",
+      "--points"], cli.MAX_PROFILE_POINTS, "circle_action_profile"),
+    (["oracle", "profile", "--E", "1", "--B", "1", "--r-max", "2", "--n"],
+     cli.MAX_PROFILE_N, "circle_action_profile"),
+    (["gradcheck", "--loops"], cli.MAX_GRADCHECK_LOOPS, "_random_loop"),
+    (["gradcheck", "--n"], cli.MAX_GRADCHECK_N, "_random_loop"),
+    (["oracle", "shoot", "--kind", "flat_torus_sine", "--a", "3.0",
+      "--E-mech", "0.01", "--seeds"], cli.MAX_SHOOT_SEEDS,
+     "shooting_periodic"),
+], ids=["profile_points", "profile_n", "gradcheck_loops", "gradcheck_n",
+        "shoot_seeds"])
+def test_sizes_over_their_bound_are_refused(argv, limit, worker, tmp_path,
+                                            monkeypatch, capsys):
+    # the worker raises, so a run past the bound never starts its work
+    def no_work(*args, **kwargs):
+        raise _Integrated
+
+    monkeypatch.setattr(cli, worker, no_work)
+    monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+    assert cli.main([*argv, str(limit + 1)]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and "config error" in captured.err
+    assert os.listdir(tmp_path) == []
+    with pytest.raises(_Integrated):  # the bound itself is admitted
+        cli.main([*argv, str(limit)])
+
+
 @pytest.mark.parametrize("argv", [
     ["larmor", "--E", "inf", "--B", "1"],
     ["larmor", "--E", "1", "--B", "inf"],

@@ -4,15 +4,18 @@ import csv
 import math
 
 import numpy as np
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from magloop import (ChartPoint, FlowState, GeometryKind, GeometrySpec, Loop,
                      el_residual_SE, integrate_flow,
                      kinetic_energy, make_circle)
 from magloop.action import ActionParams, action_S, grad_action, grad_norm
-from magloop.dynamics import _build_rhs, _rk4, write_trajectory_csv
-from magloop.geometry import TWO_PI, christoffel, field_F, metric_inverse
+from magloop.dynamics import (_central_derivatives, _norm_sq, _rk4,
+                              write_trajectory_csv)
+from magloop.geometry import TWO_PI, _build_rhs
+from magloop.loops import resample_arclength, speed_cv
+from test_geometry import _tensors
 
 PLANE = GeometrySpec(GeometryKind.PLANE_CONSTANT_B, B=1.0)
 
@@ -29,8 +32,8 @@ def _tensor_acc(spec, y):
     """Reference acceleration -Gamma(v, v) + g^-1 F v from the geometry
     tensors at one point."""
     p, v = y[:2], y[2:]
-    return (-np.einsum("ijk,j,k->i", christoffel(spec, p), v, v)
-            + metric_inverse(spec, p) @ (field_F(spec, p) @ v))
+    _, gi, _, gamma, J = _tensors(spec, p)
+    return (-np.einsum("ijk,j,k->i", gamma, v, v) + gi @ ((J - J.T) @ v))
 
 
 def _tensor_rk4(spec, y, h):
@@ -63,9 +66,9 @@ def test_closed_form_rhs_matches_tensor_formula(y, spec):
     p, v = y[:2], y[2:]
     ref = _tensor_acc(spec, y)
     got = np.array(_build_rhs(spec)(*y.tolist()))
-    scale = (np.abs(christoffel(spec, p)).sum() * float(v @ v)
-             + np.abs(metric_inverse(spec, p) @ field_F(spec, p)).sum()
-             * float(np.abs(v).sum()))
+    _, gi, _, gamma, J = _tensors(spec, p)
+    scale = (np.abs(gamma).sum() * float(v @ v)
+             + np.abs(gi @ (J - J.T)).sum() * float(np.abs(v).sum()))
     assert np.all(np.abs(got - ref) <= 1e-13 * scale)
 
 
@@ -207,6 +210,63 @@ def test_el_residual_SE_internal_resampling():
     assert rep.max_res < 1e-2
     assert rep.mean_res < 1e-3
     assert rep.speed_cv > 1e-4
+
+
+def _tensor_residual(spec, loop, E):
+    """(max, mean) of el_residual_SE's defect norms from the zero-filled
+    geometry tensors at the vertices."""
+    if speed_cv(spec, loop) > 1e-9:
+        loop = resample_arclength(spec, loop, loop.n)
+    g, gi, _, gamma, J = _tensors(spec, loop.vertices)
+    vel, acc = _central_derivatives(loop)
+    cov_acc = acc + np.einsum("nijk,nj,nk->ni", gamma, vel, vel)
+    lorentz = np.einsum("nij,njk,nk->ni", gi, J - np.swapaxes(J, 1, 2), vel)
+    sp = np.sqrt(np.maximum(np.einsum("ni,nij,nj->n", vel, g, vel), 0.0))
+    res = math.sqrt(E) * cov_acc / (sp * sp)[:, None] - lorentz / sp[:, None]
+    norms = np.sqrt(np.maximum(np.einsum("ni,nij,nj->n", res, g, res), 0.0))
+    return float(norms.max()), float(norms.mean())
+
+
+# a strong conformal factor, so that Gamma(v, v) is not small against the
+# acceleration; few vertices, so that max and mean show one vertex's bits
+@given(spec=st.sampled_from(_KERNEL_SPECS + [GeometrySpec(
+           GeometryKind.CONFORMAL_TORUS, a=0.5, k=1, u_amp=1.1)] * 3),
+       n=st.integers(3, 8), center=st.tuples(_coord, _coord),
+       radius=st.floats(0.05, 0.4), lump=st.floats(0.0, 0.3),
+       E=st.floats(0.01, 4.0))
+def test_residual_equals_tensor_formula(spec, n, center, radius, lump, E):
+    # the closed-form contractions must round like the tensors they replace
+    t = 2.0 * np.pi * np.arange(n) / n
+    r = radius * (1.0 + lump * np.sin(3.0 * t))
+    loop = Loop(np.stack([center[0] + r * np.cos(t + lump * np.sin(t)),
+                          center[1] + r * np.sin(t)], axis=1))
+    rep = el_residual_SE(spec, loop, E)
+    assert (rep.max_res, rep.mean_res) == _tensor_residual(spec, loop, E)
+
+
+@settings(max_examples=200)
+@given(u_amp=st.sampled_from([0.3, -0.9, 1.4]), n=st.integers(3, 12),
+       start=st.tuples(_coord, _coord), wy=st.integers(-2, 2),
+       E=st.floats(0.01, 4.0))
+def test_residual_equals_tensor_formula_on_wound_lines(u_amp, n, start, wy,
+                                                        E):
+    # a straight loop around a field-free conformal torus: the residual is
+    # the geodesic defect alone, so the bits of Gamma(v, v) show
+    spec = GeometrySpec(GeometryKind.CONFORMAL_TORUS, u_amp=u_amp)
+    j = np.arange(n)[:, None]
+    w = np.zeros((n, 2), dtype=int)
+    w[-1] = (1, wy)
+    loop = Loop(np.array(start) + j * np.array([1.0, wy]) / n, w)
+    rep = el_residual_SE(spec, loop, E)
+    assert (rep.max_res, rep.mean_res) == _tensor_residual(spec, loop, E)
+
+
+@given(p=st.tuples(_coord, _coord), v=st.tuples(_vel, _vel),
+       spec=st.sampled_from(_KERNEL_SPECS))
+def test_norm_sq_equals_the_tensor_contraction(p, v, spec):
+    v = np.array(v)
+    assert _norm_sq(spec, np.array(p), v) == float(
+        v @ _tensors(spec, np.array(p))[0] @ v)
 
 
 def test_residual_report_json_keys():

@@ -61,6 +61,10 @@ BAD_ARGUMENTS = {
     "make_circle.r_inf": lambda: make_circle((0.0, 0.0), math.inf, 1, 8),
     "DescentSettings.max_iters": lambda: DescentSettings(max_iters=0),
     "DescentSettings.grad_tol": lambda: DescentSettings(grad_tol=math.nan),
+    "DescentSettings.grad_tol_inf": lambda: DescentSettings(
+        grad_tol=math.inf),
+    "DescentSettings.max_iters_float": lambda: DescentSettings(
+        max_iters=2.5),
     "init_sweep_family.shape": lambda: init_sweep_family(PLANE, 1.0, "disc",
                                                          9, 48),
     "init_sweep_family.M": lambda: init_sweep_family(PLANE, 1.0, "path", 2,

@@ -1,15 +1,19 @@
-"""Metric, potential, and curvature-data checks against finite differences
-and closed forms."""
+"""Chart fields: the closed forms against finite differences, the general
+tensor formulas, and bits recorded before they were written in closed form."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from magloop import (ChartPoint, GeometryKind, GeometrySpec, christoffel,
-                     field_F, field_strength, metric_eval, potential_eval)
+from magloop import (ChartPoint, GeometryKind, GeometrySpec, Loop,
+                     el_residual_SE, field_strength, potential_eval)
+from magloop.action import ActionParams, grad_action, values
+from magloop.dynamics import _norm_sq, _rk4
 from magloop.errors import ConfigError
-from magloop.geometry import metric_grad, metric_inverse, potential_jac
+from magloop.geometry import _build_rhs, conformal_exponent, potential_dA
+from magloop.loops import resample_arclength
 
 ALL_SPECS = [
     GeometrySpec(GeometryKind.PLANE_CONSTANT_B, B=1.0),
@@ -18,6 +22,32 @@ ALL_SPECS = [
     GeometrySpec(GeometryKind.FLAT_TORUS_SINE, a=1.5, k=2),
     GeometrySpec(GeometryKind.CONFORMAL_TORUS, a=1.0, k=1, u_amp=0.3),
 ]
+
+
+def _tensors(spec, p):
+    """The chart as zero-filled general tensors at p (..., 2): g_ij, g^ij,
+    d_k g_ij (index order k, i, j), Gamma^i_jk from the general formula
+    (1/2) g^il (d_j g_lk + d_k g_lj - d_l g_jk), and J_ij = d_i A_j.
+
+    The reference that the closed-form contractions in loops, action and
+    dynamics must reproduce bit for bit."""
+    xy = np.asarray(p.as_array() if isinstance(p, ChartPoint) else p, float)
+    base = xy.shape[:-1]
+    u, ux = conformal_exponent(spec, xy)
+    g, gi, J = (np.zeros(base + (2, 2)) for _ in range(3))
+    dg = np.zeros(base + (2, 2, 2))
+    g[..., 0, 0] = g[..., 1, 1] = np.exp(2.0 * u)
+    gi[..., 0, 0] = gi[..., 1, 1] = np.exp(-2.0 * u)
+    dg[..., 0, 0, 0] = dg[..., 0, 1, 1] = 2.0 * ux * np.exp(2.0 * u)
+    br = (np.einsum("...jlk->...ljk", dg) + np.einsum("...klj->...ljk", dg)
+          - dg)
+    gamma = 0.5 * np.einsum("...il,...ljk->...ijk", gi, br)
+    J[..., 0, 1], J[..., 1, 0] = potential_dA(spec, xy)
+    return g, gi, dg, gamma, J
+
+
+def _metric(spec, p):
+    return _tensors(spec, p)[0]
 
 
 def _rand_points(rng, m=25):
@@ -30,14 +60,14 @@ def _fd_metric_grad(spec, p, h=1e-5):
     for k in range(2):
         dp = np.zeros(2)
         dp[k] = h
-        gp = metric_eval(spec, ChartPoint(p.x + dp[0], p.y + dp[1]))
-        gm = metric_eval(spec, ChartPoint(p.x - dp[0], p.y - dp[1]))
+        gp = _metric(spec, ChartPoint(p.x + dp[0], p.y + dp[1]))
+        gm = _metric(spec, ChartPoint(p.x - dp[0], p.y - dp[1]))
         out[k] = (gp - gm) / (2.0 * h)
     return out
 
 
 def _fd_christoffel(spec, p, h=1e-5):
-    g = metric_eval(spec, p)
+    g = _metric(spec, p)
     ginv = np.linalg.inv(g)
     dg = _fd_metric_grad(spec, p, h)
     gamma = np.zeros((2, 2, 2))
@@ -56,49 +86,55 @@ def _fd_christoffel(spec, p, h=1e-5):
 def test_metric_is_spd(spec):
     rng = np.random.default_rng(3)
     for p in _rand_points(rng):
-        g = metric_eval(spec, p)
+        g, gi = _tensors(spec, p)[:2]
         assert np.allclose(g, g.T)
         assert np.all(np.linalg.eigvalsh(g) > 0.0)
-        assert np.allclose(metric_inverse(spec, p) @ g, np.eye(2),
-                           atol=1e-13)
+        assert np.allclose(gi @ g, np.eye(2), atol=1e-13)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind.value)
 def test_metric_grad_matches_fd(spec):
+    # d_x g = 2 u_x exp(2u) delta: u_x is the derivative of u
     rng = np.random.default_rng(5)
     for p in _rand_points(rng):
-        dg = metric_grad(spec, p)
+        dg = _tensors(spec, p)[2]
         fd = _fd_metric_grad(spec, p)
         assert np.max(np.abs(dg - fd)) < 1e-7
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind.value)
 def test_christoffel_matches_fd(spec):
+    # the conformal closed form Gamma^x_xx = -Gamma^x_yy = Gamma^y_xy = u_x
+    # that dynamics and _build_rhs use, against the general formula
     rng = np.random.default_rng(7)
     for p in _rand_points(rng):
-        gamma = christoffel(spec, p)
+        ux = float(conformal_exponent(spec, p)[1])
+        closed = np.zeros((2, 2, 2))
+        closed[0, 0, 0] = closed[1, 0, 1] = closed[1, 1, 0] = ux
+        closed[0, 1, 1] = -ux
         fd = _fd_christoffel(spec, p)
-        assert np.max(np.abs(gamma - fd)) < 1e-6
-        assert np.allclose(gamma, np.swapaxes(gamma, 1, 2))
+        assert np.max(np.abs(closed - fd)) < 1e-6
+        assert np.max(np.abs(_tensors(spec, p)[3] - closed)) < 1e-14
 
 
 def test_flat_metrics_are_identity():
     rng = np.random.default_rng(11)
     for spec in ALL_SPECS[:4]:
+        assert spec.is_flat
         for p in _rand_points(rng, 5):
-            assert np.array_equal(metric_eval(spec, p), np.eye(2))
-            assert np.array_equal(christoffel(spec, p), np.zeros((2, 2, 2)))
+            u, ux = conformal_exponent(spec, p)
+            assert u == 0.0 and ux == 0.0
+            assert np.array_equal(_metric(spec, p), np.eye(2))
+    assert not ALL_SPECS[4].is_flat
 
 
 def test_conformal_metric_closed_form():
     spec = GeometrySpec(GeometryKind.CONFORMAL_TORUS, a=1.0, k=1, u_amp=0.3)
     rng = np.random.default_rng(13)
     for p in _rand_points(rng, 10):
-        g = metric_eval(spec, p)
         factor = math.exp(2.0 * 0.3 * math.cos(2.0 * math.pi * (p.x % 1.0)))
-        assert g[0, 1] == 0.0 and g[1, 0] == 0.0
-        assert abs(g[0, 0] - factor) < 1e-15 * factor
-        assert g[0, 0] == g[1, 1]
+        assert abs(np.exp(2.0 * conformal_exponent(spec, p)[0]) - factor) \
+            < 1e-15 * factor
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind.value)
@@ -106,7 +142,7 @@ def test_potential_jac_matches_fd(spec):
     rng = np.random.default_rng(17)
     h = 1e-6
     for p in _rand_points(rng):
-        jac = potential_jac(spec, p)
+        jac = _tensors(spec, p)[4]
         fd = np.zeros((2, 2))
         for i in range(2):
             dp = np.zeros(2)
@@ -126,22 +162,24 @@ def test_field_closed_forms():
         expect = 2.0 * math.pi * 2 * 1.5 * math.cos(
             2.0 * math.pi * 2 * (p.x % 1.0))
         assert abs(field_strength(torus, p) - expect) < 1e-9
-        F = field_F(torus, p)
-        assert F[0, 0] == 0.0 and F[1, 1] == 0.0
-        assert F[0, 1] == -F[1, 0]
+        for spec in (plane, torus):
+            dxAy, dyAx = potential_dA(spec, p)
+            assert field_strength(spec, p) == dxAy - dyAx
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS[2:], ids=lambda s: s.kind.value)
 def test_torus_periodicity_bitwise_at_dyadic_points(spec):
     # dyadic coordinates survive +1 exactly in floating point, so wrapped
     # evaluation must agree bit for bit
+    def fields(p):
+        return np.array([*conformal_exponent(spec, p),
+                         *potential_eval(spec, p), *potential_dA(spec, p)])
+
     for x in (0.0, 0.125, 0.25, 0.5, 0.75):
         for y in (0.0, 0.375, 0.5):
             p = ChartPoint(x, y)
             q = ChartPoint(x + 1.0, y - 2.0)
-            assert np.array_equal(metric_eval(spec, p), metric_eval(spec, q))
-            assert np.array_equal(potential_eval(spec, p),
-                                  potential_eval(spec, q))
+            assert fields(p).tobytes() == fields(q).tobytes()
 
 
 def test_spec_from_json_dict_validation():
@@ -163,3 +201,79 @@ def test_spec_from_json_dict_validation():
                                          key: value})
     assert GeometrySpec.from_json_dict(
         {"kind": "flat_torus_sine", "a": 3, "k": 2.0}).k == 2
+
+
+# Recorded bits of every consumer of the chart fields, so that a rounding
+# change in any hand contraction fails here: a non-uniform loop with wound
+# edges (the residual resamples it first), a three-loop value stack, and
+# one phase-space state at an unwrapped x.
+_PIN_SPECS = {
+    "plane": GeometrySpec(GeometryKind.PLANE_CONSTANT_B, B=-1.7),
+    "flat": GeometrySpec(GeometryKind.FLAT_TORUS_SINE, a=1.3, k=2),
+    "conformal": GeometrySpec(GeometryKind.CONFORMAL_TORUS, a=1.3, k=2,
+                              u_amp=0.37),
+}
+_PINNED = {
+    "plane": {
+        "residual": ("0x1.5fe895a59f61ap+3", "0x1.41e4cea75264bp+2",
+                     "0x1.76ae343bff58ap-3"),
+        "values": "8719203f1602c9a9", "grad": "862819f299b8fc72",
+        "resample": "e504fe64e230e85b", "norm_sq": "0x1.1395810624dd3p+1",
+        "rk4": ("-0x1.b064bbbca68cap+0", "0x1.899daa211caa6p-2",
+                "0x1.b68be7b5c65abp-1", "-0x1.30fd2aac39da9p+0"),
+    },
+    "flat": {
+        "residual": ("0x1.ad962233b1a45p+4", "0x1.b6bf656b90208p+3",
+                     "0x1.76ae343bff588p-3"),
+        "values": "62d0050fc4ea11c3", "grad": "545f22c411a38bf8",
+        "resample": "5f5a4654233378fa", "norm_sq": "0x1.1395810624dd3p+1",
+        "rk4": ("-0x1.b01e259ad68f9p+0", "0x1.8a7a5162e3f1ap-2",
+                "0x1.03adf266a7675p+0", "-0x1.0f69b22375496p+0"),
+    },
+    "conformal": {
+        "residual": ("0x1.7874525b9e96ap+5", "0x1.09b8c186be00cp+4",
+                     "0x1.804995110ccaap-2"),
+        "values": "c87f7a2ac0cacb25", "grad": "abaf5abf9b9b9175",
+        "resample": "2b6d76e035cad5cf", "norm_sq": "0x1.b680d1128ac35p+0",
+        "rk4": ("-0x1.b00d69802b181p+0", "0x1.8a5e3e56d124ep-2",
+                "0x1.0eaceb6b234dep+0", "-0x1.12f7daf5cf488p+0"),
+    },
+}
+
+
+def _digest(arr):
+    return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()[:16]
+
+
+def _pin_loop(spec):
+    n = 24
+    t = 2.0 * np.pi * np.arange(n) / n
+    rad = 0.21 + 0.05 * np.sin(3.0 * t) + 0.01 * np.cos(7.0 * np.arange(n))
+    verts = np.stack([-1.3 + rad * np.cos(t + 0.2 * np.sin(t)),
+                      0.4 + rad * np.sin(t)], axis=1)
+    w = np.zeros((n, 2), dtype=int)
+    if spec.is_torus:
+        w[5], w[17] = (1, 0), (-1, 0)
+        verts[6:18, 0] -= 1.0
+    return Loop(verts, w)
+
+
+@pytest.mark.parametrize("name", _PIN_SPECS)
+def test_outputs_match_recorded_bits(name):
+    spec, want = _PIN_SPECS[name], _PINNED[name]
+    loop = _pin_loop(spec)
+    params = ActionParams(E=0.7, eps=0.013, tau=0.21)
+    rep = el_residual_SE(spec, loop, 0.7)
+    assert (rep.max_res.hex(), rep.mean_res.hex(),
+            rep.speed_cv.hex()) == want["residual"]
+    stack = np.stack([loop.vertices, 1.01 * loop.vertices,
+                      loop.vertices + 0.3])
+    assert _digest(values(spec, stack, loop.windings, params)) == \
+        want["values"]
+    assert _digest(grad_action(spec, loop, params)) == want["grad"]
+    assert _digest(resample_arclength(spec, loop, 40).vertices) == \
+        want["resample"]
+    v = np.array([0.83, -1.21])
+    assert _norm_sq(spec, ChartPoint(-1.7, 0.4), v).hex() == want["norm_sq"]
+    step = _rk4(_build_rhs(spec), -1.7, 0.4, 0.83, -1.21, 0.013)
+    assert tuple(x.hex() for x in step) == want["rk4"]
