@@ -13,7 +13,9 @@ The right-hand side is geometry._build_rhs, built once per integration;
 RK4 steps it on plain (x, y, vx, vy) floats.  That packed row is the one
 phase-space state past the input: integrate_flow returns a (steps + 1, 4)
 array of them, and kinetic_energy and write_trajectory_csv read such rows.
-FlowState is the validated input type only.
+FlowState is the validated input type only.  The shooting oracle
+differentiates RK4 steps through _rk4_jacobian, the tangent-linear step
+over a stack of step starts, with _flow_linear, the flow's 4x4 Jacobian.
 
 The residual measures how far a polygonal loop is from solving the
 length-type extremal equation at energy E, using winding-aware central
@@ -44,7 +46,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateLoop
 from .geometry import (ChartPoint, GeometrySpec, _build_rhs,
-                       conformal_exponent, field_strength)
+                       conformal_exponent, field_curvature, field_strength)
 from .loops import Loop, resample_arclength, speed_cv
 
 _UNIFORM_CV = 1e-9
@@ -119,6 +121,50 @@ def _rk4(rhs, px, py, vx, vy, h):
             py + h6 * (vy + 2.0 * vy2 + 2.0 * vy3 + vy4),
             vx + h6 * (a1x + 2.0 * a2x + 2.0 * a3x + a4x),
             vy + h6 * (a1y + 2.0 * a2y + 2.0 * a3y + a4y))
+
+
+def _flow_linear(spec: GeometrySpec, Y: np.ndarray):
+    """The flow f(Y) = (v, a) of _build_rhs and its Jacobian Df(Y) at
+    packed rows Y (..., 4), as arrays (..., 4) and (..., 4, 4); the x
+    column uses d_x (exp(-2u) F) = exp(-2u) (F_x - 2 u_x F)."""
+    p, vx, vy = Y[..., :2], Y[..., 2], Y[..., 3]
+    u, ux = conformal_exponent(spec, p)
+    uxx, Fx = field_curvature(spec, p)
+    F = field_strength(spec, p)
+    gi = np.exp(-2.0 * u)
+    gF, gF_x = gi * F, gi * (Fx - 2.0 * ux * F)
+    f = np.empty(Y.shape)
+    f[..., :2] = Y[..., 2:]
+    f[..., 2] = -(ux * vx * vx - ux * vy * vy) + gF * vy
+    f[..., 3] = -2.0 * ux * vx * vy - gF * vx
+    D = np.zeros(Y.shape + (4,))
+    D[..., 0, 2] = D[..., 1, 3] = 1.0
+    D[..., 2, 0] = -uxx * (vx * vx - vy * vy) + gF_x * vy
+    D[..., 2, 2] = D[..., 3, 3] = -2.0 * ux * vx
+    D[..., 2, 3] = 2.0 * ux * vy + gF
+    D[..., 3, 0] = -2.0 * uxx * vx * vy - gF_x * vx
+    D[..., 3, 2] = -2.0 * ux * vy - gF
+    return f, D
+
+
+def _rk4_jacobian(spec: GeometrySpec, starts: np.ndarray,
+                  h: np.ndarray) -> np.ndarray:
+    """Jacobian (4, 4) of the RK4 steps of lengths h (n,) taken in turn from
+    the step starts (n, 4): the product M[n-1] ... M[0] of the tangent-linear
+    steps I + h/6 (K1 + 2 K2 + 2 K3 + K4), K2 = Df(Y2) (I + h/2 K1) and so
+    on, multiplied by a pairwise tree of batched matmuls."""
+    hv, hm, eye = h[:, None], h[:, None, None], np.eye(4)
+    f1, K1 = _flow_linear(spec, starts)
+    f2, D2 = _flow_linear(spec, starts + (0.5 * hv) * f1)
+    K2 = D2 @ (eye + (0.5 * hm) * K1)
+    f3, D3 = _flow_linear(spec, starts + (0.5 * hv) * f2)
+    K3 = D3 @ (eye + (0.5 * hm) * K2)
+    K4 = _flow_linear(spec, starts + hv * f3)[1] @ (eye + hm * K3)
+    M = eye + (hm / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
+    while len(M) > 1:
+        odd = M[-1:] if len(M) % 2 else M[:0]
+        M = np.concatenate([M[1::2] @ M[:-1:2], odd])
+    return M[0]
 
 
 def integrate_flow(spec: GeometrySpec, state: FlowState, T: float,

@@ -10,8 +10,9 @@ kinds are built in:
 * ``conformal_torus``: the same potential, u = u_amp*cos(2*pi*x).
 
 The fields are closed forms of the wrapped x (and of y on the plane): u and
-u_x, A, the off-diagonal entries d_x A_y and d_y A_x of its Jacobian, and
-F_12.  No tensor is built; callers contract the fields by hand, with
+u_x, A, the off-diagonal entries d_x A_y and d_y A_x of its Jacobian, F_12,
+and the second x-derivatives u_xx and F_x = d_x^2 A_y that the flow's
+Jacobian reads.  No tensor is built; callers contract the fields by hand, with
 g^-1 = exp(-2u) delta, d_x g = 2 u_x exp(2u) delta and
 Gamma^x_xx = -Gamma^x_yy = Gamma^y_xy = u_x.  _build_rhs is the float form
 of the same formulas at one phase-space point.
@@ -60,9 +61,9 @@ class ChartPoint:
 class GeometrySpec:
     """Immutable description of a chart: kind plus field/metric parameters.
 
-    Unused parameters are kept at their defaults; ``B`` only matters on the
-    plane, ``a``/``k`` on the torus kinds, ``u_amp`` on the conformal torus.
-    The torus fields have zero mean, so ``B`` other than 0 is refused there.
+    ``B`` is read on the plane (the torus fields have zero mean), ``a``/``k``
+    on the torus kinds, ``u_amp`` on the conformal torus; a kind refuses a
+    parameter it does not read away from its default (0, or 1 for ``k``).
     """
 
     kind: GeometryKind
@@ -81,6 +82,10 @@ class GeometrySpec:
             raise ConfigError("B must be 0 on the torus kinds")
         if int(self.k) != self.k or self.k < 1:
             raise ConfigError("k must be a positive integer")
+        if not self.is_torus and (self.a != 0.0 or self.k != 1):
+            raise ConfigError("a must be 0 and k 1 on the plane")
+        if self.is_flat and self.u_amp != 0.0:
+            raise ConfigError("u_amp must be 0 on the flat kinds")
         # the field amplitude and the conformal factor must stay floats
         try:
             amplitude = TWO_PI * self.k * self.a
@@ -194,6 +199,17 @@ def field_strength(spec: GeometrySpec, p):
     """Field F_12 = d_x A_y - d_y A_x at p."""
     dxAy, dyAx = potential_dA(spec, p)
     return dxAy - dyAx
+
+
+def field_curvature(spec: GeometrySpec, p):
+    """Second x-derivatives (u_xx, F_x = d_x^2 A_y) at p, each the float 0.0
+    where it vanishes (u_xx on the flat kinds, both on the plane)."""
+    if not spec.is_torus:
+        return 0.0, 0.0
+    x, w = _wrapped_x(spec, p), TWO_PI * spec.k
+    u_xx = 0.0 if spec.is_flat else (
+        -TWO_PI * TWO_PI * spec.u_amp * np.cos(TWO_PI * x))
+    return u_xx, -w * (w * spec.a) * np.sin(w * x)
 
 
 def _build_rhs(spec: GeometrySpec):

@@ -13,10 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action import ActionParams, action_S, action_S_eps_tau
-from .dynamics import (MAX_RETURN_STEPS, FlowState, _norm_sq, _rk4,
-                       integrate_flow, kinetic_energy)
+from .dynamics import (MAX_RETURN_STEPS, FlowState, _flow_linear, _norm_sq,
+                       _rk4, _rk4_jacobian, integrate_flow, kinetic_energy)
 from .errors import InvalidOracleInput
-from .geometry import ChartPoint, GeometrySpec, _build_rhs, torus_gap
+from .geometry import (ChartPoint, GeometrySpec, _build_rhs,
+                       conformal_exponent, torus_gap)
 from .loops import Loop, make_circle
 
 __all__ = [
@@ -29,8 +30,9 @@ _LOOP_OVERSAMPLE = 8
 # orbit samples and point-set distance below which two candidates are merged
 _DEDUP_PROBE = 256
 _DEDUP_TOL = 1e-3
-# Newton iterations of one return-map search
+# Newton iterations of one return-map search, and of one crossing time
 _NEWTON_ITERS = 12
+_CROSSING_ITERS = 8
 
 
 def larmor_orbit(E: float, B: float) -> tuple[float, float]:
@@ -140,12 +142,14 @@ def _section_offset(spec, dx, dy, nx, ny):
 
 def _first_return(spec, y0, p_base, nhat, dt, t_cap):
     """First same-direction crossing of the section through p_base with
-    normal nhat, after a short blanking interval.  Returns (t, y) or None.
-
-    The field is built once and the RK4 loop steps four floats; the
-    crossing is bisected from the start of the step that brackets it, and
-    the sign change is tested first, as it fails on almost every step.  A
-    state thrown to infinity raises ValueError, as integrate_flow does.
+    normal nhat, after a short blanking interval.  Returns None or
+    (t, y, starts, tau): the crossing, every RK4 step's start and the last
+    step's length.  The RK4 loop steps four floats and tests the sign change
+    first, as it fails on almost every step.  In the bracketing step, tau is
+    Newton's on the section offset from its linear interpolation, with
+    d(offset)/dtau = v . n, clamped to [0, dt], until a correction is below
+    1e-12 dt (three sub-steps, as a rule).  A state thrown to infinity
+    raises ValueError, as integrate_flow does.
     """
     rhs = _build_rhs(spec)
     wrap = spec.is_torus
@@ -155,9 +159,11 @@ def _first_return(spec, y0, p_base, nhat, dt, t_cap):
     h_y = _section_offset(spec, px - bx, py - by, nx, ny)
     t, blank = 0.0, 2.0 * dt
     steps = int(math.ceil(t_cap / dt))
+    starts = []
     try:
         for _ in range(steps):
             y = px, py, vx, vy
+            starts.append(y)
             px, py, vx, vy = _rk4(rhs, px, py, vx, vy, dt)
             dx, dy = px - bx, py - by
             if wrap:
@@ -165,19 +171,16 @@ def _first_return(spec, y0, p_base, nhat, dt, t_cap):
                 dy -= round(dy)
             h_next = dx * nx + dy * ny
             if h_y < 0.0 <= h_next and t > blank and vx * nx + vy * ny > 0.0:
-                lo, hi, ylo = 0.0, dt, y
-                for _ in range(60):
-                    mid = 0.5 * (lo + hi)
-                    ymid = _rk4(rhs, *ylo, mid - lo)
-                    if _section_offset(spec, ymid[0] - bx, ymid[1] - by,
-                                       nx, ny) < 0.0:
-                        lo, ylo = mid, ymid
-                    else:
-                        hi = mid
-                    if hi - lo < 1e-16:
+                tau = dt * (h_y / (h_y - h_next))
+                for _ in range(_CROSSING_ITERS):
+                    tc, yc = tau, _rk4(rhs, *y, tau)
+                    off = _section_offset(spec, yc[0] - bx, yc[1] - by,
+                                          nx, ny)
+                    tau = min(max(tc - off / (yc[2] * nx + yc[3] * ny),
+                                  0.0), dt)
+                    if abs(tau - tc) <= 1e-12 * dt:
                         break
-                return (t + 0.5 * (lo + hi),
-                        np.array(_rk4(rhs, *ylo, 0.5 * (hi - lo))))
+                return t + tc, np.array(yc), starts, tc
             h_y, t = h_next, t + dt
     except OverflowError:  # round or math.floor of an infinite position
         raise ValueError("v must be finite") from None
@@ -193,17 +196,17 @@ def shooting_periodic(spec: GeometrySpec, E_mech: float, seed_grid,
     For each seed a Poincare section is fixed through the seed point, normal
     to its velocity.  The return map in the two section coordinates (offset
     along the section, launch angle) is driven to a fixed point by a damped
-    finite-difference Newton iteration; least-squares solves tolerate the
-    singular directions produced by continuous symmetries (a translated
-    orbit is equally periodic).  The polish stops once the return gap is
-    below tol/10, where the launch already closes to the caller's
-    tolerance, or at the first step that does not shrink the gap, where
-    the finite-difference Jacobian's noise makes the steps wander; the best
-    launch found is kept.  It must still close below tol: a refined orbit
-    whose full phase-space gap after one return is below tol becomes a
-    candidate; near-duplicates (close periods and close point sets, see
-    _dedup_candidates) are merged.  The list may be empty; that is evidence
-    against a periodic orbit near the seeds at this resolution.
+    Newton iteration.  Its Jacobian is that of the search's own RK4 steps
+    (dynamics._rk4_jacobian), between the launch derivative and the
+    projection I - f n^T / (n . v) onto the section, assembled only for a
+    step the loop takes.  Least-squares solves (cutoff 1e-9) tolerate the
+    singular directions of continuous symmetries (a translated orbit is
+    equally periodic).  The polish stops once the return gap is below
+    tol/100, or at the first step that does not shrink it, keeping the best
+    launch.  An orbit whose full phase-space gap after one return is below
+    tol becomes a candidate; near-duplicates (close periods and point sets,
+    see _dedup_candidates) are merged.  An empty list is evidence against a
+    periodic orbit near the seeds at this resolution.
     """
     if not (math.isfinite(E_mech) and E_mech > 0):
         raise InvalidOracleInput("E_mech must be positive and finite")
@@ -233,36 +236,39 @@ def shooting_periodic(spec: GeometrySpec, E_mech: float, seed_grid,
             ret = _first_return(spec, launch(u), p_base, nhat, dt, t_cap)
             if ret is None:
                 return None
-            t_cross, y_cross = ret
+            y_cross = ret[1]
             c_out = float(torus_gap(spec, y_cross[:2] - p_base) @ mhat)
             phi_out = math.atan2(y_cross[3], y_cross[2])
             dphi = (phi_out - u[1] + math.pi) % (2.0 * math.pi) - math.pi
-            return np.array([c_out - u[0], dphi]), t_cross, y_cross
+            return np.array([c_out - u[0], dphi]), ret
+
+        def return_jacobian(u, ret):
+            _, y, starts, tau = ret
+            h = np.append(np.full(len(starts) - 1, dt), tau)
+            flow = _rk4_jacobian(spec, np.array(starts), h)
+            f = _flow_linear(spec, y)[0] / (y[2:] @ nhat)
+            section = np.eye(4) - np.outer(f, np.r_[nhat, 0.0, 0.0])
+            r2 = y[2] * y[2] + y[3] * y[3]
+            d_out = np.array([[*mhat, 0.0, 0.0],
+                              [0.0, 0.0, -y[3] / r2, y[2] / r2]])
+            ys = launch(u)  # the speed factor exp(-u) moves with the offset
+            c = -conformal_exponent(spec, ys[:2])[1] * mhat[0]
+            d_launch = np.array([[mhat[0], 0.0], [mhat[1], 0.0],
+                                 [c * ys[2], -ys[3]], [c * ys[3], ys[2]]])
+            return d_out @ section @ flow @ d_launch - np.eye(2)
 
         u = np.array([0.0, phi0])
         first = return_gap(u, period_cap)
         if first is None:
             continue
-        gap_vec, t_cross, y_cross = first
-        t_cap = min(period_cap, 1.6 * t_cross + 4.0 * dt)
+        gap_vec, ret = first
+        t_cap = min(period_cap, 1.6 * ret[0] + 4.0 * dt)
         gap = float(np.linalg.norm(gap_vec))
         for _ in range(_NEWTON_ITERS):
-            if gap < 0.1 * tol:
+            if gap < 0.01 * tol:
                 break
-            fd = 1e-7
-            J = np.empty((2, 2))
-            failed = False
-            for j in range(2):
-                up = u.copy()
-                up[j] += fd
-                probe = return_gap(up, t_cap)
-                if probe is None:
-                    failed = True
-                    break
-                J[:, j] = (probe[0] - gap_vec) / fd
-            if failed:
-                break
-            step = np.linalg.lstsq(J, -gap_vec, rcond=1e-12)[0]
+            J = return_jacobian(u, ret)
+            step = np.linalg.lstsq(J, -gap_vec, rcond=1e-9)[0]
             norm = float(np.linalg.norm(step))
             if norm > 0.1:
                 step *= 0.1 / norm
@@ -272,7 +278,8 @@ def shooting_periodic(spec: GeometrySpec, E_mech: float, seed_grid,
             nxt_gap = float(np.linalg.norm(nxt[0]))
             if not nxt_gap < gap:
                 break  # the step does not shrink the gap: keep the best
-            u, (gap_vec, t_cross, y_cross), gap = u + step, nxt, nxt_gap
+            u, (gap_vec, ret), gap = u + step, nxt, nxt_gap
+        t_cross, y_cross = ret[:2]
         y_start = launch(u)
         closure = _state_gap(spec, y_cross, y_start)
         if closure >= tol:

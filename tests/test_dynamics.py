@@ -11,8 +11,8 @@ from magloop import (ChartPoint, FlowState, GeometryKind, GeometrySpec, Loop,
                      el_residual_SE, integrate_flow,
                      kinetic_energy, make_circle)
 from magloop.action import ActionParams, action_S, grad_action, grad_norm
-from magloop.dynamics import (_central_derivatives, _norm_sq, _rk4,
-                              write_trajectory_csv)
+from magloop.dynamics import (_central_derivatives, _flow_linear, _norm_sq,
+                              _rk4, _rk4_jacobian, write_trajectory_csv)
 from magloop.geometry import TWO_PI, _build_rhs
 from magloop.loops import resample_arclength, speed_cv
 from test_geometry import _tensors
@@ -136,6 +136,49 @@ _KERNEL_SPECS = _ALL_SPECS + [
 def test_rk4_kernel_equals_the_frozen_scalar_step(y, h, spec):
     got = np.array(_rk4(_build_rhs(spec), *y.tolist(), h))
     assert got.tobytes() == _frozen_rk4_step(spec, y, h).tobytes()
+
+
+def _fd_jacobian(func, y, h=1e-6):
+    """Central differences of func: R^4 -> R^m, column j along y_j."""
+    cols = []
+    for j in range(4):
+        e = np.zeros(4)
+        e[j] = h
+        cols.append((np.asarray(func(y + e)) - np.asarray(func(y - e)))
+                    / (2.0 * h))
+    return np.stack(cols, axis=-1)
+
+
+@given(y=_state, spec=st.sampled_from(_KERNEL_SPECS))
+def test_flow_jacobian_matches_fd_of_the_rhs(y, spec):
+    rhs = _build_rhs(spec)
+    f, D = _flow_linear(spec, y)
+    acc = np.array(rhs(*y.tolist()))
+    assert np.array_equal(f[:2], y[2:])
+    assert np.all(np.abs(f[2:] - acc) <= 1e-13 * (1.0 + np.abs(acc).max()))
+    assert np.array_equal(D[:2], np.eye(4)[2:])
+    fd = _fd_jacobian(lambda z: rhs(*z.tolist()), y)
+    assert np.abs(D[2:] - fd).max() <= 1e-8 * (1.0 + np.abs(fd).max())
+
+
+@given(y=_state, h=st.floats(1e-4, 0.01), n=st.integers(1, 9),
+       last=st.floats(0.0, 1.0), spec=st.sampled_from(_KERNEL_SPECS))
+def test_tangent_rk4_matches_fd_of_the_steps(y, h, n, last, spec):
+    # n steps of length h, the last one cut to last * h as at a crossing;
+    # odd and even n exercise both branches of the pairwise product
+    rhs = _build_rhs(spec)
+    steps = np.full(n, h)
+    steps[-1] *= last
+
+    def flow(z):
+        starts = [z.tolist()]
+        for step in steps:
+            starts.append(_rk4(rhs, *starts[-1], step))
+        return np.array(starts)
+
+    M = _rk4_jacobian(spec, flow(y)[:-1], steps)
+    fd = _fd_jacobian(lambda z: flow(z)[-1], y)
+    assert np.abs(M - fd).max() <= 1e-8 * (1.0 + np.abs(fd).max())
 
 
 def test_energy_conservation_all_kinds():

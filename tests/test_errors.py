@@ -56,6 +56,14 @@ BAD_ARGUMENTS = {
         GeometryKind.FLAT_TORUS_SINE, B=5.0, a=3.0),
     "GeometrySpec.B_conformal_torus": lambda: GeometrySpec(
         GeometryKind.CONFORMAL_TORUS, B=-1e-300, a=1.0, u_amp=0.3),
+    "GeometrySpec.u_amp_flat_torus": lambda: GeometrySpec(
+        GeometryKind.FLAT_TORUS_SINE, a=3.0, u_amp=0.5),
+    "GeometrySpec.u_amp_plane": lambda: GeometrySpec(
+        GeometryKind.PLANE_CONSTANT_B, B=1.0, u_amp=-1e-300),
+    "GeometrySpec.a_plane": lambda: GeometrySpec(
+        GeometryKind.PLANE_CONSTANT_B, B=1.0, a=3.0),
+    "GeometrySpec.k_plane": lambda: GeometrySpec(
+        GeometryKind.PLANE_CONSTANT_B, B=1.0, k=2),
     "make_circle.orientation": lambda: make_circle((0.0, 0.0), 1.0, 0, 8),
     "make_circle.r": lambda: make_circle((0.0, 0.0), -1.0, 1, 8),
     "make_circle.r_inf": lambda: make_circle((0.0, 0.0), math.inf, 1, 8),
@@ -136,3 +144,23 @@ def test_cli_refuses_B_on_the_torus_and_writes_nothing(kind, tmp_path,
         cli.EXIT_CONFIG
     assert capsys.readouterr().err.count("B must be 0 on the torus") == 3
     assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("kind, flags, message", [
+    ("flat_torus_sine", ["--a", "3", "--u-amp", "0.5"],
+     "u_amp must be 0 on the flat kinds"),
+    ("plane_constant_B", ["--B", "1", "--u-amp", "0.5"],
+     "u_amp must be 0 on the flat kinds"),
+    ("plane_constant_B", ["--B", "1", "--a", "3"],
+     "a must be 0 and k 1 on the plane"),
+    ("plane_constant_B", ["--B", "1", "--k", "2"],
+     "a must be 0 and k 1 on the plane"),
+])
+def test_cli_refuses_unread_geometry_parameters_and_writes_nothing(
+        kind, flags, message, tmp_path, monkeypatch, capsys):
+    # a parameter the kind does not read used to be accepted and ignored
+    monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+    assert cli.main(["flow", "--kind", kind, *flags, "--speed", "0.3",
+                     "--T", "1", "--steps", "100"]) == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []

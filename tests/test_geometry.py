@@ -6,13 +6,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from magloop import (ChartPoint, GeometryKind, GeometrySpec, Loop,
                      el_residual_SE, field_strength, potential_eval)
 from magloop.action import ActionParams, grad_action, values
 from magloop.dynamics import _norm_sq, _rk4
 from magloop.errors import ConfigError
-from magloop.geometry import _build_rhs, conformal_exponent, potential_dA
+from magloop.geometry import (_build_rhs, conformal_exponent, field_curvature,
+                              potential_dA)
 from magloop.loops import resample_arclength
 
 ALL_SPECS = [
@@ -165,6 +168,22 @@ def test_field_closed_forms():
         for spec in (plane, torus):
             dxAy, dyAx = potential_dA(spec, p)
             assert field_strength(spec, p) == dxAy - dyAx
+
+
+@given(x=st.floats(-3.0, 3.0), y=st.floats(-3.0, 3.0),
+       spec=st.sampled_from(ALL_SPECS))
+def test_field_curvature_matches_fd(x, y, spec):
+    # u_xx and F_x = d_x^2 A_y against central differences of u_x and F
+    h = 1e-6
+    p, pp, pm = (np.array([x + dx, y]) for dx in (0.0, h, -h))
+    u_xx, F_x = field_curvature(spec, p)
+    fd_uxx = (conformal_exponent(spec, pp)[1]
+              - conformal_exponent(spec, pm)[1]) / (2.0 * h)
+    fd_Fx = (field_strength(spec, pp) - field_strength(spec, pm)) / (2.0 * h)
+    assert abs(u_xx - fd_uxx) <= 1e-8 * (1.0 + abs(fd_uxx))
+    assert abs(F_x - fd_Fx) <= 1e-8 * (1.0 + abs(fd_Fx))
+    if not spec.is_torus:
+        assert (u_xx, F_x) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS[2:], ids=lambda s: s.kind.value)

@@ -14,11 +14,14 @@ from magloop import (ChartPoint, FlowState, GeometryKind, GeometrySpec, Loop,
                      speed_cv)
 from magloop import oracle
 from magloop.action import ActionParams
+from magloop.dynamics import _norm_sq, _rk4
 from magloop.errors import InvalidOracleInput
-from magloop.geometry import torus_gap
+from magloop.geometry import _build_rhs, torus_gap
 
 PLANE = GeometrySpec(GeometryKind.PLANE_CONSTANT_B, B=1.0)
 SINE_TORUS = GeometrySpec(GeometryKind.FLAT_TORUS_SINE, a=3.0, k=1)
+CONFORMAL_TORUS = GeometrySpec(GeometryKind.CONFORMAL_TORUS, a=3.0, k=1,
+                               u_amp=0.2)
 
 
 def test_larmor_closed_form_and_scaling():
@@ -218,31 +221,31 @@ def _recorded_shooting(seeds, tol, monkeypatch):
 
 def test_shooting_newton_keeps_its_best_iterate(criterion10_seeds,
                                                 monkeypatch):
-    # The polish stops once the return gap is below tol/10: on these seeds
-    # every later step cost three return searches and was rejected, as the
-    # finite-difference Jacobian is noisier than such a gap.  Stopping also
-    # at the first step that does not shrink the gap keeps the best launch:
-    # every seed closes far below tol, in 34 return searches.  Running all the
-    # iterations and keeping the last iterate takes 148 searches and leaves
-    # two of the four seeds above tol.
+    # The Jacobian of the return map comes from the search's own RK4 steps,
+    # so each Newton step costs one return search and the gap falls
+    # quadratically: the seeds take 2, 3, 4 and 3 steps to a gap below
+    # tol/100, in 16 searches.  The polish also stops at the first step
+    # that does not shrink the gap, keeping the best launch.  Every seed
+    # closes at the RK4 energy floor, far below tol.
     returns, before_dedup, _ = _recorded_shooting(criterion10_seeds, 1e-8,
                                                   monkeypatch)
     assert len(before_dedup) == len(criterion10_seeds)
     assert all(c.closure_residual < 1e-10 for c in before_dedup)
-    assert returns == 34
+    assert returns == 16
     assert [(c.period.hex(), c.closure_residual.hex())
             for c in before_dedup] == [
-        ("0x1.5585f07b8e7bap-2", "0x1.01996d0d957bep-36"),
-        ("0x1.5585f07b9adbep-2", "0x1.230b02cf89dc8p-36"),
-        ("0x1.5585f07c236c4p-2", "0x1.92dab517ba8cdp-34"),
-        ("0x1.5585f07bac3efp-2", "0x1.9baad3775d6dap-36"),
+        ("0x1.5585f07b8b5c7p-2", "0x1.03401f8a460f7p-36"),
+        ("0x1.5585f07b8403ap-2", "0x1.17808b8fbdb77p-36"),
+        ("0x1.5585f07b8e0e4p-2", "0x1.019330a48df20p-36"),
+        ("0x1.5585f07b8e201p-2", "0x1.0193373305650p-36"),
     ]
 
 
-def test_shooting_stops_the_polish_at_a_tenth_of_a_loose_tol(
+def test_shooting_stops_the_polish_at_a_hundredth_of_a_loose_tol(
         criterion10_seeds, monkeypatch):
-    # at tol = 1e-4 two seeds stop polishing earlier: fewer searches, and
-    # each candidate still closes below the caller's tol on the same orbit
+    # the polish stops below tol/100: at tol = 1e-4 three seeds stop one
+    # step earlier, and each candidate still closes below the caller's tol
+    # on the same orbit
     tight, _, _ = _recorded_shooting(criterion10_seeds, 1e-8, monkeypatch)
     loose, before_dedup, kept = _recorded_shooting(criterion10_seeds, 1e-4,
                                                    monkeypatch)
@@ -251,6 +254,75 @@ def test_shooting_stops_the_polish_at_a_tenth_of_a_loose_tol(
     assert all(c.closure_residual < 1e-4 for c in before_dedup)
     assert len(kept) == 1
     assert abs(kept[0].period - 0.3335187507) <= 1e-6 * 0.3335187507
+
+
+def _return_gap(spec, seed, u, E_mech=0.01, dt=1e-3):
+    """shooting_periodic's return gap at the section unknowns u = (offset
+    along the section, launch angle), written out as the reference."""
+    y0 = oracle._normalize_state(spec, seed, E_mech)
+    p_base, nhat = y0[:2], y0[2:] / np.linalg.norm(y0[2:])
+    mhat = np.array([-nhat[1], nhat[0]])
+    pos = p_base + u[0] * mhat
+    vdir = np.array([math.cos(u[1]), math.sin(u[1])])
+    vel = vdir * (math.sqrt(2.0 * E_mech) / math.sqrt(_norm_sq(spec, pos,
+                                                                 vdir)))
+    y = oracle._first_return(spec, np.concatenate([pos, vel]), p_base, nhat,
+                             dt, 0.6)[1]
+    dphi = math.atan2(y[3], y[2]) - u[1]
+    return np.array([torus_gap(spec, y[:2] - p_base) @ mhat - u[0],
+                     (dphi + math.pi) % (2.0 * math.pi) - math.pi])
+
+
+@pytest.mark.parametrize("spec", [SINE_TORUS, CONFORMAL_TORUS],
+                         ids=lambda s: s.kind.value)
+def test_return_map_jacobian_matches_fd_of_the_return_gap(
+        spec, criterion10_seeds, monkeypatch):
+    # the first Newton step's Jacobian, at criterion 10's first launch, is
+    # the one its least-squares solve receives
+    seed = criterion10_seeds[0]
+    solves = []
+    lstsq = np.linalg.lstsq
+
+    def recorded_lstsq(a, b, rcond):
+        solves.append(a)
+        return lstsq(a, b, rcond=rcond)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(np.linalg, "lstsq", recorded_lstsq)
+        shooting_periodic(spec, 0.01, [seed], period_cap=0.6, tol=1e-8)
+    u = np.array([0.0, math.atan2(seed.v[1], seed.v[0])])
+    h = 1e-5  # the gap rounds at about 1e-13, so smaller steps are noise
+    fd = np.stack([(_return_gap(spec, seed, u + e) - _return_gap(spec, seed,
+                                                                 u - e))
+                   / (2.0 * h) for e in (h * np.eye(2))], axis=1)
+    assert np.abs(solves[0] - fd).max() <= 1e-7 * np.abs(fd).max()
+
+
+@pytest.mark.parametrize("angle", [0.0, 2.0, 4.5])
+def test_crossing_time_is_the_bisected_root(angle):
+    # the Larmor circle through the origin returns to it after 2 pi, where
+    # the section offset rounds at the scale of one step, |p| ~ dt, fine
+    # enough to pin the crossing time; the reference bisects the sign change
+    # of the offset over the last step down to adjacent floats
+    dt = 1e-3
+    y0 = np.array([0.0, 0.0, math.cos(angle), math.sin(angle)])
+    nhat = y0[2:]
+    t, y, starts, tau = oracle._first_return(PLANE, y0, y0[:2], nhat, dt,
+                                             7.0)
+    rhs = _build_rhs(PLANE)
+
+    def offset(s):
+        z = _rk4(rhs, *starts[-1], s)
+        return oracle._section_offset(PLANE, z[0], z[1], *nhat.tolist())
+
+    lo, hi = 0.0, dt
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if offset(mid) < 0.0 else (lo, mid)
+    assert abs(t - 2.0 * math.pi) < 1e-9
+    assert abs(tau - lo) <= 1e-15 * dt
+    assert np.array_equal(y, _rk4(rhs, *starts[-1], tau))
+    assert abs(offset(tau)) <= 4.0 * np.spacing(dt)
 
 
 _HALF_WRAP = st.builds(
