@@ -142,26 +142,25 @@ def _section_offset(spec, dx, dy, nx, ny):
 
 def _first_return(spec, y0, p_base, nhat, dt, t_cap):
     """First same-direction crossing of the section through p_base with
-    normal nhat, after a short blanking interval.  Returns None or
+    normal nhat, after a blanking interval of two steps.  Returns None or
     (t, y, starts, tau): the crossing, every RK4 step's start and the last
-    step's length.  The RK4 loop steps four floats and tests the sign change
-    first, as it fails on almost every step.  In the bracketing step, tau is
-    Newton's on the section offset from its linear interpolation, with
-    d(offset)/dtau = v . n, clamped to [0, dt], until a correction is below
-    1e-12 dt (three sub-steps, as a rule).  A state thrown to infinity
-    raises ValueError, as integrate_flow does.
-    """
+    step's length; t = (len(starts) - 1) dt + tau is counted, not summed,
+    so it does not drift.  The RK4 loop steps four floats and tests the
+    sign change first, as it fails on almost every step.  In the bracketing
+    step, tau is Newton's on the section offset from its linear
+    interpolation, with d(offset)/dtau = v . n, clamped to [0, dt], until a
+    correction is below 1e-12 dt (three sub-steps, as a rule).  A state
+    thrown to infinity raises ValueError, as integrate_flow does."""
     rhs = _build_rhs(spec)
     wrap = spec.is_torus
     bx, by = p_base.tolist()
     nx, ny = nhat.tolist()
     px, py, vx, vy = y0.tolist()
     h_y = _section_offset(spec, px - bx, py - by, nx, ny)
-    t, blank = 0.0, 2.0 * dt
     steps = int(math.ceil(t_cap / dt))
     starts = []
     try:
-        for _ in range(steps):
+        for i in range(steps):
             y = px, py, vx, vy
             starts.append(y)
             px, py, vx, vy = _rk4(rhs, px, py, vx, vy, dt)
@@ -170,7 +169,7 @@ def _first_return(spec, y0, p_base, nhat, dt, t_cap):
                 dx -= round(dx)
                 dy -= round(dy)
             h_next = dx * nx + dy * ny
-            if h_y < 0.0 <= h_next and t > blank and vx * nx + vy * ny > 0.0:
+            if h_y < 0.0 <= h_next and i > 2 and vx * nx + vy * ny > 0.0:
                 tau = dt * (h_y / (h_y - h_next))
                 for _ in range(_CROSSING_ITERS):
                     tc, yc = tau, _rk4(rhs, *y, tau)
@@ -180,8 +179,8 @@ def _first_return(spec, y0, p_base, nhat, dt, t_cap):
                                   0.0), dt)
                     if abs(tau - tc) <= 1e-12 * dt:
                         break
-                return t + tc, np.array(yc), starts, tc
-            h_y, t = h_next, t + dt
+                return i * dt + tc, np.array(yc), starts, tc
+            h_y = h_next
     except OverflowError:  # round or math.floor of an infinite position
         raise ValueError("v must be finite") from None
     return None
@@ -295,7 +294,8 @@ def shooting_periodic(spec: GeometrySpec, E_mech: float, seed_grid,
 
 def _polyline_gap(spec, P, Q) -> float:
     """Max over the points of P of the distance to the closed polyline Q
-    (torus differences wrapped to the nearest period)."""
+    (torus differences wrapped to the nearest period).  O(n^2): dedup's
+    fallback for the pairs that _matched_gap does not merge."""
     A = Q
     edges = np.roll(Q, -1, axis=0) - A
     diff = torus_gap(spec, P[:, None, :] - A[None, :, :])
@@ -306,20 +306,18 @@ def _polyline_gap(spec, P, Q) -> float:
     return float(d.min(axis=1).max())
 
 
-def _vertex_gap(spec, P, Q) -> float:
-    """Symmetric Hausdorff distance of the vertex sets P and Q, with the
-    differences wrapped as torus_gap wraps them.  It bounds the polyline
-    distances of _polyline_gap from above: a point's distance to a closed
-    polyline is at most its distance to the polyline's nearest vertex."""
-    dx = P[:, 0, None] - Q[None, :, 0]
-    dy = P[:, 1, None] - Q[None, :, 1]
-    if spec.is_torus:
-        dx -= np.round(dx)
-        dy -= np.round(dy)
-    dx *= dx
-    dy *= dy
-    dx += dy
-    return math.sqrt(max(dx.min(axis=1).max(), dx.min(axis=0).max()))
+def _matched_gap(spec, P, Q) -> float:
+    """Largest distance between the points of two samplings of one length,
+    paired in phase order from Q's nearest point to P[0]: max_j |P_j -
+    Q_{(j+s) mod n}|, the differences wrapped as torus_gap wraps them.  The
+    pairing is a bijection, so this bounds the symmetric vertex Hausdorff
+    distance from above, and with it both directions of _polyline_gap: a
+    point's distance to a closed polyline is at most its distance to the
+    polyline's nearest vertex."""
+    d = torus_gap(spec, Q - P[0])
+    s = int(np.argmin((d * d).sum(axis=1)))
+    d = torus_gap(spec, P - np.roll(Q, -s, axis=0))
+    return math.sqrt(float((d * d).sum(axis=1).max()))
 
 
 def _dedup_candidates(spec, candidates):
@@ -330,11 +328,12 @@ def _dedup_candidates(spec, candidates):
     Hausdorff distance, which is indifferent to the starting phase, after a
     quick period prefilter.
 
-    _vertex_gap screens each pair first; a pair below _DEDUP_TOL there is
-    a duplicate by the polyline test too.  The polyline test stays for the
-    rest: samples can be further apart than the tolerance (0.025 on a unit
-    Larmor circle), so two phases of one orbit can differ vertex to
-    vertex by more than it."""
+    _matched_gap screens each pair first, in O(n): the samplings are
+    paired in phase order from the nearest start, and a pair below
+    _DEDUP_TOL there is a duplicate by the polyline test too.  The
+    polyline test stays for the rest: samples can be further apart than the
+    tolerance (0.025 on a unit Larmor circle), so two phases of one orbit
+    can differ vertex to vertex by more than it."""
     kept = []
     samples = []
     for cand in candidates:
@@ -349,7 +348,7 @@ def _dedup_candidates(spec, candidates):
             if spec.is_torus:
                 shift_mean[0] = 0.0  # x is not a symmetry direction
             aligned = opts + shift_mean
-            if (_vertex_gap(spec, pts, aligned) < _DEDUP_TOL
+            if (_matched_gap(spec, pts, aligned) < _DEDUP_TOL
                     or max(_polyline_gap(spec, pts, aligned),
                            _polyline_gap(spec, aligned, pts)) < _DEDUP_TOL):
                 duplicate = True
