@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from magloop import (ChartPoint, GeometryKind, GeometrySpec, Loop,
                      el_residual_SE, field_strength, potential_eval)
 from magloop.action import ActionParams, grad_action, values
-from magloop.dynamics import _norm_sq, _rk4
+from magloop.dynamics import _flow_linear, _norm_sq, _rk4, _rk4_jacobian
 from magloop.errors import ConfigError
 from magloop.geometry import (_build_rhs, conformal_exponent, field_curvature,
                               potential_dA)
@@ -224,10 +224,14 @@ def test_spec_from_json_dict_validation():
 
 # Recorded bits of every consumer of the chart fields, so that a rounding
 # change in any hand contraction fails here: a non-uniform loop with wound
-# edges (the residual resamples it first), a three-loop value stack, and
-# one phase-space state at an unwrapped x.
+# edges (the residual resamples it first), a three-loop value stack, one
+# phase-space state at an unwrapped x (on the plane for both signs of B,
+# which set the signs of its zeros), and the shooting kernels (the second
+# derivatives, the flow's Jacobian and the RK4 tangent map) on a stack of
+# states that includes integer x, where the torus fields' sines are zero.
 _PIN_SPECS = {
     "plane": GeometrySpec(GeometryKind.PLANE_CONSTANT_B, B=-1.7),
+    "plane_up": GeometrySpec(GeometryKind.PLANE_CONSTANT_B, B=1.0),
     "flat": GeometrySpec(GeometryKind.FLAT_TORUS_SINE, a=1.3, k=2),
     "conformal": GeometrySpec(GeometryKind.CONFORMAL_TORUS, a=1.3, k=2,
                               u_amp=0.37),
@@ -240,6 +244,18 @@ _PINNED = {
         "resample": "e504fe64e230e85b", "norm_sq": "0x1.1395810624dd3p+1",
         "rk4": ("-0x1.b064bbbca68cap+0", "0x1.899daa211caa6p-2",
                 "0x1.b68be7b5c65abp-1", "-0x1.30fd2aac39da9p+0"),
+        "curvature": "4b48f21a4b7a02bf", "flow_linear": "80a98536e45676f9",
+        "rk4_jacobian": "4304c2023ca9d3ac",
+    },
+    "plane_up": {
+        "residual": ("0x1.b64efc0c05c81p+3", "0x1.90412f853e36dp+2",
+                     "0x1.76ae343bff58ap-3"),
+        "values": "9317b3d3c90e5803", "grad": "e3b417d9314f0734",
+        "resample": "e504fe64e230e85b", "norm_sq": "0x1.1395810624dd3p+1",
+        "rk4": ("-0x1.b076c9802460cp+0", "0x1.896bce49ebcc4p-2",
+                "0x1.a0dedce785424p-1", "-0x1.387ef90f37c83p+0"),
+        "curvature": "4b48f21a4b7a02bf", "flow_linear": "b8fe2624f8c692ad",
+        "rk4_jacobian": "73a195ddf40abe0e",
     },
     "flat": {
         "residual": ("0x1.ad962233b1a45p+4", "0x1.b6bf656b90208p+3",
@@ -248,6 +264,8 @@ _PINNED = {
         "resample": "5f5a4654233378fa", "norm_sq": "0x1.1395810624dd3p+1",
         "rk4": ("-0x1.b01e259ad68f9p+0", "0x1.8a7a5162e3f1ap-2",
                 "0x1.03adf266a7675p+0", "-0x1.0f69b22375496p+0"),
+        "curvature": "e012823364a4f5b1", "flow_linear": "4443905d46c1d015",
+        "rk4_jacobian": "4c1c6e43d6ffb6fd",
     },
     "conformal": {
         "residual": ("0x1.7874525b9e96ap+5", "0x1.09b8c186be00cp+4",
@@ -256,6 +274,8 @@ _PINNED = {
         "resample": "2b6d76e035cad5cf", "norm_sq": "0x1.b680d1128ac35p+0",
         "rk4": ("-0x1.b00d69802b181p+0", "0x1.8a5e3e56d124ep-2",
                 "0x1.0eaceb6b234dep+0", "-0x1.12f7daf5cf488p+0"),
+        "curvature": "85b3f234ecff4315", "flow_linear": "813f9f049ac02ee6",
+        "rk4_jacobian": "627282338393ac7b",
     },
 }
 
@@ -277,6 +297,32 @@ def _pin_loop(spec):
     return Loop(verts, w)
 
 
+def _pin_states():
+    """Phase-space rows (x, y, vx, vy): random ones over several cells and
+    every sign of the velocity, plus rows at integer and dyadic x."""
+    rng = np.random.default_rng(29)
+    rows = rng.uniform(-2.5, 2.5, size=(20, 4))
+    edge = [[x, 0.375, vx, vy] for x in (0.0, 1.0, -2.0, 0.5, 0.25)
+            for vx, vy in ((0.83, -1.21), (-0.6, 0.9))]
+    return np.concatenate([rows, np.array(edge)])
+
+
+def _shooting_kernel_digests(spec):
+    Y = _pin_states()
+    curv = np.stack(np.broadcast_arrays(*field_curvature(spec, Y[:, :2]),
+                                        Y[:, 0]))[:2]
+    f, D = _flow_linear(spec, Y)
+    rhs, y, starts = _build_rhs(spec), (-1.7, 0.4, 0.83, -1.21), []
+    h = np.array([0.013] * 6 + [0.0071])
+    for hi in h:
+        starts.append(y)
+        y = _rk4(rhs, *y, hi)
+    jac = _rk4_jacobian(spec, np.array(starts), h)
+    return {"curvature": _digest(curv),
+            "flow_linear": _digest(np.concatenate([f.ravel(), D.ravel()])),
+            "rk4_jacobian": _digest(jac)}
+
+
 @pytest.mark.parametrize("name", _PIN_SPECS)
 def test_outputs_match_recorded_bits(name):
     spec, want = _PIN_SPECS[name], _PINNED[name]
@@ -296,3 +342,5 @@ def test_outputs_match_recorded_bits(name):
     assert _norm_sq(spec, ChartPoint(-1.7, 0.4), v).hex() == want["norm_sq"]
     step = _rk4(_build_rhs(spec), -1.7, 0.4, 0.83, -1.21, 0.013)
     assert tuple(x.hex() for x in step) == want["rk4"]
+    for key, digest in _shooting_kernel_digests(spec).items():
+        assert digest == want[key], key
