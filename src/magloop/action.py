@@ -18,10 +18,10 @@ potential, forward-difference edges), not discretizations of a continuum
 formula; finite differences of the values reproduce them to roundoff.  With
 g = lam delta (lam = exp(2u), a function of x), the quadratic form
 q_j = lam |d_j|^2 has derivatives -2 lam d_j + h_j and 2 lam d_j + h_j at
-the edge's start and end, h_j = (d_x lam |d_j|^2 / 2, 0); on the flat kinds
-lam = 1 and h_j = 0.  The chart fields are contracted by hand, each product
-rounded as in the tensor formula.  ``values`` takes vertex stacks
-(..., N, 2) through the same edge kernel.
+the edge's start and end, h_j = (d_x lam |d_j|^2 / 2, 0); on a flat chart
+(u_amp = 0) lam = 1 and h_j = 0.  The chart fields are contracted by hand,
+each product rounded as in the tensor formula.  ``values`` takes vertex
+stacks (..., N, 2) through the same edge kernel.
 """
 
 from __future__ import annotations

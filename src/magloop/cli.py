@@ -251,8 +251,10 @@ def run_experiment(config: ExperimentConfig, verbose: bool = False) -> int:
         # the seed is echoed in summary.txt only; no computation reads it
         "config": {key: val for key, val in config.to_json_dict().items()
                    if key != "seed"},
-        "c_ref": c_ref,
-        "beta": BETA_FRAC * c_ref if c_ref > 0 else None,
+        # JSON has no infinity or NaN: a bootstrap level that is not
+        # positive and finite has no band, and a non-finite one is null
+        "c_ref": c_ref if math.isfinite(c_ref) else None,
+        "beta": BETA_FRAC * c_ref if 0.0 < c_ref < math.inf else None,
         "records": rec_objs,
         "classification": classification.to_json_dict(),
         "timings": {"total_s": elapsed},

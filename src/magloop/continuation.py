@@ -201,7 +201,8 @@ def continuation_run(spec: GeometrySpec, E: float, w_shape: str,
     """Run the full continuation; returns (records, classification, c_ref).
 
     Raises NoNegativeLoopFound if no sweep family can be constructed.  The
-    level of step 0 is c_ref; a run whose c_ref is not positive stops there.
+    level of step 0 is c_ref; a run whose c_ref is not positive and finite
+    stops there.
     A run stops Inconclusive, keeping the records before it, at a step
     whose argmax is the one-point loop: no curve was found there.
     """
@@ -213,9 +214,9 @@ def continuation_run(spec: GeometrySpec, E: float, w_shape: str,
         result, rows = _engine(spec, rows, params, settings)
         if n == 0:
             c_ref = result.level
-            if not (c_ref > 0.0):
-                return [], Inconclusive(
-                    f"bootstrap level {c_ref:.6g} is not positive"), c_ref
+            if not (0.0 < c_ref < math.inf):
+                return [], Inconclusive(f"bootstrap level {c_ref:.6g} is "
+                                        "not positive and finite"), c_ref
         loop = result.argmax
         if loop.is_point():
             return records, Inconclusive(

@@ -1,26 +1,28 @@
 """Chart formulas of conformally flat surfaces with exact magnetic potentials.
 
-Every chart is conformally flat, g = exp(2u) delta with u = u(x), and three
-kinds are built in:
+Every chart is one formula in the parameters (B, a, k, u_amp): the metric
+g = exp(2u) delta with u = u_amp*cos(2*pi*x) and the field
+F_12 = B + 2*pi*k*a*cos(2*pi*k*x).  Each kind is a preset of them:
 
-* ``plane_constant_B``: u = 0 on R^2, A = (-B*y/2, B*x/2), F_12 = B.
-* ``flat_torus_sine``: u = 0 on the unit-square torus,
-  A = (0, a*sin(2*pi*k*x)), F_12 = 2*pi*k*a*cos(2*pi*k*x).  The field has
-  zero mean, so A is a globally defined one-form.
-* ``conformal_torus``: the same potential, u = u_amp*cos(2*pi*x).
+* ``plane_constant_B``: (B, 0, 1, 0) on R^2, the uniform field B.
+* ``flat_torus_sine``: (0, a, k, 0) on the unit-square torus, where the
+  field's zero mean makes its potential a globally defined one-form.
+* ``conformal_torus``: (0, a, k, u_amp) on the same torus.
 
-The fields are closed forms of the wrapped x (and of y on the plane): u and
-u_x, A, the off-diagonal entries d_x A_y and d_y A_x of its Jacobian, F_12,
-and the second x-derivatives u_xx and F_x = d_x^2 A_y that the flow's
-Jacobian reads.  No tensor is built; callers contract the fields by hand, with
+The fields are closed forms of x: u and u_x, the off-diagonal entries
+d_x A_y = B/2 + 2*pi*k*a*cos(2*pi*k*x) and d_y A_x = -B/2 of the potential's
+Jacobian, F_12, and the second x-derivatives u_xx and F_x = d_x^2 A_y that
+the flow's Jacobian reads.  Only A forks on the topology: the symmetric
+gauge (-B*y/2, B*x/2) on the plane, (0, a*sin(2*pi*k*x)) on the torus.  No
+tensor is built; callers contract the fields by hand, with
 g^-1 = exp(-2u) delta, d_x g = 2 u_x exp(2u) delta and
 Gamma^x_xx = -Gamma^x_yy = Gamma^y_xy = u_x.  _build_rhs is the float form
 of the same formulas at one phase-space point.
 
 The fields accept a ChartPoint or an array of shape (..., 2) and broadcast.
-On the torus kinds x is wrapped into [0, 1) before any trigonometric
-evaluation, so the fields are exactly periodic (bitwise) under integer
-translations of the chart coordinates.
+A field is the float 0.0 where its amplitude is zero: u, u_x and u_xx when
+u_amp = 0 (``is_flat``), F_x when a = 0.  On the torus x is wrapped into
+[0, 1) first, so the fields are bitwise periodic under integer translations.
 """
 
 from __future__ import annotations
@@ -59,11 +61,11 @@ class ChartPoint:
 
 @dataclass(frozen=True)
 class GeometrySpec:
-    """Immutable description of a chart: kind plus field/metric parameters.
-
-    ``B`` is read on the plane (the torus fields have zero mean), ``a``/``k``
-    on the torus kinds, ``u_amp`` on the conformal torus; a kind refuses a
-    parameter it does not read away from its default (0, or 1 for ``k``).
+    """Immutable description of a chart: F_12 = B + 2 pi k a cos(2 pi k x)
+    over g = exp(2 u_amp cos(2 pi x)) delta on the plane or torus its kind
+    names.  The kinds are presets of (B, a, k, u_amp): plane (B, 0, 1, 0),
+    flat torus (0, a, k, 0), conformal torus (0, a, k, u_amp); a kind
+    refuses a parameter it presets away from the preset value.
     """
 
     kind: GeometryKind
@@ -84,7 +86,7 @@ class GeometrySpec:
             raise ConfigError("k must be a positive integer")
         if not self.is_torus and (self.a != 0.0 or self.k != 1):
             raise ConfigError("a must be 0 and k 1 on the plane")
-        if self.is_flat and self.u_amp != 0.0:
+        if self.u_amp != 0.0 and self.kind is not GeometryKind.CONFORMAL_TORUS:
             raise ConfigError("u_amp must be 0 on the flat kinds")
         # the field amplitude and the conformal factor must stay floats
         try:
@@ -103,8 +105,8 @@ class GeometrySpec:
 
     @property
     def is_flat(self) -> bool:
-        """True when u = 0, so the metric is the Euclidean delta."""
-        return self.kind is not GeometryKind.CONFORMAL_TORUS
+        """True when u_amp = 0, so the metric is the Euclidean delta."""
+        return self.u_amp == 0.0
 
     def to_json_dict(self) -> dict:
         return {
@@ -165,7 +167,7 @@ def _wrapped_x(spec: GeometrySpec, p) -> np.ndarray:
 
 def conformal_exponent(spec: GeometrySpec, p):
     """Exponent u of the metric g = exp(2u) delta at p and its x-derivative
-    u_x, each of shape (...); both are the float 0.0 on the flat kinds."""
+    u_x, each of shape (...); both are the float 0.0 when u_amp = 0."""
     if spec.is_flat:
         return 0.0, 0.0
     x = _wrapped_x(spec, p)
@@ -186,13 +188,13 @@ def potential_eval(spec: GeometrySpec, p) -> np.ndarray:
 
 
 def potential_dA(spec: GeometrySpec, p):
-    """Off-diagonal entries (d_x A_y, d_y A_x) of the potential's Jacobian
-    at p; its diagonal vanishes.  Constants (floats) where they do not vary,
-    so the pair broadcasts against the shape (...) of the points."""
-    if spec.is_torus:
-        x = _wrapped_x(spec, p)
-        return TWO_PI * spec.k * spec.a * np.cos(TWO_PI * spec.k * x), 0.0
-    return 0.5 * spec.B, -0.5 * spec.B
+    """Off-diagonal entries (d_x A_y, d_y A_x) = (B/2 + 2 pi k a cos(2 pi k x),
+    -B/2) of the potential's Jacobian at p; its diagonal vanishes.  d_y A_x
+    is a float, so the pair broadcasts against the shape (...) of the
+    points."""
+    w = TWO_PI * spec.k
+    return (0.5 * spec.B + w * spec.a * np.cos(w * _wrapped_x(spec, p)),
+            -0.5 * spec.B)
 
 
 def field_strength(spec: GeometrySpec, p):
@@ -203,43 +205,31 @@ def field_strength(spec: GeometrySpec, p):
 
 def field_curvature(spec: GeometrySpec, p):
     """Second x-derivatives (u_xx, F_x = d_x^2 A_y) at p, each the float 0.0
-    where it vanishes (u_xx on the flat kinds, both on the plane)."""
-    if not spec.is_torus:
-        return 0.0, 0.0
+    where its amplitude is zero (u_amp for u_xx, a for F_x): on the plane
+    the formula would give zeros signed as sin(2 pi x), and the flow's
+    Jacobian keeps those signs."""
     x, w = _wrapped_x(spec, p), TWO_PI * spec.k
     u_xx = 0.0 if spec.is_flat else (
         -TWO_PI * TWO_PI * spec.u_amp * np.cos(TWO_PI * x))
-    return u_xx, -w * (w * spec.a) * np.sin(w * x)
+    F_x = 0.0 if spec.a == 0.0 else -w * (w * spec.a) * np.sin(w * x)
+    return u_xx, F_x
 
 
 def _build_rhs(spec: GeometrySpec):
-    """Acceleration rhs(x, y, vx, vy) -> (ax, ay) of the Lorentz flow.
-
-    Closed form per chart kind, operation for operation equal to
-    -Gamma(v, v) + g^-1 F v on the flat kinds:
-
-    * plane: F_12 = B, Gamma = 0.
-    * flat torus: F_12 = 2 pi k a cos(2 pi k x) at the wrapped x, Gamma = 0.
-    * conformal torus: the same field over g = exp(2u) delta, u = u(x), where
-      Gamma^x_xx = -Gamma^x_yy = Gamma^y_xy = u_x.
-
-    The constants are formed once per call, grouped as the left-to-right
+    """Acceleration rhs(x, y, vx, vy) -> (ax, ay) of the Lorentz flow,
+    -Gamma(v, v) + g^-1 F v with F = B + 2 pi k a cos(2 pi k x) at the
+    wrapped x: Gamma = 0 in the flat closure (u_amp = 0), and
+    Gamma^x_xx = -Gamma^x_yy = Gamma^y_xy = u_x in the conformal one.  The
+    constants are formed once per call, grouped as the left-to-right
     products above group them (2 pi k, then times a), so the accelerations
     are the same floats as those of the formulas written out in full.
     """
-    kind = spec.kind
-    if kind is GeometryKind.PLANE_CONSTANT_B:
-        F = spec.B
-
-        def rhs(x, y, vx, vy):
-            return F * vy, -F * vx
-        return rhs
-    w = TWO_PI * spec.k
+    B, w = spec.B, TWO_PI * spec.k
     amp = w * spec.a
     floor, cos = math.floor, math.cos
-    if kind is GeometryKind.FLAT_TORUS_SINE:
+    if spec.is_flat:
         def rhs(x, y, vx, vy):
-            F = amp * cos(w * (x - floor(x)))
+            F = B + amp * cos(w * (x - floor(x)))
             return F * vy, -F * vx
         return rhs
     u_amp = spec.u_amp
@@ -248,7 +238,7 @@ def _build_rhs(spec: GeometrySpec):
 
     def rhs(x, y, vx, vy):
         x = x - floor(x)
-        F = amp * cos(w * x)
+        F = B + amp * cos(w * x)
         ux = c * sin(TWO_PI * x)
         gF = exp(-2.0 * (u_amp * cos(TWO_PI * x))) * F
         return (-(ux * vx * vx - ux * vy * vy) + gF * vy,

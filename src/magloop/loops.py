@@ -14,9 +14,9 @@ Geometric quantities use the midpoint metric per edge: with g = lam delta,
 lam = exp(2u) the chart's conformal factor, the Riemannian edge length is
 sqrt(lam(m_j) |d_j|^2) with m_j = v_j + d_j / 2, and the speed assigned to
 edge j of an N-gon is N times that length (the loop parameter runs over
-[0, 1]).  On the flat kinds lam = 1 and the multiply is skipped, which
-changes no bit.  The edge kernel also takes vertex stacks (..., N, 2), bit
-for bit per loop.
+[0, 1]).  On a flat chart (u_amp = 0) lam = 1 and the multiply is
+skipped, which changes no bit.  The edge kernel also takes vertex stacks
+(..., N, 2), bit for bit per loop.
 
 Loops derived from an existing loop (with_vertices, interpolate) are built
 by a trusted constructor that reuses the parent's frozen windings and takes
@@ -150,7 +150,7 @@ def _edge_metric(spec: GeometrySpec, v: np.ndarray, d: np.ndarray):
     the edges d leaving the vertices v, both of shape (..., N, 2).
 
     The length is sqrt((d_x lam) d_x + (d_y lam) d_y), the rounding of the
-    contraction d . g . d; lam is the float 1.0 on the flat kinds.
+    contraction d . g . d; lam is the float 1.0 on a flat chart.
     """
     m = v + 0.5 * d
     dx, dy = d[..., 0], d[..., 1]
@@ -165,7 +165,7 @@ def edge_geometry(spec: GeometrySpec, v: np.ndarray, w: np.ndarray):
     the shared windings w, from one displacement pass.
 
     d are the chart displacements, m the midpoints, lam the conformal
-    factor at the midpoints (1.0 on the flat kinds) and ell the Riemannian
+    factor at the midpoints (1.0 on a flat chart) and ell the Riemannian
     edge lengths; every length, action value and gradient is assembled
     from these.
     """

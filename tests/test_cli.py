@@ -265,6 +265,26 @@ def test_point_loop_argmax_is_not_a_critical_maximum(tmp_path, monkeypatch,
     assert mpass["converged"] is False and mpass["stop"] != "critical"
 
 
+def test_infinite_bootstrap_level_stops_and_writes_null(tmp_path,
+                                                        monkeypatch):
+    # at E = 1e155 the squared speeds overflow, so step 0's level is +inf:
+    # the run stops at the bootstrap, and result.json stays valid JSON
+    monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+    cfg = {**_base_config(n_steps=3), "E": 1e155,
+           "discretization": {"n_vertices": 16, "family_size": 5}}
+    cpath = _write_config(tmp_path, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.main(["run", "--config", cpath]) == cli.EXIT_INCONCLUSIVE
+    out = tmp_path / "run_out"
+    result = json.loads((out / "result.json").read_text(),
+                        parse_constant=_refuse_constant)
+    assert result["c_ref"] is None and result["beta"] is None
+    assert result["records"] == []
+    assert result["classification"]["reason"] == (
+        "bootstrap level inf is not positive and finite")
+    assert "bootstrap level c_ref = inf" in (out / "summary.txt").read_text()
+
+
 _OVERFLOWING_GEOMETRY = [
     {"kind": "flat_torus_sine", "a": 1e308},
     {"kind": "conformal_torus", "a": 3.0, "u_amp": 400.0},

@@ -170,6 +170,26 @@ def test_field_closed_forms():
             assert field_strength(spec, p) == dxAy - dyAx
 
 
+def test_fields_read_parameters_not_kinds():
+    # a conformal torus with u_amp = 0 is the flat torus of the same (a, k)
+    # bit for bit, in every field and in the flow
+    flat = GeometrySpec(GeometryKind.FLAT_TORUS_SINE, a=1.5, k=2)
+    same = GeometrySpec(GeometryKind.CONFORMAL_TORUS, a=1.5, k=2)
+    assert same.is_flat
+    pts = np.random.default_rng(23).uniform(-2.0, 2.0, size=(30, 2))
+
+    def bits(out):
+        return [np.asarray(part).tobytes()
+                for part in (out if isinstance(out, tuple) else (out,))]
+
+    for field in (conformal_exponent, potential_eval, potential_dA,
+                  field_strength, field_curvature):
+        assert bits(field(flat, pts)) == bits(field(same, pts))
+    rhs_flat, rhs_same = _build_rhs(flat), _build_rhs(same)
+    for row in pts.reshape(15, 4).tolist():
+        assert rhs_flat(*row) == rhs_same(*row)
+
+
 @given(x=st.floats(-3.0, 3.0), y=st.floats(-3.0, 3.0),
        spec=st.sampled_from(ALL_SPECS))
 def test_field_curvature_matches_fd(x, y, spec):
