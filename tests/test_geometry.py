@@ -10,7 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from magloop import (ChartPoint, GeometryKind, GeometrySpec, Loop,
-                     el_residual_SE, field_strength, potential_eval)
+                     el_residual_SE, field_strength, init_sweep_family,
+                     potential_eval)
 from magloop.action import ActionParams, grad_action, values
 from magloop.dynamics import _flow_linear, _norm_sq, _rk4, _rk4_jacobian
 from magloop.errors import ConfigError
@@ -364,3 +365,32 @@ def test_outputs_match_recorded_bits(name):
     assert tuple(x.hex() for x in step) == want["rk4"]
     for key, digest in _shooting_kernel_digests(spec).items():
         assert digest == want[key], key
+
+
+# Recorded bits of the sweep family (vertices, windings): a circle path on
+# every pinned chart, a two-row cylinder on the sine torus, and the k = 2
+# rectangle family that a weak field falls back to.
+_FAMILY_PINS = [
+    (_PIN_SPECS["plane"], 0.1, "path", ("f6fd916da0a23927",
+                                        "71c642b31e5890a1")),
+    (_PIN_SPECS["plane_up"], 0.1, "path", ("a681689a295c7a81",
+                                           "71c642b31e5890a1")),
+    (_PIN_SPECS["flat"], 0.1, "path", ("06c6a9eb8ac25b65",
+                                       "71c642b31e5890a1")),
+    (_PIN_SPECS["conformal"], 0.1, "path", ("81bc496f4e593900",
+                                            "71c642b31e5890a1")),
+    (GeometrySpec(GeometryKind.FLAT_TORUS_SINE, a=3.0, k=1), 0.1,
+     "cylinder", ("1632f487fcd0fcc0", "299407adb3f1bd64")),
+    (GeometrySpec(GeometryKind.FLAT_TORUS_SINE, a=0.3, k=2), 0.05, "path",
+     ("c069d5aa61af337a", "71c642b31e5890a1")),
+]
+
+
+@pytest.mark.parametrize("spec, E, shape, want", _FAMILY_PINS,
+                         ids=[*_PIN_SPECS, "cylinder", "rectangle"])
+def test_sweep_family_matches_recorded_bits(spec, E, shape, want):
+    fam = init_sweep_family(spec, E, shape, 9, 48, m_p=2)
+    loops = [lp for row in fam.rows for lp in row]
+    assert len(fam.rows) == (2 if shape == "cylinder" else 1)
+    assert (_digest(np.stack([lp.vertices for lp in loops])),
+            _digest(np.stack([lp.windings for lp in loops]))) == want
