@@ -30,8 +30,7 @@ import numpy as np
 
 from . import __version__
 from .action import ActionParams
-from .continuation import (BETA_FRAC, FAMILY_SIZE, M_P, N_VERTICES,
-                           Classification, ConvergedExtremal,
+from .continuation import (BETA_FRAC, Classification, ConvergedExtremal,
                            DivergingLengths, Inconclusive, Schedule,
                            continuation_run)
 from .dynamics import (MAX_RETURN_STEPS, FlowState, _norm_sq, integrate_flow,
@@ -39,7 +38,7 @@ from .dynamics import (MAX_RETURN_STEPS, FlowState, _norm_sq, integrate_flow,
 from .errors import (ConfigError, NoNegativeLoopFound, _check_keys, _number,
                      _require)
 from .geometry import ChartPoint, GeometryKind, GeometrySpec
-from .loops import Loop, save_loop_csv
+from .loops import Loop, LoopFamily, save_loop_csv
 from .minimax import DescentSettings, family_minimax, init_sweep_family
 from .oracle import (_LOOP_OVERSAMPLE, _state_gap, circle_action_profile,
                      fd_gradient, larmor_orbit, orbit_to_loop,
@@ -52,6 +51,11 @@ EXIT_CONFIG = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_NO_NEGATIVE_LOOP = 4
 
+# the default mesh of a run: vertices per loop, loops per family row and
+# rows of a cylinder family
+N_VERTICES = 128
+FAMILY_SIZE = 33
+M_P = 8
 # upper bound on the vertices of one loop family (rows = m_p for a cylinder,
 # 1 for a path); the family alone then stays below about 160 MB
 MAX_FAMILY_VERTICES = 10 ** 7
@@ -218,6 +222,13 @@ def _json_dump(path: Path, obj):
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
+def _sweep_family(config: ExperimentConfig) -> LoopFamily:
+    """The config's sweep family, which run continues and mpass solves."""
+    return init_sweep_family(config.geometry, config.E, config.w_shape,
+                             config.family_size, config.n_vertices,
+                             m_p=config.m_p)
+
+
 def run_experiment(config: ExperimentConfig, verbose: bool = False) -> int:
     """Execute one continuation experiment; writes result.json, summary.txt,
     and step_<n>.csv loops under output_dir.  Returns the process exit code.
@@ -227,10 +238,8 @@ def run_experiment(config: ExperimentConfig, verbose: bool = False) -> int:
     t0 = time.perf_counter()
     try:
         records, classification, c_ref = continuation_run(
-            config.geometry, config.E, config.w_shape, config.schedule,
-            config.solver, n_vertices=config.n_vertices,
-            family_size=config.family_size, m_p=config.m_p,
-            delta=config.delta)
+            config.geometry, config.E, _sweep_family(config),
+            config.schedule, config.solver, delta=config.delta)
     except NoNegativeLoopFound as exc:
         (out / "summary.txt").write_text(
             f"NoNegativeLoopFound: {exc}\nexit code {EXIT_NO_NEGATIVE_LOOP}\n")
@@ -296,10 +305,8 @@ def _cmd_mpass(args) -> int:
     eps = config.schedule.eps0 if args.eps is None else args.eps
     tau = config.schedule.tau0 if args.tau is None else args.tau
     params = ActionParams(E=config.E, eps=eps, tau=tau, delta=config.delta)
-    family = init_sweep_family(config.geometry, config.E, config.w_shape,
-                               config.family_size, config.n_vertices,
-                               m_p=config.m_p)
-    result = family_minimax(config.geometry, family, params, config.solver)
+    result = family_minimax(config.geometry, _sweep_family(config), params,
+                            config.solver)
     out = resolve_output_dir(args.output_dir or config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     _json_dump(out / "mpass_result.json", result.to_json_dict())

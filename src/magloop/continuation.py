@@ -1,12 +1,13 @@
 """Regularization continuation (eps, tau) -> 0 and outcome classification.
 
-A run makes one minimax solve per entry of a geometric schedule, each
-warm-started from the previous step's family.  The level of step 0 at
-(eps0, tau0) is the run's reference level c_ref.  Each solve has one
-tolerance, ``grad_tol``, and refines its argmax only if the gradient
-certificate fails.  Each step records the argmax loop, its rescaled length
-l = sqrt(E) * length, nu = eps * l, and the implied energies of the
-limiting orbit:
+A run continues the sweep family it is given (``init_sweep_family`` builds
+one): one minimax solve per entry of a geometric schedule, each started
+from the previous step's family, step 0 from the given one.  The level of
+step 0 at (eps0, tau0) is the run's reference level c_ref.  Each solve
+has one tolerance, ``grad_tol``, and refines its argmax only if the
+gradient certificate fails.  Each step records the argmax loop, its
+rescaled length l = sqrt(E) * length, nu = eps * l, and the implied
+energies of the limiting orbit:
 
     E_lin = E * (1 + 2 nu)       (first-order shift)
     E_exact = E * (1 + 2 nu)^2     (exact curvature balance)
@@ -27,8 +28,8 @@ from .action import ActionParams
 from .dynamics import ResidualReport, el_residual_SE
 from .errors import ConfigError
 from .geometry import GeometrySpec
-from .loops import Loop, length
-from .minimax import DescentSettings, MinimaxResult, _engine, init_sweep_family
+from .loops import Loop, LoopFamily, length
+from .minimax import DescentSettings, MinimaxResult, _engine
 
 # the level band beta = BETA_FRAC * c_ref reported with a run
 BETA_FRAC = 0.1
@@ -36,11 +37,6 @@ BETA_FRAC = 0.1
 # ConvergedExtremal, and the relative spread of its last three lengths
 RESIDUAL_TOL = 1e-2
 LENGTH_WINDOW = 0.01
-# the default mesh of a run: vertices per loop, loops per family row and
-# rows of a cylinder family
-N_VERTICES = 128
-FAMILY_SIZE = 33
-M_P = 8
 
 
 @dataclass(frozen=True)
@@ -192,22 +188,19 @@ def classify_outcome(records: list[ContinuationRecord]) -> Classification:
         f"final residual {final_res:.3g}")
 
 
-def continuation_run(spec: GeometrySpec, E: float, w_shape: str,
+def continuation_run(spec: GeometrySpec, E: float, family: LoopFamily,
                      schedule: Schedule, settings: DescentSettings, *,
-                     n_vertices: int = N_VERTICES,
-                     family_size: int = FAMILY_SIZE, m_p: int = M_P,
                      delta: float = ActionParams.delta
                      ) -> tuple[list[ContinuationRecord], Classification, float]:
-    """Run the full continuation; returns (records, classification, c_ref).
+    """Continue ``family``; returns (records, classification, c_ref).
 
-    Raises NoNegativeLoopFound if no sweep family can be constructed.  The
-    level of step 0 is c_ref; a run whose c_ref is not positive and finite
-    stops there.
+    Step 0 starts from ``family.rows``.  Raises NoNegativeLoopFound if a
+    terminal loop of the family has S_E >= 0.  The level of step 0 is
+    c_ref; a run whose c_ref is not positive and finite stops there.
     A run stops Inconclusive, keeping the records before it, at a step
     whose argmax is the one-point loop: no curve was found there.
     """
-    rows = init_sweep_family(spec, E, w_shape, family_size, n_vertices,
-                             m_p=m_p).rows
+    rows = family.rows
     records = []
     for n, (eps_n, tau_n) in enumerate(schedule.pairs()):
         params = ActionParams(E=E, eps=eps_n, tau=tau_n, delta=delta)

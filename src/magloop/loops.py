@@ -356,7 +356,7 @@ def load_loop_csv(path) -> Loop:
     """Read a loop written by save_loop_csv (3- or 5-column form)."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])  # an empty file has no header
         if header[:3] != ["index", "x", "y"]:
             raise ValueError(f"unrecognized loop CSV header: {header}")
         has_windings = len(header) == 5

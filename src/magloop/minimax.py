@@ -454,7 +454,8 @@ def _circle_row(center, radii, orientation, n):
 
 def _rectangle_loop(center, width, height, n, clockwise):
     """N points equally spaced along the boundary of an axis-aligned
-    rectangle, starting at the lower-left corner."""
+    rectangle of positive width and height, starting at the lower-left
+    corner."""
     cx, cy = center
     w2, h2 = 0.5 * width, 0.5 * height
     corners = np.array([[cx - w2, cy - h2], [cx + w2, cy - h2],
@@ -464,12 +465,10 @@ def _rectangle_loop(center, width, height, n, clockwise):
     sides = np.roll(corners, -1, axis=0) - corners
     side_len = np.linalg.norm(sides, axis=1)
     per = float(side_len.sum())
-    if per == 0.0:
-        return Loop(np.tile(corners[0], (n, 1)))
     cum = np.concatenate([[0.0], np.cumsum(side_len)])
     t = per * np.arange(n) / n
     idx = np.clip(np.searchsorted(cum, t, side="right") - 1, 0, 3)
-    frac = (t - cum[idx]) / np.where(side_len[idx] == 0.0, 1.0, side_len[idx])
+    frac = (t - cum[idx]) / side_len[idx]
     verts = corners[idx] + frac[:, None] * sides[idx]
     return Loop(verts)
 
@@ -498,9 +497,11 @@ def _scan_negative_circle(spec, E, center, orientation, n, r_cap):
 
 def init_sweep_family(spec: GeometrySpec, E: float, shape: str, M: int,
                       N: int, rng_seed: int = 0, m_p: int = 8) -> LoopFamily:
-    """Construct a throwing-out family whose terminal loops have S_E < 0.
+    """Construct a throwing-out family whose terminal loops have S_E < 0:
+    M loops of N vertices per row, m_p rows for a cylinder, one for a path.
 
-    Centers at a maximizer of the field magnitude, orientation chosen so the
+    Centers at x = 0, where |F| is largest on every kind (F = B on the
+    plane, 2 pi k a cos(2 pi k x) on a torus), orientation chosen so the
     enclosed flux contributes negatively, radii swept from zero until the
     action turns negative.  On a torus, if no contractible circle works, an
     axis-aligned rectangle hugging a single field band is tried.  Raises
@@ -512,19 +513,16 @@ def init_sweep_family(spec: GeometrySpec, E: float, shape: str, M: int,
         raise ConfigError("shape must be 'path' or 'cylinder'")
     if M < 3:
         raise ConfigError("family size must be at least 3")
+    if N < 3:
+        raise ConfigError("a loop needs at least 3 vertices")
     if m_p < 1:
         raise ConfigError("m_p must be positive")
     if not (math.isfinite(E) and E > 0):
         raise ConfigError("E must be positive")
 
     if spec.is_torus:
-        xs = np.arange(512) / 512.0
-        pts = np.stack([xs, np.full_like(xs, 0.5)], axis=1)
-        strengths = np.abs(field_strength(spec, pts))
-        x_star = float(xs[int(np.argmax(strengths))])
         r_cap = min(0.4, 0.249 / spec.k)
     else:
-        x_star = 0.0
         b_abs = abs(spec.B)
         r_cap = 100.0 * math.sqrt(E) / b_abs if b_abs > 0 else 0.0
 
@@ -537,7 +535,7 @@ def init_sweep_family(spec: GeometrySpec, E: float, shape: str, M: int,
     rows = []
     fallback = False
     for y in ys:
-        center = (x_star, y)
+        center = (0.0, y)
         f_c = field_strength(spec, np.asarray(center))
         orientation = -1 if f_c >= 0 else 1
         r_term = _scan_negative_circle(spec, E, center, orientation, N, r_cap)
@@ -556,7 +554,7 @@ def init_sweep_family(spec: GeometrySpec, E: float, shape: str, M: int,
         width = 0.5 / spec.k
         best = None
         for h in np.linspace(0.2, 0.98, 27):
-            lp = _rectangle_loop((x_star, 0.5), width, h, N, clockwise=True)
+            lp = _rectangle_loop((0.0, 0.5), width, h, N, clockwise=True)
             s = action_S(spec, lp, E)
             if s < 0.0 and (best is None or s < best[1]):
                 best = (float(h), s)
@@ -568,9 +566,9 @@ def init_sweep_family(spec: GeometrySpec, E: float, shape: str, M: int,
             row = []
             for t in np.linspace(0.0, 1.0, M):
                 if t == 0.0:
-                    row.append(make_point_loop((x_star, y), N))
+                    row.append(make_point_loop((0.0, y), N))
                 else:
-                    row.append(_rectangle_loop((x_star, y), t * width,
+                    row.append(_rectangle_loop((0.0, y), t * width,
                                                t * h_term, N, clockwise=True))
             rows.append(row)
 

@@ -58,7 +58,8 @@ def plane_bench():
     settings = DescentSettings()
     t0 = time.perf_counter()
     records, classification, c_ref = continuation_run(
-        spec, 1.0, "path", schedule, settings, n_vertices=128)
+        spec, 1.0, init_sweep_family(spec, 1.0, "path", 33, 128), schedule,
+        settings)
     elapsed = time.perf_counter() - t0
     return {"spec": spec, "E": 1.0, "schedule": schedule,
             "records": records, "classification": classification,
@@ -72,7 +73,8 @@ def plane_bench_b2e4():
     schedule = Schedule(eps0=1e-2, tau0=1e-2, rho=0.5, n_steps=8)
     settings = DescentSettings()
     records, classification, c_ref = continuation_run(
-        spec, 4.0, "path", schedule, settings, n_vertices=128)
+        spec, 4.0, init_sweep_family(spec, 4.0, "path", 33, 128), schedule,
+        settings)
     return {"spec": spec, "E": 4.0, "records": records,
             "classification": classification, "c_ref": c_ref,
             "beta": 0.1 * c_ref}

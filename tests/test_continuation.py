@@ -7,7 +7,8 @@ import pytest
 from magloop import (ContinuationRecord, ConvergedExtremal, DescentSettings,
                      DivergingLengths, GeometryKind, GeometrySpec,
                      Inconclusive, MinimaxResult, Schedule, classify_outcome,
-                     continuation_run, implied_energy, make_circle)
+                     continuation_run, implied_energy, init_sweep_family,
+                     make_circle)
 from magloop import continuation
 from magloop.dynamics import ResidualReport
 
@@ -172,8 +173,8 @@ def test_run_makes_one_solve_per_step(monkeypatch):
     spec = GeometrySpec(GeometryKind.PLANE_CONSTANT_B, B=1.0)
     schedule = Schedule(eps0=1e-2, tau0=1e-2, rho=0.5, n_steps=3)
     records, _, c_ref = continuation_run(
-        spec, 1.0, "path", schedule, DescentSettings(), n_vertices=48,
-        family_size=9)
+        spec, 1.0, init_sweep_family(spec, 1.0, "path", 9, 48), schedule,
+        DescentSettings())
     assert len(calls) == schedule.n_steps == len(records)
     assert [(p.eps, p.tau) for p in calls] == schedule.pairs()
     assert records[0].level == c_ref

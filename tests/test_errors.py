@@ -77,6 +77,8 @@ BAD_ARGUMENTS = {
                                                          9, 48),
     "init_sweep_family.M": lambda: init_sweep_family(PLANE, 1.0, "path", 2,
                                                      48),
+    "init_sweep_family.N": lambda: init_sweep_family(PLANE, 1.0, "path", 9,
+                                                     2),
     "init_sweep_family.m_p": lambda: init_sweep_family(
         PLANE, 1.0, "cylinder", 9, 48, m_p=0),
     "init_sweep_family.E_nan": lambda: init_sweep_family(PLANE, math.nan,

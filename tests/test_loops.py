@@ -144,6 +144,13 @@ def test_csv_round_trip(tmp_path):
     assert np.array_equal(back2.windings, tl.windings)
 
 
+def test_csv_load_refuses_an_empty_file(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_bytes(b"")
+    with pytest.raises(ValueError, match="header"):
+        load_loop_csv(path)
+
+
 def _csv_writer_bytes(loop, torus):
     """The bytes csv.writer wrote for a loop before save_loop_csv formatted
     its rows itself."""

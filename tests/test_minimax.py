@@ -170,8 +170,8 @@ def test_segment_screen_is_exact_on_real_families(spec, E, monkeypatch):
 
     monkeypatch.setattr(minimax, "_segment_polish", checked)
     schedule = Schedule(eps0=1e-2, tau0=1e-2, rho=0.5, n_steps=3)
-    continuation_run(spec, E, "path", schedule, DescentSettings(),
-                     n_vertices=48, family_size=9)
+    continuation_run(spec, E, init_sweep_family(spec, E, "path", 9, 48),
+                     schedule, DescentSettings())
     assert len(skipped) >= 3 and sum(skipped) > 0
 
 
