@@ -52,6 +52,58 @@ def test_plane_circulation_is_flux():
             1.0, abs(area))
 
 
+def _symmetric_gauge(B, verts):
+    """Circulation and its gradient in the symmetric gauge
+    A = (B/2)(-y, x): sum_j (B/2)(m_x d_y - m_y d_x) over the edges, each
+    edge's derivative taken at its two ends through m = v_a + d/2 and
+    d = v_b - v_a."""
+    d = np.roll(verts, -1, axis=0) - verts
+    m = verts + 0.5 * d
+    (mx, my), (dx, dy) = m.T, d.T
+    circ = float(np.sum(0.5 * B * (mx * dy - my * dx)))
+    at_a = 0.5 * B * np.stack((0.5 * dy + my, -mx - 0.5 * dx), axis=1)
+    at_b = 0.5 * B * np.stack((0.5 * dy - my, mx - 0.5 * dx), axis=1)
+    return circ, at_a + np.roll(at_b, 1, axis=0)
+
+
+def test_plane_field_terms_match_the_symmetric_gauge():
+    # the circulation sees only F = dA, so the library's value and gradient
+    # equal those of the symmetric gauge on every closed plane loop
+    rng = np.random.default_rng(67)
+    for _ in range(20):
+        B = float(rng.uniform(-3.0, 3.0))
+        spec = GeometrySpec(GeometryKind.PLANE_CONSTANT_B, B=B)
+        free = GeometrySpec(GeometryKind.PLANE_CONSTANT_B, B=0.0)
+        loop = _random_loop(rng, spec, scale=float(rng.uniform(0.1, 3.0)))
+        loop = loop.with_vertices(loop.vertices + rng.uniform(-4.0, 4.0, 2))
+        scale = max(1.0, float(np.abs(loop.vertices).max()))
+        circ, grad = _symmetric_gauge(B, loop.vertices)
+        assert abs(circulation(spec, loop) - circ) <= \
+            1e-12 * abs(B) * scale ** 2
+        params = ActionParams(E=float(rng.uniform(0.5, 2.0)),
+                              eps=float(rng.choice([0.0, 1e-2])),
+                              tau=float(rng.choice([0.0, 0.3])))
+        # the field term is the part of the gradient that B adds
+        field = grad_action(spec, loop, params) - grad_action(free, loop,
+                                                              params)
+        assert float(np.abs(field - grad).max()) <= 1e-12 * abs(B) * scale
+
+
+def test_plane_action_is_translation_invariant():
+    # a constant field has no preferred point: S_E does not see where the
+    # loop sits, whatever gauge the potential is written in
+    rng = np.random.default_rng(71)
+    spec = GeometrySpec(GeometryKind.PLANE_CONSTANT_B, B=-1.7)
+    for _ in range(10):
+        loop = _random_loop(rng, spec)
+        E = float(rng.uniform(0.5, 2.0))
+        base = action_S(spec, loop, E)
+        for shift in ((3.7, 0.0), (0.0, -2.9), (-5.0, 0.0), (0.0, 4.25)):
+            moved = loop.with_vertices(loop.vertices + np.array(shift))
+            assert abs(action_S(spec, moved, E) - base) <= \
+                1e-12 * max(1.0, abs(base))
+
+
 def test_circle_action_closed_form():
     # S_E of an n-gon: sqrt(E) * 2 n r sin(pi/n) + o * B * (n/2) r^2 sin(2pi/n)
     for E, B, r, o in [(1.0, 1.0, 0.8, 1), (4.0, 2.0, 1.3, -1)]:
