@@ -1,8 +1,8 @@
 """Discrete magnetic action functionals on polygonal loops and their gradients.
 
 For a loop with per-edge rescaled speeds s_j = sqrt(E) * N * ell_j (ell_j the
-Riemannian edge length) and circulation C = sum_j A(m_j) . d_j, the package
-evaluates two functionals:
+Riemannian edge length) and circulation C = sum_j Phi(m_j) d_j,y of the
+potential A = Phi(x) dy, the package evaluates two functionals:
 
   action_S          S_E      = sqrt(E) * L + C        (length-type action)
   action_S_eps_tau  S_eps,tau = (1/N) sum_j [eps * s_j^2 + s_j^(1+tau)] + C
@@ -19,9 +19,11 @@ formula; finite differences of the values reproduce them to roundoff.  With
 g = lam delta (lam = exp(2u), a function of x), the quadratic form
 q_j = lam |d_j|^2 has derivatives -2 lam d_j + h_j and 2 lam d_j + h_j at
 the edge's start and end, h_j = (d_x lam |d_j|^2 / 2, 0); on a flat chart
-(u_amp = 0) lam = 1 and h_j = 0.  The chart fields are contracted by hand,
-each product rounded as in the tensor formula.  ``values`` takes vertex
-stacks (..., N, 2) through the same edge kernel.
+(u_amp = 0) lam = 1 and h_j = 0.  The edge's circulation Phi(m_x) d_y has
+derivatives (F d_y / 2, -Phi) and (F d_y / 2, Phi) at its two ends, F = Phi'.
+The chart fields are contracted by hand, each product rounded as in the
+tensor formula.  ``values`` takes vertex stacks (..., N, 2) through the same
+edge kernel.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import (GeometrySpec, conformal_exponent, potential_dA,
+from .geometry import (GeometrySpec, conformal_exponent, field_strength,
                        potential_eval)
 from .loops import Loop, edge_geometry
 
@@ -62,15 +64,16 @@ class ActionParams:
 
 
 def _circulation(spec: GeometrySpec, d: np.ndarray, m: np.ndarray):
-    """Circulation sum_j A(m_j) . d_j of each loop, A at the midpoints."""
-    return np.einsum("...ni,...ni->...", potential_eval(spec, m), d)
+    """Circulation sum_j Phi(m_j) d_j,y of each loop, m_j the midpoints."""
+    return np.einsum("...n,...n->...", potential_eval(spec, m), d[..., 1])
 
 
 def circulation(spec: GeometrySpec, loop: Loop) -> float:
-    """Discrete line integral of the potential, sum_j A(m_j) . d_j.
+    """Discrete line integral of the potential A = Phi(x) dy,
+    sum_j Phi(m_j) d_j,y.
 
-    Exact for the linear plane potential: equals B times the signed polygon
-    area.
+    Exact for the linear plane potential Phi = B*x: equals B times the
+    signed polygon area.
     """
     d, m, _, _ = edge_geometry(spec, loop.vertices, loop.windings)
     return float(_circulation(spec, d, m))
@@ -116,7 +119,6 @@ def grad_action(spec: GeometrySpec, loop: Loop,
     d, m, lam, ell = edge_geometry(spec, loop.vertices, loop.windings)
     rootE = math.sqrt(params.E)
     s = rootE * n * ell
-    A = potential_eval(spec, m)
 
     # d(per-edge speed term)/ds; the floored branch is constant in s.
     sf = np.maximum(s, params.delta)
@@ -141,13 +143,13 @@ def grad_action(spec: GeometrySpec, loop: Loop,
         dq_da[:, 0] += half_T
         dq_db[:, 0] += half_T
 
-    dxAy, dyAx = potential_dA(spec, m)
-    half_Jd = np.stack((0.5 * (dxAy * dy), 0.5 * (dyAx * dx)), axis=1)
+    half_Fd = 0.5 * (field_strength(spec, m) * dy)
+    phi = potential_eval(spec, m)
 
     # vertex j collects the a-end of edge j and the b-end of edge j-1
     coef = (w1 * dsdq)[:, None]
-    contrib_a = coef * dq_da + (half_Jd - A)
-    contrib_b = coef * dq_db + (half_Jd + A)
+    contrib_a = coef * dq_da + np.stack((half_Fd, -phi), axis=1)
+    contrib_b = coef * dq_db + np.stack((half_Fd, phi), axis=1)
     grad = np.zeros((n, 2))
     grad += contrib_a
     grad[1:] += contrib_b[:-1]

@@ -9,20 +9,21 @@ F_12 = B + 2*pi*k*a*cos(2*pi*k*x).  Each kind is a preset of them:
   field's zero mean makes its potential a globally defined one-form.
 * ``conformal_torus``: (0, a, k, u_amp) on the same torus.
 
-The fields are closed forms of x: u and u_x, the off-diagonal entries
-d_x A_y = B/2 + 2*pi*k*a*cos(2*pi*k*x) and d_y A_x = -B/2 of the potential's
-Jacobian, F_12, and the second x-derivatives u_xx and F_x = d_x^2 A_y that
-the flow's Jacobian reads.  Only A forks on the topology: the symmetric
-gauge (-B*y/2, B*x/2) on the plane, (0, a*sin(2*pi*k*x)) on the torus.  No
-tensor is built; callers contract the fields by hand, with
-g^-1 = exp(-2u) delta, d_x g = 2 u_x exp(2u) delta and
+The fields are closed forms of x: u and u_x, the potential Phi of the
+Landau gauge A = Phi(x) dy with Phi = B*x + a*sin(2*pi*k*x), its
+derivative F_12 = Phi', and the second x-derivatives u_xx and F_x = Phi''
+that the flow's Jacobian reads.  No field forks on the kind: the circulation
+sees only F = dA, so one gauge serves the plane and the torus, where B = 0
+makes A a global one-form.  No tensor is built; callers contract the fields
+by hand, with g^-1 = exp(-2u) delta, d_x g = 2 u_x exp(2u) delta and
 Gamma^x_xx = -Gamma^x_yy = Gamma^y_xy = u_x.  _build_rhs is the float form
 of the same formulas at one phase-space point.
 
 The fields accept a ChartPoint or an array of shape (..., 2) and broadcast.
 A field is the float 0.0 where its amplitude is zero: u, u_x and u_xx when
-u_amp = 0 (``is_flat``), F_x when a = 0.  On the torus x is wrapped into
-[0, 1) first, so the fields are bitwise periodic under integer translations.
+u_amp = 0 (``is_flat``), F_x when a = 0, and Phi skips its sine then.  On
+the torus x is wrapped into [0, 1) first, so the fields are bitwise
+periodic under integer translations.
 """
 
 from __future__ import annotations
@@ -175,36 +176,24 @@ def conformal_exponent(spec: GeometrySpec, p):
             -TWO_PI * spec.u_amp * np.sin(TWO_PI * x))
 
 
-def potential_eval(spec: GeometrySpec, p) -> np.ndarray:
-    """Magnetic potential one-form components (A_1, A_2) at p, shape (..., 2)."""
-    xy = _as_xy(p)
-    A = np.zeros_like(xy)
-    if spec.is_torus:
-        A[..., 1] = spec.a * np.sin(TWO_PI * spec.k * _wrapped_x(spec, xy))
-    else:
-        A[..., 0] = -0.5 * spec.B * xy[..., 1]
-        A[..., 1] = 0.5 * spec.B * xy[..., 0]
-    return A
-
-
-def potential_dA(spec: GeometrySpec, p):
-    """Off-diagonal entries (d_x A_y, d_y A_x) = (B/2 + 2 pi k a cos(2 pi k x),
-    -B/2) of the potential's Jacobian at p; its diagonal vanishes.  d_y A_x
-    is a float, so the pair broadcasts against the shape (...) of the
-    points."""
-    w = TWO_PI * spec.k
-    return (0.5 * spec.B + w * spec.a * np.cos(w * _wrapped_x(spec, p)),
-            -0.5 * spec.B)
+def potential_eval(spec: GeometrySpec, p):
+    """Potential Phi = B*x + a*sin(2 pi k x) of the gauge A = Phi(x) dy at
+    p, shape (...); Phi' = F_12.  The sine is skipped when a = 0."""
+    x = _wrapped_x(spec, p)
+    phi = spec.B * x
+    if spec.a == 0.0:
+        return phi
+    return phi + spec.a * np.sin(TWO_PI * spec.k * x)
 
 
 def field_strength(spec: GeometrySpec, p):
-    """Field F_12 = d_x A_y - d_y A_x at p."""
-    dxAy, dyAx = potential_dA(spec, p)
-    return dxAy - dyAx
+    """Field F_12 = B + 2 pi k a cos(2 pi k x) at p, shape (...)."""
+    w = TWO_PI * spec.k
+    return spec.B + w * spec.a * np.cos(w * _wrapped_x(spec, p))
 
 
 def field_curvature(spec: GeometrySpec, p):
-    """Second x-derivatives (u_xx, F_x = d_x^2 A_y) at p, each the float 0.0
+    """Second x-derivatives (u_xx, F_x = Phi'') at p, each the float 0.0
     where its amplitude is zero (u_amp for u_xx, a for F_x): on the plane
     the formula would give zeros signed as sin(2 pi x), and the flow's
     Jacobian keeps those signs."""

@@ -233,7 +233,8 @@ def _tensor_gradient(spec, loop, params):
     T = np.einsum("nkij,ni,nj->nk", dg, d, d)
     dq_da = -2.0 * gd + 0.5 * T
     dq_db = 2.0 * gd + 0.5 * T
-    A = potential_eval(spec, m)
+    A = np.zeros_like(m)
+    A[:, 1] = potential_eval(spec, m)
     half_Jd = 0.5 * np.einsum("nki,ni->nk", J, d)
 
     coef = (w1 * dsdq)[:, None]
@@ -275,7 +276,7 @@ def test_flat_edge_kernel_equals_tensor_formula(case):
 
 @given(case=_kernel_cases(_CONFORMAL_KERNEL_SPECS))
 def test_conformal_edge_kernel_equals_tensor_formula(case):
-    # the hand contractions of lam, d_x lam and d_x A_y must round like the
+    # the hand contractions of lam, d_x lam and F must round like the
     # zero-filled tensors they replace
     spec, loop, params = case
     ref_ell = _tensor_edge_lengths(spec, loop)

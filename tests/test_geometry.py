@@ -15,8 +15,7 @@ from magloop import (ChartPoint, GeometryKind, GeometrySpec, Loop,
 from magloop.action import ActionParams, grad_action, values
 from magloop.dynamics import _flow_linear, _norm_sq, _rk4, _rk4_jacobian
 from magloop.errors import ConfigError
-from magloop.geometry import (_build_rhs, conformal_exponent, field_curvature,
-                              potential_dA)
+from magloop.geometry import _build_rhs, conformal_exponent, field_curvature
 from magloop.loops import resample_arclength
 
 ALL_SPECS = [
@@ -31,7 +30,8 @@ ALL_SPECS = [
 def _tensors(spec, p):
     """The chart as zero-filled general tensors at p (..., 2): g_ij, g^ij,
     d_k g_ij (index order k, i, j), Gamma^i_jk from the general formula
-    (1/2) g^il (d_j g_lk + d_k g_lj - d_l g_jk), and J_ij = d_i A_j.
+    (1/2) g^il (d_j g_lk + d_k g_lj - d_l g_jk), and J_ij = d_i A_j of the
+    potential A = (0, Phi(x)), whose one nonzero entry is J_xy = F.
 
     The reference that the closed-form contractions in loops, action and
     dynamics must reproduce bit for bit."""
@@ -46,7 +46,7 @@ def _tensors(spec, p):
     br = (np.einsum("...jlk->...ljk", dg) + np.einsum("...klj->...ljk", dg)
           - dg)
     gamma = 0.5 * np.einsum("...il,...ljk->...ijk", gi, br)
-    J[..., 0, 1], J[..., 1, 0] = potential_dA(spec, xy)
+    J[..., 0, 1] = field_strength(spec, xy)
     return g, gi, dg, gamma, J
 
 
@@ -142,19 +142,16 @@ def test_conformal_metric_closed_form():
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind.value)
-def test_potential_jac_matches_fd(spec):
+def test_potential_derivative_is_the_field(spec):
+    # A = Phi(x) dy has dA = Phi' dx ^ dy, so Phi' must be F_12
     rng = np.random.default_rng(17)
     h = 1e-6
     for p in _rand_points(rng):
-        jac = _tensors(spec, p)[4]
-        fd = np.zeros((2, 2))
-        for i in range(2):
-            dp = np.zeros(2)
-            dp[i] = h
-            ap = potential_eval(spec, ChartPoint(p.x + dp[0], p.y + dp[1]))
-            am = potential_eval(spec, ChartPoint(p.x - dp[0], p.y - dp[1]))
-            fd[i] = (ap - am) / (2.0 * h)
-        assert np.max(np.abs(jac - fd)) < 1e-6
+        fd = (potential_eval(spec, ChartPoint(p.x + h, p.y))
+              - potential_eval(spec, ChartPoint(p.x - h, p.y))) / (2.0 * h)
+        assert abs(fd - field_strength(spec, p)) < 1e-6
+        assert potential_eval(spec, ChartPoint(p.x, p.y + 0.7)) == \
+            potential_eval(spec, p)
 
 
 def test_field_closed_forms():
@@ -166,9 +163,9 @@ def test_field_closed_forms():
         expect = 2.0 * math.pi * 2 * 1.5 * math.cos(
             2.0 * math.pi * 2 * (p.x % 1.0))
         assert abs(field_strength(torus, p) - expect) < 1e-9
-        for spec in (plane, torus):
-            dxAy, dyAx = potential_dA(spec, p)
-            assert field_strength(spec, p) == dxAy - dyAx
+        assert abs(potential_eval(plane, p) - 2.5 * p.x) < 1e-12
+        assert abs(potential_eval(torus, p) - 1.5 * math.sin(
+            2.0 * math.pi * 2 * (p.x % 1.0))) < 1e-12
 
 
 def test_fields_read_parameters_not_kinds():
@@ -183,8 +180,8 @@ def test_fields_read_parameters_not_kinds():
         return [np.asarray(part).tobytes()
                 for part in (out if isinstance(out, tuple) else (out,))]
 
-    for field in (conformal_exponent, potential_eval, potential_dA,
-                  field_strength, field_curvature):
+    for field in (conformal_exponent, potential_eval, field_strength,
+                  field_curvature):
         assert bits(field(flat, pts)) == bits(field(same, pts))
     rhs_flat, rhs_same = _build_rhs(flat), _build_rhs(same)
     for row in pts.reshape(15, 4).tolist():
@@ -213,7 +210,7 @@ def test_torus_periodicity_bitwise_at_dyadic_points(spec):
     # evaluation must agree bit for bit
     def fields(p):
         return np.array([*conformal_exponent(spec, p),
-                         *potential_eval(spec, p), *potential_dA(spec, p)])
+                         potential_eval(spec, p), field_strength(spec, p)])
 
     for x in (0.0, 0.125, 0.25, 0.5, 0.75):
         for y in (0.0, 0.375, 0.5):
@@ -261,7 +258,7 @@ _PINNED = {
     "plane": {
         "residual": ("0x1.5fe895a59f61ap+3", "0x1.41e4cea75264bp+2",
                      "0x1.76ae343bff58ap-3"),
-        "values": "8719203f1602c9a9", "grad": "862819f299b8fc72",
+        "values": "27c7abaf47eecdcb", "grad": "be92d285e66ebd2f",
         "resample": "e504fe64e230e85b", "norm_sq": "0x1.1395810624dd3p+1",
         "rk4": ("-0x1.b064bbbca68cap+0", "0x1.899daa211caa6p-2",
                 "0x1.b68be7b5c65abp-1", "-0x1.30fd2aac39da9p+0"),
@@ -271,7 +268,7 @@ _PINNED = {
     "plane_up": {
         "residual": ("0x1.b64efc0c05c81p+3", "0x1.90412f853e36dp+2",
                      "0x1.76ae343bff58ap-3"),
-        "values": "9317b3d3c90e5803", "grad": "e3b417d9314f0734",
+        "values": "9317b3d3c90e5803", "grad": "f9be4f036d3debc0",
         "resample": "e504fe64e230e85b", "norm_sq": "0x1.1395810624dd3p+1",
         "rk4": ("-0x1.b076c9802460cp+0", "0x1.896bce49ebcc4p-2",
                 "0x1.a0dedce785424p-1", "-0x1.387ef90f37c83p+0"),
