@@ -81,7 +81,7 @@ def circulation(spec: GeometrySpec, loop: Loop) -> float:
 
 def action_S(spec: GeometrySpec, loop: Loop, E: float) -> float:
     """Length-type action sqrt(E) * length + circulation."""
-    if not (E > 0):
+    if not (math.isfinite(E) and E > 0):
         raise ConfigError("E must be positive")
     d, m, _, ell = edge_geometry(spec, loop.vertices, loop.windings)
     circ = float(_circulation(spec, d, m))

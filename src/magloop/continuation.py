@@ -22,6 +22,7 @@ energy ladder attached).  Anything else is Inconclusive.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .action import ActionParams
@@ -55,8 +56,9 @@ class Schedule:
             raise ConfigError("tau must satisfy 0 <= tau < 1")
         if not (0.0 < self.rho < 1.0):
             raise ConfigError("rho must lie in (0, 1)")
-        if self.n_steps < 1:
-            raise ConfigError("n_steps must be positive")
+        if not (isinstance(self.n_steps, numbers.Integral)
+                and self.n_steps >= 1):
+            raise ConfigError("n_steps must be a positive integer")
 
     def eps(self, n: int) -> float:
         return self.eps0 * self.rho ** n
@@ -74,7 +76,7 @@ def implied_energy(nu: float, E: float) -> tuple[float, float]:
     approximates: E(1+2nu) and E(1+2nu)^2."""
     if not (nu >= 0):
         raise ConfigError("nu must be nonnegative")
-    if not (E > 0):
+    if not (math.isfinite(E) and E > 0):
         raise ConfigError("E must be positive")
     shift = 1.0 + 2.0 * nu
     return E * shift, E * shift * shift

@@ -246,7 +246,7 @@ def el_residual_SE(spec: GeometrySpec, loop: Loop, E: float) -> ResidualReport:
     internally (the equation presumes that parameterization); the reported
     speed_cv always refers to the input loop.
     """
-    if not (E > 0):
+    if not (math.isfinite(E) and E > 0):
         raise ConfigError("E must be positive")
     cv = speed_cv(spec, loop)
     work = loop if cv <= _UNIFORM_CV else resample_arclength(spec, loop, loop.n)

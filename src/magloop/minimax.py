@@ -511,12 +511,10 @@ def init_sweep_family(spec: GeometrySpec, E: float, shape: str, M: int,
     """
     if shape not in ("path", "cylinder"):
         raise ConfigError("shape must be 'path' or 'cylinder'")
-    if M < 3:
-        raise ConfigError("family size must be at least 3")
-    if N < 3:
-        raise ConfigError("a loop needs at least 3 vertices")
-    if m_p < 1:
-        raise ConfigError("m_p must be positive")
+    for size, least, what in ((M, 3, "family size"), (N, 3, "N"),
+                              (m_p, 1, "m_p")):
+        if not (isinstance(size, numbers.Integral) and size >= least):
+            raise ConfigError(f"{what} must be an integer of at least {least}")
     if not (math.isfinite(E) and E > 0):
         raise ConfigError("E must be positive")
 

@@ -13,8 +13,9 @@ from magloop import cli
 from magloop import (ActionParams, ChartPoint, ConfigError,
                      DescentSettings, FlowState, GeometryKind, GeometrySpec,
                      InvalidOracleInput, Loop, LoopFamily, MagloopError,
-                     Schedule, action_S, el_residual_SE, implied_energy, init_sweep_family, integrate_flow,
-                     make_circle)
+                     Schedule, action_S, el_residual_SE, implied_energy,
+                     init_sweep_family, integrate_flow, make_circle,
+                     make_point_loop)
 from magloop.geometry import _as_xy
 from magloop.loops import interpolate, rms_distance
 
@@ -28,6 +29,8 @@ BAD_ARGUMENTS = {
     "ActionParams.tau": lambda: ActionParams(tau=1.0),
     "ActionParams.delta": lambda: ActionParams(delta=-1e-9),
     "action_S.E": lambda: action_S(PLANE, CIRCLE, math.nan),
+    "action_S.E_inf": lambda: action_S(PLANE, make_point_loop((0, 0), 8),
+                                       math.inf),
     "Schedule.eps0": lambda: Schedule(eps0=0.0, tau0=0.0, rho=0.5,
                                       n_steps=3),
     "Schedule.tau0": lambda: Schedule(eps0=1e-2, tau0=-0.1, rho=0.5,
@@ -36,9 +39,12 @@ BAD_ARGUMENTS = {
                                      n_steps=3),
     "Schedule.n_steps": lambda: Schedule(eps0=1e-2, tau0=0.0, rho=0.5,
                                          n_steps=0),
+    "Schedule.n_steps_float": lambda: Schedule(eps0=1e-2, tau0=0.0,
+                                               rho=0.5, n_steps=2.5),
     "implied_energy.nu": lambda: implied_energy(-1.0, 1.0),
     "implied_energy.E": lambda: implied_energy(0.1, 0.0),
     "implied_energy.nu_nan": lambda: implied_energy(math.nan, 1.0),
+    "implied_energy.E_inf": lambda: implied_energy(0.1, math.inf),
     "FlowState.shape": lambda: FlowState(ChartPoint(0.0, 0.0),
                                          np.zeros(3)),
     "FlowState.finite": lambda: FlowState(ChartPoint(0.0, 0.0),
@@ -46,6 +52,7 @@ BAD_ARGUMENTS = {
     "integrate_flow.steps": lambda: integrate_flow(PLANE, STATE, 1.0, 0),
     "integrate_flow.T": lambda: integrate_flow(PLANE, STATE, math.nan, 10),
     "el_residual_SE.E": lambda: el_residual_SE(PLANE, CIRCLE, 0.0),
+    "el_residual_SE.E_inf": lambda: el_residual_SE(PLANE, CIRCLE, math.inf),
     "ChartPoint": lambda: ChartPoint(math.nan, 0.0),
     "GeometrySpec.kind": lambda: GeometrySpec("plane_constant_B"),
     "GeometrySpec.B": lambda: GeometrySpec(GeometryKind.PLANE_CONSTANT_B,
@@ -83,6 +90,12 @@ BAD_ARGUMENTS = {
         PLANE, 1.0, "cylinder", 9, 48, m_p=0),
     "init_sweep_family.E_nan": lambda: init_sweep_family(PLANE, math.nan,
                                                          "path", 9, 48),
+    "init_sweep_family.M_float": lambda: init_sweep_family(PLANE, 1.0,
+                                                           "path", 3.5, 48),
+    "init_sweep_family.N_float": lambda: init_sweep_family(PLANE, 1.0,
+                                                           "path", 9, 16.5),
+    "init_sweep_family.m_p_float": lambda: init_sweep_family(
+        PLANE, 1.0, "cylinder", 9, 48, m_p=1.5),
 }
 
 
