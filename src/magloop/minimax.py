@@ -503,8 +503,10 @@ def init_sweep_family(spec: GeometrySpec, E: float, shape: str, M: int,
     Centers at x = 0, where |F| is largest on every kind (F = B on the
     plane, 2 pi k a cos(2 pi k x) on a torus), orientation chosen so the
     enclosed flux contributes negatively, radii swept from zero until the
-    action turns negative.  On a torus, if no contractible circle works, an
-    axis-aligned rectangle hugging a single field band is tried.  Raises
+    action turns negative; one scan serves every row, since the chart
+    depends on x alone, and ``_engine`` refuses a row whose terminal is not
+    negative.  On a torus, if no contractible circle works, an axis-aligned
+    rectangle hugging a single field band is tried.  Raises
     NoNegativeLoopFound when neither construction produces a negative
     terminal (e.g. a vanishing field).  Deterministic: rng_seed is accepted
     for positional compatibility and not read.
@@ -530,25 +532,18 @@ def init_sweep_family(spec: GeometrySpec, E: float, shape: str, M: int,
     else:
         ys = [0.5 if spec.is_torus else 0.0]
 
-    rows = []
-    fallback = False
-    for y in ys:
-        center = (0.0, y)
-        f_c = field_strength(spec, np.asarray(center))
-        orientation = -1 if f_c >= 0 else 1
-        r_term = _scan_negative_circle(spec, E, center, orientation, N, r_cap)
-        if r_term is not None:
-            radii = np.linspace(0.0, r_term, M)
-            rows.append(_circle_row(center, radii, orientation, N))
-            continue
-        if not spec.is_torus:
-            raise NoNegativeLoopFound(
-                "no circle with negative action exists for this field")
-        fallback = True
-        break
-
-    if fallback:
-        rows = []
+    # the field and the metric depend on x alone, so one scan at the first
+    # row's center gives every row its orientation and terminal radius
+    center = (0.0, ys[0])
+    orientation = -1 if field_strength(spec, np.asarray(center)) >= 0 else 1
+    r_term = _scan_negative_circle(spec, E, center, orientation, N, r_cap)
+    if r_term is not None:
+        radii = np.linspace(0.0, r_term, M)
+        rows = [_circle_row((0.0, y), radii, orientation, N) for y in ys]
+    elif not spec.is_torus:
+        raise NoNegativeLoopFound(
+            "no circle with negative action exists for this field")
+    else:
         width = 0.5 / spec.k
         best = None
         for h in np.linspace(0.2, 0.98, 27):
@@ -560,14 +555,10 @@ def init_sweep_family(spec: GeometrySpec, E: float, shape: str, M: int,
             raise NoNegativeLoopFound(
                 "no contractible loop with negative action found")
         h_term = best[0]
-        for y in ys:
-            row = []
-            for t in np.linspace(0.0, 1.0, M):
-                if t == 0.0:
-                    row.append(make_point_loop((0.0, y), N))
-                else:
-                    row.append(_rectangle_loop((0.0, y), t * width,
-                                               t * h_term, N, clockwise=True))
-            rows.append(row)
+        rows = [[make_point_loop((0.0, y), N)]
+                + [_rectangle_loop((0.0, y), t * width, t * h_term, N,
+                                   clockwise=True)
+                   for t in np.linspace(0.0, 1.0, M)[1:]]
+                for y in ys]
 
     return LoopFamily(shape=shape, rows=tuple(tuple(r) for r in rows))

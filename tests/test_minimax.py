@@ -473,6 +473,10 @@ def test_init_sweep_family_torus_cylinder_invariants():
         assert row[0].is_point()
         assert action_S(spec, row[-1], 0.02) < 0.0
         assert all(not np.any(lp.windings) for lp in row)
+        # the chart depends on x alone, so every row is the first row's
+        # sweep moved to its own y
+        assert all(np.array_equal(lp.vertices[:, 0], first.vertices[:, 0])
+                   for lp, first in zip(row, fam.rows[0]))
 
 
 def test_init_sweep_family_no_negative_loop():
