@@ -555,10 +555,15 @@ def init_sweep_family(spec: GeometrySpec, E: float, shape: str, M: int,
             raise NoNegativeLoopFound(
                 "no contractible loop with negative action found")
         h_term = best[0]
-        rows = [[make_point_loop((0.0, y), N)]
-                + [_rectangle_loop((0.0, y), t * width, t * h_term, N,
-                                   clockwise=True)
-                   for t in np.linspace(0.0, 1.0, M)[1:]]
-                for y in ys]
+        rows = []
+        for y in ys:
+            row = []
+            for t in np.linspace(0.0, 1.0, M):
+                if t == 0.0:
+                    row.append(make_point_loop((0.0, y), N))
+                else:
+                    row.append(_rectangle_loop((0.0, y), t * width,
+                                               t * h_term, N, clockwise=True))
+            rows.append(row)
 
     return LoopFamily(shape=shape, rows=tuple(tuple(r) for r in rows))
