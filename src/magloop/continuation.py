@@ -74,8 +74,8 @@ class Schedule:
 def implied_energy(nu: float, E: float) -> tuple[float, float]:
     """(first-order, exact) energies of the orbit a diverging sequence
     approximates: E(1+2nu) and E(1+2nu)^2."""
-    if not (nu >= 0):
-        raise ConfigError("nu must be nonnegative")
+    if not (0 <= nu < math.inf):
+        raise ConfigError("nu must be finite and nonnegative")
     if not (math.isfinite(E) and E > 0):
         raise ConfigError("E must be positive")
     shift = 1.0 + 2.0 * nu

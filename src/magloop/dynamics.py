@@ -9,10 +9,12 @@ whose kinetic energy (1/2) g(v, v) is a first integral.  Integration uses
 classical fixed-step RK4, so the energy drift scales like h^4 and stays
 below 1e-8 for the step sizes used in the benchmarks.
 
-The right-hand side is geometry._build_rhs, built once per integration;
-RK4 steps it on plain (x, y, vx, vy) floats.  That packed row is the one
-phase-space state past the input: integrate_flow returns a (steps + 1, 4)
-array of them, and kinetic_energy and write_trajectory_csv read such rows.
+The one RK4 step is geometry._build_step, built once per integration with
+the acceleration written into its four stages; integrate_flow and the
+shooting oracle's return search step plain (x, y, vx, vy) floats with it.
+That packed row is the one phase-space state past the input: integrate_flow
+returns a (steps + 1, 4) array of them, and kinetic_energy and
+write_trajectory_csv read such rows.
 FlowState is the validated input type only.  The shooting oracle
 differentiates RK4 steps through _rk4_jacobian, the tangent-linear step
 over a stack of step starts, with _flow_linear, the flow's 4x4 Jacobian.
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateLoop
-from .geometry import (ChartPoint, GeometrySpec, _build_rhs,
+from .geometry import (ChartPoint, GeometrySpec, _build_step,
                        conformal_exponent, field_curvature, field_strength)
 from .loops import Loop, resample_arclength, speed_cv
 
@@ -91,42 +93,17 @@ def kinetic_energy(spec: GeometrySpec, y: np.ndarray) -> float:
 
 def _rhs(spec: GeometrySpec, x: float, y: float, vx: float,
          vy: float) -> tuple[float, float]:
-    """Acceleration (ax, ay) of the Lorentz flow at one phase-space point.
-
-    The one-point form of _build_rhs; perfbench's tracer declares its
-    dynamics.rhs_* metrics from this name."""
-    return _build_rhs(spec)(x, y, vx, vy)
-
-
-def _rk4(rhs, px, py, vx, vy, h):
-    """One classical RK4 step of length h from (px, py, vx, vy).
-
-    The stages run on Python floats in the order of the array expression
-    y + (h/6) (k1 + 2 k2 + 2 k3 + k4), so the step equals its ndarray
-    form bit for bit.
-    """
-    hh = 0.5 * h
-    a1x, a1y = rhs(px, py, vx, vy)
-    px2, py2 = px + hh * vx, py + hh * vy
-    vx2, vy2 = vx + hh * a1x, vy + hh * a1y
-    a2x, a2y = rhs(px2, py2, vx2, vy2)
-    px3, py3 = px + hh * vx2, py + hh * vy2
-    vx3, vy3 = vx + hh * a2x, vy + hh * a2y
-    a3x, a3y = rhs(px3, py3, vx3, vy3)
-    px4, py4 = px + h * vx3, py + h * vy3
-    vx4, vy4 = vx + h * a3x, vy + h * a3y
-    a4x, a4y = rhs(px4, py4, vx4, vy4)
-    h6 = h / 6.0
-    return (px + h6 * (vx + 2.0 * vx2 + 2.0 * vx3 + vx4),
-            py + h6 * (vy + 2.0 * vy2 + 2.0 * vy3 + vy4),
-            vx + h6 * (a1x + 2.0 * a2x + 2.0 * a3x + a4x),
-            vy + h6 * (a1y + 2.0 * a2y + 2.0 * a3y + a4y))
+    """Acceleration (ax, ay) of the Lorentz flow at one phase-space point,
+    the acceleration part of _flow_linear there; perfbench's tracer
+    declares its dynamics.rhs_* metrics from this name."""
+    f = _flow_linear(spec, np.array([x, y, vx, vy]))[0]
+    return float(f[2]), float(f[3])
 
 
 def _flow_linear(spec: GeometrySpec, Y: np.ndarray):
-    """The flow f(Y) = (v, a) of _build_rhs and its Jacobian Df(Y) at
-    packed rows Y (..., 4), as arrays (..., 4) and (..., 4, 4); the x
-    column uses d_x (exp(-2u) F) = exp(-2u) (F_x - 2 u_x F)."""
+    """The flow f(Y) = (v, a) that _build_step steps and its Jacobian
+    Df(Y) at packed rows Y (..., 4), as arrays (..., 4) and (..., 4, 4);
+    the x column uses d_x (exp(-2u) F) = exp(-2u) (F_x - 2 u_x F)."""
     p, vx, vy = Y[..., :2], Y[..., 2], Y[..., 3]
     u, ux = conformal_exponent(spec, p)
     uxx, Fx = field_curvature(spec, p)
@@ -169,25 +146,26 @@ def _rk4_jacobian(spec: GeometrySpec, starts: np.ndarray,
 
 def integrate_flow(spec: GeometrySpec, state: FlowState, T: float,
                    steps: int) -> np.ndarray:
-    """Integrate the Lorentz flow for time T with `steps` RK4 steps.
+    """Integrate the Lorentz flow for time T with `steps` RK4 steps of
+    geometry._build_step, built once.
 
     Returns the trajectory as one (steps + 1, 4) array of packed rows
     (x, y, vx, vy), the initial state first.  Positions are kept in the
     unwrapped chart so trajectories are continuous; wrap on output if
     needed.  A trajectory with a non-finite entry, such as a state thrown
-    to infinity, raises ValueError.
+    to infinity (the step's OverflowError), raises ValueError.
     """
     if not 1 <= steps <= MAX_RETURN_STEPS:
         raise ConfigError(f"steps must be in [1, {MAX_RETURN_STEPS}]")
     if not (0 < T < math.inf):
         raise ConfigError("T must be finite and positive")
     h = T / steps
-    rhs = _build_rhs(spec)
-    y = tuple(state.as_array().tolist())
+    step = _build_step(spec)
+    px, py, vx, vy = y = tuple(state.as_array().tolist())
     rows = [y]
     try:
-        for _ in range(steps):
-            y = _rk4(rhs, *y, h)
+        for _ in range(steps):  # named floats: a starred call costs more
+            px, py, vx, vy = y = step(px, py, vx, vy, h)
             rows.append(y)
     except OverflowError:  # math.floor of an infinite position
         raise ValueError("v must be finite") from None

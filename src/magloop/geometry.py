@@ -16,8 +16,8 @@ that the flow's Jacobian reads.  No field forks on the kind: the circulation
 sees only F = dA, so one gauge serves the plane and the torus, where B = 0
 makes A a global one-form.  No tensor is built; callers contract the fields
 by hand, with g^-1 = exp(-2u) delta, d_x g = 2 u_x exp(2u) delta and
-Gamma^x_xx = -Gamma^x_yy = Gamma^y_xy = u_x.  _build_rhs is the float form
-of the same formulas at one phase-space point.
+Gamma^x_xx = -Gamma^x_yy = Gamma^y_xy = u_x.  _build_step is one RK4 step
+of the flow they define, in floats at one phase-space point.
 
 The fields accept a ChartPoint or an array of shape (..., 2) and broadcast.
 A field is the float 0.0 where its amplitude is zero: u, u_x and u_xx when
@@ -204,32 +204,77 @@ def field_curvature(spec: GeometrySpec, p):
     return u_xx, F_x
 
 
-def _build_rhs(spec: GeometrySpec):
-    """Acceleration rhs(x, y, vx, vy) -> (ax, ay) of the Lorentz flow,
-    -Gamma(v, v) + g^-1 F v with F = B + 2 pi k a cos(2 pi k x) at the
-    wrapped x: Gamma = 0 in the flat closure (u_amp = 0), and
+def _build_step(spec: GeometrySpec):
+    """Classical RK4 step(px, py, vx, vy, h) -> (px, py, vx, vy) of the
+    Lorentz flow, the acceleration -Gamma(v, v) + g^-1 F v with
+    F = B + 2 pi k a cos(2 pi k x) at the wrapped x written into each
+    stage: Gamma = 0 in the flat closure (u_amp = 0), and
     Gamma^x_xx = -Gamma^x_yy = Gamma^y_xy = u_x in the conformal one.  The
-    constants are formed once per call, grouped as the left-to-right
-    products above group them (2 pi k, then times a), so the accelerations
-    are the same floats as those of the formulas written out in full.
-    """
+    constants are formed once per build, grouped as the products above
+    group them (2 pi k, then times a), and the stages run in the order of
+    y + (h/6) (k1 + 2 k2 + 2 k3 + k4), so a step is the same floats as the
+    formulas written out in full; the stages form no y, which no field
+    reads.  An infinite position raises OverflowError (math.floor)."""
     B, w = spec.B, TWO_PI * spec.k
     amp = w * spec.a
     floor, cos = math.floor, math.cos
     if spec.is_flat:
-        def rhs(x, y, vx, vy):
-            F = B + amp * cos(w * (x - floor(x)))
-            return F * vy, -F * vx
-        return rhs
+        def step(px, py, vx, vy, h):
+            hh = 0.5 * h
+            F = B + amp * cos(w * (px - floor(px)))
+            a1x, a1y = F * vy, -F * vx
+            px2 = px + hh * vx
+            vx2, vy2 = vx + hh * a1x, vy + hh * a1y
+            F = B + amp * cos(w * (px2 - floor(px2)))
+            a2x, a2y = F * vy2, -F * vx2
+            px3 = px + hh * vx2
+            vx3, vy3 = vx + hh * a2x, vy + hh * a2y
+            F = B + amp * cos(w * (px3 - floor(px3)))
+            a3x, a3y = F * vy3, -F * vx3
+            px4 = px + h * vx3
+            vx4, vy4 = vx + h * a3x, vy + h * a3y
+            F = B + amp * cos(w * (px4 - floor(px4)))
+            h6 = h / 6.0
+            return (px + h6 * (vx + 2.0 * vx2 + 2.0 * vx3 + vx4),
+                    py + h6 * (vy + 2.0 * vy2 + 2.0 * vy3 + vy4),
+                    vx + h6 * (a1x + 2.0 * a2x + 2.0 * a3x + F * vy4),
+                    vy + h6 * (a1y + 2.0 * a2y + 2.0 * a3y - F * vx4))
+        return step
     u_amp = spec.u_amp
     c = -TWO_PI * u_amp
     sin, exp = math.sin, math.exp
 
-    def rhs(x, y, vx, vy):
-        x = x - floor(x)
-        F = B + amp * cos(w * x)
+    def step(px, py, vx, vy, h):
+        hh = 0.5 * h
+        x = px - floor(px)
         ux = c * sin(TWO_PI * x)
-        gF = exp(-2.0 * (u_amp * cos(TWO_PI * x))) * F
-        return (-(ux * vx * vx - ux * vy * vy) + gF * vy,
-                -2.0 * ux * vx * vy - gF * vx)
-    return rhs
+        gF = exp(-2.0 * (u_amp * cos(TWO_PI * x))) * (B + amp * cos(w * x))
+        a1x = -(ux * vx * vx - ux * vy * vy) + gF * vy
+        a1y = -2.0 * ux * vx * vy - gF * vx
+        px2 = px + hh * vx
+        vx2, vy2 = vx + hh * a1x, vy + hh * a1y
+        x = px2 - floor(px2)
+        ux = c * sin(TWO_PI * x)
+        gF = exp(-2.0 * (u_amp * cos(TWO_PI * x))) * (B + amp * cos(w * x))
+        a2x = -(ux * vx2 * vx2 - ux * vy2 * vy2) + gF * vy2
+        a2y = -2.0 * ux * vx2 * vy2 - gF * vx2
+        px3 = px + hh * vx2
+        vx3, vy3 = vx + hh * a2x, vy + hh * a2y
+        x = px3 - floor(px3)
+        ux = c * sin(TWO_PI * x)
+        gF = exp(-2.0 * (u_amp * cos(TWO_PI * x))) * (B + amp * cos(w * x))
+        a3x = -(ux * vx3 * vx3 - ux * vy3 * vy3) + gF * vy3
+        a3y = -2.0 * ux * vx3 * vy3 - gF * vx3
+        px4 = px + h * vx3
+        vx4, vy4 = vx + h * a3x, vy + h * a3y
+        x = px4 - floor(px4)
+        ux = c * sin(TWO_PI * x)
+        gF = exp(-2.0 * (u_amp * cos(TWO_PI * x))) * (B + amp * cos(w * x))
+        h6 = h / 6.0
+        return (px + h6 * (vx + 2.0 * vx2 + 2.0 * vx3 + vx4),
+                py + h6 * (vy + 2.0 * vy2 + 2.0 * vy3 + vy4),
+                vx + h6 * (a1x + 2.0 * a2x + 2.0 * a3x
+                           + (-(ux * vx4 * vx4 - ux * vy4 * vy4) + gF * vy4)),
+                vy + h6 * (a1y + 2.0 * a2y + 2.0 * a3y
+                           + (-2.0 * ux * vx4 * vy4 - gF * vx4)))
+    return step

@@ -14,9 +14,9 @@ import numpy as np
 
 from .action import ActionParams, action_S, action_S_eps_tau
 from .dynamics import (MAX_RETURN_STEPS, FlowState, _flow_linear, _norm_sq,
-                       _rk4, _rk4_jacobian, integrate_flow, kinetic_energy)
+                       _rk4_jacobian, integrate_flow, kinetic_energy)
 from .errors import InvalidOracleInput
-from .geometry import (ChartPoint, GeometrySpec, _build_rhs,
+from .geometry import (ChartPoint, GeometrySpec, _build_step,
                        conformal_exponent, torus_gap)
 from .loops import Loop, make_circle
 
@@ -145,13 +145,14 @@ def _first_return(spec, y0, p_base, nhat, dt, t_cap):
     normal nhat, after a blanking interval of two steps.  Returns None or
     (t, y, starts, tau): the crossing, every RK4 step's start and the last
     step's length; t = (len(starts) - 1) dt + tau is counted, not summed,
-    so it does not drift.  The RK4 loop steps four floats and tests the
-    sign change first, as it fails on almost every step.  In the bracketing
-    step, tau is Newton's on the section offset from its linear
+    so it does not drift.  The loop steps four floats with
+    geometry._build_step, which the crossing's sub-steps share, and tests
+    the sign change first, as it fails on almost every step.  In the
+    bracketing step, tau is Newton's on the section offset from its linear
     interpolation, with d(offset)/dtau = v . n, clamped to [0, dt], until a
     correction is below 1e-12 dt (three sub-steps, as a rule).  A state
     thrown to infinity raises ValueError, as integrate_flow does."""
-    rhs = _build_rhs(spec)
+    step = _build_step(spec)
     wrap = spec.is_torus
     bx, by = p_base.tolist()
     nx, ny = nhat.tolist()
@@ -163,7 +164,7 @@ def _first_return(spec, y0, p_base, nhat, dt, t_cap):
         for i in range(steps):
             y = px, py, vx, vy
             starts.append(y)
-            px, py, vx, vy = _rk4(rhs, px, py, vx, vy, dt)
+            px, py, vx, vy = step(px, py, vx, vy, dt)
             dx, dy = px - bx, py - by
             if wrap:
                 dx -= round(dx)
@@ -172,7 +173,7 @@ def _first_return(spec, y0, p_base, nhat, dt, t_cap):
             if h_y < 0.0 <= h_next and i > 2 and vx * nx + vy * ny > 0.0:
                 tau = dt * (h_y / (h_y - h_next))
                 for _ in range(_CROSSING_ITERS):
-                    tc, yc = tau, _rk4(rhs, *y, tau)
+                    tc, yc = tau, step(*y, tau)
                     off = _section_offset(spec, yc[0] - bx, yc[1] - by,
                                           nx, ny)
                     tau = min(max(tc - off / (yc[2] * nx + yc[3] * ny),

@@ -686,8 +686,8 @@ def test_sizes_over_the_step_bound_are_refused(argv, limit, out, tmp_path,
     def no_step(*args):
         raise _Integrated
 
-    monkeypatch.setattr(dynamics, "_rk4", no_step)
-    monkeypatch.setattr(oracle, "_rk4", no_step)
+    monkeypatch.setattr(dynamics, "_build_step", lambda spec: no_step)
+    monkeypatch.setattr(oracle, "_build_step", lambda spec: no_step)
     monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
     assert cli.main([*argv, str(limit + 1)]) == cli.EXIT_CONFIG
     captured = capsys.readouterr()

@@ -58,6 +58,8 @@ def test_implied_energy_closed_form():
     assert implied_energy(0.0, 3.0) == (3.0, 3.0)
     with pytest.raises(ValueError):
         implied_energy(-0.1, 1.0)
+    with pytest.raises(ValueError, match="nu must be finite and nonneg"):
+        implied_energy(math.inf, 1.0)
     with pytest.raises(ValueError):
         implied_energy(0.1, 0.0)
 

@@ -4,16 +4,18 @@ import csv
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from magloop import (ChartPoint, FlowState, GeometryKind, GeometrySpec, Loop,
                      el_residual_SE, integrate_flow,
                      kinetic_energy, make_circle)
+from magloop import oracle
 from magloop.action import ActionParams, action_S, grad_action, grad_norm
 from magloop.dynamics import (_central_derivatives, _flow_linear, _norm_sq,
-                              _rk4, _rk4_jacobian, write_trajectory_csv)
-from magloop.geometry import TWO_PI, _build_rhs
+                              _rhs, _rk4_jacobian, write_trajectory_csv)
+from magloop.geometry import TWO_PI, _build_step
 from magloop.loops import resample_arclength, speed_cv
 from test_geometry import _tensors
 
@@ -65,7 +67,7 @@ def test_closed_form_rhs_matches_tensor_formula(y, spec):
     # the geodesic and Lorentz parts cannot hide a wrong term
     p, v = y[:2], y[2:]
     ref = _tensor_acc(spec, y)
-    got = np.array(_build_rhs(spec)(*y.tolist()))
+    got = np.array(_frozen_rhs(spec, *y.tolist()))
     _, gi, _, gamma, J = _tensors(spec, p)
     scale = (np.abs(gamma).sum() * float(v @ v)
              + np.abs(gi @ (J - J.T)).sum() * float(np.abs(v).sum()))
@@ -74,7 +76,7 @@ def test_closed_form_rhs_matches_tensor_formula(y, spec):
 
 @given(y=_state, h=st.floats(1e-4, 0.5), spec=st.sampled_from(_FLAT_SPECS))
 def test_rk4_step_equals_tensor_rk4_on_flat_kinds(y, h, spec):
-    got = np.array(_rk4(_build_rhs(spec), *y.tolist(), h))
+    got = np.array(_build_step(spec)(*y.tolist(), h))
     ref = _tensor_rk4(spec, y, h)
     assert got.tobytes() == ref.tobytes()
 
@@ -134,8 +136,36 @@ _KERNEL_SPECS = _ALL_SPECS + [
 @example(y=np.array([-1e-3, 0.4, 2.0, -1.0]), h=0.01, spec=_KERNEL_SPECS[-1])
 @example(y=np.array([-20.0, 20.0, -0.3, 1.7]), h=0.1, spec=_KERNEL_SPECS[-2])
 def test_rk4_kernel_equals_the_frozen_scalar_step(y, h, spec):
-    got = np.array(_rk4(_build_rhs(spec), *y.tolist(), h))
+    got = np.array(_build_step(spec)(*y.tolist(), h))
     assert got.tobytes() == _frozen_rk4_step(spec, y, h).tobytes()
+
+
+@pytest.mark.parametrize("x0, vx", [(0.98, 5.0), (-0.98, -5.0)],
+                         ids=["up", "down"])
+@pytest.mark.parametrize("spec", _KERNEL_SPECS,
+                         ids=lambda s: f"{s.kind.value}-{s.a}-{s.B}")
+def test_flow_rows_and_return_starts_iterate_the_frozen_step(spec, x0, vx):
+    # integrate_flow and the return search's step loop run one built step;
+    # launched just below an integer x moving up, or just above one moving
+    # down, both cross an x wrap and must stay the frozen step's floats
+    y0, T, steps = np.array([x0, 0.3, vx, 0.4]), 0.04, 40
+    h = T / steps
+    ref = [y0]
+    for _ in range(steps):
+        ref.append(_frozen_rk4_step(spec, ref[-1], h))
+    ref = np.array(ref)
+    assert math.floor(ref[0, 0]) != math.floor(ref[-1, 0])
+    rows = integrate_flow(spec, FlowState(ChartPoint(x0, 0.3), y0[2:]), T,
+                          steps)
+    assert rows.tobytes() == ref.tobytes()
+    # a section 0.1 ahead along the launch velocity, crossed after the wrap
+    nhat = y0[2:] / np.linalg.norm(y0[2:])
+    _, y, starts, tau = oracle._first_return(spec, y0, y0[:2] + 0.1 * nhat,
+                                             nhat, h, T)
+    starts = np.array(starts)
+    assert math.floor(starts[0, 0]) != math.floor(starts[-1, 0])
+    assert starts.tobytes() == ref[:len(starts)].tobytes()
+    assert y.tobytes() == _frozen_rk4_step(spec, starts[-1], tau).tobytes()
 
 
 def _fd_jacobian(func, y, h=1e-6):
@@ -151,13 +181,13 @@ def _fd_jacobian(func, y, h=1e-6):
 
 @given(y=_state, spec=st.sampled_from(_KERNEL_SPECS))
 def test_flow_jacobian_matches_fd_of_the_rhs(y, spec):
-    rhs = _build_rhs(spec)
     f, D = _flow_linear(spec, y)
-    acc = np.array(rhs(*y.tolist()))
+    acc = np.array(_frozen_rhs(spec, *y.tolist()))
     assert np.array_equal(f[:2], y[2:])
     assert np.all(np.abs(f[2:] - acc) <= 1e-13 * (1.0 + np.abs(acc).max()))
+    assert _rhs(spec, *y.tolist()) == tuple(f[2:].tolist())
     assert np.array_equal(D[:2], np.eye(4)[2:])
-    fd = _fd_jacobian(lambda z: rhs(*z.tolist()), y)
+    fd = _fd_jacobian(lambda z: _frozen_rhs(spec, *z.tolist()), y)
     assert np.abs(D[2:] - fd).max() <= 1e-8 * (1.0 + np.abs(fd).max())
 
 
@@ -166,14 +196,14 @@ def test_flow_jacobian_matches_fd_of_the_rhs(y, spec):
 def test_tangent_rk4_matches_fd_of_the_steps(y, h, n, last, spec):
     # n steps of length h, the last one cut to last * h as at a crossing;
     # odd and even n exercise both branches of the pairwise product
-    rhs = _build_rhs(spec)
+    rk4 = _build_step(spec)
     steps = np.full(n, h)
     steps[-1] *= last
 
     def flow(z):
         starts = [z.tolist()]
         for step in steps:
-            starts.append(_rk4(rhs, *starts[-1], step))
+            starts.append(rk4(*starts[-1], step))
         return np.array(starts)
 
     M = _rk4_jacobian(spec, flow(y)[:-1], steps)

@@ -44,6 +44,7 @@ BAD_ARGUMENTS = {
     "implied_energy.nu": lambda: implied_energy(-1.0, 1.0),
     "implied_energy.E": lambda: implied_energy(0.1, 0.0),
     "implied_energy.nu_nan": lambda: implied_energy(math.nan, 1.0),
+    "implied_energy.nu_inf": lambda: implied_energy(math.inf, 1.0),
     "implied_energy.E_inf": lambda: implied_energy(0.1, math.inf),
     "FlowState.shape": lambda: FlowState(ChartPoint(0.0, 0.0),
                                          np.zeros(3)),

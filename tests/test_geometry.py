@@ -13,9 +13,9 @@ from magloop import (ChartPoint, GeometryKind, GeometrySpec, Loop,
                      el_residual_SE, field_strength, init_sweep_family,
                      potential_eval)
 from magloop.action import ActionParams, grad_action, values
-from magloop.dynamics import _flow_linear, _norm_sq, _rk4, _rk4_jacobian
+from magloop.dynamics import _flow_linear, _norm_sq, _rk4_jacobian
 from magloop.errors import ConfigError
-from magloop.geometry import _build_rhs, conformal_exponent, field_curvature
+from magloop.geometry import _build_step, conformal_exponent, field_curvature
 from magloop.loops import resample_arclength
 
 ALL_SPECS = [
@@ -109,7 +109,7 @@ def test_metric_grad_matches_fd(spec):
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind.value)
 def test_christoffel_matches_fd(spec):
     # the conformal closed form Gamma^x_xx = -Gamma^x_yy = Gamma^y_xy = u_x
-    # that dynamics and _build_rhs use, against the general formula
+    # that dynamics and _build_step use, against the general formula
     rng = np.random.default_rng(7)
     for p in _rand_points(rng):
         ux = float(conformal_exponent(spec, p)[1])
@@ -183,9 +183,9 @@ def test_fields_read_parameters_not_kinds():
     for field in (conformal_exponent, potential_eval, field_strength,
                   field_curvature):
         assert bits(field(flat, pts)) == bits(field(same, pts))
-    rhs_flat, rhs_same = _build_rhs(flat), _build_rhs(same)
+    step_flat, step_same = _build_step(flat), _build_step(same)
     for row in pts.reshape(15, 4).tolist():
-        assert rhs_flat(*row) == rhs_same(*row)
+        assert step_flat(*row, 0.013) == step_same(*row, 0.013)
 
 
 @given(x=st.floats(-3.0, 3.0), y=st.floats(-3.0, 3.0),
@@ -330,11 +330,11 @@ def _shooting_kernel_digests(spec):
     curv = np.stack(np.broadcast_arrays(*field_curvature(spec, Y[:, :2]),
                                         Y[:, 0]))[:2]
     f, D = _flow_linear(spec, Y)
-    rhs, y, starts = _build_rhs(spec), (-1.7, 0.4, 0.83, -1.21), []
+    step, y, starts = _build_step(spec), (-1.7, 0.4, 0.83, -1.21), []
     h = np.array([0.013] * 6 + [0.0071])
     for hi in h:
         starts.append(y)
-        y = _rk4(rhs, *y, hi)
+        y = step(*y, hi)
     jac = _rk4_jacobian(spec, np.array(starts), h)
     return {"curvature": _digest(curv),
             "flow_linear": _digest(np.concatenate([f.ravel(), D.ravel()])),
@@ -358,7 +358,7 @@ def test_outputs_match_recorded_bits(name):
         want["resample"]
     v = np.array([0.83, -1.21])
     assert _norm_sq(spec, ChartPoint(-1.7, 0.4), v).hex() == want["norm_sq"]
-    step = _rk4(_build_rhs(spec), -1.7, 0.4, 0.83, -1.21, 0.013)
+    step = _build_step(spec)(-1.7, 0.4, 0.83, -1.21, 0.013)
     assert tuple(x.hex() for x in step) == want["rk4"]
     for key, digest in _shooting_kernel_digests(spec).items():
         assert digest == want[key], key

@@ -14,9 +14,9 @@ from magloop import (ChartPoint, FlowState, GeometryKind, GeometrySpec, Loop,
                      speed_cv)
 from magloop import oracle
 from magloop.action import ActionParams
-from magloop.dynamics import _norm_sq, _rk4
+from magloop.dynamics import _norm_sq
 from magloop.errors import InvalidOracleInput
-from magloop.geometry import _build_rhs, torus_gap
+from magloop.geometry import _build_step, torus_gap
 
 PLANE = GeometrySpec(GeometryKind.PLANE_CONSTANT_B, B=1.0)
 SINE_TORUS = GeometrySpec(GeometryKind.FLAT_TORUS_SINE, a=3.0, k=1)
@@ -170,7 +170,7 @@ def test_shooting_rejects_a_search_over_the_step_bound(monkeypatch):
     def no_step(*args):
         raise AssertionError("integrated before the bound was checked")
 
-    monkeypatch.setattr(oracle, "_rk4", no_step)
+    monkeypatch.setattr(oracle, "_build_step", lambda spec: no_step)
     seeds = [FlowState(ChartPoint(0.0, 0.5), np.array([1.0, 0.0]))]
     spec = GeometrySpec(GeometryKind.FLAT_TORUS_SINE, a=3.0, k=1)
     with pytest.raises(InvalidOracleInput, match="exceeds"):
@@ -309,10 +309,10 @@ def test_crossing_time_is_the_bisected_root(angle):
     nhat = y0[2:]
     t, y, starts, tau = oracle._first_return(PLANE, y0, y0[:2], nhat, dt,
                                              7.0)
-    rhs = _build_rhs(PLANE)
+    step = _build_step(PLANE)
 
     def offset(s):
-        z = _rk4(rhs, *starts[-1], s)
+        z = step(*starts[-1], s)
         return oracle._section_offset(PLANE, z[0], z[1], *nhat.tolist())
 
     lo, hi = 0.0, dt
@@ -324,7 +324,7 @@ def test_crossing_time_is_the_bisected_root(angle):
     # over the 6,283 steps
     assert t == (len(starts) - 1) * dt + tau
     assert abs(tau - lo) <= 1e-15 * dt
-    assert np.array_equal(y, _rk4(rhs, *starts[-1], tau))
+    assert np.array_equal(y, step(*starts[-1], tau))
     assert abs(offset(tau)) <= 4.0 * np.spacing(dt)
 
 
