@@ -65,8 +65,9 @@ MAX_STEPS = 1000
 # upper bounds on the reference subcommands (defaults in brackets): oracle
 # profile evaluates one n-gon per grid radius, so points * n <= 10^8
 # vertices [201, 256]; gradcheck's finite differences take 4 n action values
-# of n edges per loop [50 loops of 32]; each oracle shoot seed is one Newton
-# search of up to 3 * oracle._NEWTON_ITERS return searches [5]
+# of n edges per loop [50 loops of 32]; each oracle shoot seed takes at most
+# 1 + oracle._NEWTON_ITERS return searches and two 256-step dedup probes
+# (an early merge check and its candidate's) [5]
 MAX_PROFILE_POINTS = 10 ** 4
 MAX_PROFILE_N = 10 ** 4
 MAX_GRADCHECK_LOOPS = 1000

@@ -41,6 +41,7 @@ eps halves down to 9.0e-4.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -124,6 +125,14 @@ def _flow_linear(spec: GeometrySpec, Y: np.ndarray):
     return f, D
 
 
+def _pack_rows(rows: list) -> np.ndarray:
+    """The (n, 4) array of an RK4 walk's (x, y, vx, vy) step tuples, read
+    by one np.fromiter over their floats (twice as fast as np.array on the
+    list of tuples, with the same values)."""
+    return np.fromiter(itertools.chain.from_iterable(rows), float,
+                       4 * len(rows)).reshape(-1, 4)
+
+
 def _rk4_jacobian(spec: GeometrySpec, starts: np.ndarray,
                   h: np.ndarray) -> np.ndarray:
     """Jacobian (4, 4) of the RK4 steps of lengths h (n,) taken in turn from
@@ -169,7 +178,7 @@ def integrate_flow(spec: GeometrySpec, state: FlowState, T: float,
             rows.append(y)
     except OverflowError:  # math.floor of an infinite position
         raise ValueError("v must be finite") from None
-    traj = np.array(rows)
+    traj = _pack_rows(rows)
     if not np.isfinite(traj).all():
         raise ValueError("v must be finite")
     return traj

@@ -14,7 +14,8 @@ import numpy as np
 
 from .action import ActionParams, action_S, action_S_eps_tau
 from .dynamics import (MAX_RETURN_STEPS, FlowState, _flow_linear, _norm_sq,
-                       _rk4_jacobian, integrate_flow, kinetic_energy)
+                       _pack_rows, _rk4_jacobian, integrate_flow,
+                       kinetic_energy)
 from .errors import InvalidOracleInput
 from .geometry import (ChartPoint, GeometrySpec, _build_step,
                        conformal_exponent, torus_gap)
@@ -124,6 +125,11 @@ def _normalize_state(spec, state, E_mech):
     return np.array([state.p.x, state.p.y, v[0], v[1]])
 
 
+def _row_state(y):
+    """The FlowState of a packed row (x, y, vx, vy)."""
+    return FlowState(ChartPoint(*y[:2].tolist()), y[2:])
+
+
 def _state_gap(spec, y, y0):
     pos = torus_gap(spec, y[:2] - y0[:2])
     return float(np.linalg.norm(np.concatenate([pos, y[2:] - y0[2:]])))
@@ -204,9 +210,14 @@ def shooting_periodic(spec: GeometrySpec, E_mech: float, seed_grid,
     equally periodic).  The polish stops once the return gap is below
     tol/100, or at the first step that does not shrink it, keeping the best
     launch.  An orbit whose full phase-space gap after one return is below
-    tol becomes a candidate; near-duplicates (close periods and point sets,
-    see _dedup_candidates) are merged.  An empty list is evidence against a
-    periodic orbit near the seeds at this resolution.
+    tol becomes a candidate, and is kept unless it duplicates an orbit kept
+    from an earlier seed (close periods and point sets, see
+    _dedup_candidates).  Once the return gap of a seed falls below
+    _DEDUP_TOL / 10 with an orbit kept, the current Newton iterate is
+    checked the same way, once: on a match the seed stops without a
+    candidate, as the polish moves the orbit by about the gap, far below
+    _DEDUP_TOL, and its candidate would have been merged.  An empty list is
+    evidence against a periodic orbit near the seeds at this resolution.
     """
     if not (math.isfinite(E_mech) and E_mech > 0):
         raise InvalidOracleInput("E_mech must be positive and finite")
@@ -218,7 +229,7 @@ def shooting_periodic(spec: GeometrySpec, E_mech: float, seed_grid,
             f"period_cap / dt exceeds {MAX_RETURN_STEPS} RK4 steps")
     speed = math.sqrt(2.0 * E_mech)
 
-    candidates = []
+    kept = []  # (candidate, dedup probe samples) of each orbit kept
     for seed in seed_grid:
         y0 = _normalize_state(spec, seed, E_mech)
         p_base = y0[:2].copy()
@@ -245,7 +256,7 @@ def shooting_periodic(spec: GeometrySpec, E_mech: float, seed_grid,
         def return_jacobian(u, ret):
             _, y, starts, tau = ret
             h = np.append(np.full(len(starts) - 1, dt), tau)
-            flow = _rk4_jacobian(spec, np.array(starts), h)
+            flow = _rk4_jacobian(spec, _pack_rows(starts), h)
             f = _flow_linear(spec, y)[0] / (y[2:] @ nhat)
             section = np.eye(4) - np.outer(f, np.r_[nhat, 0.0, 0.0])
             r2 = y[2] * y[2] + y[3] * y[3]
@@ -264,9 +275,16 @@ def shooting_periodic(spec: GeometrySpec, E_mech: float, seed_grid,
         gap_vec, ret = first
         t_cap = min(period_cap, 1.6 * ret[0] + 4.0 * dt)
         gap = float(np.linalg.norm(gap_vec))
+        early_check, merged = bool(kept), False
         for _ in range(_NEWTON_ITERS):
             if gap < 0.01 * tol:
                 break
+            if early_check and gap < _DEDUP_TOL / 10:
+                early_check = False
+                merged = _dedup_candidates(spec, _row_state(launch(u)),
+                                           ret[0], kept) is None
+                if merged:
+                    break
             J = return_jacobian(u, ret)
             step = np.linalg.lstsq(J, -gap_vec, rcond=1e-9)[0]
             norm = float(np.linalg.norm(step))
@@ -279,24 +297,30 @@ def shooting_periodic(spec: GeometrySpec, E_mech: float, seed_grid,
             if not nxt_gap < gap:
                 break  # the step does not shrink the gap: keep the best
             u, (gap_vec, ret), gap = u + step, nxt, nxt_gap
+        if merged:
+            continue
         t_cross, y_cross = ret[:2]
         y_start = launch(u)
         closure = _state_gap(spec, y_cross, y_start)
         if closure >= tol:
             continue
-        candidates.append(OrbitCandidate(
-            state=FlowState(ChartPoint(*y_start[:2].tolist()), y_start[2:]),
-            period=float(t_cross), closure_residual=float(closure),
+        cand = OrbitCandidate(
+            state=_row_state(y_start), period=float(t_cross),
+            closure_residual=float(closure),
             energy_mech=kinetic_energy(spec, y_start),
-            energy_match=float(speed * speed)))
+            energy_match=float(speed * speed))
+        pts = _dedup_candidates(spec, cand.state, cand.period, kept)
+        if pts is not None:
+            kept.append((cand, pts))
 
-    return _dedup_candidates(spec, candidates)
+    return [cand for cand, _ in kept]
 
 
 def _polyline_gap(spec, P, Q) -> float:
     """Max over the points of P of the distance to the closed polyline Q
-    (torus differences wrapped to the nearest period).  O(n^2): dedup's
-    fallback for the pairs that _matched_gap does not merge."""
+    (torus differences wrapped to the nearest period).  O(n^2):
+    _dedup_candidates' fallback for the pairs that _matched_gap does not
+    merge."""
     A = Q
     edges = np.roll(Q, -1, axis=0) - A
     diff = torus_gap(spec, P[:, None, :] - A[None, :, :])
@@ -314,20 +338,24 @@ def _matched_gap(spec, P, Q) -> float:
     pairing is a bijection, so this bounds the symmetric vertex Hausdorff
     distance from above, and with it both directions of _polyline_gap: a
     point's distance to a closed polyline is at most its distance to the
-    polyline's nearest vertex."""
+    polyline's nearest vertex.  _dedup_candidates' O(n) screen, applied
+    to every pair before the polyline test."""
     d = torus_gap(spec, Q - P[0])
     s = int(np.argmin((d * d).sum(axis=1)))
     d = torus_gap(spec, P - np.roll(Q, -s, axis=0))
     return math.sqrt(float((d * d).sum(axis=1).max()))
 
 
-def _dedup_candidates(spec, candidates):
-    """Merge candidates tracing the same orbit up to the field's exact
-    translation symmetries (all translations on the constant-field plane,
-    y-translations on the torus kinds, whose field and metric depend on x
-    only).  Orbits are compared as point sets by symmetric polyline
-    Hausdorff distance, which is indifferent to the starting phase, after a
-    quick period prefilter.
+def _dedup_candidates(spec, state, period, kept):
+    """Shooting's one duplicate test: None if the orbit launched from
+    `state` traces over `period` the orbit of a candidate in `kept`, a list
+    of (candidate, samples) pairs, else its _DEDUP_PROBE samples, to be
+    kept with it.  Orbits are the same up to the field's exact translation
+    symmetries (all translations on the constant-field plane, y-translations
+    on the torus kinds, whose field and metric depend on x only), compared
+    after a quick period prefilter as point sets by symmetric polyline
+    Hausdorff distance, which is indifferent to the starting phase; the
+    samples are aligned by their centroids first.
 
     _matched_gap screens each pair first, in O(n): the samplings are
     paired in phase order from the nearest start, and a pair below
@@ -335,29 +363,19 @@ def _dedup_candidates(spec, candidates):
     polyline test stays for the rest: samples can be further apart than the
     tolerance (0.025 on a unit Larmor circle), so two phases of one orbit
     can differ vertex to vertex by more than it."""
-    kept = []
-    samples = []
-    for cand in candidates:
-        pts = integrate_flow(spec, cand.state, cand.period,
-                             _DEDUP_PROBE)[:-1, :2]
-        duplicate = False
-        for other, opts in zip(kept, samples):
-            if abs(cand.period - other.period) > 0.05 * max(cand.period,
-                                                            other.period):
-                continue
-            shift_mean = pts.mean(axis=0) - opts.mean(axis=0)
-            if spec.is_torus:
-                shift_mean[0] = 0.0  # x is not a symmetry direction
-            aligned = opts + shift_mean
-            if (_matched_gap(spec, pts, aligned) < _DEDUP_TOL
-                    or max(_polyline_gap(spec, pts, aligned),
-                           _polyline_gap(spec, aligned, pts)) < _DEDUP_TOL):
-                duplicate = True
-                break
-        if not duplicate:
-            kept.append(cand)
-            samples.append(pts)
-    return kept
+    pts = integrate_flow(spec, state, period, _DEDUP_PROBE)[:-1, :2]
+    for other, opts in kept:
+        if abs(period - other.period) > 0.05 * max(period, other.period):
+            continue
+        shift_mean = pts.mean(axis=0) - opts.mean(axis=0)
+        if spec.is_torus:
+            shift_mean[0] = 0.0  # x is not a symmetry direction
+        aligned = opts + shift_mean
+        if (_matched_gap(spec, pts, aligned) < _DEDUP_TOL
+                or max(_polyline_gap(spec, pts, aligned),
+                       _polyline_gap(spec, aligned, pts)) < _DEDUP_TOL):
+            return None
+    return pts
 
 
 def orbit_to_loop(spec: GeometrySpec, cand: OrbitCandidate, n: int) -> Loop:

@@ -195,50 +195,97 @@ def test_torus_candidate_matches_local_larmor(torus_cross):
     assert abs(length(spec, loop) - cand.period * speed) < 1e-3
 
 
-def _recorded_shooting(seeds, tol, monkeypatch):
-    """Criterion 10's sine-torus search at tol: (return searches,
-    pre-dedup candidates, kept candidates)."""
+def _counted_shooting(seeds, tol, monkeypatch, spec=SINE_TORUS):
+    """Criterion 10's search at tol, on the sine torus unless spec is
+    given: (return searches, kept candidates)."""
     returns = 0
-    before_dedup = []
-    first_return, dedup = oracle._first_return, oracle._dedup_candidates
+    first_return = oracle._first_return
 
     def counted_return(*args):
         nonlocal returns
         returns += 1
         return first_return(*args)
 
-    def recorded_dedup(spec, candidates):
-        before_dedup.extend(candidates)
-        return dedup(spec, candidates)
-
     with monkeypatch.context() as mp:
         mp.setattr(oracle, "_first_return", counted_return)
-        mp.setattr(oracle, "_dedup_candidates", recorded_dedup)
-        kept = shooting_periodic(SINE_TORUS, 0.01, seeds, period_cap=0.6,
+        kept = shooting_periodic(spec, 0.01, seeds, period_cap=0.6,
                                  tol=tol, dt=1e-3)
-    return returns, before_dedup, kept
+    return returns, kept
+
+
+def _shot_alone(seeds, tol, monkeypatch, spec=SINE_TORUS):
+    """Each seed of _counted_shooting's search shot on its own, a grid
+    with nothing to merge, so its polish runs to the end: (return searches
+    per seed, candidates in seed order)."""
+    counts, cands = [], []
+    for seed in seeds:
+        returns, kept = _counted_shooting([seed], tol, monkeypatch, spec)
+        counts.append(returns)
+        cands.extend(kept)
+    return counts, cands
+
+
+def _bits(cands):
+    """Every float of each candidate, as hex: equal lists are bit-equal."""
+    return [tuple(float(v).hex() for v in (
+        c.period, c.closure_residual, c.energy_mech, c.energy_match,
+        c.state.p.x, c.state.p.y, *c.state.v)) for c in cands]
+
+
+def _reference_dedup(spec, candidates):
+    """The list pass that merged finished candidates before shooting
+    deduplicated as it went, kept as the reference for its kept list."""
+    kept = []
+    samples = []
+    for cand in candidates:
+        pts = integrate_flow(spec, cand.state, cand.period,
+                             oracle._DEDUP_PROBE)[:-1, :2]
+        duplicate = False
+        for other, opts in zip(kept, samples):
+            if abs(cand.period - other.period) > 0.05 * max(cand.period,
+                                                            other.period):
+                continue
+            shift_mean = pts.mean(axis=0) - opts.mean(axis=0)
+            if spec.is_torus:
+                shift_mean[0] = 0.0
+            aligned = opts + shift_mean
+            if (oracle._matched_gap(spec, pts, aligned) < oracle._DEDUP_TOL
+                    or max(oracle._polyline_gap(spec, pts, aligned),
+                           oracle._polyline_gap(spec, aligned, pts))
+                    < oracle._DEDUP_TOL):
+                duplicate = True
+                break
+        if not duplicate:
+            kept.append(cand)
+            samples.append(pts)
+    return kept
 
 
 def test_shooting_newton_keeps_its_best_iterate(criterion10_seeds,
                                                 monkeypatch):
     # The Jacobian of the return map comes from the search's own RK4 steps,
     # so each Newton step costs one return search and the gap falls
-    # quadratically: the seeds take 2, 3, 4 and 3 steps to a gap below
-    # tol/100, in 16 searches.  The polish also stops at the first step
-    # that does not shrink the gap, keeping the best launch.  Every seed
-    # closes at the RK4 energy floor, far below tol.
-    returns, before_dedup, _ = _recorded_shooting(criterion10_seeds, 1e-8,
-                                                  monkeypatch)
-    assert len(before_dedup) == len(criterion10_seeds)
-    assert all(c.closure_residual < 1e-10 for c in before_dedup)
-    assert returns == 16
-    assert [(c.period.hex(), c.closure_residual.hex())
-            for c in before_dedup] == [
+    # quadratically: shot alone, the seeds take 2, 3, 4 and 3 steps to a
+    # gap below tol/100, in 16 searches.  The polish also stops at the
+    # first step that does not shrink the gap, keeping the best launch.
+    # Every seed closes at the RK4 energy floor, far below tol.  In one
+    # grid the last three seeds stop once they reach the first one's orbit,
+    # so the grid takes 11 searches and keeps the first seed's candidate,
+    # the one the reference list pass keeps from the finished candidates.
+    counts, alone = _shot_alone(criterion10_seeds, 1e-8, monkeypatch)
+    assert len(alone) == len(criterion10_seeds)
+    assert all(c.closure_residual < 1e-10 for c in alone)
+    assert counts == [3, 4, 5, 4]
+    assert [(c.period.hex(), c.closure_residual.hex()) for c in alone] == [
         ("0x1.5585f07b8b5c3p-2", "0x1.03401f8a460f7p-36"),
         ("0x1.5585f07b84036p-2", "0x1.17808b8fbdb77p-36"),
         ("0x1.5585f07b8e0e0p-2", "0x1.019330a48df20p-36"),
         ("0x1.5585f07b8e1fdp-2", "0x1.0193373305650p-36"),
     ]
+    returns, kept = _counted_shooting(criterion10_seeds, 1e-8, monkeypatch)
+    assert returns == 11
+    assert _bits(kept) == _bits(alone[:1])
+    assert _bits(kept) == _bits(_reference_dedup(SINE_TORUS, alone))
 
 
 def test_shooting_stops_the_polish_at_a_hundredth_of_a_loose_tol(
@@ -246,12 +293,12 @@ def test_shooting_stops_the_polish_at_a_hundredth_of_a_loose_tol(
     # the polish stops below tol/100: at tol = 1e-4 three seeds stop one
     # step earlier, and each candidate still closes below the caller's tol
     # on the same orbit
-    tight, _, _ = _recorded_shooting(criterion10_seeds, 1e-8, monkeypatch)
-    loose, before_dedup, kept = _recorded_shooting(criterion10_seeds, 1e-4,
-                                                   monkeypatch)
-    assert loose < tight
-    assert len(before_dedup) == len(criterion10_seeds)
-    assert all(c.closure_residual < 1e-4 for c in before_dedup)
+    tight, _ = _shot_alone(criterion10_seeds, 1e-8, monkeypatch)
+    loose, alone = _shot_alone(criterion10_seeds, 1e-4, monkeypatch)
+    assert sum(loose) < sum(tight)
+    assert len(alone) == len(criterion10_seeds)
+    assert all(c.closure_residual < 1e-4 for c in alone)
+    _, kept = _counted_shooting(criterion10_seeds, 1e-4, monkeypatch)
     assert len(kept) == 1
     assert abs(kept[0].period - 0.3335187507) <= 1e-6 * 0.3335187507
 
@@ -377,6 +424,17 @@ def _larmor_candidate(phase, speed=1.0):
         energy_mech=0.5 * speed * speed, energy_match=speed * speed)
 
 
+def _dedup(spec, candidates):
+    """shooting_periodic's kept list for finished candidates in this
+    order, each tested against those kept before it."""
+    kept = []
+    for cand in candidates:
+        pts = oracle._dedup_candidates(spec, cand.state, cand.period, kept)
+        if pts is not None:
+            kept.append((cand, pts))
+    return [cand for cand, _ in kept]
+
+
 def _aligned_samples(spec, a, b):
     pa, pb = (integrate_flow(spec, c.state, c.period,
                              oracle._DEDUP_PROBE)[:-1, :2] for c in (a, b))
@@ -392,37 +450,66 @@ def test_dedup_merges_phases_further_apart_than_the_tolerance():
     assert oracle._matched_gap(PLANE, pa, pb) >= oracle._DEDUP_TOL
     assert max(oracle._polyline_gap(PLANE, pa, pb),
                oracle._polyline_gap(PLANE, pb, pa)) < oracle._DEDUP_TOL
-    assert oracle._dedup_candidates(PLANE, [a, b]) == [a]
+    assert _dedup(PLANE, [a, b]) == [a]
 
 
 def test_dedup_keeps_circles_of_different_radius():
     a, b = _larmor_candidate(0.0), _larmor_candidate(0.0, speed=1.5)
-    assert oracle._dedup_candidates(PLANE, [a, b]) == [a, b]
+    assert _dedup(PLANE, [a, b]) == [a, b]
 
 
 def test_dedup_vertex_screen_merges_the_criterion10_translates(
         criterion10_seeds, monkeypatch):
     # the four seeds close on y-translates of one orbit, sampled at phases
     # whose vertices, paired in phase order, lie within the tolerance of
-    # each other: the screen merges them without the polyline test
-    before_dedup = []
-    dedup = oracle._dedup_candidates
+    # each other: the screen merges them without the polyline test.  The
+    # grid merges the last three seeds' Newton iterates once their return
+    # gap is below _DEDUP_TOL / 10 (matched gaps 5.8e-5 to 1.0e-4), and the
+    # screen would merge their finished candidates, each shot alone, too.
+    _, alone = _shot_alone(criterion10_seeds, 1e-8, monkeypatch)
+    screens = []
+    matched_gap = oracle._matched_gap
 
-    def recorded_dedup(spec, candidates):
-        before_dedup.extend(candidates)
-        return dedup(spec, candidates)
+    def recorded_matched_gap(*args):
+        screens.append(matched_gap(*args))
+        return screens[-1]
 
     def no_polyline_gap(*args):
         raise AssertionError("the matched screen should merge these")
 
-    monkeypatch.setattr(oracle, "_dedup_candidates", recorded_dedup)
+    monkeypatch.setattr(oracle, "_matched_gap", recorded_matched_gap)
     monkeypatch.setattr(oracle, "_polyline_gap", no_polyline_gap)
     kept = shooting_periodic(SINE_TORUS, 0.01, criterion10_seeds,
                              period_cap=0.6, tol=1e-8, dt=1e-3)
-    assert len(before_dedup) == 4 and kept == before_dedup[:1]
-    for other in before_dedup[1:]:
-        pa, pb = _aligned_samples(SINE_TORUS, before_dedup[0], other)
+    assert _bits(kept) == _bits(alone[:1])
+    assert len(screens) == 3
+    assert all(gap < oracle._DEDUP_TOL for gap in screens)
+    for other in alone[1:]:
+        pa, pb = _aligned_samples(SINE_TORUS, alone[0], other)
         assert oracle._matched_gap(SINE_TORUS, pa, pb) < oracle._DEDUP_TOL
+
+
+@pytest.mark.parametrize("spec", [SINE_TORUS, CONFORMAL_TORUS],
+                         ids=lambda s: s.kind.value)
+def test_distinct_orbits_survive_the_early_merge(spec, monkeypatch):
+    # seeds alternate between x near 0 and near 0.5, where the field has
+    # the same size and the other sign: two orbits of one period, which the
+    # period prefilter passes to the point-set test.  The later seeds stop
+    # early on their own orbit, not on the other one, and every kept
+    # candidate is bit-equal to its seed shot alone.
+    rng = np.random.default_rng(7)
+    seeds = []
+    for i in range(4):
+        p = ChartPoint(0.5 * (i % 2) + float(rng.uniform(-0.04, 0.04)),
+                       float(rng.uniform(0.0, 1.0)))
+        ang = float(rng.uniform(0.0, 2.0 * np.pi))
+        seeds.append(FlowState(p, np.array([np.cos(ang), np.sin(ang)])))
+    counts, alone = _shot_alone(seeds, 1e-8, monkeypatch, spec)
+    returns, kept = _counted_shooting(seeds, 1e-8, monkeypatch, spec)
+    assert returns < sum(counts)  # the early merge stopped some seeds
+    assert len(alone) == 4 and len(kept) == 2
+    assert _bits(kept) == _bits(alone[:2])
+    assert _bits(kept) == _bits(_reference_dedup(spec, alone))
 
 
 @given(spec=st.sampled_from([PLANE, SINE_TORUS]), n=st.integers(3, 12),
