@@ -26,5 +26,5 @@ from .loops import (Loop, LoopFamily, concat, length, load_loop_csv,
                     save_loop_csv, speed_cv, speeds)
 from .minimax import (DescentSettings, MinimaxResult, family_minimax,
                       init_sweep_family)
-from .oracle import (OrbitCandidate, circle_action_profile, fd_gradient,
-                     larmor_orbit, orbit_to_loop, shooting_periodic)
+from .oracle import (OrbitCandidate, fd_gradient, larmor_orbit,
+                     orbit_to_loop, shooting_periodic)

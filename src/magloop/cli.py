@@ -2,15 +2,14 @@
 
 Subcommands:
 
-  run        full continuation experiment from a JSON config
-  mpass      single minimax solve at fixed (eps, tau)
-  flow       integrate the Lorentz flow and write a trajectory CSV
-  gradcheck  analytic vs finite-difference gradients on random loops
-  oracle     reference values (larmor / profile / shoot)
+  run     full continuation experiment from a JSON config; with
+          "n_steps": 1 it is a single minimax solve at (eps0, tau0)
+  flow    integrate the Lorentz flow and write a trajectory CSV
+  oracle  reference values (larmor / shoot)
 
 Exit codes: 0 ConvergedExtremal or DivergingLengths, 2 config error (a
 ConfigError, raised by the type or entry point that owns the check),
-3 Inconclusive (also a failed mpass/gradcheck), 4 NoNegativeLoopFound.
+3 Inconclusive, 4 NoNegativeLoopFound.
 No network access; all output lands under the experiment's output_dir.
 Relative output paths resolve under $MAGLOOP_OUTPUT_ROOT when that is set.
 """
@@ -38,11 +37,10 @@ from .dynamics import (MAX_RETURN_STEPS, FlowState, _norm_sq, integrate_flow,
 from .errors import (ConfigError, NoNegativeLoopFound, _check_keys, _number,
                      _require)
 from .geometry import ChartPoint, GeometryKind, GeometrySpec
-from .loops import Loop, LoopFamily, save_loop_csv
-from .minimax import DescentSettings, family_minimax, init_sweep_family
-from .oracle import (_LOOP_OVERSAMPLE, _state_gap, circle_action_profile,
-                     fd_gradient, larmor_orbit, orbit_to_loop,
-                     shooting_periodic)
+from .loops import save_loop_csv
+from .minimax import DescentSettings, init_sweep_family
+from .oracle import (_LOOP_OVERSAMPLE, _state_gap, larmor_orbit,
+                     orbit_to_loop, shooting_periodic)
 
 OUTPUT_ROOT_ENV = "MAGLOOP_OUTPUT_ROOT"
 
@@ -62,16 +60,9 @@ MAX_FAMILY_VERTICES = 10 ** 7
 # upper bound on action.n_steps: with rho = 0.5 and eps0 = 1e-2, eps falls
 # below 1e-300 before step 1000
 MAX_STEPS = 1000
-# upper bounds on the reference subcommands (defaults in brackets): oracle
-# profile evaluates one n-gon per grid radius, so points * n <= 10^8
-# vertices [201, 256]; gradcheck's finite differences take 4 n action values
-# of n edges per loop [50 loops of 32]; each oracle shoot seed takes at most
+# upper bound on oracle shoot --seeds [default 5]: each seed takes at most
 # 1 + oracle._NEWTON_ITERS return searches and two 256-step dedup probes
-# (an early merge check and its candidate's) [5]
-MAX_PROFILE_POINTS = 10 ** 4
-MAX_PROFILE_N = 10 ** 4
-MAX_GRADCHECK_LOOPS = 1000
-MAX_GRADCHECK_N = 512
+# (an early merge check and its candidate's)
 MAX_SHOOT_SEEDS = 1000
 
 
@@ -223,13 +214,6 @@ def _json_dump(path: Path, obj):
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _sweep_family(config: ExperimentConfig) -> LoopFamily:
-    """The config's sweep family, which run continues and mpass solves."""
-    return init_sweep_family(config.geometry, config.E, config.w_shape,
-                             config.family_size, config.n_vertices,
-                             m_p=config.m_p)
-
-
 def run_experiment(config: ExperimentConfig, verbose: bool = False) -> int:
     """Execute one continuation experiment; writes result.json, summary.txt,
     and step_<n>.csv loops under output_dir.  Returns the process exit code.
@@ -238,9 +222,12 @@ def run_experiment(config: ExperimentConfig, verbose: bool = False) -> int:
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     try:
+        family = init_sweep_family(config.geometry, config.E, config.w_shape,
+                                   config.family_size, config.n_vertices,
+                                   m_p=config.m_p)
         records, classification, c_ref = continuation_run(
-            config.geometry, config.E, _sweep_family(config),
-            config.schedule, config.solver, delta=config.delta)
+            config.geometry, config.E, family, config.schedule,
+            config.solver, delta=config.delta)
     except NoNegativeLoopFound as exc:
         (out / "summary.txt").write_text(
             f"NoNegativeLoopFound: {exc}\nexit code {EXIT_NO_NEGATIVE_LOOP}\n")
@@ -301,23 +288,6 @@ def _cmd_run(args) -> int:
     return run_experiment(config, verbose=args.verbose)
 
 
-def _cmd_mpass(args) -> int:
-    config = load_config(args.config)
-    eps = config.schedule.eps0 if args.eps is None else args.eps
-    tau = config.schedule.tau0 if args.tau is None else args.tau
-    params = ActionParams(E=config.E, eps=eps, tau=tau, delta=config.delta)
-    result = family_minimax(config.geometry, _sweep_family(config), params,
-                            config.solver)
-    out = resolve_output_dir(args.output_dir or config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _json_dump(out / "mpass_result.json", result.to_json_dict())
-    save_loop_csv(out / "mpass_loop.csv", result.argmax,
-                  torus=config.geometry.is_torus)
-    print(json.dumps({"level": result.level, "converged": result.converged,
-                      "grad_norm": result.grad_norm}))
-    return EXIT_OK if result.converged else EXIT_INCONCLUSIVE
-
-
 def _geometry_from_args(args) -> GeometrySpec:
     return GeometrySpec(kind=GeometryKind(args.kind), B=args.B, a=args.a,
                         k=args.k, u_amp=args.u_amp)
@@ -346,89 +316,10 @@ def _cmd_flow(args) -> int:
     return EXIT_OK
 
 
-def _random_loop(rng, spec, n):
-    """Smooth random loop: a displaced ellipse plus low-order Fourier noise."""
-    theta = 2.0 * np.pi * np.arange(n) / n
-    center = rng.uniform(0.2, 0.8, size=2) if spec.is_torus else \
-        rng.uniform(-1.0, 1.0, size=2)
-    rx, ry = rng.uniform(0.05, 0.15, size=2)
-    verts = np.stack([center[0] + rx * np.cos(theta),
-                      center[1] + ry * np.sin(theta)], axis=1)
-    for mode in (2, 3):
-        amp = 0.02 * rng.standard_normal(2)
-        verts[:, 0] += amp[0] * np.cos(mode * theta)
-        verts[:, 1] += amp[1] * np.sin(mode * theta)
-    w = np.zeros((n, 2), dtype=int)
-    if spec.is_torus and rng.uniform() < 0.3:
-        w[rng.integers(0, n)] = rng.integers(-1, 2, size=2)
-    return Loop(verts, w)
-
-
-def _cmd_gradcheck(args) -> int:
-    if not 1 <= args.loops <= MAX_GRADCHECK_LOOPS:
-        raise ConfigError(f"--loops must be in [1, {MAX_GRADCHECK_LOOPS}]")
-    if not 3 <= args.n <= MAX_GRADCHECK_N:
-        raise ConfigError(f"--n must be in [3, {MAX_GRADCHECK_N}]")
-    if not (0 < args.tol < math.inf):
-        raise ConfigError("gradcheck needs a finite, positive --tol")
-    rng = np.random.default_rng(args.seed)
-    specs = [
-        GeometrySpec(GeometryKind.PLANE_CONSTANT_B, B=1.0),
-        GeometrySpec(GeometryKind.FLAT_TORUS_SINE, a=1.5, k=2),
-        GeometrySpec(GeometryKind.CONFORMAL_TORUS, a=1.0, k=1, u_amp=0.3),
-    ]
-    from .action import grad_action
-    rels = []
-    for i in range(args.loops):
-        spec = specs[i % len(specs)]
-        loop = _random_loop(rng, spec, args.n)
-        params = ActionParams(E=float(rng.uniform(0.5, 2.0)),
-                              eps=float(rng.choice([0.0, 1e-2, 0.1])),
-                              tau=float(rng.choice([0.0, 0.3])))
-        analytic = grad_action(spec, loop, params)
-        # a step too large for the values overflows them; that fails the
-        # check below instead of warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            numeric = fd_gradient(spec, loop, params, h=args.h)
-            scale = max(float(np.linalg.norm(numeric.ravel())), 1e-12)
-            rels.append(float(np.linalg.norm((analytic - numeric).ravel()))
-                        / scale)
-    # a non-finite error fails and prints as null, keeping the line JSON
-    worst = max(rels) if np.isfinite(rels).all() else None
-    print(json.dumps({"loops": args.loops, "max_rel_error": worst,
-                      "tol": args.tol}))
-    return EXIT_OK if worst is not None and worst < args.tol \
-        else EXIT_INCONCLUSIVE
-
-
 def _cmd_oracle(args) -> int:
     if args.oracle_cmd == "larmor":
         radius, level = larmor_orbit(args.E, args.B)
         print(json.dumps({"radius": radius, "level": level}))
-        return EXIT_OK
-    if args.oracle_cmd == "profile":
-        spec = GeometrySpec(GeometryKind.PLANE_CONSTANT_B, B=args.B)
-        if not 1 <= args.points <= MAX_PROFILE_POINTS:
-            raise ConfigError(f"points must be in [1, {MAX_PROFILE_POINTS}]")
-        if args.n > MAX_PROFILE_N:
-            raise ConfigError(f"n must be at most {MAX_PROFILE_N}")
-        r_grid = np.linspace(0.0, args.r_max, args.points)
-        if args.B != 0.0 and args.E > 0.0 and args.n >= 3:
-            # add the exact discrete maximizer; bad E or n fail just below
-            r_star = math.sqrt(args.E) / (abs(args.B)
-                                          * math.cos(math.pi / args.n))
-            if r_star <= args.r_max:
-                r_grid = np.sort(np.append(r_grid, r_star))
-        values = circle_action_profile(spec, args.E, r_grid, args.n)
-        out = resolve_output_dir(args.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "profile.csv", "w") as fh:
-            fh.write("r,S\n")
-            for r, s in zip(r_grid, values):
-                fh.write(f"{float(r)!r},{float(s)!r}\n")
-        i_max = int(np.argmax(values))
-        print(json.dumps({"r_max": float(r_grid[i_max]),
-                          "level": float(values[i_max])}))
         return EXIT_OK
     if args.oracle_cmd == "shoot":
         spec = _geometry_from_args(args)
@@ -485,12 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--output-dir", default=None)
 
-    p_mp = sub.add_parser("mpass", help="single minimax solve")
-    p_mp.add_argument("--config", required=True)
-    p_mp.add_argument("--eps", type=float, default=None)
-    p_mp.add_argument("--tau", type=float, default=None)
-    p_mp.add_argument("--output-dir", default=None)
-
     p_flow = sub.add_parser("flow", help="integrate the Lorentz flow")
     _add_geometry_args(p_flow)
     p_flow.add_argument("--x0", type=float, default=0.0)
@@ -501,25 +386,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_flow.add_argument("--steps", type=int, default=10000)
     p_flow.add_argument("--output-dir", default="flow_out")
 
-    p_gc = sub.add_parser("gradcheck", help="analytic vs FD gradients")
-    p_gc.add_argument("--seed", type=int, default=0)
-    p_gc.add_argument("--loops", type=int, default=50)
-    p_gc.add_argument("--n", type=int, default=32)
-    p_gc.add_argument("--h", type=float, default=1e-6)
-    p_gc.add_argument("--tol", type=float, default=1e-5)
-
     p_or = sub.add_parser("oracle", help="reference values")
     or_sub = p_or.add_subparsers(dest="oracle_cmd", required=True)
     o_lar = or_sub.add_parser("larmor")
     o_lar.add_argument("--E", type=float, required=True)
     o_lar.add_argument("--B", type=float, required=True)
-    o_pro = or_sub.add_parser("profile")
-    o_pro.add_argument("--E", type=float, required=True)
-    o_pro.add_argument("--B", type=float, required=True)
-    o_pro.add_argument("--r-max", dest="r_max", type=float, required=True)
-    o_pro.add_argument("--points", type=int, default=201)
-    o_pro.add_argument("--n", type=int, default=256)
-    o_pro.add_argument("--output-dir", default="oracle_out")
     o_sh = or_sub.add_parser("shoot")
     _add_geometry_args(o_sh)
     o_sh.add_argument("--E-mech", dest="E_mech", type=float, required=True)
@@ -538,9 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 _COMMANDS = {
     "run": _cmd_run,
-    "mpass": _cmd_mpass,
     "flow": _cmd_flow,
-    "gradcheck": _cmd_gradcheck,
     "oracle": _cmd_oracle,
 }
 

@@ -1,8 +1,8 @@
 """Independent reference values for cross-checking the variational solver.
 
-Nothing here reuses the minimax machinery: closed forms, dense radius scans,
-finite differences of the action values, and direct integration of the
-Lorentz flow provide second routes to the same numbers.
+Nothing here reuses the minimax machinery: closed forms, finite differences
+of the action values, and direct integration of the Lorentz flow provide
+second routes to the same numbers.
 """
 
 from __future__ import annotations
@@ -12,18 +12,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .action import ActionParams, action_S, action_S_eps_tau
+from .action import ActionParams, action_S_eps_tau
 from .dynamics import (MAX_RETURN_STEPS, FlowState, _flow_linear, _norm_sq,
                        _pack_rows, _rk4_jacobian, integrate_flow,
                        kinetic_energy)
 from .errors import InvalidOracleInput
 from .geometry import (ChartPoint, GeometrySpec, _build_step,
                        conformal_exponent, torus_gap)
-from .loops import Loop, make_circle
+from .loops import Loop
 
 __all__ = [
-    "larmor_orbit", "circle_action_profile", "fd_gradient",
-    "OrbitCandidate", "shooting_periodic", "orbit_to_loop",
+    "larmor_orbit", "fd_gradient", "OrbitCandidate", "shooting_periodic",
+    "orbit_to_loop",
 ]
 
 # flow samples per vertex of orbit_to_loop's n-gon
@@ -46,32 +46,6 @@ def larmor_orbit(E: float, B: float) -> tuple[float, float]:
         raise InvalidOracleInput(
             "larmor_orbit requires finite E > 0 and B > 0")
     return math.sqrt(E) / B, math.pi * E / B
-
-
-def circle_action_profile(spec: GeometrySpec, E: float, r_grid,
-                          n: int) -> np.ndarray:
-    """Discrete length-type action S_E of concentric circles on the plane.
-
-    The orientation is chosen so the enclosed flux contributes negatively
-    (the branch with an interior maximum).  Torus charts are refused; the
-    profile is only a faithful one-parameter reduction on the plane.
-    """
-    if spec.is_torus:
-        raise InvalidOracleInput("circle profile is defined on the plane only")
-    if not (0 < E < math.inf):
-        raise InvalidOracleInput("E must be finite and positive")
-    if n < 3:
-        raise InvalidOracleInput("n must be >= 3")
-    if len(r_grid) == 0:
-        raise InvalidOracleInput("the radius grid is empty")
-    orientation = -1 if spec.B >= 0 else 1
-    out = np.empty(len(r_grid))
-    for i, r in enumerate(r_grid):
-        if not (0 <= r < math.inf):
-            raise InvalidOracleInput("radii must be finite and nonnegative")
-        out[i] = action_S(spec, make_circle((0.0, 0.0), float(r),
-                                            orientation, n), E)
-    return out
 
 
 def fd_gradient(spec: GeometrySpec, loop: Loop, params: ActionParams,

@@ -13,13 +13,12 @@ import numpy as np
 import pytest
 
 from magloop import (ChartPoint, ConvergedExtremal, DivergingLengths,
-                     FlowState, GeometryKind, GeometrySpec, action_S,
+                     FlowState, GeometryKind, GeometrySpec, Loop, action_S,
                      action_S_eps_tau, cli, concat, el_residual_SE,
                      family_minimax, grad_action, init_sweep_family,
                      integrate_flow, kinetic_energy, length, make_circle,
                      orbit_to_loop, resample_arclength, speed_cv, speeds)
 from magloop.action import ActionParams
-from magloop.cli import _random_loop
 from magloop.continuation import classify_outcome
 from magloop.minimax import DescentSettings
 from magloop.oracle import fd_gradient, larmor_orbit
@@ -30,6 +29,24 @@ from test_continuation import _record
 def _loop_radius(loop):
     ctr = loop.vertices.mean(axis=0)
     return float(np.linalg.norm(loop.vertices - ctr, axis=1).mean())
+
+
+def _random_loop(rng, spec, n):
+    """Smooth random loop: a displaced ellipse plus low-order Fourier noise."""
+    theta = 2.0 * np.pi * np.arange(n) / n
+    center = rng.uniform(0.2, 0.8, size=2) if spec.is_torus else \
+        rng.uniform(-1.0, 1.0, size=2)
+    rx, ry = rng.uniform(0.05, 0.15, size=2)
+    verts = np.stack([center[0] + rx * np.cos(theta),
+                      center[1] + ry * np.sin(theta)], axis=1)
+    for mode in (2, 3):
+        amp = 0.02 * rng.standard_normal(2)
+        verts[:, 0] += amp[0] * np.cos(mode * theta)
+        verts[:, 1] += amp[1] * np.sin(mode * theta)
+    w = np.zeros((n, 2), dtype=int)
+    if spec.is_torus and rng.uniform() < 0.3:
+        w[rng.integers(0, n)] = rng.integers(-1, 2, size=2)
+    return Loop(verts, w)
 
 
 def test_criterion_01_larmor_benchmark(plane_bench, acc_log):

@@ -13,12 +13,14 @@ import numpy as np
 import pytest
 
 from magloop import cli, dynamics, oracle
+from magloop.action import ActionParams
 from magloop.continuation import (ConvergedExtremal, DivergingLengths,
                                   Inconclusive)
 from magloop.dynamics import MAX_RETURN_STEPS, ResidualReport
 from magloop.errors import ConfigError
 from magloop.geometry import GeometryKind, GeometrySpec
 from magloop.loops import load_loop_csv, make_circle
+from magloop.minimax import family_minimax, init_sweep_family
 
 
 def _base_config(n_steps=7, output_dir="run_out"):
@@ -39,6 +41,17 @@ def _write_config(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def _single_solve(cfg):
+    """One minimax solve of the config's sweep family at (eps0, tau0)."""
+    config = cli.parse_config_dict(cfg)
+    family = init_sweep_family(config.geometry, config.E, config.w_shape,
+                               config.family_size, config.n_vertices,
+                               m_p=config.m_p)
+    params = ActionParams(E=config.E, eps=config.schedule.eps0,
+                          tau=config.schedule.tau0, delta=config.delta)
+    return family_minimax(config.geometry, family, params, config.solver)
 
 
 def test_config_round_trip():
@@ -238,8 +251,7 @@ def test_run_inconclusive_exit_code(tmp_path, monkeypatch):
     assert result["classification"]["case"] == "Inconclusive"
 
 
-def test_point_loop_argmax_is_not_a_critical_maximum(tmp_path, monkeypatch,
-                                                     capsys):
+def test_point_loop_argmax_is_not_a_critical_maximum(tmp_path, monkeypatch):
     # a field so strong that every circle of the family has negative action:
     # the family maximum is the one-point loop at the speed-floor level,
     # whose zero gradient certifies nothing
@@ -258,11 +270,13 @@ def test_point_loop_argmax_is_not_a_critical_maximum(tmp_path, monkeypatch,
     summary = (out / "summary.txt").read_text().splitlines()
     assert summary[2] == "classification: Inconclusive"
     assert summary[3] == f"reason: {result['classification']['reason']}"
+    # the solve alone does not report the point loop as converged
+    solve = _single_solve(cfg)
+    assert solve.converged is False and solve.stop != "critical"
 
-    assert cli.main(["mpass", "--config", cpath]) == cli.EXIT_INCONCLUSIVE
-    assert '"converged": false' in capsys.readouterr().out
-    mpass = json.loads((out / "mpass_result.json").read_text())
-    assert mpass["converged"] is False and mpass["stop"] != "critical"
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 def test_infinite_bootstrap_level_stops_and_writes_null(tmp_path,
@@ -501,50 +515,9 @@ def test_run_output_dir_override(tmp_path, monkeypatch):
     assert not (tmp_path / "run_out").exists()
 
 
-def test_mpass_subcommand(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
-    cpath = _write_config(tmp_path, _base_config())
-    rc = cli.main(["mpass", "--config", cpath, "--eps", "1e-2",
-                   "--tau", "1e-2"])
-    assert rc == cli.EXIT_OK
-    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert payload["converged"] is True
-    # by symmetry the level must match the best circle at the same (eps, tau)
-    from magloop import GeometryKind, GeometrySpec, action_S_eps_tau
-    from magloop.action import ActionParams
-    spec = GeometrySpec(GeometryKind.PLANE_CONSTANT_B, B=1.0)
-    params = ActionParams(E=1.0, eps=1e-2, tau=1e-2)
-    scan = max(action_S_eps_tau(spec, make_circle((0.0, 0.0), float(r),
-                                                  -1, 48), params)
-               for r in np.linspace(0.8, 1.4, 2001))
-    assert abs(payload["level"] - scan) < 1e-5 * scan
-    saved = json.loads((tmp_path / "run_out" / "mpass_result.json")
-                       .read_text())
-    assert saved["level"] == payload["level"]
-    assert (tmp_path / "run_out" / "mpass_loop.csv").exists()
-
-
-@pytest.mark.parametrize("eps", ["nan", "inf"])
-def test_mpass_rejects_non_finite_eps(eps, tmp_path, monkeypatch):
-    monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
-    cpath = _write_config(tmp_path, _base_config())
-    assert cli.main(["mpass", "--config", cpath, "--eps", eps]) == \
-        cli.EXIT_CONFIG
-    assert not (tmp_path / "run_out").exists()
-
-
-def test_mpass_zero_field_exits_4(tmp_path, monkeypatch):
-    monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
-    cfg = _base_config()
-    cfg["geometry"] = {"kind": "flat_torus_sine", "a": 0.0, "k": 1}
-    cpath = _write_config(tmp_path, cfg)
-    assert cli.main(["mpass", "--config", cpath]) == \
-        cli.EXIT_NO_NEGATIVE_LOOP
-
-
 def test_run_zero_field_exits_4(tmp_path, monkeypatch):
-    # the run twin of the mpass case: the zero-field torus admits no loop of
-    # negative action, and summary.txt says so
+    # the zero-field torus admits no loop of negative action, and
+    # summary.txt says so
     monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
     cfg = _base_config()
     cfg["geometry"] = {"kind": "flat_torus_sine", "a": 0.0, "k": 1}
@@ -554,6 +527,18 @@ def test_run_zero_field_exits_4(tmp_path, monkeypatch):
     summary = (tmp_path / "run_out" / "summary.txt").read_text()
     assert summary.startswith("NoNegativeLoopFound: ")
     assert summary.endswith(f"exit code {cli.EXIT_NO_NEGATIVE_LOOP}\n")
+
+
+def test_run_of_one_step_is_one_minimax_solve(tmp_path, monkeypatch):
+    # "n_steps": 1 solves the config's sweep family once, at (eps0, tau0);
+    # one record is too few to classify
+    monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+    cfg = _base_config(n_steps=1)
+    assert cli.main(["run", "--config", _write_config(tmp_path, cfg)]) == \
+        cli.EXIT_INCONCLUSIVE
+    result = json.loads((tmp_path / "run_out" / "result.json").read_text())
+    assert len(result["records"]) == 1
+    assert result["records"][0]["level"] == _single_solve(cfg).level
 
 
 def test_flow_subcommand(tmp_path, monkeypatch, capsys):
@@ -698,17 +683,10 @@ def test_sizes_over_the_step_bound_are_refused(argv, limit, out, tmp_path,
 
 
 @pytest.mark.parametrize("argv, limit, worker", [
-    (["oracle", "profile", "--E", "1", "--B", "1", "--r-max", "2",
-      "--points"], cli.MAX_PROFILE_POINTS, "circle_action_profile"),
-    (["oracle", "profile", "--E", "1", "--B", "1", "--r-max", "2", "--n"],
-     cli.MAX_PROFILE_N, "circle_action_profile"),
-    (["gradcheck", "--loops"], cli.MAX_GRADCHECK_LOOPS, "_random_loop"),
-    (["gradcheck", "--n"], cli.MAX_GRADCHECK_N, "_random_loop"),
     (["oracle", "shoot", "--kind", "flat_torus_sine", "--a", "3.0",
       "--E-mech", "0.01", "--seeds"], cli.MAX_SHOOT_SEEDS,
      "shooting_periodic"),
-], ids=["profile_points", "profile_n", "gradcheck_loops", "gradcheck_n",
-        "shoot_seeds"])
+], ids=["shoot_seeds"])
 def test_sizes_over_their_bound_are_refused(argv, limit, worker, tmp_path,
                                             monkeypatch, capsys):
     # the worker raises, so a run past the bound never starts its work
@@ -728,12 +706,6 @@ def test_sizes_over_their_bound_are_refused(argv, limit, worker, tmp_path,
 @pytest.mark.parametrize("argv", [
     ["larmor", "--E", "inf", "--B", "1"],
     ["larmor", "--E", "1", "--B", "inf"],
-    ["profile", "--E", "inf", "--B", "1", "--r-max", "2"],
-    ["profile", "--E", "1", "--B", "inf", "--r-max", "2"],
-    ["profile", "--E", "1", "--B", "1", "--r-max", "nan"],
-    ["profile", "--E", "1", "--B", "1", "--r-max", "2", "--points", "0"],
-    ["profile", "--E", "1", "--B", "1", "--r-max", "2", "--points", "-1"],
-    ["profile", "--E", "1", "--B", "1", "--r-max", "2", "--n", "2"],
 ])
 def test_oracle_rejects_bad_numbers(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
@@ -741,44 +713,6 @@ def test_oracle_rejects_bad_numbers(argv, tmp_path, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and "config error" in captured.err
     assert not (tmp_path / "oracle_out").exists()
-
-
-@pytest.mark.parametrize("argv", [
-    ["--loops", "0"],
-    ["--h", "nan"],
-    ["--h", "inf"],
-    ["--n", "2"],
-    ["--tol", "nan"],
-    ["--tol", "inf"],
-    ["--tol", "0"],
-    ["--tol=-1e-5"],
-])
-def test_gradcheck_rejects_bad_numbers(argv, capsys):
-    assert cli.main(["gradcheck", "--loops", "2", *argv]) == cli.EXIT_CONFIG
-    captured = capsys.readouterr()
-    assert captured.out == "" and "config error" in captured.err
-
-
-def test_gradcheck_subcommand(capsys):
-    rc = cli.main(["gradcheck", "--loops", "6", "--n", "24", "--seed", "3"])
-    assert rc == cli.EXIT_OK
-    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert payload["loops"] == 6
-    assert payload["max_rel_error"] < 1e-5
-
-
-def _refuse_constant(name):
-    raise ValueError(f"{name} is not JSON")
-
-
-def test_gradcheck_fails_on_non_finite_errors(capsys):
-    # a step of 1e300 overflows the difference quotients; the check must
-    # fail rather than report them as a zero error
-    rc = cli.main(["gradcheck", "--loops", "4", "--h", "1e300"])
-    assert rc == cli.EXIT_INCONCLUSIVE
-    line = capsys.readouterr().out.strip().splitlines()[-1]
-    payload = json.loads(line, parse_constant=_refuse_constant)
-    assert payload["max_rel_error"] is None
 
 
 def test_oracle_larmor_subcommand(capsys):
@@ -789,33 +723,17 @@ def test_oracle_larmor_subcommand(capsys):
     assert abs(payload["level"] - 2.0 * math.pi) < 1e-15
 
 
-def test_oracle_profile_subcommand(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("argv", [
+    ["mpass", "--config", "cfg.json"],
+    ["gradcheck"],
+    ["oracle", "profile", "--E", "1", "--B", "1", "--r-max", "2"],
+], ids=["mpass", "gradcheck", "oracle_profile"])
+def test_removed_verbs_are_refused_by_the_parser(argv, tmp_path, monkeypatch,
+                                                 capsys):
     monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
-    rc = cli.main(["oracle", "profile", "--E", "1.0", "--B", "1.0",
-                   "--r-max", "2.0", "--points", "401", "--n", "256",
-                   "--output-dir", "oracle_out"])
-    assert rc == cli.EXIT_OK
-    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert abs(payload["r_max"] - 1.0) < 0.01
-    assert abs(payload["level"] - math.pi) < 1e-3
-    lines = (tmp_path / "oracle_out" / "profile.csv").read_text().splitlines()
-    assert lines[0] == "r,S"
-    # the 401 grid radii plus the exact discrete maximizer
-    assert len(lines) == 403
-
-
-@pytest.mark.parametrize("E, B, r_max", [(1.0, 1.0, 2.0), (2.0, -0.5, 4.0)])
-def test_oracle_profile_reports_the_exact_discrete_maximum(
-        E, B, r_max, tmp_path, monkeypatch, capsys):
-    # the regular 256-gon of circumradius sqrt(E)/(|B| cos(pi/n)) maximizes
-    # the discrete profile at E n tan(pi/n) / |B|, even on a coarse grid
-    monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
-    n = 256
-    rc = cli.main(["oracle", "profile", "--E", str(E), "--B", str(B),
-                   "--r-max", str(r_max), "--points", "5", "--n", str(n)])
-    assert rc == cli.EXIT_OK
-    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    level = E * n * math.tan(math.pi / n) / abs(B)
-    assert payload["level"] == pytest.approx(level, rel=1e-12)
-    assert payload["r_max"] == pytest.approx(
-        math.sqrt(E) / (abs(B) * math.cos(math.pi / n)), rel=1e-15)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert os.listdir(tmp_path) == []

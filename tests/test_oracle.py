@@ -1,4 +1,4 @@
-"""Reference-value generators: closed forms, profiles, shooting."""
+"""Reference-value generators: closed forms, circle scans, shooting."""
 
 import math
 
@@ -8,10 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from magloop import (ChartPoint, FlowState, GeometryKind, GeometrySpec, Loop,
-                     action_S, circle_action_profile, el_residual_SE,
-                     fd_gradient, grad_action, integrate_flow, larmor_orbit,
-                     length, make_circle, orbit_to_loop, shooting_periodic,
-                     speed_cv)
+                     action_S, el_residual_SE, fd_gradient, grad_action,
+                     integrate_flow, larmor_orbit, length, make_circle,
+                     orbit_to_loop, shooting_periodic, speed_cv)
 from magloop import oracle
 from magloop.action import ActionParams
 from magloop.dynamics import _norm_sq
@@ -46,33 +45,24 @@ def test_larmor_closed_form_and_scaling():
             larmor_orbit(E, B)
 
 
-def test_circle_action_profile_discrete_max():
-    # max over clockwise circles of the discrete action sits at
-    # r* = sqrt(E) / (B cos(pi/n)) with value E n tan(pi/n) / B
-    E, B, n = 1.0, 1.0, 256
+@pytest.mark.parametrize("E, B", [(1.0, 1.0), (2.0, -0.5)])
+def test_regular_ngon_maximizes_the_discrete_circle_scan(E, B):
+    # over regular n-gons about the origin, traversed so that the flux lowers
+    # the action, the discrete S_E peaks at r* = sqrt(E) / (|B| cos(pi/n))
+    # with value E n tan(pi/n) / |B|
+    n = 256
     spec = GeometrySpec(GeometryKind.PLANE_CONSTANT_B, B=B)
-    r_star = math.sqrt(E) / (B * math.cos(math.pi / n))
-    grid = np.concatenate([np.linspace(0.0, 2.0, 81), [r_star]])
-    vals = circle_action_profile(spec, E, grid, n)
-    expect = E * n * math.tan(math.pi / n) / B
-    assert abs(float(vals.max()) - expect) < 1e-12 * expect
+    orientation = -1 if B > 0 else 1
+    r_star = math.sqrt(E) / (abs(B) * math.cos(math.pi / n))
+    # the grid holds sqrt(E)/|B| but not r*, so the maximum is unique
+    grid = np.append(np.linspace(0.0, 2.0 * math.sqrt(E) / abs(B), 81),
+                     r_star)
+    vals = np.array([action_S(spec, make_circle((0.0, 0.0), float(r),
+                                                orientation, n), E)
+                     for r in grid])
+    expect = E * n * math.tan(math.pi / n) / abs(B)
+    assert vals[-1] == pytest.approx(expect, rel=1e-12)
     assert int(np.argmax(vals)) == len(grid) - 1
-    # profile values are the actions of the clockwise inscribed polygons
-    probe = make_circle((0.0, 0.0), 0.7, -1, n)
-    i = int(np.argmin(np.abs(grid - 0.7)))
-    direct = action_S(spec, probe, E)
-    assert abs(float(vals[i]) - direct) > 0.0 or grid[i] != 0.7
-    with pytest.raises(InvalidOracleInput):
-        circle_action_profile(spec, -1.0, grid, n)
-    for bad in ((math.inf, grid, n), (E, np.array([-0.1, 0.5]), n),
-                (E, np.array([0.5, math.nan]), n),
-                (E, np.array([math.inf]), n), (E, np.array([]), n),
-                (E, grid, 2)):
-        with pytest.raises(InvalidOracleInput):
-            circle_action_profile(spec, *bad)
-    torus = GeometrySpec(GeometryKind.FLAT_TORUS_SINE, a=1.0, k=1)
-    with pytest.raises(InvalidOracleInput):
-        circle_action_profile(torus, E, grid, n)
 
 
 def test_fd_gradient_converges_with_h():
