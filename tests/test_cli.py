@@ -703,11 +703,35 @@ def test_sizes_over_their_bound_are_refused(argv, limit, worker, tmp_path,
         cli.main([*argv, str(limit)])
 
 
+_SHOOT = ["shoot", "--kind", "flat_torus_sine", "--a", "3.0", "--E-mech",
+          "0.01", "--seeds", "1", "--period-cap", "0.6"]
+
+
 @pytest.mark.parametrize("argv", [
     ["larmor", "--E", "inf", "--B", "1"],
     ["larmor", "--E", "1", "--B", "inf"],
+    ["larmor", "--E", "nan", "--B", "1"],
+    ["larmor", "--E", "0", "--B", "1"],
+    ["larmor", "--E", "-1", "--B", "1"],
+    ["larmor", "--E", "1", "--B", "nan"],
+    ["larmor", "--E", "1", "--B", "0"],
+    ["larmor", "--E", "1", "--B", "-1"],
+    [*_SHOOT, "--tol", "nan"],
+    [*_SHOOT, "--tol", "0"],
+    [*_SHOOT, "--tol", "inf"],
+    [*_SHOOT, "--period-cap", "nan"],
+    [*_SHOOT, "--period-cap", "0"],
+    [*_SHOOT, "--period-cap", "inf"],
+    [*_SHOOT, "--dt", "nan"],
+    [*_SHOOT, "--dt", "0"],
+    [*_SHOOT, "--dt=-1e-3"],
+    [*_SHOOT, "--E-mech", "0"],
+    [*_SHOOT, "--E-mech", "inf"],
+    [*_SHOOT, "--x0", "inf"],
 ])
 def test_oracle_rejects_bad_numbers(argv, tmp_path, monkeypatch, capsys):
+    # larmor_orbit, shooting_periodic and ChartPoint own these checks, which
+    # run before shoot writes its output directory
     monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
     assert cli.main(["oracle", *argv]) == cli.EXIT_CONFIG
     captured = capsys.readouterr()
@@ -736,4 +760,26 @@ def test_removed_verbs_are_refused_by_the_parser(argv, tmp_path, monkeypatch,
         cli.main(argv)
     assert info.value.code == 2
     assert capsys.readouterr().out == ""
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["run"],
+    ["flow", "--T", "1"],
+    ["flow", "--speed", "1"],
+    ["oracle"],
+    ["oracle", "larmor", "--E", "1"],
+    ["oracle", "shoot"],
+], ids=["run", "flow_speed", "flow_T", "oracle", "larmor_B", "shoot_E_mech"])
+def test_missing_required_arguments_are_refused_by_the_parser(
+        argv, tmp_path, monkeypatch, capsys):
+    # the verbs that stay refuse an incomplete command line with argparse's
+    # exit code 2, the config-error code, before any work or output
+    monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and "required" in captured.err
     assert os.listdir(tmp_path) == []
