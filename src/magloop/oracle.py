@@ -123,15 +123,19 @@ def _section_offset(spec, dx, dy, nx, ny):
 def _first_return(spec, y0, p_base, nhat, dt, t_cap):
     """First same-direction crossing of the section through p_base with
     normal nhat, after a blanking interval of two steps.  Returns None or
-    (t, y, starts, tau): the crossing, every RK4 step's start and the last
-    step's length; t = (len(starts) - 1) dt + tau is counted, not summed,
-    so it does not drift.  The loop steps four floats with
-    geometry._build_step, which the crossing's sub-steps share, and tests
-    the sign change first, as it fails on almost every step.  In the
-    bracketing step, tau is Newton's on the section offset from its linear
-    interpolation, with d(offset)/dtau = v . n, clamped to [0, dt], until a
-    correction is below 1e-12 dt (three sub-steps, as a rule).  A state
-    thrown to infinity raises ValueError, as integrate_flow does."""
+    (t, y, starts, tau): the crossing, every RK4 step's start packed once
+    into an (n, 4) array (the return Jacobian's steps and the knots of
+    _return_samples) and the last step's length; t = (n - 1) dt + tau is
+    counted, not summed, so it does not drift.  The loop steps four floats
+    with geometry._build_step, which the crossing's sub-steps share, and
+    tests the sign change first, as it fails on almost every step.  On a
+    torus a sign change between steps that round to different lattice
+    translates of p_base is the wrapped offset jumping at +-0.5, not a
+    crossing, and is passed over.  In the bracketing step, tau is Newton's
+    on the section offset from its linear interpolation, with
+    d(offset)/dtau = v . n, clamped to [0, dt], until a correction is below
+    1e-12 dt (three sub-steps, as a rule).  A state thrown to infinity
+    raises ValueError, as a flow integration does."""
     step = _build_step(spec)
     wrap = spec.is_torus
     bx, by = p_base.tolist()
@@ -150,7 +154,9 @@ def _first_return(spec, y0, p_base, nhat, dt, t_cap):
                 dx -= round(dx)
                 dy -= round(dy)
             h_next = dx * nx + dy * ny
-            if h_y < 0.0 <= h_next and i > 2 and vx * nx + vy * ny > 0.0:
+            if (h_y < 0.0 <= h_next and i > 2 and vx * nx + vy * ny > 0.0
+                    and not (wrap and (round(y[0] - bx), round(y[1] - by))
+                             != (round(px - bx), round(py - by)))):
                 tau = dt * (h_y / (h_y - h_next))
                 for _ in range(_CROSSING_ITERS):
                     tc, yc = tau, step(*y, tau)
@@ -160,7 +166,7 @@ def _first_return(spec, y0, p_base, nhat, dt, t_cap):
                                   0.0), dt)
                     if abs(tau - tc) <= 1e-12 * dt:
                         break
-                return i * dt + tc, np.array(yc), starts, tc
+                return i * dt + tc, np.array(yc), _pack_rows(starts), tc
             h_y = h_next
     except OverflowError:  # round or math.floor of an infinite position
         raise ValueError("v must be finite") from None
@@ -186,12 +192,14 @@ def shooting_periodic(spec: GeometrySpec, E_mech: float, seed_grid,
     launch.  An orbit whose full phase-space gap after one return is below
     tol becomes a candidate, and is kept unless it duplicates an orbit kept
     from an earlier seed (close periods and point sets, see
-    _dedup_candidates).  Once the return gap of a seed falls below
-    _DEDUP_TOL / 10 with an orbit kept, the current Newton iterate is
-    checked the same way, once: on a match the seed stops without a
-    candidate, as the polish moves the orbit by about the gap, far below
-    _DEDUP_TOL, and its candidate would have been merged.  An empty list is
-    evidence against a periodic orbit near the seeds at this resolution.
+    _dedup_candidates); the point sets interpolate the steps of the
+    candidate's last return search, so no orbit is integrated twice.  Once
+    the return gap of a seed falls below _DEDUP_TOL / 10 with an orbit
+    kept, the current Newton iterate is checked the same way, once: on a
+    match the seed stops without a candidate, as the polish moves the orbit
+    by about the gap, far below _DEDUP_TOL, and its candidate would have
+    been merged.  An empty list is evidence against a periodic orbit near
+    the seeds at this resolution.
     """
     if not (math.isfinite(E_mech) and E_mech > 0):
         raise InvalidOracleInput("E_mech must be positive and finite")
@@ -230,7 +238,7 @@ def shooting_periodic(spec: GeometrySpec, E_mech: float, seed_grid,
         def return_jacobian(u, ret):
             _, y, starts, tau = ret
             h = np.append(np.full(len(starts) - 1, dt), tau)
-            flow = _rk4_jacobian(spec, _pack_rows(starts), h)
+            flow = _rk4_jacobian(spec, starts, h)
             f = _flow_linear(spec, y)[0] / (y[2:] @ nhat)
             section = np.eye(4) - np.outer(f, np.r_[nhat, 0.0, 0.0])
             r2 = y[2] * y[2] + y[3] * y[3]
@@ -255,8 +263,7 @@ def shooting_periodic(spec: GeometrySpec, E_mech: float, seed_grid,
                 break
             if early_check and gap < _DEDUP_TOL / 10:
                 early_check = False
-                merged = _dedup_candidates(spec, _row_state(launch(u)),
-                                           ret[0], kept) is None
+                merged = _dedup_candidates(spec, ret, dt, kept) is None
                 if merged:
                     break
             J = return_jacobian(u, ret)
@@ -283,7 +290,7 @@ def shooting_periodic(spec: GeometrySpec, E_mech: float, seed_grid,
             closure_residual=float(closure),
             energy_mech=kinetic_energy(spec, y_start),
             energy_match=float(speed * speed))
-        pts = _dedup_candidates(spec, cand.state, cand.period, kept)
+        pts = _dedup_candidates(spec, ret, dt, kept)
         if pts is not None:
             kept.append((cand, pts))
 
@@ -320,24 +327,50 @@ def _matched_gap(spec, P, Q) -> float:
     return math.sqrt(float((d * d).sum(axis=1).max()))
 
 
-def _dedup_candidates(spec, state, period, kept):
-    """Shooting's one duplicate test: None if the orbit launched from
-    `state` traces over `period` the orbit of a candidate in `kept`, a list
-    of (candidate, samples) pairs, else its _DEDUP_PROBE samples, to be
-    kept with it.  Orbits are the same up to the field's exact translation
-    symmetries (all translations on the constant-field plane, y-translations
-    on the torus kinds, whose field and metric depend on x only), compared
-    after a quick period prefilter as point sets by symmetric polyline
-    Hausdorff distance, which is indifferent to the starting phase; the
-    samples are aligned by their centroids first.
+def _return_samples(ret, dt):
+    """The _DEDUP_PROBE positions at phases j period / _DEDUP_PROBE of the
+    orbit a _first_return result ret = (period, y, starts, tau) traced:
+    cubic Hermite interpolation (positions and velocities at both ends) of
+    the search's own RK4 steps, whose knots are the step starts and the
+    crossing state y, each interval dt long but the last, tau.  No step is
+    taken again; the interpolation adds an O(dt^4) error to the search's."""
+    period, y, starts, tau = ret
+    knots = np.vstack([starts, y])
+    t = np.arange(_DEDUP_PROBE) * (period / _DEDUP_PROBE)
+    i = np.minimum((t / dt).astype(int), len(starts) - 1)
+    h = np.where(i < len(starts) - 1, dt, tau)
+    s, h = ((t - i * dt) / h)[:, None], h[:, None]
+    a, b = knots[i], knots[i + 1]
+    d = b[:, :2] - a[:, :2]
+    m0, m1 = h * a[:, 2:], h * b[:, 2:]
+    return a[:, :2] + s * (m0 + s * ((3.0 * d - 2.0 * m0 - m1)
+                                     + s * (m0 + m1 - 2.0 * d)))
+
+
+def _dedup_candidates(spec, ret, dt, kept):
+    """Shooting's one duplicate test: None if the orbit of the return search
+    ret (a _first_return result at step dt, launched from its first start)
+    traces over its period the orbit of a candidate in `kept`, a list of
+    (candidate, samples) pairs, else its _DEDUP_PROBE samples, to be kept
+    with it.  The samples interpolate the search's own steps
+    (_return_samples), so no orbit is integrated twice.  Orbits are the
+    same up to the field's exact translation symmetries (all translations on
+    the constant-field plane, y-translations on the torus kinds, whose field
+    and metric depend on x only), compared after a quick period prefilter
+    as point sets by symmetric polyline Hausdorff distance, which is
+    indifferent to the starting phase; the samples are aligned by their
+    centroids first.
 
     _matched_gap screens each pair first, in O(n): the samplings are
     paired in phase order from the nearest start, and a pair below
     _DEDUP_TOL there is a duplicate by the polyline test too.  The
     polyline test stays for the rest: samples can be further apart than the
     tolerance (0.025 on a unit Larmor circle), so two phases of one orbit
-    can differ vertex to vertex by more than it."""
-    pts = integrate_flow(spec, state, period, _DEDUP_PROBE)[:-1, :2]
+    can differ vertex to vertex by more than it.  An equal number of samples
+    per orbit is what the screen pairs, and it bounds the O(n^2) fallback's
+    memory whatever the number of steps."""
+    period = ret[0]
+    pts = _return_samples(ret, dt)
     for other, opts in kept:
         if abs(period - other.period) > 0.05 * max(period, other.period):
             continue

@@ -162,7 +162,6 @@ def test_flow_rows_and_return_starts_iterate_the_frozen_step(spec, x0, vx):
     nhat = y0[2:] / np.linalg.norm(y0[2:])
     _, y, starts, tau = oracle._first_return(spec, y0, y0[:2] + 0.1 * nhat,
                                              nhat, h, T)
-    starts = np.array(starts)
     assert math.floor(starts[0, 0]) != math.floor(starts[-1, 0])
     assert starts.tobytes() == ref[:len(starts)].tobytes()
     assert y.tobytes() == _frozen_rk4_step(spec, starts[-1], tau).tobytes()

@@ -414,12 +414,23 @@ def _larmor_candidate(phase, speed=1.0):
         energy_mech=0.5 * speed * speed, energy_match=speed * speed)
 
 
-def _dedup(spec, candidates):
+def _search(spec, cand, dt):
+    """The return search from a candidate's launch state, through the
+    section normal to its velocity, at step dt."""
+    y0 = cand.state.as_array()
+    nhat = y0[2:] / np.linalg.norm(y0[2:])
+    return oracle._first_return(spec, y0, y0[:2], nhat, dt,
+                                1.5 * cand.period)
+
+
+def _dedup(spec, candidates, dt=1e-3):
     """shooting_periodic's kept list for finished candidates in this
-    order, each tested against those kept before it."""
+    order, each tested, by the samples of its own return search at step dt,
+    against those kept before it."""
     kept = []
     for cand in candidates:
-        pts = oracle._dedup_candidates(spec, cand.state, cand.period, kept)
+        pts = oracle._dedup_candidates(spec, _search(spec, cand, dt), dt,
+                                       kept)
         if pts is not None:
             kept.append((cand, pts))
     return [cand for cand, _ in kept]
@@ -446,6 +457,72 @@ def test_dedup_merges_phases_further_apart_than_the_tolerance():
 def test_dedup_keeps_circles_of_different_radius():
     a, b = _larmor_candidate(0.0), _larmor_candidate(0.0, speed=1.5)
     assert _dedup(PLANE, [a, b]) == [a, b]
+
+
+def test_return_samples_match_the_integrated_probe(criterion10_seeds,
+                                                   monkeypatch):
+    # the dedup samples interpolate the return search's own steps; they are
+    # the positions a 256-step integration over the period reaches, up to
+    # the interpolation error and the two integrations' RK4 errors: on
+    # criterion 10's four searches that reach the dedup (dt 1e-3), and on
+    # the unit Larmor circle at a coarse dt 0.1 (5.1e-6 apart)
+    searches = []
+    dedup = oracle._dedup_candidates
+
+    def recorded_dedup(spec, ret, dt, kept):
+        searches.append((SINE_TORUS, ret, dt, 1e-9))
+        return dedup(spec, ret, dt, kept)
+
+    monkeypatch.setattr(oracle, "_dedup_candidates", recorded_dedup)
+    shooting_periodic(SINE_TORUS, 0.01, criterion10_seeds, period_cap=0.6,
+                      tol=1e-8, dt=1e-3)
+    assert len(searches) == 4
+    circle = _larmor_candidate(0.0)
+    searches.append((PLANE, _search(PLANE, circle, 0.1), 0.1, 1e-5))
+    for spec, ret, dt, bound in searches:
+        pts = oracle._return_samples(ret, dt)
+        probe = integrate_flow(spec, oracle._row_state(ret[2][0]), ret[0],
+                               oracle._DEDUP_PROBE)[:-1, :2]
+        assert pts.shape == probe.shape
+        assert np.abs(pts - probe).max() < bound
+
+
+@pytest.mark.parametrize("dt", [0.05, 0.1, 0.2])
+def test_plane_shoot_keeps_one_orbit_at_coarse_steps(dt):
+    # `magloop oracle shoot --kind plane_constant_B --B 1 --E-mech 0.5
+    # --period-cap 7 --tol 1e-3 --seeds 4 --seed 7`: four seeds on one
+    # Larmor circle, whose return searches take 126 to 32 steps; read at
+    # the step starts alone, the 256 samples would bunch in runs of 2 to 8
+    # and keep phases of the one orbit apart
+    rng = np.random.default_rng(7)
+    seeds = []
+    for _ in range(4):
+        p = ChartPoint(float(rng.uniform(-0.2, 0.2)),
+                       float(rng.uniform(-0.2, 0.2)) + 0.5)
+        ang = float(rng.uniform(0.0, 2.0 * math.pi))
+        seeds.append(FlowState(p, np.array([math.cos(ang), math.sin(ang)])))
+    kept = shooting_periodic(PLANE, 0.5, seeds, period_cap=7.0, tol=1e-3,
+                             dt=dt)
+    assert len(kept) == 1
+    assert abs(kept[0].period - 2.0 * math.pi) < 1e-4
+
+
+def test_first_return_passes_over_the_torus_wrap():
+    # the launch below reaches a point half a period from the base after
+    # 0.364, where the wrapped section offset jumps from -0.16 to +0.34
+    # between two steps; that jump is not a crossing, and the search goes
+    # on to the orbit's true return
+    seed = FlowState(ChartPoint(0.0061768287842781655, 0.721165786116842),
+                     np.array([math.cos(4.251231222230473),
+                               math.sin(4.251231222230473)]))
+    y0 = oracle._normalize_state(SINE_TORUS, seed, 2.0)
+    nhat = y0[2:] / np.linalg.norm(y0[2:])
+    t, y, _, _ = oracle._first_return(SINE_TORUS, y0, y0[:2], nhat, 1e-3,
+                                      3.0)
+    offset = oracle._section_offset(SINE_TORUS, y[0] - y0[0], y[1] - y0[1],
+                                    *nhat.tolist())
+    assert abs(offset) < 1e-9
+    assert t > 0.364
 
 
 def test_dedup_vertex_screen_merges_the_criterion10_translates(
