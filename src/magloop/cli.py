@@ -61,8 +61,9 @@ MAX_FAMILY_VERTICES = 10 ** 7
 # below 1e-300 before step 1000
 MAX_STEPS = 1000
 # upper bound on oracle shoot --seeds [default 5]: each seed takes at most
-# 1 + oracle._NEWTON_ITERS return searches and two 256-step dedup probes
-# (an early merge check and its candidate's)
+# 1 + oracle._NEWTON_ITERS return searches and two duplicate tests (an early
+# merge check and its candidate's), each on 256 samples interpolated from a
+# search that already ran
 MAX_SHOOT_SEEDS = 1000
 
 

@@ -353,16 +353,32 @@ def save_loop_csv(path, loop: Loop, torus: bool):
 
 
 def load_loop_csv(path) -> Loop:
-    """Read a loop written by save_loop_csv (3- or 5-column form)."""
+    """Read a loop written by save_loop_csv (3- or 5-column form, rows in
+    any order).  A file not in that form raises ConfigError, naming the
+    line of a row of another length, of a value that does not parse, or of
+    indices that are not 0..N-1 once each."""
+    rows = []  # (index, line number, values)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])  # an empty file has no header
-        if header[:3] != ["index", "x", "y"]:
-            raise ValueError(f"unrecognized loop CSV header: {header}")
-        has_windings = len(header) == 5
-        rows = sorted((int(r[0]), r[1:]) for r in reader if r)
-    verts = np.array([[float(c[0]), float(c[1])] for _, c in rows])
-    if has_windings:
-        w = np.array([[int(c[2]), int(c[3])] for _, c in rows])
-        return Loop(verts, w)
+        if header not in (["index", "x", "y"],
+                          ["index", "x", "y", "wx", "wy"]):
+            raise ConfigError(f"unrecognized loop CSV header: {header}")
+        for r in filter(None, reader):
+            try:
+                if len(r) != len(header):
+                    raise ValueError(f"{len(r)} values, not {len(header)}")
+                rows.append((int(r[0]), reader.line_num,
+                             [float(r[1]), float(r[2]), *map(int, r[3:])]))
+            except ValueError as exc:
+                raise ConfigError(
+                    f"{path}, line {reader.line_num}: {exc}") from None
+    rows.sort()
+    for k, (i, line, _) in enumerate(rows):
+        if i != k:
+            raise ConfigError(f"{path}, line {line}: index {i}, expected {k}"
+                              f" (0..{len(rows) - 1} once each)")
+    verts = np.array([v[:2] for *_, v in rows])
+    if len(header) == 5:
+        return Loop(verts, np.array([v[2:] for *_, v in rows]))
     return Loop(verts)

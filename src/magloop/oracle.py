@@ -297,34 +297,24 @@ def shooting_periodic(spec: GeometrySpec, E_mech: float, seed_grid,
     return [cand for cand, _ in kept]
 
 
-def _polyline_gap(spec, P, Q) -> float:
-    """Max over the points of P of the distance to the closed polyline Q
-    (torus differences wrapped to the nearest period).  O(n^2):
-    _dedup_candidates' fallback for the pairs that _matched_gap does not
-    merge."""
-    A = Q
-    edges = np.roll(Q, -1, axis=0) - A
-    diff = torus_gap(spec, P[:, None, :] - A[None, :, :])
-    denom = np.maximum((edges * edges).sum(axis=1), 1e-300)
-    t = np.clip((diff * edges[None, :, :]).sum(axis=2) / denom, 0.0, 1.0)
-    foot = diff - t[:, :, None] * edges[None, :, :]
-    d = np.sqrt((foot * foot).sum(axis=2))
-    return float(d.min(axis=1).max())
-
-
 def _matched_gap(spec, P, Q) -> float:
-    """Largest distance between the points of two samplings of one length,
-    paired in phase order from Q's nearest point to P[0]: max_j |P_j -
-    Q_{(j+s) mod n}|, the differences wrapped as torus_gap wraps them.  The
-    pairing is a bijection, so this bounds the symmetric vertex Hausdorff
-    distance from above, and with it both directions of _polyline_gap: a
-    point's distance to a closed polyline is at most its distance to the
-    polyline's nearest vertex.  _dedup_candidates' O(n) screen, applied
-    to every pair before the polyline test."""
+    """Largest distance from a point of either of two samplings of one
+    length to the two edges of the other that meet at its partner, P_j
+    paired with Q_{(j+s) mod n}, Q_s the point of Q nearest to P[0]; every
+    difference and edge (the closing one too) is wrapped as torus_gap wraps
+    it.  The partner ends both edges, so the gap is at most the pairing's
+    vertex gap and at least the exact point-to-polyline distance.  O(n), on
+    points as complex numbers x + iy, both parts wrapped by torus_gap."""
     d = torus_gap(spec, Q - P[0])
     s = int(np.argmin((d * d).sum(axis=1)))
-    d = torus_gap(spec, P - np.roll(Q, -s, axis=0))
-    return math.sqrt(float((d * d).sum(axis=1).max()))
+    z = np.stack([P, np.concatenate([Q[s:], Q[:s]])]) @ np.array([1.0, 1j])
+    # e[:, j] is the edge into point j of the other sampling, j = 0..n
+    e = torus_gap(spec, np.diff(z, axis=1, prepend=z[:, -1:],
+                                append=z[:, :1]))[::-1]
+    d = torus_gap(spec, z - z[::-1])  # each point from its partner
+    edges = np.stack([e[:, 1:], -e[:, :-1]])  # both out of the partner
+    t = (d * edges.conj()).real / np.maximum(abs(edges) ** 2, 1e-300)
+    return float(np.abs(d - np.clip(t, 0.0, 1.0) * edges).min(axis=0).max())
 
 
 def _return_samples(ret, dt):
@@ -357,18 +347,12 @@ def _dedup_candidates(spec, ret, dt, kept):
     same up to the field's exact translation symmetries (all translations on
     the constant-field plane, y-translations on the torus kinds, whose field
     and metric depend on x only), compared after a quick period prefilter
-    as point sets by symmetric polyline Hausdorff distance, which is
-    indifferent to the starting phase; the samples are aligned by their
-    centroids first.
-
-    _matched_gap screens each pair first, in O(n): the samplings are
-    paired in phase order from the nearest start, and a pair below
-    _DEDUP_TOL there is a duplicate by the polyline test too.  The
-    polyline test stays for the rest: samples can be further apart than the
-    tolerance (0.025 on a unit Larmor circle), so two phases of one orbit
-    can differ vertex to vertex by more than it.  An equal number of samples
-    per orbit is what the screen pairs, and it bounds the O(n^2) fallback's
-    memory whatever the number of steps."""
+    as point sets by _matched_gap, which is indifferent to the starting
+    phase; the samples are aligned by their centroids first.  Samples can
+    be further apart than the tolerance (0.025 on a unit Larmor circle), so
+    two phases of one orbit can differ vertex to vertex by more than it;
+    each vertex still lies within it of the other's edges at its partner.
+    An equal number of samples per orbit is what _matched_gap pairs."""
     period = ret[0]
     pts = _return_samples(ret, dt)
     for other, opts in kept:
@@ -378,9 +362,7 @@ def _dedup_candidates(spec, ret, dt, kept):
         if spec.is_torus:
             shift_mean[0] = 0.0  # x is not a symmetry direction
         aligned = opts + shift_mean
-        if (_matched_gap(spec, pts, aligned) < _DEDUP_TOL
-                or max(_polyline_gap(spec, pts, aligned),
-                       _polyline_gap(spec, aligned, pts)) < _DEDUP_TOL):
+        if _matched_gap(spec, pts, aligned) < _DEDUP_TOL:
             return None
     return pts
 

@@ -10,7 +10,7 @@ import pytest
 from magloop import (GeometryKind, GeometrySpec, Loop, LoopFamily, concat,
                      length, load_loop_csv, make_circle, make_point_loop,
                      resample_arclength, save_loop_csv, speed_cv, speeds)
-from magloop.errors import DegenerateLoop, NotConcatenable
+from magloop.errors import ConfigError, DegenerateLoop, NotConcatenable
 from magloop.loops import edge_lengths, interpolate, rms_distance
 
 PLANE = GeometrySpec(GeometryKind.PLANE_CONSTANT_B, B=1.0)
@@ -149,6 +149,32 @@ def test_csv_load_refuses_an_empty_file(tmp_path):
     path.write_bytes(b"")
     with pytest.raises(ValueError, match="header"):
         load_loop_csv(path)
+
+
+@pytest.mark.parametrize("body, message", [
+    ("index,x,y\r\n0,1.0\r\n", "line 2: 2 values, not 3"),
+    ("index,x,y,wx,wy\r\n0,0,0,0,0\r\n1,1,0,0\r\n2,0,1,0,0\r\n",
+     "line 3: 4 values, not 5"),
+    ("index,x,y\r\n0,0,0\r\n0,1,0\r\n5,0,1\r\n",
+     "line 3: index 0, expected 1"),
+    ("index,x,y\r\n0,0,0\r\n1,1,0\r\n5,0,1\r\n",
+     "line 4: index 5, expected 2"),
+    ("index,x,y\r\n0,0,0\r\n1,one,0\r\n2,0,1\r\n",
+     "line 3: could not convert"),
+    ("index,x,y,wx\r\n0,0,0,0\r\n", "header"),
+], ids=["short_row", "short_torus_row", "repeated_index", "missing_index",
+        "bad_number", "bad_header"])
+def test_csv_load_refuses_a_malformed_file(tmp_path, body, message):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(body.encode())
+    with pytest.raises(ConfigError, match=message):
+        load_loop_csv(path)
+
+
+def test_csv_load_takes_rows_in_any_order(tmp_path):
+    path = tmp_path / "loop.csv"
+    path.write_bytes(b"index,x,y\r\n2,0,1\r\n0,0,0\r\n1,1,0\r\n")
+    assert load_loop_csv(path).vertices.tolist() == [[0, 0], [1, 0], [0, 1]]
 
 
 def _csv_writer_bytes(loop, torus):

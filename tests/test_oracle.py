@@ -222,9 +222,42 @@ def _bits(cands):
         c.state.p.x, c.state.p.y, *c.state.v)) for c in cands]
 
 
+def _polyline_gap(spec, P, Q):
+    """Max over the points of P of the exact distance to the closed polyline
+    Q: the O(n^2) reference for oracle._matched_gap.  On a torus each edge
+    (the closing edge Q[-1] -> Q[0] too) is its nearest translate, which
+    lies in [-1/2, 1/2]^2 from its start, and a point's nearest translate
+    to it is one of the nine within one period of the point's translate
+    nearest to that start."""
+    edges = torus_gap(spec, np.roll(Q, -1, axis=0) - Q)[:, None, :]
+    diff = torus_gap(spec, P[:, None, :] - Q[None, :, :])[:, :, None, :]
+    if spec.is_torus:
+        diff = diff + np.array([(i, j) for i in (-1, 0, 1)
+                                for j in (-1, 0, 1)])
+    denom = np.maximum((edges * edges).sum(axis=-1), 1e-300)
+    t = np.clip((diff * edges).sum(axis=-1) / denom, 0.0, 1.0)
+    foot = diff - t[..., None] * edges
+    return float(np.sqrt((foot * foot).sum(axis=-1)).min(axis=(1, 2)).max())
+
+
+def _reference_gap(spec, P, Q):
+    """The symmetric point-to-polyline distance of two samplings."""
+    return max(_polyline_gap(spec, P, Q), _polyline_gap(spec, Q, P))
+
+
+def _vertex_gap(spec, P, Q):
+    """max_j |P_j - Q_{(j+s) mod n}|, the pairing of oracle._matched_gap
+    measured vertex to vertex."""
+    d = torus_gap(spec, Q - P[0])
+    s = int(np.argmin((d * d).sum(axis=1)))
+    d = torus_gap(spec, P - np.roll(Q, -s, axis=0))
+    return math.sqrt(float((d * d).sum(axis=1).max()))
+
+
 def _reference_dedup(spec, candidates):
     """The list pass that merged finished candidates before shooting
-    deduplicated as it went, kept as the reference for its kept list."""
+    deduplicated as it went, by the exact polyline distance, kept as the
+    reference for its kept list."""
     kept = []
     samples = []
     for cand in candidates:
@@ -239,10 +272,7 @@ def _reference_dedup(spec, candidates):
             if spec.is_torus:
                 shift_mean[0] = 0.0
             aligned = opts + shift_mean
-            if (oracle._matched_gap(spec, pts, aligned) < oracle._DEDUP_TOL
-                    or max(oracle._polyline_gap(spec, pts, aligned),
-                           oracle._polyline_gap(spec, aligned, pts))
-                    < oracle._DEDUP_TOL):
+            if _reference_gap(spec, pts, aligned) < oracle._DEDUP_TOL:
                 duplicate = True
                 break
         if not duplicate:
@@ -444,13 +474,12 @@ def _aligned_samples(spec, a, b):
 
 def test_dedup_merges_phases_further_apart_than_the_tolerance():
     # half a probe spacing apart in phase, the vertices of one sampling sit
-    # 0.012 from those of the other, but only 7.5e-5 from its chords
+    # 0.012 from those of the other, but only 7.5e-5 from its edges
     a = _larmor_candidate(0.0)
     b = _larmor_candidate(math.pi / oracle._DEDUP_PROBE)
     pa, pb = _aligned_samples(PLANE, a, b)
-    assert oracle._matched_gap(PLANE, pa, pb) >= oracle._DEDUP_TOL
-    assert max(oracle._polyline_gap(PLANE, pa, pb),
-               oracle._polyline_gap(PLANE, pb, pa)) < oracle._DEDUP_TOL
+    assert _vertex_gap(PLANE, pa, pb) >= oracle._DEDUP_TOL
+    assert oracle._matched_gap(PLANE, pa, pb) < oracle._DEDUP_TOL
     assert _dedup(PLANE, [a, b]) == [a]
 
 
@@ -525,35 +554,49 @@ def test_first_return_passes_over_the_torus_wrap():
     assert t > 0.364
 
 
-def test_dedup_vertex_screen_merges_the_criterion10_translates(
-        criterion10_seeds, monkeypatch):
-    # the four seeds close on y-translates of one orbit, sampled at phases
-    # whose vertices, paired in phase order, lie within the tolerance of
-    # each other: the screen merges them without the polyline test.  The
-    # grid merges the last three seeds' Newton iterates once their return
-    # gap is below _DEDUP_TOL / 10 (matched gaps 5.8e-5 to 1.0e-4), and the
-    # screen would merge their finished candidates, each shot alone, too.
+def test_dedup_merges_the_criterion10_translates(criterion10_seeds,
+                                                 monkeypatch):
+    # the four seeds close on y-translates of one orbit.  The grid merges
+    # the last three seeds' Newton iterates once their return gap is below
+    # _DEDUP_TOL / 10 (matched gaps 1.6e-6 to 4.4e-5, vertex gaps 5.8e-5 to
+    # 1.0e-4), and the matched gap would merge their finished candidates,
+    # each shot alone, too.
     _, alone = _shot_alone(criterion10_seeds, 1e-8, monkeypatch)
-    screens = []
+    gaps = []
     matched_gap = oracle._matched_gap
 
     def recorded_matched_gap(*args):
-        screens.append(matched_gap(*args))
-        return screens[-1]
-
-    def no_polyline_gap(*args):
-        raise AssertionError("the matched screen should merge these")
+        gaps.append(matched_gap(*args))
+        return gaps[-1]
 
     monkeypatch.setattr(oracle, "_matched_gap", recorded_matched_gap)
-    monkeypatch.setattr(oracle, "_polyline_gap", no_polyline_gap)
     kept = shooting_periodic(SINE_TORUS, 0.01, criterion10_seeds,
                              period_cap=0.6, tol=1e-8, dt=1e-3)
     assert _bits(kept) == _bits(alone[:1])
-    assert len(screens) == 3
-    assert all(gap < oracle._DEDUP_TOL for gap in screens)
+    assert len(gaps) == 3
+    assert all(gap < oracle._DEDUP_TOL for gap in gaps)
     for other in alone[1:]:
         pa, pb = _aligned_samples(SINE_TORUS, alone[0], other)
-        assert oracle._matched_gap(SINE_TORUS, pa, pb) < oracle._DEDUP_TOL
+        assert matched_gap(SINE_TORUS, pa, pb) < oracle._DEDUP_TOL
+
+
+def test_dedup_merges_two_samplings_of_a_wound_orbit():
+    # both seeds close on one orbit of winding (-1, 0).  Once its return
+    # gap is below _DEDUP_TOL / 10, the second seed's samples lie 4.1e-5
+    # from the first orbit's as point sets, but 1.3e-3 vertex to vertex,
+    # and each closing edge Q[-1] -> Q[0] crosses a lattice translate: only
+    # its wrapped form runs along the orbit.
+    spec = GeometrySpec(GeometryKind.FLAT_TORUS_SINE, a=0.5, k=1)
+    seeds = [FlowState(ChartPoint(x, y), np.array([math.cos(ang),
+                                                   math.sin(ang)]))
+             for x, y, ang in [
+                 (0.030175128189566275, 0.6244780553223366,
+                  3.0128874021832446),
+                 (0.19951347225902766, 0.49602823357187836,
+                  -2.600099227553413)]]
+    kept = shooting_periodic(spec, 2.0, seeds, period_cap=1.0, tol=1e-6,
+                             dt=2e-3)
+    assert len(kept) == 1
 
 
 @pytest.mark.parametrize("spec", [SINE_TORUS, CONFORMAL_TORUS],
@@ -580,13 +623,23 @@ def test_distinct_orbits_survive_the_early_merge(spec, monkeypatch):
 
 
 @given(spec=st.sampled_from([PLANE, SINE_TORUS]), n=st.integers(3, 12),
-       shift=st.integers(0, 11), seed=st.integers(0, 2**32 - 1))
-def test_matched_gap_bounds_both_polyline_gaps(spec, n, shift, seed):
+       shift=st.integers(0, 11), wound=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_matched_gap_lies_between_the_polyline_and_vertex_gaps(
+        spec, n, shift, wound, seed):
     # Q is a cyclic shift of P with each coordinate moved a little or across
-    # the +-0.5 wrap, some by exact halves; any phase pairing bounds the
-    # vertex distances, and those bound the point-to-polyline distances
+    # the +-0.5 wrap, some by exact halves.  A wound P drifts by a lattice
+    # vector over its n points, so its closing edge crosses a translate.
+    # The edges at a partner are edges of the polyline and end at the
+    # partner, so the matched gap is at least the exact polyline gap and at
+    # most the vertex gap of its pairing.
     rng = np.random.default_rng(seed)
-    P = rng.uniform(-2.0, 2.0, (n, 2))
+    if wound:
+        drift = np.array([rng.choice([-1, 1]), rng.integers(-1, 2)])
+        P = (rng.uniform(-2.0, 2.0, 2) + np.outer(np.arange(n) / n, drift)
+             + rng.uniform(-0.3, 0.3, (n, 2)) / n)
+    else:
+        P = rng.uniform(-2.0, 2.0, (n, 2))
     wraps = (rng.integers(-3, 4, (n, 2)) + rng.choice([-0.5, 0.5], (n, 2))
              + rng.choice([0.0, 1e-9, -1e-9], (n, 2)))
     moves = np.where(rng.random((n, 2)) < 0.5, wraps,
@@ -594,8 +647,8 @@ def test_matched_gap_bounds_both_polyline_gaps(spec, n, shift, seed):
     Q = np.roll(P, -shift, axis=0) + moves
     gap = oracle._matched_gap(spec, P, Q)
     slack = 16.0 * np.finfo(float).eps * (1.0 + np.abs(np.r_[P, Q]).max())
-    assert oracle._polyline_gap(spec, P, Q) <= gap + slack
-    assert oracle._polyline_gap(spec, Q, P) <= gap + slack
+    assert _reference_gap(spec, P, Q) <= gap + slack
+    assert gap <= _vertex_gap(spec, P, Q) + slack
 
 
 @pytest.mark.parametrize("spec", [PLANE, SINE_TORUS],
