@@ -24,6 +24,11 @@ derivatives (F d_y / 2, -Phi) and (F d_y / 2, Phi) at its two ends, F = Phi'.
 The chart fields are contracted by hand, each product rounded as in the
 tensor formula.  ``values`` takes vertex stacks (..., N, 2) through the same
 edge kernel.
+
+The one-loop functionals and the gradient read the edge quantities and
+the circulation from the loop's memo (see ``loops``); ``row_values`` fills
+a family row's missing memos from one stacked pass.  ``speed_terms`` is the
+one place the speed sums are formed.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ import numpy as np
 from .errors import ConfigError
 from .geometry import (GeometrySpec, conformal_exponent, field_strength,
                        potential_eval)
-from .loops import Loop, edge_geometry
+from .loops import Loop, _edge_memo, _memoize, edge_geometry
 
 
 @dataclass(frozen=True)
@@ -68,6 +73,15 @@ def _circulation(spec: GeometrySpec, d: np.ndarray, m: np.ndarray):
     return np.einsum("...n,...n->...", potential_eval(spec, m), d[..., 1])
 
 
+def _loop_circulation(spec: GeometrySpec, loop: Loop):
+    """The loop's circulation under spec, kept in its memo."""
+    memo = _edge_memo(spec, loop)
+    if memo[2] is None:
+        d, m, _, _ = memo[1]
+        memo[2] = _circulation(spec, d, m)
+    return memo[2]
+
+
 def circulation(spec: GeometrySpec, loop: Loop) -> float:
     """Discrete line integral of the potential A = Phi(x) dy,
     sum_j Phi(m_j) d_j,y.
@@ -75,36 +89,62 @@ def circulation(spec: GeometrySpec, loop: Loop) -> float:
     Exact for the linear plane potential Phi = B*x: equals B times the
     signed polygon area.
     """
-    d, m, _, _ = edge_geometry(spec, loop.vertices, loop.windings)
-    return float(_circulation(spec, d, m))
+    return float(_loop_circulation(spec, loop))
 
 
 def action_S(spec: GeometrySpec, loop: Loop, E: float) -> float:
     """Length-type action sqrt(E) * length + circulation."""
     if not (math.isfinite(E) and E > 0):
         raise ConfigError("E must be positive")
-    d, m, _, ell = edge_geometry(spec, loop.vertices, loop.windings)
-    circ = float(_circulation(spec, d, m))
+    ell = _edge_memo(spec, loop)[1][3]
+    circ = float(_loop_circulation(spec, loop))
     return math.sqrt(E) * float(ell.sum()) + circ
+
+
+def speed_terms(ell: np.ndarray, params: ActionParams) -> np.ndarray:
+    """(1/N) sum_j [s_j^(1+tau) + eps * s_j^2] over the last axis of the
+    edge lengths ell (..., N), s_j = sqrt(E) * N * ell_j floored at delta
+    inside the power: S_{eps,tau} without the circulation."""
+    n = ell.shape[-1]
+    s = math.sqrt(params.E) * n * ell
+    sf = np.maximum(s, params.delta)
+    p0 = np.power(sf, 1.0 + params.tau).sum(axis=-1) / n
+    p1 = params.eps * (s * s).sum(axis=-1) / n
+    return p0 + p1
 
 
 def values(spec: GeometrySpec, v: np.ndarray, w: np.ndarray,
            params: ActionParams) -> np.ndarray:
     """S_{eps,tau} of each loop of the vertex stack v, shape (..., N, 2),
     over the shared windings w; an array of shape (...)."""
-    n = v.shape[-2]
     d, m, _, ell = edge_geometry(spec, v, w)
-    s = math.sqrt(params.E) * n * ell
-    sf = np.maximum(s, params.delta)
-    p0 = np.power(sf, 1.0 + params.tau).sum(axis=-1) / n
-    p1 = params.eps * (s * s).sum(axis=-1) / n
-    return p0 + p1 + _circulation(spec, d, m)
+    return speed_terms(ell, params) + _circulation(spec, d, m)
+
+
+def row_values(spec: GeometrySpec, row, params: ActionParams) -> np.ndarray:
+    """S_{eps,tau} of each loop of a family row (loops sharing windings),
+    bit for bit ``values`` of the stacked row.  The loops without a memo
+    for spec get theirs, circulation included, from one stacked
+    edge_geometry pass; the values come from the memoized lengths and
+    circulations."""
+    todo = [lp for lp in row if lp._memo is None or lp._memo[0] is not spec]
+    if todo:
+        d, m, lam, ell = edge_geometry(
+            spec, np.stack([lp.vertices for lp in todo]), todo[0].windings)
+        circ = _circulation(spec, d, m)
+        for k, lp in enumerate(todo):
+            _memoize(lp, spec, (d[k], m[k], lam if spec.is_flat else lam[k],
+                                ell[k]), circ[k])
+    ell = np.stack([lp._memo[1][3] for lp in row])
+    circ = np.array([_loop_circulation(spec, lp) for lp in row])
+    return speed_terms(ell, params) + circ
 
 
 def action_S_eps_tau(spec: GeometrySpec, loop: Loop,
                      params: ActionParams) -> float:
     """Regularized action S_{eps,tau}; equals action_S at eps = tau = 0."""
-    return float(values(spec, loop.vertices, loop.windings, params))
+    ell = _edge_memo(spec, loop)[1][3]
+    return float(speed_terms(ell, params) + _loop_circulation(spec, loop))
 
 
 def grad_action(spec: GeometrySpec, loop: Loop,
@@ -116,7 +156,7 @@ def grad_action(spec: GeometrySpec, loop: Loop,
     defined on torus loops in any covering representative.
     """
     n = loop.n
-    d, m, lam, ell = edge_geometry(spec, loop.vertices, loop.windings)
+    d, m, lam, ell = _edge_memo(spec, loop)[1]
     rootE = math.sqrt(params.E)
     s = rootE * n * ell
 
@@ -126,9 +166,8 @@ def grad_action(spec: GeometrySpec, loop: Loop,
     w1 = w0 + 2.0 * params.eps * s / n
 
     # ds/d(quadratic form q): s = sqrt(E) n sqrt(q)
-    pos = ell > 0.0
-    dsdq = np.zeros_like(ell)
-    dsdq[pos] = rootE * n / (2.0 * ell[pos])
+    dsdq = np.divide(rootE * n, 2.0 * ell, out=np.zeros_like(ell),
+                     where=ell > 0.0)
 
     dx, dy = d[:, 0], d[:, 1]
     if spec.is_flat:
@@ -148,8 +187,12 @@ def grad_action(spec: GeometrySpec, loop: Loop,
 
     # vertex j collects the a-end of edge j and the b-end of edge j-1
     coef = (w1 * dsdq)[:, None]
-    contrib_a = coef * dq_da + np.stack((half_Fd, -phi), axis=1)
-    contrib_b = coef * dq_db + np.stack((half_Fd, phi), axis=1)
+    contrib_a = coef * dq_da
+    contrib_b = coef * dq_db
+    contrib_a[:, 0] += half_Fd
+    contrib_b[:, 0] += half_Fd
+    contrib_a[:, 1] -= phi  # x - phi rounds as x + (-phi)
+    contrib_b[:, 1] += phi
     grad = np.zeros((n, 2))
     grad += contrib_a
     grad[1:] += contrib_b[:-1]

@@ -218,7 +218,7 @@ class ResidualReport:
 
 def _central_derivatives(loop: Loop):
     d = loop.displacements()
-    d_prev = np.roll(d, 1, axis=0)
+    d_prev = np.concatenate((d[-1:], d[:-1]))
     vel = 0.5 * loop.n * (d + d_prev)
     acc = loop.n ** 2 * (d - d_prev)
     return vel, acc
@@ -243,9 +243,12 @@ def el_residual_SE(spec: GeometrySpec, loop: Loop, E: float) -> ResidualReport:
     F = field_strength(spec, work.vertices)
     vel, acc = _central_derivatives(work)
     vx, vy = vel[:, 0], vel[:, 1]
-    cov_acc = acc + np.stack(((c * vx) * vx + (-c * vy) * vy,
-                              (c * vx) * vy + (c * vy) * vx), axis=1)
-    lorentz = np.stack(((lam_inv * F) * vy, (lam_inv * -F) * vx), axis=1)
+    cov_acc = acc  # acc is fresh: its columns take the Christoffel terms
+    cov_acc[:, 0] += (c * vx) * vx + (-c * vy) * vy
+    cov_acc[:, 1] += (c * vx) * vy + (c * vy) * vx
+    lorentz = np.empty_like(vel)
+    lorentz[:, 0] = (lam_inv * F) * vy
+    lorentz[:, 1] = (lam_inv * -F) * vx
     sp = np.sqrt((vx * lam) * vx + (vy * lam) * vy)
     if np.any(sp == 0.0):
         raise DegenerateLoop("residual undefined where the speed vanishes")

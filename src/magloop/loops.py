@@ -18,6 +18,11 @@ edge j of an N-gon is N times that length (the loop parameter runs over
 skipped, which changes no bit.  The edge kernel also takes vertex stacks
 (..., N, 2), bit for bit per loop.
 
+A Loop is immutable, so each keeps its edge quantities (d, m, lam, ell)
+and circulation, read-only, for the last GeometrySpec object it was
+evaluated on (a private memo, computed again for any other spec); the
+length functions, the action and its gradient read it.
+
 Loops derived from an existing loop (with_vertices, interpolate) are built
 by a trusted constructor that reuses the parent's frozen windings and takes
 over the fresh vertex array instead of copying and re-validating it; only
@@ -50,6 +55,9 @@ class Loop:
 
     vertices: np.ndarray
     windings: np.ndarray = None
+    # [spec, (d, m, lam, ell), circulation or None] of the last chart the
+    # loop was evaluated on (_edge_memo); not a field
+    _memo = None
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=float)
@@ -173,9 +181,32 @@ def edge_geometry(spec: GeometrySpec, v: np.ndarray, w: np.ndarray):
     return (d, *_edge_metric(spec, v, d))
 
 
+def _memoize(loop: Loop, spec: GeometrySpec, geom: tuple, circ=None) -> list:
+    """Set the loop's memo for spec to the edge quantities geom, made
+    read-only, and the circulation circ."""
+    for a in geom:
+        if isinstance(a, np.ndarray):
+            a.setflags(write=False)
+    memo = [spec, geom, circ]
+    object.__setattr__(loop, "_memo", memo)
+    return memo
+
+
+def _edge_memo(spec: GeometrySpec, loop: Loop) -> list:
+    """The loop's memo [spec, (d, m, lam, ell), circulation] for this spec
+    object, from one edge_geometry pass if it holds another chart or none;
+    the circulation is None until action computes it."""
+    memo = loop._memo
+    if memo is None or memo[0] is not spec:
+        memo = _memoize(loop, spec, edge_geometry(spec, loop.vertices,
+                                                  loop.windings))
+    return memo
+
+
 def edge_lengths(spec: GeometrySpec, loop: Loop) -> np.ndarray:
-    """Riemannian length of each edge under the midpoint metric."""
-    return edge_geometry(spec, loop.vertices, loop.windings)[3]
+    """Riemannian length of each edge under the midpoint metric (the
+    loop's read-only memo)."""
+    return _edge_memo(spec, loop)[1][3]
 
 
 def length(spec: GeometrySpec, loop: Loop) -> float:
@@ -344,12 +375,14 @@ class LoopFamily:
 def save_loop_csv(path, loop: Loop, torus: bool):
     """Write a loop as CSV: index,x,y on the plane, plus wx,wy on a torus.
     The bytes are csv.writer's for these rows: CRLF ends and repr floats."""
-    rows = loop.vertices.tolist()
+    rows = enumerate(loop.vertices.tolist())
     if torus:
-        rows = [r + w for r, w in zip(rows, loop.windings.tolist())]
-    lines = [",".join(map(str, [i, *r])) for i, r in enumerate(rows)]
+        lines = [f"{i},{x!r},{y!r},{wx},{wy}\r\n" for (i, (x, y)), (wx, wy)
+                 in zip(rows, loop.windings.tolist())]
+    else:
+        lines = [f"{i},{x!r},{y!r}\r\n" for i, (x, y) in rows]
     with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join(["index,x,y" + ",wx,wy" * torus, *lines, ""]))
+        fh.write("index,x,y" + ",wx,wy" * torus + "\r\n" + "".join(lines))
 
 
 def load_loop_csv(path) -> Loop:

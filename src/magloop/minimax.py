@@ -45,9 +45,12 @@ The engine keeps one value per family loop and updates it whenever a loop
 is replaced: descent, polish and re-interpolation hand back the values of
 the loops they return, so the sweep's argmax, the re-interpolation guard
 and the final argmax read the table instead of re-evaluating the family.
-One stacked ``action.values`` call fills each row's table, and the polish
-evaluates raw vertex arrays, building a Loop only for the point it accepts;
-both give the bits of the one-loop functionals.
+Each step's table comes from ``action.row_values``: the memoized edge
+lengths and circulations of the row's loops (see ``loops``), the loops
+without one filled by one stacked edge kernel pass, so only the speed
+terms are formed again for the step's (eps, tau).  The polish evaluates raw
+vertex arrays with ``action.values``, building a Loop only for the point
+it accepts; both give the bits of the one-loop functionals.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action import (ActionParams, action_S, action_S_eps_tau, grad_action,
-                     grad_norm, values)
+                     grad_norm, row_values, values)
 from .errors import ConfigError, NoNegativeLoopFound
 from .geometry import GeometrySpec, field_strength
 from .loops import Loop, LoopFamily, interpolate, make_circle, make_point_loop, rms_distance
@@ -235,7 +238,8 @@ def _segment_polish(spec, row, idx, params, val):
         if a < 0 or b >= len(row):
             continue
         la, lb = row[a], row[b]
-        if not np.array_equal(la.windings, lb.windings):
+        if la.windings is not lb.windings and \
+                not np.array_equal(la.windings, lb.windings):
             raise ValueError("segment ends must share windings")
         if np.vdot(g, row[a + b - idx].vertices - row[idx].vertices) < 0.0:
             continue  # downhill from row[idx] into the segment
@@ -358,6 +362,8 @@ def _engine(spec, rows, params, settings):
     """Shared path/cylinder minimax driver; returns (MinimaxResult, rows)."""
     rows = [list(r) for r in rows]
     m = len(rows[0])
+    # a row's loops share windings (LoopFamily checks it)
+    vals = [row_values(spec, row, params).tolist() for row in rows]
     for row in rows:
         terminal_action = action_S(spec, row[-1], params.E)
         if not (terminal_action < 0.0):
@@ -369,10 +375,6 @@ def _engine(spec, rows, params, settings):
     stall = 0
     k = 0
     stop = "max_iters"
-    vals = []
-    for row in rows:  # a row's loops share windings (LoopFamily checks it)
-        vals.append(values(spec, np.stack([lp.vertices for lp in row]),
-                           row[0].windings, params).tolist())
     for k in range(settings.max_iters):
         r0, i0, _ = _argmax_rows(vals)
         ploop, pval = _segment_polish(spec, rows[r0], i0, params,

@@ -211,7 +211,7 @@ def shooting_periodic(spec: GeometrySpec, E_mech: float, seed_grid,
             f"period_cap / dt exceeds {MAX_RETURN_STEPS} RK4 steps")
     speed = math.sqrt(2.0 * E_mech)
 
-    kept = []  # (candidate, dedup probe samples) of each orbit kept
+    kept = []  # (candidate, (dedup samples, center)) of each orbit kept
     for seed in seed_grid:
         y0 = _normalize_state(spec, seed, E_mech)
         p_base = y0[:2].copy()
@@ -337,34 +337,53 @@ def _return_samples(ret, dt):
                                      + s * (m0 + m1 - 2.0 * d)))
 
 
+def _center(spec, ret, pts):
+    """Centroid of the samples pts of the orbit of a _first_return result
+    ret, up to lattice vectors the same for every starting phase phi.  An
+    orbit that drifts by W = round(end - start) on a torus is detrended by
+    (j / n) W at sample j; its centroid still moves by (phi / period) W,
+    as the angle of the first harmonic of the detrended x turns by
+    2 pi phi / period, so (angle / 2 pi) W is taken off.  W = 0: the plain
+    centroid."""
+    w = np.round(ret[1][:2] - ret[2][0, :2]) if spec.is_torus else None
+    if w is None or not w.any():
+        return pts.mean(axis=0)
+    phase = np.arange(len(pts)) / len(pts)
+    q = pts - np.outer(phase, w)
+    turn = np.angle(q[:, 0] @ np.exp(-2j * np.pi * phase)) / (2.0 * np.pi)
+    return q.mean(axis=0) - turn * w
+
+
 def _dedup_candidates(spec, ret, dt, kept):
     """Shooting's one duplicate test: None if the orbit of the return search
     ret (a _first_return result at step dt, launched from its first start)
     traces over its period the orbit of a candidate in `kept`, a list of
-    (candidate, samples) pairs, else its _DEDUP_PROBE samples, to be kept
-    with it.  The samples interpolate the search's own steps
-    (_return_samples), so no orbit is integrated twice.  Orbits are the
-    same up to the field's exact translation symmetries (all translations on
-    the constant-field plane, y-translations on the torus kinds, whose field
-    and metric depend on x only), compared after a quick period prefilter
-    as point sets by _matched_gap, which is indifferent to the starting
-    phase; the samples are aligned by their centroids first.  Samples can
-    be further apart than the tolerance (0.025 on a unit Larmor circle), so
-    two phases of one orbit can differ vertex to vertex by more than it;
-    each vertex still lies within it of the other's edges at its partner.
-    An equal number of samples per orbit is what _matched_gap pairs."""
+    (candidate, (samples, center)) pairs, else its _DEDUP_PROBE samples and
+    their _center, to be kept with it.  The samples interpolate the
+    search's own steps (_return_samples), so no orbit is integrated twice.
+    Orbits are the same up to the field's exact translation symmetries (all
+    translations on the constant-field plane, y-translations on the torus
+    kinds, whose field and metric depend on x only), compared after a quick
+    period prefilter as point sets by _matched_gap, which is indifferent to
+    the starting phase, after aligning their phase-free centers.  Samples
+    can be further apart than the tolerance (0.025 on a unit Larmor
+    circle), so two phases of one orbit can differ vertex to vertex by more
+    than it; each vertex still lies within it of the other's edges at its
+    partner.  An equal number of samples per orbit is what _matched_gap
+    pairs."""
     period = ret[0]
     pts = _return_samples(ret, dt)
-    for other, opts in kept:
+    center = _center(spec, ret, pts)
+    for other, (opts, ocenter) in kept:
         if abs(period - other.period) > 0.05 * max(period, other.period):
             continue
-        shift_mean = pts.mean(axis=0) - opts.mean(axis=0)
+        shift_mean = center - ocenter
         if spec.is_torus:
             shift_mean[0] = 0.0  # x is not a symmetry direction
         aligned = opts + shift_mean
         if _matched_gap(spec, pts, aligned) < _DEDUP_TOL:
             return None
-    return pts
+    return pts, center
 
 
 def orbit_to_loop(spec: GeometrySpec, cand: OrbitCandidate, n: int) -> Loop:

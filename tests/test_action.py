@@ -11,13 +11,15 @@ from hypothesis.extra.numpy import arrays
 from magloop import (GeometryKind, GeometrySpec, Loop, action_S,
                      action_S_eps_tau, circulation, grad_action, length,
                      make_circle, make_point_loop, resample_arclength, speeds)
-from magloop.action import ActionParams, values
-from magloop.geometry import potential_eval
-from magloop.loops import edge_lengths
+from magloop.action import ActionParams, row_values, values
+from magloop.geometry import (conformal_exponent, field_strength,
+                              potential_eval)
+from magloop.loops import edge_geometry, edge_lengths, speed_cv
 from magloop.oracle import fd_gradient
-from test_geometry import _tensors
+from test_geometry import ALL_SPECS, _tensors
 
 PLANE = GeometrySpec(GeometryKind.PLANE_CONSTANT_B, B=1.0)
+PLANE_B25 = GeometrySpec(GeometryKind.PLANE_CONSTANT_B, B=2.5)
 TORUS = GeometrySpec(GeometryKind.FLAT_TORUS_SINE, a=3.0, k=1)
 CONF = GeometrySpec(GeometryKind.CONFORMAL_TORUS, a=1.0, k=1, u_amp=0.3)
 
@@ -283,6 +285,119 @@ def test_conformal_edge_kernel_equals_tensor_formula(case):
     assert edge_lengths(spec, loop).tobytes() == ref_ell.tobytes()
     assert grad_action(spec, loop, params).tobytes() == \
         _tensor_gradient(spec, loop, params).tobytes()
+
+
+def _reference_grad(spec, loop, params):
+    """grad_action as written before it read the loop's memo, with a
+    boolean-mask scatter for ds/dq and np.stack for the field terms: the
+    reference that the trimmed kernel must equal bit for bit."""
+    n = loop.n
+    d, m, lam, ell = edge_geometry(spec, loop.vertices, loop.windings)
+    rootE = math.sqrt(params.E)
+    s = rootE * n * ell
+    sf = np.maximum(s, params.delta)
+    w0 = (1.0 + params.tau) * np.power(sf, params.tau) * (s >= params.delta) / n
+    w1 = w0 + 2.0 * params.eps * s / n
+    pos = ell > 0.0
+    dsdq = np.zeros_like(ell)
+    dsdq[pos] = rootE * n / (2.0 * ell[pos])
+    dx, dy = d[:, 0], d[:, 1]
+    if spec.is_flat:
+        dq_da = -2.0 * d
+        dq_db = 2.0 * d
+    else:
+        gd = lam[:, None] * d
+        dlam = 2.0 * conformal_exponent(spec, m)[1] * lam
+        half_T = 0.5 * ((dlam * dx) * dx + (dlam * dy) * dy)
+        dq_da = -2.0 * gd
+        dq_db = 2.0 * gd
+        dq_da[:, 0] += half_T
+        dq_db[:, 0] += half_T
+    half_Fd = 0.5 * (field_strength(spec, m) * dy)
+    phi = potential_eval(spec, m)
+    coef = (w1 * dsdq)[:, None]
+    contrib_a = coef * dq_da + np.stack((half_Fd, -phi), axis=1)
+    contrib_b = coef * dq_db + np.stack((half_Fd, phi), axis=1)
+    grad = np.zeros((n, 2))
+    grad += contrib_a
+    grad[1:] += contrib_b[:-1]
+    grad[0] += contrib_b[-1]
+    return grad
+
+
+def _kernel_loops(spec, rng):
+    """A wobbly loop (winding once in y on a torus, through its last edge),
+    the same with two coincident vertices (a zero-length edge), and a
+    one-point loop."""
+    n = 24
+    t = np.arange(n) / n
+    if spec.is_torus:
+        verts = np.stack([0.3 + 0.1 * np.sin(2.0 * np.pi * t), t], axis=1)
+        w = np.zeros((n, 2), dtype=int)
+        w[-1] = (0, 1)
+    else:
+        verts = 0.8 * np.stack([np.cos(2.0 * np.pi * t),
+                                np.sin(2.0 * np.pi * t)], axis=1)
+        w = np.zeros((n, 2), dtype=int)
+    verts = verts + 0.01 * rng.standard_normal((n, 2))
+    pinched = verts.copy()
+    pinched[7] = pinched[6]
+    return [Loop(verts, w), Loop(pinched, w),
+            Loop(np.tile(verts[0], (n, 1)), w)]
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind.value)
+def test_trimmed_gradient_equals_the_reference_kernel(spec):
+    # every entry, the signs of zeros included
+    rng = np.random.default_rng(83)
+    params = [ActionParams(E=0.7, eps=0.013, tau=0.21),
+              ActionParams(E=1.3), ActionParams(E=0.4, tau=0.5, delta=2.0)]
+    for loop in _kernel_loops(spec, rng):
+        for p in params:
+            assert np.array_equal(
+                grad_action(spec, loop, p).view(np.int64),
+                _reference_grad(spec, loop, p).view(np.int64))
+
+
+def test_edge_memo_is_read_only():
+    rng = np.random.default_rng(5)
+    loop = _kernel_loops(CONF, rng)[0]
+    action_S_eps_tau(CONF, loop, ActionParams(E=0.7, eps=1e-2))
+    memo = loop._memo
+    arrays_ = [*memo[1], edge_lengths(CONF, loop)]
+    assert memo[0] is CONF and memo[2] is not None
+    assert all(isinstance(a, np.ndarray) for a in arrays_)
+    for a in arrays_:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+
+
+@pytest.mark.parametrize("first, second", [(PLANE, PLANE_B25),
+                                           (TORUS, CONF)],
+                         ids=["circulation", "lengths"])
+def test_one_loop_under_two_charts_gives_each_charts_values(first, second):
+    # the memo belongs to the last chart evaluated; any other chart
+    # computes its own.  The two planes share lengths and differ in the
+    # circulation, the two tori the other way round.
+    rng = np.random.default_rng(17)
+    loop = _kernel_loops(first, rng)[0]
+    params = ActionParams(E=0.7, eps=0.013, tau=0.21)
+    for spec in (first, second, first, second):
+        fresh = Loop(loop.vertices, loop.windings)
+        assert action_S_eps_tau(spec, loop, params).hex() == \
+            action_S_eps_tau(spec, fresh, params).hex()
+        assert action_S(spec, loop, 0.7).hex() == \
+            action_S(spec, fresh, 0.7).hex()
+        assert circulation(spec, loop).hex() == circulation(spec, fresh).hex()
+        assert length(spec, loop).hex() == length(spec, fresh).hex()
+        assert speed_cv(spec, loop).hex() == speed_cv(spec, fresh).hex()
+        assert grad_action(spec, loop, params).tobytes() == \
+            grad_action(spec, fresh, params).tobytes()
+        assert row_values(spec, [loop], params).tobytes() == \
+            values(spec, loop.vertices[None], loop.windings,
+                   params).tobytes()
+    assert action_S(first, loop, 0.7) != action_S(second, loop, 0.7)
 
 
 def test_gradient_vanishing_near_extremal_circle():

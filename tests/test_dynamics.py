@@ -15,9 +15,10 @@ from magloop import oracle
 from magloop.action import ActionParams, action_S, grad_action, grad_norm
 from magloop.dynamics import (_central_derivatives, _flow_linear, _norm_sq,
                               _rhs, _rk4_jacobian, write_trajectory_csv)
-from magloop.geometry import TWO_PI, _build_step
+from magloop.geometry import (TWO_PI, _build_step, conformal_exponent,
+                              field_strength)
 from magloop.loops import resample_arclength, speed_cv
-from test_geometry import _tensors
+from test_geometry import ALL_SPECS, _tensors
 
 PLANE = GeometrySpec(GeometryKind.PLANE_CONSTANT_B, B=1.0)
 
@@ -297,6 +298,57 @@ def _tensor_residual(spec, loop, E):
     res = math.sqrt(E) * cov_acc / (sp * sp)[:, None] - lorentz / sp[:, None]
     norms = np.sqrt(np.maximum(np.einsum("ni,nij,nj->n", res, g, res), 0.0))
     return float(norms.max()), float(norms.mean())
+
+
+def _reference_residual(spec, loop, E):
+    """el_residual_SE's defect norms as written before its kernel was
+    trimmed, with np.roll for the previous edge and np.stack for the
+    Christoffel and Lorentz terms: the reference that the trimmed kernel
+    must equal bit for bit."""
+    cv = speed_cv(spec, loop)
+    work = loop if cv <= 1e-9 else resample_arclength(spec, loop, loop.n)
+    u, ux = conformal_exponent(spec, work.vertices)
+    lam, lam_inv = np.exp(2.0 * u), np.exp(-2.0 * u)
+    c = 0.5 * (lam_inv * (2.0 * ux * lam))
+    F = field_strength(spec, work.vertices)
+    d = work.displacements()
+    d_prev = np.roll(d, 1, axis=0)
+    vel = 0.5 * work.n * (d + d_prev)
+    acc = work.n ** 2 * (d - d_prev)
+    vx, vy = vel[:, 0], vel[:, 1]
+    cov_acc = acc + np.stack(((c * vx) * vx + (-c * vy) * vy,
+                              (c * vx) * vy + (c * vy) * vx), axis=1)
+    lorentz = np.stack(((lam_inv * F) * vy, (lam_inv * -F) * vx), axis=1)
+    sp = np.sqrt((vx * lam) * vx + (vy * lam) * vy)
+    res = math.sqrt(E) * cov_acc / (sp * sp)[:, None] - lorentz / sp[:, None]
+    rx, ry = res[:, 0], res[:, 1]
+    return np.sqrt((rx * lam) * rx + (ry * lam) * ry)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind.value)
+def test_trimmed_residual_equals_the_reference_kernel(spec):
+    # a uniform loop (used as it is) and a wobbly one (resampled), winding
+    # once in y through the last edge on a torus; max and mean of the same
+    # norms, the signs of zeros included
+    rng = np.random.default_rng(41)
+    n = 20
+    t = np.arange(n) / n
+    w = np.zeros((n, 2), dtype=int)
+    if spec.is_torus:
+        w[-1] = (0, 1)
+        base = np.stack([0.3 + 0.0 * t, t], axis=1)
+        wobble = np.stack([0.3 + 0.1 * np.sin(2.0 * np.pi * t), t], axis=1)
+    else:
+        base = make_circle((0.2, -0.1), 0.9, -1, n).vertices
+        wobble = base * (1.0 + 0.1 * np.cos(3.0 * np.pi * t))[:, None]
+    for verts in (base, wobble + 0.01 * rng.standard_normal((n, 2))):
+        loop = Loop(verts, w)
+        for E in (0.7, 2.0):
+            rep = el_residual_SE(spec, loop, E)
+            norms = _reference_residual(spec, loop, E)
+            got = np.array([rep.max_res, rep.mean_res, rep.speed_cv])
+            want = np.array([norms.max(), norms.mean(), speed_cv(spec, loop)])
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 # a strong conformal factor, so that Gamma(v, v) is not small against the

@@ -15,13 +15,15 @@ from magloop import (DescentSettings, GeometryKind, GeometrySpec, Loop,
                      family_minimax, init_sweep_family, length, make_circle,
                      make_point_loop, speed_cv)
 from magloop import cli, minimax
-from magloop.action import ActionParams, grad_action, grad_norm, values
+from magloop.action import (ActionParams, grad_action, grad_norm, row_values,
+                            values)
 from magloop.errors import NoNegativeLoopFound
 from magloop.loops import interpolate
 from magloop.minimax import (_PLATEAU_SWEEPS, _bounded_min, _descend,
                              _reinterp_row, _saddle_refine, _segment_polish)
 
 PLANE = GeometrySpec(GeometryKind.PLANE_CONSTANT_B, B=1.0)
+PLANE_B2 = GeometrySpec(GeometryKind.PLANE_CONSTANT_B, B=2.0)
 
 
 def test_settings_validation():
@@ -103,6 +105,16 @@ def test_stacked_values_equal_single_loop_values(case):
     # each value must be the bits the one-loop functionals give
     spec, v, w, params, t = case
     stacked = values(spec, v, w, params)
+
+    # the engine's table, from the memos of the row's loops: one loop holds
+    # another chart's, one this chart's lengths without the circulation, the
+    # rest none, so one stacked pass fills them; then all are memoized
+    row = [Loop(vk, w) for vk in v]
+    action_S_eps_tau(PLANE_B2, row[0], params)
+    grad_action(spec, row[-1], params)
+    for _ in range(2):
+        assert row_values(spec, row, params).tobytes() == stacked.tobytes()
+
     rows = [Loop(vk, w) for vk in v]
     for k, lp in enumerate(rows):
         assert stacked[k].tobytes() == values(spec, v[k], w, params).tobytes()
@@ -230,22 +242,29 @@ def test_segment_polish_refuses_segments_of_different_windings():
 
 
 def test_plane_larmor_run_evaluates_few_loops(tmp_path, monkeypatch):
-    # a counter guard on the polish screen: the value table and the polish
-    # evaluate their loops through minimax.values (739 loops without the
-    # screen, 359 with it), and each step takes the polish's gradient and
-    # the certificate's
+    # a counter guard on the polish screen: the value table evaluates its
+    # rows through minimax.row_values and the polish its loops through
+    # minimax.values (391 loops in all with the screen, 264 of them the
+    # tables'), and each step takes the polish's gradient and the
+    # certificate's
     counts = {"loops": 0, "grads": 0}
-    stacked, grad = minimax.values, minimax.grad_action
+    stacked, table = minimax.values, minimax.row_values
+    grad = minimax.grad_action
 
     def counting_values(spec, v, w, params):
         counts["loops"] += int(np.prod(np.shape(v)[:-2]))
         return stacked(spec, v, w, params)
+
+    def counting_table(spec, row, params):
+        counts["loops"] += len(row)
+        return table(spec, row, params)
 
     def counting_grad(*args):
         counts["grads"] += 1
         return grad(*args)
 
     monkeypatch.setattr(minimax, "values", counting_values)
+    monkeypatch.setattr(minimax, "row_values", counting_table)
     monkeypatch.setattr(minimax, "grad_action", counting_grad)
     monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
     config = pathlib.Path(__file__).resolve().parents[1] / "configs" / \

@@ -254,6 +254,20 @@ def _vertex_gap(spec, P, Q):
     return math.sqrt(float((d * d).sum(axis=1).max()))
 
 
+def _reference_center(spec, traj):
+    """Centroid of the samples traj[:-1] of an orbit integrated over its
+    period, phase-free on an orbit that drifts by a lattice vector W: the
+    samples less the drift (j / n) W, and less (angle / 2 pi) W, the angle
+    that of the DFT's first coefficient of the detrended x samples, which
+    turns with the starting phase as the detrended centroid moves."""
+    pts = traj[:-1, :2]
+    w = np.round(traj[-1, :2] - traj[0, :2]) if spec.is_torus else 0.0 * pts[0]
+    if not w.any():
+        return pts.mean(axis=0)
+    q = pts - np.arange(len(pts))[:, None] / len(pts) * w
+    return q.mean(axis=0) - np.angle(np.fft.fft(q[:, 0])[1]) / (2 * np.pi) * w
+
+
 def _reference_dedup(spec, candidates):
     """The list pass that merged finished candidates before shooting
     deduplicated as it went, by the exact polyline distance, kept as the
@@ -261,14 +275,15 @@ def _reference_dedup(spec, candidates):
     kept = []
     samples = []
     for cand in candidates:
-        pts = integrate_flow(spec, cand.state, cand.period,
-                             oracle._DEDUP_PROBE)[:-1, :2]
+        traj = integrate_flow(spec, cand.state, cand.period,
+                              oracle._DEDUP_PROBE)
+        pts, center = traj[:-1, :2], _reference_center(spec, traj)
         duplicate = False
-        for other, opts in zip(kept, samples):
+        for other, (opts, ocenter) in zip(kept, samples):
             if abs(cand.period - other.period) > 0.05 * max(cand.period,
                                                             other.period):
                 continue
-            shift_mean = pts.mean(axis=0) - opts.mean(axis=0)
+            shift_mean = center - ocenter
             if spec.is_torus:
                 shift_mean[0] = 0.0
             aligned = opts + shift_mean
@@ -277,7 +292,7 @@ def _reference_dedup(spec, candidates):
                 break
         if not duplicate:
             kept.append(cand)
-            samples.append(pts)
+            samples.append((pts, center))
     return kept
 
 
@@ -597,6 +612,48 @@ def test_dedup_merges_two_samplings_of_a_wound_orbit():
     kept = shooting_periodic(spec, 2.0, seeds, period_cap=1.0, tol=1e-6,
                              dt=2e-3)
     assert len(kept) == 1
+
+
+# The orbit of period 0.729207 and winding (-1, -1) that `magloop oracle
+# shoot --kind flat_torus_sine --a 0.5 --k 1 --E-mech 2.0 --period-cap 1
+# --tol 1e-6 --dt 2e-3 --seeds 6 --seed 2` keeps, as its launch state.
+_WOUND_SPEC = GeometrySpec(GeometryKind.FLAT_TORUS_SINE, a=0.5, k=1)
+_WOUND_ORBIT = oracle.OrbitCandidate(
+    state=FlowState(ChartPoint(0.1551092415419873, 0.641428284177559),
+                    np.array([-1.0544480131071403, -1.6994526729669186])),
+    period=0.7292067423578289, closure_residual=0.0, energy_mech=2.0,
+    energy_match=4.0)
+
+
+@pytest.mark.parametrize("phase", [1.0 / 3.0, 0.5, 0.77])
+def test_dedup_merges_relaunched_phases_of_an_orbit_that_winds_in_y(phase):
+    # relaunched a fraction of its period later, the orbit's samples have a
+    # centroid 0.33 (phase 1/3) further along its drift W = (-1, -1): a
+    # plain centroid shift moves them 0.31 off the other sampling (and
+    # detrending by (j / n) W alone moves them as far).  The phase-free
+    # center merges them, as it merges the orbit's y-translate, an orbit of
+    # the field's y-symmetry.
+    spec, orbit = _WOUND_SPEC, _WOUND_ORBIT
+    traj = integrate_flow(spec, orbit.state, orbit.period, 1000)
+    assert np.array_equal(np.round(traj[-1, :2] - traj[0, :2]), [-1.0, -1.0])
+    later = integrate_flow(spec, orbit.state, phase * orbit.period, 1000)[-1]
+    relaunched = oracle.OrbitCandidate(
+        state=oracle._row_state(later), period=orbit.period,
+        closure_residual=0.0, energy_mech=2.0, energy_match=4.0)
+    r0, r1 = (_search(spec, c, 2e-3) for c in (orbit, relaunched))
+    assert abs(r1[0] - orbit.period) < 1e-9
+    p0, p1 = (oracle._return_samples(r, 2e-3) for r in (r0, r1))
+    plain = p1.mean(axis=0) - p0.mean(axis=0)
+    plain[0] = 0.0
+    assert oracle._matched_gap(spec, p1, p0 + plain) > 100 * oracle._DEDUP_TOL
+    assert oracle._matched_gap(spec, p1, p0) < 0.01 * oracle._DEDUP_TOL
+    assert _dedup(spec, [orbit, relaunched], dt=2e-3) == [orbit]
+    assert _reference_dedup(spec, [orbit, relaunched]) == [orbit]
+    shifted = oracle.OrbitCandidate(
+        state=FlowState(ChartPoint(orbit.state.p.x, orbit.state.p.y + 0.25),
+                        orbit.state.v), period=orbit.period,
+        closure_residual=0.0, energy_mech=2.0, energy_match=4.0)
+    assert _dedup(spec, [orbit, shifted], dt=2e-3) == [orbit]
 
 
 @pytest.mark.parametrize("spec", [SINE_TORUS, CONFORMAL_TORUS],
