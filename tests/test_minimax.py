@@ -142,9 +142,13 @@ def _downhill(spec, row, idx, params):
             for j in (idx - 1, idx + 1) if 0 <= j < len(row)]
 
 
-def _reference_polish(spec, row, idx, params, val, screen):
+def _reference_polish(spec, row, idx, params, val, screen, xatol=None):
     """The segment polish over interpolate's loops: a bounded search on each
-    segment next to row[idx], with ``screen`` skipping the downhill ones."""
+    segment next to row[idx], with ``screen`` skipping the downhill ones.
+    The search runs to the shipped ``_POLISH_XATOL`` unless ``xatol`` is
+    given."""
+    if xatol is None:
+        xatol = minimax._POLISH_XATOL
     best_loop, best_val = row[idx], val
     segments = [(a, a + 1) for a in (idx - 1, idx) if 0 <= a < len(row) - 1]
     for (a, b), down in zip(segments, _downhill(spec, row, idx, params)):
@@ -153,7 +157,7 @@ def _reference_polish(spec, row, idx, params, val, screen):
         la, lb = row[a], row[b]
         x, fun = _bounded_min(
             lambda u: -action_S_eps_tau(spec, interpolate(la, lb, u), params),
-            0.0, 1.0, 1e-10)
+            0.0, 1.0, xatol)
         if -fun > best_val:
             best_loop, best_val = interpolate(la, lb, x), float(-fun)
     return best_loop, best_val
@@ -185,6 +189,45 @@ def test_segment_screen_is_exact_on_real_families(spec, E, monkeypatch):
     continuation_run(spec, E, init_sweep_family(spec, E, "path", 9, 48),
                      schedule, DescentSettings())
     assert len(skipped) >= 3 and sum(skipped) > 0
+
+
+# the golden runs of test_cli.py: a plane path, a conformal-torus cylinder
+# and a flat-torus path
+_GOLDEN_RUNS = [
+    (PLANE, 1.0, "path", 48, 3),
+    (GeometrySpec(GeometryKind.CONFORMAL_TORUS, a=3.0, k=1, u_amp=0.2), 0.02,
+     "cylinder", 64, 2),
+    (GeometrySpec(GeometryKind.FLAT_TORUS_SINE, a=3.0, k=1), 0.02, "path", 48,
+     3),
+]
+
+
+@pytest.mark.parametrize("spec, E, shape, n, n_steps", _GOLDEN_RUNS,
+                         ids=["plane", "conformal_torus", "flat_torus"])
+def test_polish_tolerance_is_below_what_the_level_shows(spec, E, shape, n,
+                                                        n_steps, monkeypatch):
+    # the shipped search stops at _POLISH_XATOL in t; at every polish of a
+    # real run it must give the value of a search to 1e-10 within 1e-12
+    # relative, never below the argmax value, and the polished vertices
+    # within 1e-7 (these runs read at most 1.1e-13 and 1.2e-8)
+    polish = minimax._segment_polish
+    improved = []
+
+    def checked(spec, row, idx, params, val):
+        loop, pval = polish(spec, row, idx, params, val)
+        ref_loop, ref_val = _reference_polish(spec, row, idx, params, val,
+                                              screen=True, xatol=1e-10)
+        assert pval >= val
+        assert abs(pval - ref_val) <= 1e-12 * abs(ref_val)
+        assert np.abs(loop.vertices - ref_loop.vertices).max() <= 1e-7
+        improved.append(ref_loop is not row[idx])
+        return loop, pval
+
+    monkeypatch.setattr(minimax, "_segment_polish", checked)
+    schedule = Schedule(eps0=1e-2, tau0=1e-2, rho=0.5, n_steps=n_steps)
+    continuation_run(spec, E, init_sweep_family(spec, E, shape, 9, n, m_p=2),
+                     schedule, DescentSettings())
+    assert len(improved) >= n_steps and any(improved)
 
 
 def test_segment_polish_searches_a_zero_slope_segment():
