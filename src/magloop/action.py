@@ -39,9 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import (GeometrySpec, conformal_exponent, field_strength,
-                       potential_eval)
-from .loops import Loop, _edge_memo, _memoize, edge_geometry
+from .geometry import GeometrySpec, conformal_exponent, field_strength
+from .loops import Loop, _circulation, _edge_memo, _memoize, edge_geometry
 
 
 @dataclass(frozen=True)
@@ -68,20 +67,6 @@ class ActionParams:
             raise ConfigError("delta must be nonnegative")
 
 
-def _circulation(spec: GeometrySpec, d: np.ndarray, m: np.ndarray):
-    """Circulation sum_j Phi(m_j) d_j,y of each loop, m_j the midpoints."""
-    return np.einsum("...n,...n->...", potential_eval(spec, m), d[..., 1])
-
-
-def _loop_circulation(spec: GeometrySpec, loop: Loop):
-    """The loop's circulation under spec, kept in its memo."""
-    memo = _edge_memo(spec, loop)
-    if memo[2] is None:
-        d, m, _, _ = memo[1]
-        memo[2] = _circulation(spec, d, m)
-    return memo[2]
-
-
 def circulation(spec: GeometrySpec, loop: Loop) -> float:
     """Discrete line integral of the potential A = Phi(x) dy,
     sum_j Phi(m_j) d_j,y.
@@ -89,16 +74,15 @@ def circulation(spec: GeometrySpec, loop: Loop) -> float:
     Exact for the linear plane potential Phi = B*x: equals B times the
     signed polygon area.
     """
-    return float(_loop_circulation(spec, loop))
+    return float(_edge_memo(spec, loop)[2])
 
 
 def action_S(spec: GeometrySpec, loop: Loop, E: float) -> float:
     """Length-type action sqrt(E) * length + circulation."""
     if not (math.isfinite(E) and E > 0):
         raise ConfigError("E must be positive")
-    ell = _edge_memo(spec, loop)[1][3]
-    circ = float(_loop_circulation(spec, loop))
-    return math.sqrt(E) * float(ell.sum()) + circ
+    _, geom, circ = _edge_memo(spec, loop)
+    return math.sqrt(E) * float(geom[3].sum()) + float(circ)
 
 
 def speed_terms(ell: np.ndarray, params: ActionParams) -> np.ndarray:
@@ -117,8 +101,8 @@ def values(spec: GeometrySpec, v: np.ndarray, w: np.ndarray,
            params: ActionParams) -> np.ndarray:
     """S_{eps,tau} of each loop of the vertex stack v, shape (..., N, 2),
     over the shared windings w; an array of shape (...)."""
-    d, m, _, ell = edge_geometry(spec, v, w)
-    return speed_terms(ell, params) + _circulation(spec, d, m)
+    d, _, _, ell, phi = edge_geometry(spec, v, w)
+    return speed_terms(ell, params) + _circulation(d, phi)
 
 
 def row_values(spec: GeometrySpec, row, params: ActionParams) -> np.ndarray:
@@ -129,22 +113,22 @@ def row_values(spec: GeometrySpec, row, params: ActionParams) -> np.ndarray:
     circulations."""
     todo = [lp for lp in row if lp._memo is None or lp._memo[0] is not spec]
     if todo:
-        d, m, lam, ell = edge_geometry(
+        d, m, lam, ell, phi = edge_geometry(
             spec, np.stack([lp.vertices for lp in todo]), todo[0].windings)
-        circ = _circulation(spec, d, m)
+        circ = _circulation(d, phi)
         for k, lp in enumerate(todo):
             _memoize(lp, spec, (d[k], m[k], lam if spec.is_flat else lam[k],
-                                ell[k]), circ[k])
+                                ell[k], phi[k]), circ[k])
     ell = np.stack([lp._memo[1][3] for lp in row])
-    circ = np.array([_loop_circulation(spec, lp) for lp in row])
+    circ = np.array([lp._memo[2] for lp in row])
     return speed_terms(ell, params) + circ
 
 
 def action_S_eps_tau(spec: GeometrySpec, loop: Loop,
                      params: ActionParams) -> float:
     """Regularized action S_{eps,tau}; equals action_S at eps = tau = 0."""
-    ell = _edge_memo(spec, loop)[1][3]
-    return float(speed_terms(ell, params) + _loop_circulation(spec, loop))
+    _, geom, circ = _edge_memo(spec, loop)
+    return float(speed_terms(geom[3], params) + circ)
 
 
 def grad_action(spec: GeometrySpec, loop: Loop,
@@ -156,7 +140,7 @@ def grad_action(spec: GeometrySpec, loop: Loop,
     defined on torus loops in any covering representative.
     """
     n = loop.n
-    d, m, lam, ell = _edge_memo(spec, loop)[1]
+    d, m, lam, ell, phi = _edge_memo(spec, loop)[1]
     rootE = math.sqrt(params.E)
     s = rootE * n * ell
 
@@ -183,7 +167,6 @@ def grad_action(spec: GeometrySpec, loop: Loop,
         dq_db[:, 0] += half_T
 
     half_Fd = 0.5 * (field_strength(spec, m) * dy)
-    phi = potential_eval(spec, m)
 
     # vertex j collects the a-end of edge j and the b-end of edge j-1
     coef = (w1 * dsdq)[:, None]

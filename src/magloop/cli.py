@@ -32,14 +32,13 @@ from .action import ActionParams
 from .continuation import (BETA_FRAC, Classification, ConvergedExtremal,
                            DivergingLengths, Inconclusive, Schedule,
                            continuation_run)
-from .dynamics import (MAX_RETURN_STEPS, FlowState, _norm_sq, integrate_flow,
-                       write_trajectory_csv)
+from .dynamics import FlowState, _norm_sq, integrate_flow, write_trajectory_csv
 from .errors import (ConfigError, NoNegativeLoopFound, _check_keys, _number,
                      _require)
 from .geometry import ChartPoint, GeometryKind, GeometrySpec
 from .loops import save_loop_csv
 from .minimax import DescentSettings, init_sweep_family
-from .oracle import (_LOOP_OVERSAMPLE, _state_gap, larmor_orbit,
+from .oracle import (_check_loop_size, _state_gap, larmor_orbit,
                      orbit_to_loop, shooting_periodic)
 
 OUTPUT_ROOT_ENV = "MAGLOOP_OUTPUT_ROOT"
@@ -62,8 +61,8 @@ MAX_FAMILY_VERTICES = 10 ** 7
 MAX_STEPS = 1000
 # upper bound on oracle shoot --seeds [default 5]: each seed takes at most
 # 1 + oracle._NEWTON_ITERS return searches and two duplicate tests (an early
-# merge check and its candidate's), each on 256 samples interpolated from a
-# search that already ran
+# merge check and its candidate's), each one signature read off a search
+# that already ran and compared with those of the orbits kept
 MAX_SHOOT_SEEDS = 1000
 
 
@@ -324,13 +323,9 @@ def _cmd_oracle(args) -> int:
         return EXIT_OK
     if args.oracle_cmd == "shoot":
         spec = _geometry_from_args(args)
-        if args.n < 3 or not 1 <= args.seeds <= MAX_SHOOT_SEEDS:
-            raise ConfigError(f"shoot needs --n >= 3 and --seeds in "
-                              f"[1, {MAX_SHOOT_SEEDS}]")
-        if args.n * _LOOP_OVERSAMPLE > MAX_RETURN_STEPS:
-            raise ConfigError(
-                f"--n {args.n} exceeds {MAX_RETURN_STEPS // _LOOP_OVERSAMPLE}"
-                f" ({_LOOP_OVERSAMPLE} RK4 steps per loop vertex)")
+        _check_loop_size(args.n)
+        if not 1 <= args.seeds <= MAX_SHOOT_SEEDS:
+            raise ConfigError(f"shoot needs --seeds in [1, {MAX_SHOOT_SEEDS}]")
         rng = np.random.default_rng(args.seed)
         seeds = []
         for _ in range(args.seeds):

@@ -18,8 +18,8 @@ edge j of an N-gon is N times that length (the loop parameter runs over
 skipped, which changes no bit.  The edge kernel also takes vertex stacks
 (..., N, 2), bit for bit per loop.
 
-A Loop is immutable, so each keeps its edge quantities (d, m, lam, ell)
-and circulation, read-only, for the last GeometrySpec object it was
+A Loop is immutable, so each keeps its edge quantities (d, m, lam, ell,
+phi) and circulation, read-only, for the last GeometrySpec object it was
 evaluated on (a private memo, computed again for any other spec); the
 length functions, the action and its gradient read it.
 
@@ -38,7 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateLoop, NotConcatenable
-from .geometry import GeometrySpec, conformal_exponent, torus_gap
+from .geometry import (GeometrySpec, conformal_exponent, potential_eval,
+                       torus_gap)
 
 _SHARED_VERTEX_TOL = 1e-9
 
@@ -55,8 +56,8 @@ class Loop:
 
     vertices: np.ndarray
     windings: np.ndarray = None
-    # [spec, (d, m, lam, ell), circulation or None] of the last chart the
-    # loop was evaluated on (_edge_memo); not a field
+    # (spec, (d, m, lam, ell, phi), circulation) of the last chart the loop
+    # was evaluated on (_edge_memo); not a field
     _memo = None
 
     def __post_init__(self):
@@ -169,37 +170,42 @@ def _edge_metric(spec: GeometrySpec, v: np.ndarray, d: np.ndarray):
 
 
 def edge_geometry(spec: GeometrySpec, v: np.ndarray, w: np.ndarray):
-    """Per-edge kernel (d, m, lam, ell) of a vertex stack v (..., N, 2) over
-    the shared windings w, from one displacement pass.
+    """Per-edge kernel (d, m, lam, ell, phi) of a vertex stack v (..., N, 2)
+    over the shared windings w, from one displacement pass.
 
     d are the chart displacements, m the midpoints, lam the conformal
-    factor at the midpoints (1.0 on a flat chart) and ell the Riemannian
-    edge lengths; every length, action value and gradient is assembled
-    from these.
+    factor at the midpoints (1.0 on a flat chart), ell the Riemannian edge
+    lengths and phi the potential Phi of A = Phi(x) dy at the midpoints;
+    every length, action value and gradient is assembled from these.
     """
     d = _displacements(v, w)
-    return (d, *_edge_metric(spec, v, d))
+    m, lam, ell = _edge_metric(spec, v, d)
+    return d, m, lam, ell, potential_eval(spec, m)
 
 
-def _memoize(loop: Loop, spec: GeometrySpec, geom: tuple, circ=None) -> list:
+def _circulation(d: np.ndarray, phi: np.ndarray):
+    """Circulation sum_j phi_j d_j,y of each loop of an edge_geometry stack."""
+    return np.einsum("...n,...n->...", phi, d[..., 1])
+
+
+def _memoize(loop: Loop, spec: GeometrySpec, geom: tuple, circ) -> tuple:
     """Set the loop's memo for spec to the edge quantities geom, made
     read-only, and the circulation circ."""
     for a in geom:
         if isinstance(a, np.ndarray):
             a.setflags(write=False)
-    memo = [spec, geom, circ]
+    memo = (spec, geom, circ)
     object.__setattr__(loop, "_memo", memo)
     return memo
 
 
-def _edge_memo(spec: GeometrySpec, loop: Loop) -> list:
-    """The loop's memo [spec, (d, m, lam, ell), circulation] for this spec
-    object, from one edge_geometry pass if it holds another chart or none;
-    the circulation is None until action computes it."""
+def _edge_memo(spec: GeometrySpec, loop: Loop) -> tuple:
+    """The loop's memo (spec, (d, m, lam, ell, phi), circulation) for this
+    spec object; one edge_geometry pass fills it unless it holds spec."""
     memo = loop._memo
     if memo is None or memo[0] is not spec:
-        memo = _memoize(loop, spec, edge_geometry(spec, loop.vertices,
-                                                  loop.windings))
+        geom = edge_geometry(spec, loop.vertices, loop.windings)
+        memo = _memoize(loop, spec, geom, _circulation(geom[0], geom[4]))
     return memo
 
 

@@ -8,6 +8,7 @@ second routes to the same numbers.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,8 +18,8 @@ from .dynamics import (MAX_RETURN_STEPS, FlowState, _flow_linear, _norm_sq,
                        _pack_rows, _rk4_jacobian, integrate_flow,
                        kinetic_energy)
 from .errors import InvalidOracleInput
-from .geometry import (ChartPoint, GeometrySpec, _build_step,
-                       conformal_exponent, torus_gap)
+from .geometry import (TWO_PI, ChartPoint, GeometrySpec, _build_step,
+                       conformal_exponent, potential_eval, torus_gap)
 from .loops import Loop
 
 __all__ = [
@@ -28,8 +29,9 @@ __all__ = [
 
 # flow samples per vertex of orbit_to_loop's n-gon
 _LOOP_OVERSAMPLE = 8
-# orbit samples and point-set distance below which two candidates are merged
-_DEDUP_PROBE = 256
+# merge distance of shot orbits: two states this close in position and in
+# velocity direction lie on one orbit; _dedup_candidates scales it by the
+# chart into a tolerance on p_y
 _DEDUP_TOL = 1e-3
 # Newton iterations of one return-map search, and of one crossing time
 _NEWTON_ITERS = 12
@@ -124,15 +126,15 @@ def _first_return(spec, y0, p_base, nhat, dt, t_cap):
     """First same-direction crossing of the section through p_base with
     normal nhat, after a blanking interval of two steps.  Returns None or
     (t, y, starts, tau): the crossing, every RK4 step's start packed once
-    into an (n, 4) array (the return Jacobian's steps and the knots of
-    _return_samples) and the last step's length; t = (n - 1) dt + tau is
-    counted, not summed, so it does not drift.  The loop steps four floats
-    with geometry._build_step, which the crossing's sub-steps share, and
-    tests the sign change first, as it fails on almost every step.  On a
-    torus a sign change between steps that round to different lattice
-    translates of p_base is the wrapped offset jumping at +-0.5, not a
-    crossing, and is passed over.  In the bracketing step, tau is Newton's
-    on the section offset from its linear interpolation, with
+    into an (n, 4) array (the return Jacobian's steps, and the launch and
+    x-interval of the duplicate test) and the last step's length;
+    t = (n - 1) dt + tau is counted, not summed, so it does not drift.  The
+    loop steps four floats with geometry._build_step, which the crossing's
+    sub-steps share, and tests the sign change first, as it fails on almost
+    every step.  On a torus a sign change between steps that round to
+    different lattice translates of p_base is the wrapped offset jumping at
+    +-0.5, not a crossing, and is passed over.  In the bracketing step, tau
+    is Newton's on the section offset from its linear interpolation, with
     d(offset)/dtau = v . n, clamped to [0, dt], until a correction is below
     1e-12 dt (three sub-steps, as a rule).  A state thrown to infinity
     raises ValueError, as a flow integration does."""
@@ -191,15 +193,15 @@ def shooting_periodic(spec: GeometrySpec, E_mech: float, seed_grid,
     tol/100, or at the first step that does not shrink it, keeping the best
     launch.  An orbit whose full phase-space gap after one return is below
     tol becomes a candidate, and is kept unless it duplicates an orbit kept
-    from an earlier seed (close periods and point sets, see
-    _dedup_candidates); the point sets interpolate the steps of the
-    candidate's last return search, so no orbit is integrated twice.  Once
-    the return gap of a seed falls below _DEDUP_TOL / 10 with an orbit
-    kept, the current Newton iterate is checked the same way, once: on a
-    match the seed stops without a candidate, as the polish moves the orbit
-    by about the gap, far below _DEDUP_TOL, and its candidate would have
-    been merged.  An empty list is evidence against a periodic orbit near
-    the seeds at this resolution.
+    from an earlier seed: the same period and energy and, on a torus, the
+    same drift W, momentum p_y (conserved as every chart depends on x
+    alone) and well in x, read off the candidate's last return search by
+    _dedup_candidates.  Once the return gap of a seed falls below
+    _DEDUP_TOL / 10 with an orbit kept, the current Newton iterate is
+    checked the same way, once: on a match the seed stops without a
+    candidate, as the polish moves the orbit by about the gap, far below
+    _DEDUP_TOL, and its candidate would have been merged.  An empty list is
+    evidence against a periodic orbit near the seeds at this resolution.
     """
     if not (math.isfinite(E_mech) and E_mech > 0):
         raise InvalidOracleInput("E_mech must be positive and finite")
@@ -211,7 +213,7 @@ def shooting_periodic(spec: GeometrySpec, E_mech: float, seed_grid,
             f"period_cap / dt exceeds {MAX_RETURN_STEPS} RK4 steps")
     speed = math.sqrt(2.0 * E_mech)
 
-    kept = []  # (candidate, (dedup samples, center)) of each orbit kept
+    kept = []  # (candidate, signature) of each orbit kept
     for seed in seed_grid:
         y0 = _normalize_state(spec, seed, E_mech)
         p_base = y0[:2].copy()
@@ -263,7 +265,7 @@ def shooting_periodic(spec: GeometrySpec, E_mech: float, seed_grid,
                 break
             if early_check and gap < _DEDUP_TOL / 10:
                 early_check = False
-                merged = _dedup_candidates(spec, ret, dt, kept) is None
+                merged = _dedup_candidates(spec, ret, kept) is None
                 if merged:
                     break
             J = return_jacobian(u, ret)
@@ -290,105 +292,76 @@ def shooting_periodic(spec: GeometrySpec, E_mech: float, seed_grid,
             closure_residual=float(closure),
             energy_mech=kinetic_energy(spec, y_start),
             energy_match=float(speed * speed))
-        pts = _dedup_candidates(spec, ret, dt, kept)
-        if pts is not None:
-            kept.append((cand, pts))
+        sig = _dedup_candidates(spec, ret, kept)
+        if sig is not None:
+            kept.append((cand, sig))
 
     return [cand for cand, _ in kept]
 
 
-def _matched_gap(spec, P, Q) -> float:
-    """Largest distance from a point of either of two samplings of one
-    length to the two edges of the other that meet at its partner, P_j
-    paired with Q_{(j+s) mod n}, Q_s the point of Q nearest to P[0]; every
-    difference and edge (the closing one too) is wrapped as torus_gap wraps
-    it.  The partner ends both edges, so the gap is at most the pairing's
-    vertex gap and at least the exact point-to-polyline distance.  O(n), on
-    points as complex numbers x + iy, both parts wrapped by torus_gap."""
-    d = torus_gap(spec, Q - P[0])
-    s = int(np.argmin((d * d).sum(axis=1)))
-    z = np.stack([P, np.concatenate([Q[s:], Q[:s]])]) @ np.array([1.0, 1j])
-    # e[:, j] is the edge into point j of the other sampling, j = 0..n
-    e = torus_gap(spec, np.diff(z, axis=1, prepend=z[:, -1:],
-                                append=z[:, :1]))[::-1]
-    d = torus_gap(spec, z - z[::-1])  # each point from its partner
-    edges = np.stack([e[:, 1:], -e[:, :-1]])  # both out of the partner
-    t = (d * edges.conj()).real / np.maximum(abs(edges) ** 2, 1e-300)
-    return float(np.abs(d - np.clip(t, 0.0, 1.0) * edges).min(axis=0).max())
-
-
-def _return_samples(ret, dt):
-    """The _DEDUP_PROBE positions at phases j period / _DEDUP_PROBE of the
-    orbit a _first_return result ret = (period, y, starts, tau) traced:
-    cubic Hermite interpolation (positions and velocities at both ends) of
-    the search's own RK4 steps, whose knots are the step starts and the
-    crossing state y, each interval dt long but the last, tau.  No step is
-    taken again; the interpolation adds an O(dt^4) error to the search's."""
-    period, y, starts, tau = ret
-    knots = np.vstack([starts, y])
-    t = np.arange(_DEDUP_PROBE) * (period / _DEDUP_PROBE)
-    i = np.minimum((t / dt).astype(int), len(starts) - 1)
-    h = np.where(i < len(starts) - 1, dt, tau)
-    s, h = ((t - i * dt) / h)[:, None], h[:, None]
-    a, b = knots[i], knots[i + 1]
-    d = b[:, :2] - a[:, :2]
-    m0, m1 = h * a[:, 2:], h * b[:, 2:]
-    return a[:, :2] + s * (m0 + s * ((3.0 * d - 2.0 * m0 - m1)
-                                     + s * (m0 + m1 - 2.0 * d)))
-
-
-def _center(spec, ret, pts):
-    """Centroid of the samples pts of the orbit of a _first_return result
-    ret, up to lattice vectors the same for every starting phase phi.  An
-    orbit that drifts by W = round(end - start) on a torus is detrended by
-    (j / n) W at sample j; its centroid still moves by (phi / period) W,
-    as the angle of the first harmonic of the detrended x turns by
-    2 pi phi / period, so (angle / 2 pi) W is taken off.  W = 0: the plain
-    centroid."""
-    w = np.round(ret[1][:2] - ret[2][0, :2]) if spec.is_torus else None
-    if w is None or not w.any():
-        return pts.mean(axis=0)
-    phase = np.arange(len(pts)) / len(pts)
-    q = pts - np.outer(phase, w)
-    turn = np.angle(q[:, 0] @ np.exp(-2j * np.pi * phase)) / (2.0 * np.pi)
-    return q.mean(axis=0) - turn * w
-
-
-def _dedup_candidates(spec, ret, dt, kept):
+def _dedup_candidates(spec, ret, kept):
     """Shooting's one duplicate test: None if the orbit of the return search
-    ret (a _first_return result at step dt, launched from its first start)
-    traces over its period the orbit of a candidate in `kept`, a list of
-    (candidate, (samples, center)) pairs, else its _DEDUP_PROBE samples and
-    their _center, to be kept with it.  The samples interpolate the
-    search's own steps (_return_samples), so no orbit is integrated twice.
-    Orbits are the same up to the field's exact translation symmetries (all
-    translations on the constant-field plane, y-translations on the torus
-    kinds, whose field and metric depend on x only), compared after a quick
-    period prefilter as point sets by _matched_gap, which is indifferent to
-    the starting phase, after aligning their phase-free centers.  Samples
-    can be further apart than the tolerance (0.025 on a unit Larmor
-    circle), so two phases of one orbit can differ vertex to vertex by more
-    than it; each vertex still lies within it of the other's edges at its
-    partner.  An equal number of samples per orbit is what _matched_gap
-    pairs."""
-    period = ret[0]
-    pts = _return_samples(ret, dt)
-    center = _center(spec, ret, pts)
-    for other, (opts, ocenter) in kept:
-        if abs(period - other.period) > 0.05 * max(period, other.period):
+    ret (a _first_return result, launched from its first step start) is the
+    orbit of a candidate in `kept`, a list of (candidate, signature) pairs,
+    else its signature (period, energy, drift W, p_y, x-interval of the
+    step starts), to be kept with it.
+
+    Every chart depends on x alone, so y is cyclic: the flow conserves
+    p_y = exp(2u) v_y + Phi(x), and y-translates of an orbit are orbits.
+    Two orbits with periods within 5% and energies within _DEDUP_TOL
+    relative are the same on the plane, where every closed orbit of one
+    energy is a translate of one Larmor circle.  On a torus they are the
+    same when W is equal, p_y agrees within the tolerance below and, unless
+    the orbit winds in x, the x-intervals overlap mod 1: at one p_y and
+    energy the motion in x is one closed curve in each of the disjoint
+    wells of (p_y - Phi)^2 <= 2 E exp(2u), or runs one way, sign(W_x), so
+    the two traversals of one path differ.  The tolerance bounds the p_y
+    gap of two states delta = _DEDUP_TOL apart in position and in velocity
+    direction: dp_y/dx = F + 2 u_x exp(2u) v_y, dp_y/dv_y = exp(2u),
+    |F| <= |B| + 2 pi k |a|, |u_x| <= 2 pi |u_amp| and exp(u) |v| =
+    sqrt(2 E) give |dp_y| <= delta (|B| + 2 pi k |a| + (1 + 4 pi |u_amp|)
+    exp(|u_amp|) sqrt(2 E)).  (A torus with mean flux B would have to shift
+    p_y by B per lattice step in x, as Phi(x + 1) = Phi(x) + B there.)"""
+    period, y, starts, _ = ret
+    y0 = starts[0]
+    energy = kinetic_energy(spec, y0)
+    w, p_y, lo, hi = (0.0, 0.0), 0.0, 0.0, 0.0
+    if spec.is_torus:
+        w = tuple(np.round(y[:2] - y0[:2]).tolist())
+        lam = math.exp(2.0 * conformal_exponent(spec, y0[:2])[0])
+        p_y = lam * y0[3] + float(potential_eval(spec, y0[:2]))
+        lo, hi = float(starts[:, 0].min()), float(starts[:, 0].max())
+        tol = _DEDUP_TOL * (
+            abs(spec.B) + TWO_PI * spec.k * abs(spec.a)
+            + (1.0 + 2.0 * TWO_PI * abs(spec.u_amp))
+            * math.exp(abs(spec.u_amp)) * math.sqrt(2.0 * energy))
+    for _, (o_period, o_energy, o_w, o_py, o_lo, o_hi) in kept:
+        if (abs(period - o_period) > 0.05 * max(period, o_period)
+                or abs(energy - o_energy) > _DEDUP_TOL * max(energy,
+                                                             o_energy)):
             continue
-        shift_mean = center - ocenter
-        if spec.is_torus:
-            shift_mean[0] = 0.0  # x is not a symmetry direction
-        aligned = opts + shift_mean
-        if _matched_gap(spec, pts, aligned) < _DEDUP_TOL:
+        if not spec.is_torus or (
+                w == o_w and abs(p_y - o_py) <= tol
+                and (w[0] != 0.0 or math.floor(hi - o_lo) >= lo - o_hi)):
             return None
-    return pts, center
+    return period, energy, w, p_y, lo, hi
+
+
+def _check_loop_size(n) -> None:
+    """Refuse an orbit_to_loop size n that is not an integer >= 3, or whose
+    _LOOP_OVERSAMPLE n RK4 steps exceed MAX_RETURN_STEPS."""
+    limit = MAX_RETURN_STEPS // _LOOP_OVERSAMPLE
+    if not (isinstance(n, numbers.Integral) and 3 <= n <= limit):
+        raise InvalidOracleInput(
+            f"n must be an integer in [3, {limit}] ({_LOOP_OVERSAMPLE} RK4"
+            f" steps per loop vertex), not {n!r}")
 
 
 def orbit_to_loop(spec: GeometrySpec, cand: OrbitCandidate, n: int) -> Loop:
     """Sample a candidate orbit into an n-gon Loop (torus windings recovered
-    from the net chart drift over one period)."""
+    from the net chart drift over one period); an n that is not an integer
+    >= 3 within the RK4 step bound raises InvalidOracleInput."""
+    _check_loop_size(n)
     pts = integrate_flow(spec, cand.state, cand.period,
                          n * _LOOP_OVERSAMPLE)[:, :2]
     verts = pts[:-1:_LOOP_OVERSAMPLE]

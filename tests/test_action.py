@@ -292,7 +292,7 @@ def _reference_grad(spec, loop, params):
     boolean-mask scatter for ds/dq and np.stack for the field terms: the
     reference that the trimmed kernel must equal bit for bit."""
     n = loop.n
-    d, m, lam, ell = edge_geometry(spec, loop.vertices, loop.windings)
+    d, m, lam, ell, _ = edge_geometry(spec, loop.vertices, loop.windings)
     rootE = math.sqrt(params.E)
     s = rootE * n * ell
     sf = np.maximum(s, params.delta)

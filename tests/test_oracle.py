@@ -11,11 +11,12 @@ from magloop import (ChartPoint, FlowState, GeometryKind, GeometrySpec, Loop,
                      action_S, el_residual_SE, fd_gradient, grad_action,
                      integrate_flow, larmor_orbit, length, make_circle,
                      orbit_to_loop, shooting_periodic, speed_cv)
-from magloop import oracle
+from magloop import dynamics, oracle
 from magloop.action import ActionParams
 from magloop.dynamics import _norm_sq
 from magloop.errors import InvalidOracleInput
-from magloop.geometry import _build_step, torus_gap
+from magloop.geometry import (_build_step, conformal_exponent, potential_eval,
+                              torus_gap)
 
 PLANE = GeometrySpec(GeometryKind.PLANE_CONSTANT_B, B=1.0)
 SINE_TORUS = GeometrySpec(GeometryKind.FLAT_TORUS_SINE, a=3.0, k=1)
@@ -224,11 +225,10 @@ def _bits(cands):
 
 def _polyline_gap(spec, P, Q):
     """Max over the points of P of the exact distance to the closed polyline
-    Q: the O(n^2) reference for oracle._matched_gap.  On a torus each edge
-    (the closing edge Q[-1] -> Q[0] too) is its nearest translate, which
-    lies in [-1/2, 1/2]^2 from its start, and a point's nearest translate
-    to it is one of the nine within one period of the point's translate
-    nearest to that start."""
+    Q.  On a torus each edge (the closing edge Q[-1] -> Q[0] too) is its
+    nearest translate, which lies in [-1/2, 1/2]^2 from its start, and a
+    point's nearest translate to it is one of the nine within one period of
+    the point's translate nearest to that start."""
     edges = torus_gap(spec, np.roll(Q, -1, axis=0) - Q)[:, None, :]
     diff = torus_gap(spec, P[:, None, :] - Q[None, :, :])[:, :, None, :]
     if spec.is_torus:
@@ -245,15 +245,6 @@ def _reference_gap(spec, P, Q):
     return max(_polyline_gap(spec, P, Q), _polyline_gap(spec, Q, P))
 
 
-def _vertex_gap(spec, P, Q):
-    """max_j |P_j - Q_{(j+s) mod n}|, the pairing of oracle._matched_gap
-    measured vertex to vertex."""
-    d = torus_gap(spec, Q - P[0])
-    s = int(np.argmin((d * d).sum(axis=1)))
-    d = torus_gap(spec, P - np.roll(Q, -s, axis=0))
-    return math.sqrt(float((d * d).sum(axis=1).max()))
-
-
 def _reference_center(spec, traj):
     """Centroid of the samples traj[:-1] of an orbit integrated over its
     period, phase-free on an orbit that drifts by a lattice vector W: the
@@ -268,20 +259,40 @@ def _reference_center(spec, traj):
     return q.mean(axis=0) - np.angle(np.fft.fft(q[:, 0])[1]) / (2 * np.pi) * w
 
 
+# samples per orbit of the reference duplicate test
+_REFERENCE_PROBE = 256
+
+
+def _direction(traj):
+    """The traversal direction of an orbit integrated over its period: its
+    drift W, and for W = 0 the sign of its signed area (shoelace)."""
+    w = np.round(traj[-1, :2] - traj[0, :2])
+    if w.any():
+        return tuple(w.tolist())
+    x, y = traj[:-1, 0], traj[:-1, 1]
+    return float(np.sign(x @ np.roll(y, -1) - y @ np.roll(x, -1)))
+
+
 def _reference_dedup(spec, candidates):
-    """The list pass that merged finished candidates before shooting
-    deduplicated as it went, by the exact polyline distance, kept as the
-    reference for its kept list."""
+    """The geometric list pass over finished candidates, kept as the
+    reference for shooting's kept list: two orbits of one traversal
+    direction (equal drift W, and for W = 0 the same sign of the signed
+    area) are the same when their periods are within 5% and their samples,
+    aligned by the phase-free centers (in y alone on a torus), lie within
+    _DEDUP_TOL of each other's polylines."""
     kept = []
     samples = []
     for cand in candidates:
         traj = integrate_flow(spec, cand.state, cand.period,
-                              oracle._DEDUP_PROBE)
+                              _REFERENCE_PROBE)
         pts, center = traj[:-1, :2], _reference_center(spec, traj)
+        direction = _direction(traj)
         duplicate = False
-        for other, (opts, ocenter) in zip(kept, samples):
+        for other, (opts, ocenter, odirection) in zip(kept, samples):
             if abs(cand.period - other.period) > 0.05 * max(cand.period,
                                                             other.period):
+                continue
+            if direction != odirection:
                 continue
             shift_mean = center - ocenter
             if spec.is_torus:
@@ -292,7 +303,7 @@ def _reference_dedup(spec, candidates):
                 break
         if not duplicate:
             kept.append(cand)
-            samples.append((pts, center))
+            samples.append((pts, center, direction))
     return kept
 
 
@@ -459,6 +470,21 @@ def _larmor_candidate(phase, speed=1.0):
         energy_mech=0.5 * speed * speed, energy_match=speed * speed)
 
 
+@pytest.mark.parametrize("n", [
+    0, 2, 3.5, "4", oracle.MAX_RETURN_STEPS // oracle._LOOP_OVERSAMPLE + 1])
+def test_orbit_to_loop_refuses_a_bad_size(n, monkeypatch):
+    # one check, named for n: not an integer >= 3, or more than the RK4
+    # step bound in its 8 n steps; refused before any step is taken
+    def no_step(*args):
+        raise AssertionError("integrated before n was checked")
+
+    cand = _larmor_candidate(0.0)
+    assert orbit_to_loop(PLANE, cand, 3).n == 3
+    monkeypatch.setattr(dynamics, "_build_step", lambda spec: no_step)
+    with pytest.raises(InvalidOracleInput, match=r"^n "):
+        orbit_to_loop(PLANE, cand, n)
+
+
 def _search(spec, cand, dt):
     """The return search from a candidate's launch state, through the
     section normal to its velocity, at step dt."""
@@ -470,65 +496,27 @@ def _search(spec, cand, dt):
 
 def _dedup(spec, candidates, dt=1e-3):
     """shooting_periodic's kept list for finished candidates in this
-    order, each tested, by the samples of its own return search at step dt,
-    against those kept before it."""
+    order, each tested, by the signature of its own return search at step
+    dt, against those kept before it."""
     kept = []
     for cand in candidates:
-        pts = oracle._dedup_candidates(spec, _search(spec, cand, dt), dt,
-                                       kept)
-        if pts is not None:
-            kept.append((cand, pts))
+        sig = oracle._dedup_candidates(spec, _search(spec, cand, dt), kept)
+        if sig is not None:
+            kept.append((cand, sig))
     return [cand for cand, _ in kept]
 
 
-def _aligned_samples(spec, a, b):
-    pa, pb = (integrate_flow(spec, c.state, c.period,
-                             oracle._DEDUP_PROBE)[:-1, :2] for c in (a, b))
-    return pa, pb + (pa.mean(axis=0) - pb.mean(axis=0))
-
-
 def test_dedup_merges_phases_further_apart_than_the_tolerance():
-    # half a probe spacing apart in phase, the vertices of one sampling sit
-    # 0.012 from those of the other, but only 7.5e-5 from its edges
+    # launched 0.012 apart along one Larmor circle (half the spacing of 256
+    # samples), far more than the merge distance: one orbit
     a = _larmor_candidate(0.0)
-    b = _larmor_candidate(math.pi / oracle._DEDUP_PROBE)
-    pa, pb = _aligned_samples(PLANE, a, b)
-    assert _vertex_gap(PLANE, pa, pb) >= oracle._DEDUP_TOL
-    assert oracle._matched_gap(PLANE, pa, pb) < oracle._DEDUP_TOL
+    b = _larmor_candidate(math.pi / 256)
     assert _dedup(PLANE, [a, b]) == [a]
 
 
 def test_dedup_keeps_circles_of_different_radius():
     a, b = _larmor_candidate(0.0), _larmor_candidate(0.0, speed=1.5)
     assert _dedup(PLANE, [a, b]) == [a, b]
-
-
-def test_return_samples_match_the_integrated_probe(criterion10_seeds,
-                                                   monkeypatch):
-    # the dedup samples interpolate the return search's own steps; they are
-    # the positions a 256-step integration over the period reaches, up to
-    # the interpolation error and the two integrations' RK4 errors: on
-    # criterion 10's four searches that reach the dedup (dt 1e-3), and on
-    # the unit Larmor circle at a coarse dt 0.1 (5.1e-6 apart)
-    searches = []
-    dedup = oracle._dedup_candidates
-
-    def recorded_dedup(spec, ret, dt, kept):
-        searches.append((SINE_TORUS, ret, dt, 1e-9))
-        return dedup(spec, ret, dt, kept)
-
-    monkeypatch.setattr(oracle, "_dedup_candidates", recorded_dedup)
-    shooting_periodic(SINE_TORUS, 0.01, criterion10_seeds, period_cap=0.6,
-                      tol=1e-8, dt=1e-3)
-    assert len(searches) == 4
-    circle = _larmor_candidate(0.0)
-    searches.append((PLANE, _search(PLANE, circle, 0.1), 0.1, 1e-5))
-    for spec, ret, dt, bound in searches:
-        pts = oracle._return_samples(ret, dt)
-        probe = integrate_flow(spec, oracle._row_state(ret[2][0]), ret[0],
-                               oracle._DEDUP_PROBE)[:-1, :2]
-        assert pts.shape == probe.shape
-        assert np.abs(pts - probe).max() < bound
 
 
 @pytest.mark.parametrize("dt", [0.05, 0.1, 0.2])
@@ -573,34 +561,32 @@ def test_dedup_merges_the_criterion10_translates(criterion10_seeds,
                                                  monkeypatch):
     # the four seeds close on y-translates of one orbit.  The grid merges
     # the last three seeds' Newton iterates once their return gap is below
-    # _DEDUP_TOL / 10 (matched gaps 1.6e-6 to 4.4e-5, vertex gaps 5.8e-5 to
-    # 1.0e-4), and the matched gap would merge their finished candidates,
-    # each shot alone, too.
+    # _DEDUP_TOL / 10 (p_y 1.9e-5 to 8.3e-4 from the kept orbit's, inside
+    # the chart's p_y tolerance 0.019), and their finished candidates, each
+    # shot alone, would merge too.
     _, alone = _shot_alone(criterion10_seeds, 1e-8, monkeypatch)
-    gaps = []
-    matched_gap = oracle._matched_gap
+    merges = []
+    dedup = oracle._dedup_candidates
 
-    def recorded_matched_gap(*args):
-        gaps.append(matched_gap(*args))
-        return gaps[-1]
+    def recorded_dedup(*args):
+        sig = dedup(*args)
+        merges.append(sig is None)
+        return sig
 
-    monkeypatch.setattr(oracle, "_matched_gap", recorded_matched_gap)
+    monkeypatch.setattr(oracle, "_dedup_candidates", recorded_dedup)
     kept = shooting_periodic(SINE_TORUS, 0.01, criterion10_seeds,
                              period_cap=0.6, tol=1e-8, dt=1e-3)
     assert _bits(kept) == _bits(alone[:1])
-    assert len(gaps) == 3
-    assert all(gap < oracle._DEDUP_TOL for gap in gaps)
-    for other in alone[1:]:
-        pa, pb = _aligned_samples(SINE_TORUS, alone[0], other)
-        assert matched_gap(SINE_TORUS, pa, pb) < oracle._DEDUP_TOL
+    assert merges == [False, True, True, True]
+    assert _dedup(SINE_TORUS, alone) == alone[:1]
 
 
 def test_dedup_merges_two_samplings_of_a_wound_orbit():
     # both seeds close on one orbit of winding (-1, 0).  Once its return
-    # gap is below _DEDUP_TOL / 10, the second seed's samples lie 4.1e-5
-    # from the first orbit's as point sets, but 1.3e-3 vertex to vertex,
-    # and each closing edge Q[-1] -> Q[0] crosses a lattice translate: only
-    # its wrapped form runs along the orbit.
+    # gap is below _DEDUP_TOL / 10, the second seed's iterate has the same
+    # drift and a p_y 1.6e-4 from the first orbit's (tolerance 5.1e-3);
+    # the orbit winds in x, so its x-interval, a whole period wide, is not
+    # compared.
     spec = GeometrySpec(GeometryKind.FLAT_TORUS_SINE, a=0.5, k=1)
     seeds = [FlowState(ChartPoint(x, y), np.array([math.cos(ang),
                                                    math.sin(ang)]))
@@ -628,11 +614,11 @@ _WOUND_ORBIT = oracle.OrbitCandidate(
 @pytest.mark.parametrize("phase", [1.0 / 3.0, 0.5, 0.77])
 def test_dedup_merges_relaunched_phases_of_an_orbit_that_winds_in_y(phase):
     # relaunched a fraction of its period later, the orbit's samples have a
-    # centroid 0.33 (phase 1/3) further along its drift W = (-1, -1): a
-    # plain centroid shift moves them 0.31 off the other sampling (and
-    # detrending by (j / n) W alone moves them as far).  The phase-free
-    # center merges them, as it merges the orbit's y-translate, an orbit of
-    # the field's y-symmetry.
+    # centroid 0.33 (phase 1/3) further along its drift W = (-1, -1), which
+    # a plain centroid alignment of point sets mistakes for another orbit.
+    # Its drift and p_y are the same at every phase, and the reference's
+    # phase-free center merges it too; so is the orbit's y-translate, an
+    # orbit of the field's y-symmetry.
     spec, orbit = _WOUND_SPEC, _WOUND_ORBIT
     traj = integrate_flow(spec, orbit.state, orbit.period, 1000)
     assert np.array_equal(np.round(traj[-1, :2] - traj[0, :2]), [-1.0, -1.0])
@@ -642,11 +628,6 @@ def test_dedup_merges_relaunched_phases_of_an_orbit_that_winds_in_y(phase):
         closure_residual=0.0, energy_mech=2.0, energy_match=4.0)
     r0, r1 = (_search(spec, c, 2e-3) for c in (orbit, relaunched))
     assert abs(r1[0] - orbit.period) < 1e-9
-    p0, p1 = (oracle._return_samples(r, 2e-3) for r in (r0, r1))
-    plain = p1.mean(axis=0) - p0.mean(axis=0)
-    plain[0] = 0.0
-    assert oracle._matched_gap(spec, p1, p0 + plain) > 100 * oracle._DEDUP_TOL
-    assert oracle._matched_gap(spec, p1, p0) < 0.01 * oracle._DEDUP_TOL
     assert _dedup(spec, [orbit, relaunched], dt=2e-3) == [orbit]
     assert _reference_dedup(spec, [orbit, relaunched]) == [orbit]
     shifted = oracle.OrbitCandidate(
@@ -654,6 +635,71 @@ def test_dedup_merges_relaunched_phases_of_an_orbit_that_winds_in_y(phase):
                         orbit.state.v), period=orbit.period,
         closure_residual=0.0, energy_mech=2.0, energy_match=4.0)
     assert _dedup(spec, [orbit, shifted], dt=2e-3) == [orbit]
+
+
+def _momentum(spec, traj):
+    """p_y = exp(2u) v_y + Phi(x) of trajectory rows (x, y, vx, vy)."""
+    lam = np.exp(2.0 * conformal_exponent(spec, traj[:, :2])[0])
+    return lam * traj[:, 3] + potential_eval(spec, traj[:, :2])
+
+
+@pytest.mark.parametrize("spec, bound", [
+    (PLANE, 1e-13),
+    (_WOUND_SPEC, 1e-9),
+    (GeometrySpec(GeometryKind.CONFORMAL_TORUS, a=0.5, k=1, u_amp=0.2), 1e-8),
+], ids=["plane", "flat", "conformal"])
+def test_flow_conserves_the_momentum_p_y(spec, bound):
+    # y is cyclic on every chart, so p_y is a first integral, the one the
+    # duplicate test of shot orbits reads.  Eight launches at E_mech 2,
+    # most of them winding, over T = 1 at dt 2e-3: on the plane p_y = v_y
+    # + B x is linear in the state, which RK4 keeps to rounding; on the
+    # tori the drift (2.3e-10 flat, 1.9e-9 conformal) is RK4's, and falls
+    # about 16-fold as dt halves.
+    p = ChartPoint(0.1, 0.5)
+    speed = 2.0 / math.exp(float(conformal_exponent(spec, p)[0]))
+    drift = []
+    for steps in (500, 1000):
+        worst = 0.0
+        for ang in 0.3 + np.arange(8) * (2.0 * math.pi / 8):
+            v = speed * np.array([math.cos(ang), math.sin(ang)])
+            p_y = _momentum(spec, integrate_flow(spec, FlowState(p, v), 1.0,
+                                                 steps))
+            worst = max(worst, float(np.abs(p_y - p_y[0]).max()))
+        drift.append(worst)
+    assert drift[0] <= bound
+    if spec.is_torus:
+        assert drift[1] < drift[0] / 10.0
+
+
+def _shoot_seeds(count, seed):
+    """The seed states of `magloop oracle shoot --seeds count --seed seed`
+    about its default launch point (0, 0.5)."""
+    rng = np.random.default_rng(seed)
+    seeds = []
+    for _ in range(count):
+        p = ChartPoint(float(rng.uniform(-0.2, 0.2)),
+                       float(rng.uniform(-0.2, 0.2)) + 0.5)
+        ang = float(rng.uniform(0.0, 2.0 * math.pi))
+        seeds.append(FlowState(p, np.array([math.cos(ang), math.sin(ang)])))
+    return seeds
+
+
+def test_dedup_keeps_both_traversals_of_a_line():
+    # `magloop oracle shoot --kind flat_torus_sine --a 0.5 --k 1 --E-mech 2
+    # --period-cap 1 --tol 1e-6 --dt 2e-3 --seeds 8 --seed 6` keeps five
+    # orbits.  Two of them run along the line x = -0.25, where the field
+    # vanishes, in opposite directions: vy = +-2, p_y 1.5 and -2.5, drift
+    # (0, +-1).  One point set, two orbits; a reference blind to the
+    # direction merged them and kept four.
+    seeds = _shoot_seeds(8, 6)
+    kept = shooting_periodic(_WOUND_SPEC, 2.0, seeds, period_cap=1.0,
+                             tol=1e-6, dt=2e-3)
+    alone = [c for seed in seeds for c in shooting_periodic(
+        _WOUND_SPEC, 2.0, [seed], period_cap=1.0, tol=1e-6, dt=2e-3)]
+    assert len(kept) == 5
+    assert _bits(kept) == _bits(_reference_dedup(_WOUND_SPEC, alone))
+    line = [c for c in kept if abs(c.state.p.x + 0.25) < 1e-6]
+    assert sorted(round(float(c.state.v[1])) for c in line) == [-2, 2]
 
 
 @pytest.mark.parametrize("spec", [SINE_TORUS, CONFORMAL_TORUS],
@@ -677,48 +723,6 @@ def test_distinct_orbits_survive_the_early_merge(spec, monkeypatch):
     assert len(alone) == 4 and len(kept) == 2
     assert _bits(kept) == _bits(alone[:2])
     assert _bits(kept) == _bits(_reference_dedup(spec, alone))
-
-
-@given(spec=st.sampled_from([PLANE, SINE_TORUS]), n=st.integers(3, 12),
-       shift=st.integers(0, 11), wound=st.booleans(),
-       seed=st.integers(0, 2**32 - 1))
-def test_matched_gap_lies_between_the_polyline_and_vertex_gaps(
-        spec, n, shift, wound, seed):
-    # Q is a cyclic shift of P with each coordinate moved a little or across
-    # the +-0.5 wrap, some by exact halves.  A wound P drifts by a lattice
-    # vector over its n points, so its closing edge crosses a translate.
-    # The edges at a partner are edges of the polyline and end at the
-    # partner, so the matched gap is at least the exact polyline gap and at
-    # most the vertex gap of its pairing.
-    rng = np.random.default_rng(seed)
-    if wound:
-        drift = np.array([rng.choice([-1, 1]), rng.integers(-1, 2)])
-        P = (rng.uniform(-2.0, 2.0, 2) + np.outer(np.arange(n) / n, drift)
-             + rng.uniform(-0.3, 0.3, (n, 2)) / n)
-    else:
-        P = rng.uniform(-2.0, 2.0, (n, 2))
-    wraps = (rng.integers(-3, 4, (n, 2)) + rng.choice([-0.5, 0.5], (n, 2))
-             + rng.choice([0.0, 1e-9, -1e-9], (n, 2)))
-    moves = np.where(rng.random((n, 2)) < 0.5, wraps,
-                     rng.uniform(-0.1, 0.1, (n, 2)))
-    Q = np.roll(P, -shift, axis=0) + moves
-    gap = oracle._matched_gap(spec, P, Q)
-    slack = 16.0 * np.finfo(float).eps * (1.0 + np.abs(np.r_[P, Q]).max())
-    assert _reference_gap(spec, P, Q) <= gap + slack
-    assert gap <= _vertex_gap(spec, P, Q) + slack
-
-
-@pytest.mark.parametrize("spec", [PLANE, SINE_TORUS],
-                         ids=lambda s: s.kind.value)
-@pytest.mark.parametrize("shift", [1, 100, oracle._DEDUP_PROBE - 1])
-def test_matched_gap_reads_zero_on_a_cyclic_shift(spec, shift):
-    pts = integrate_flow(spec, FlowState(ChartPoint(0.02, 0.3),
-                                         np.array([0.1, 0.05])),
-                         1.0, oracle._DEDUP_PROBE)[:-1, :2]
-    shifted = np.roll(pts, shift, axis=0)
-    assert oracle._matched_gap(spec, pts, shifted) == 0.0
-    if spec.is_torus:  # a lattice translate is the same closed point set
-        assert oracle._matched_gap(spec, pts, shifted + (1.0, -2.0)) < 1e-14
 
 
 def test_shooting_blow_up_is_not_invalid_input():
