@@ -403,6 +403,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process, at import: main only parses with it, so an
+# in-process caller pays for the ~30 arguments once, not on every call
+_PARSER = build_parser()
+
 _COMMANDS = {
     "run": _cmd_run,
     "flow": _cmd_flow,
@@ -411,8 +415,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except ConfigError as exc:

@@ -237,22 +237,29 @@ def el_residual_SE(spec: GeometrySpec, loop: Loop, E: float) -> ResidualReport:
         raise ConfigError("E must be positive")
     cv = speed_cv(spec, loop)
     work = loop if cv <= _UNIFORM_CV else resample_arclength(spec, loop, loop.n)
-    u, ux = conformal_exponent(spec, work.vertices)
-    lam, lam_inv = np.exp(2.0 * u), np.exp(-2.0 * u)
-    c = 0.5 * (lam_inv * (2.0 * ux * lam))
     F = field_strength(spec, work.vertices)
     vel, acc = _central_derivatives(work)
     vx, vy = vel[:, 0], vel[:, 1]
-    cov_acc = acc  # acc is fresh: its columns take the Christoffel terms
-    cov_acc[:, 0] += (c * vx) * vx + (-c * vy) * vy
-    cov_acc[:, 1] += (c * vx) * vy + (c * vy) * vx
     lorentz = np.empty_like(vel)
-    lorentz[:, 0] = (lam_inv * F) * vy
-    lorentz[:, 1] = (lam_inv * -F) * vx
+    if spec.is_flat:
+        # lam = 1 and Gamma = 0: the products by 1 and the Christoffel
+        # terms (signed zeros) of the general body change no norm's bits
+        lam = 1.0
+        lorentz[:, 0] = F * vy
+        lorentz[:, 1] = -F * vx
+    else:
+        u, ux = conformal_exponent(spec, work.vertices)
+        lam, lam_inv = np.exp(2.0 * u), np.exp(-2.0 * u)
+        c = 0.5 * (lam_inv * (2.0 * ux * lam))
+        # acc is fresh: its columns take the Christoffel terms
+        acc[:, 0] += (c * vx) * vx + (-c * vy) * vy
+        acc[:, 1] += (c * vx) * vy + (c * vy) * vx
+        lorentz[:, 0] = (lam_inv * F) * vy
+        lorentz[:, 1] = (lam_inv * -F) * vx
     sp = np.sqrt((vx * lam) * vx + (vy * lam) * vy)
     if np.any(sp == 0.0):
         raise DegenerateLoop("residual undefined where the speed vanishes")
-    res = math.sqrt(E) * cov_acc / (sp * sp)[:, None] - lorentz / sp[:, None]
+    res = math.sqrt(E) * acc / (sp * sp)[:, None] - lorentz / sp[:, None]
     rx, ry = res[:, 0], res[:, 1]
     norms = np.sqrt((rx * lam) * rx + (ry * lam) * ry)
     return ResidualReport(max_res=float(norms.max()),

@@ -21,9 +21,9 @@ of the flow they define, in floats at one phase-space point.
 
 The fields accept a ChartPoint or an array of shape (..., 2) and broadcast.
 A field is the float 0.0 where its amplitude is zero: u, u_x and u_xx when
-u_amp = 0 (``is_flat``), F_x when a = 0, and Phi skips its sine then.  On
-the torus x is wrapped into [0, 1) first, so the fields are bitwise
-periodic under integer translations.
+u_amp = 0 (``is_flat``), F_x when a = 0, and Phi skips its sine and F_12
+its cosine then.  On the torus x is wrapped into [0, 1) first, so the
+fields are bitwise periodic under integer translations.
 """
 
 from __future__ import annotations
@@ -187,7 +187,10 @@ def potential_eval(spec: GeometrySpec, p):
 
 
 def field_strength(spec: GeometrySpec, p):
-    """Field F_12 = B + 2 pi k a cos(2 pi k x) at p, shape (...)."""
+    """Field F_12 = B + 2 pi k a cos(2 pi k x) at p, shape (...).  When
+    a = 0 the cosine term is a signed zero and F is B at every point."""
+    if spec.a == 0.0:
+        return spec.B + np.zeros(_as_xy(p).shape[:-1])
     w = TWO_PI * spec.k
     return spec.B + w * spec.a * np.cos(w * _wrapped_x(spec, p))
 

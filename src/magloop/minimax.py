@@ -307,12 +307,33 @@ def _reinterp_row(spec, row, params, guard, vals):
 
 
 def _fd_hessian(gfun, x, h):
-    dim = x.size
-    H = np.empty((dim, dim))
-    for i in range(dim):
-        e = np.zeros(dim)
-        e[i] = h
-        H[:, i] = (gfun(x + e) - gfun(x - e)) / (2.0 * h)
+    """Symmetrized central-difference Hessian of the gradient gfun at x,
+    a loop's flattened (N, 2) vertices, from at most 20 gradient calls.
+
+    Gradient row j reads only vertices j-1, j and j+1 (its two edges), so
+    vertices three or more apart on the cycle are perturbed together (the
+    Curtis-Powell-Reid compression in the colouring view of Coleman & More
+    1983): vertex j < 3 (N // 3) takes colour j mod 3 and each of the N mod 3
+    others a colour of its own.  One central difference per colour and
+    coordinate gives rows j-1..j+1 of each of its vertices' columns, with
+    the bits of the one-coordinate difference (x + 0.0 is x); every entry
+    off that band is the +0.0 the one-coordinate difference gives there.
+    """
+    n = x.size // 2
+    q = 3 * (n // 3)
+    colours = [np.arange(c, q, 3) for c in range(3)]
+    colours += [np.array([j]) for j in range(q, n)]
+    H = np.zeros((x.size, x.size))
+    for verts in colours:
+        # the six gradient rows of vertices j-1, j, j+1, one line per vertex
+        rows = (2 * ((verts[:, None] + np.arange(-1, 2)) % n)[:, :, None]
+                + np.arange(2)).reshape(len(verts), 6)
+        for c in range(2):
+            cols = 2 * verts + c
+            e = np.zeros(x.size)
+            e[cols] = h
+            diff = (gfun(x + e) - gfun(x - e)) / (2.0 * h)
+            H[rows, cols[:, None]] = diff[rows]
     return 0.5 * (H + H.T)
 
 

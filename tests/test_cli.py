@@ -506,6 +506,37 @@ def test_run_needs_no_scipy(tmp_path):
         _GOLDEN_LEVELS
 
 
+def _refuse_parser():
+    raise AssertionError("main must reuse the parser built at import")
+
+
+def test_main_reuses_the_parser_built_at_import(tmp_path, monkeypatch):
+    # two runs in one process, with another verb parsed between them, write
+    # the same bytes apart from the measured time, so the shared parser
+    # carries nothing from one call into the next
+    monkeypatch.setattr(cli, "build_parser", _refuse_parser)
+    cpath = _write_config(tmp_path, _base_config(n_steps=3))
+    outs = []
+    for name in ("first", "second"):
+        monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path / name))
+        assert cli.main(["run", "--config", cpath]) == cli.EXIT_INCONCLUSIVE
+        assert cli.main(["oracle", "larmor", "--E", "1", "--B", "2"]) == \
+            cli.EXIT_OK
+        outs.append(tmp_path / name / "run_out")
+    first, second = outs
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(p.name for p in second.iterdir())
+    for name in names:
+        a, b = (first / name).read_text(), (second / name).read_text()
+        if name == "result.json":
+            a, b = json.loads(a), json.loads(b)
+            del a["timings"], b["timings"]
+        elif name == "summary.txt":
+            a, b = ([ln for ln in text.splitlines()
+                     if not ln.startswith("elapsed ")] for text in (a, b))
+        assert a == b, name
+
+
 def test_run_output_dir_override(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
     cpath = _write_config(tmp_path, _base_config(n_steps=3))

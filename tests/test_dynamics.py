@@ -325,13 +325,17 @@ def _reference_residual(spec, loop, E):
     return np.sqrt((rx * lam) * rx + (ry * lam) * ry)
 
 
-@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind.value)
-def test_trimmed_residual_equals_the_reference_kernel(spec):
+@pytest.mark.parametrize("n", [3, 20, 64])
+@pytest.mark.parametrize("spec", ALL_SPECS + [
+    GeometrySpec(GeometryKind.PLANE_CONSTANT_B, B=0.0),
+    GeometrySpec(GeometryKind.CONFORMAL_TORUS, a=2.0, k=3)],
+    ids=lambda s: f"{s.kind.value}-B{s.B}-a{s.a}-u{s.u_amp}")
+def test_trimmed_residual_equals_the_reference_kernel(spec, n):
     # a uniform loop (used as it is) and a wobbly one (resampled), winding
     # once in y through the last edge on a torus; max and mean of the same
-    # norms, the signs of zeros included
+    # norms, the signs of zeros included.  On the flat charts (u_amp = 0)
+    # the kernel skips the metric products and the Christoffel terms.
     rng = np.random.default_rng(41)
-    n = 20
     t = np.arange(n) / n
     w = np.zeros((n, 2), dtype=int)
     if spec.is_torus:
@@ -343,6 +347,7 @@ def test_trimmed_residual_equals_the_reference_kernel(spec):
         wobble = base * (1.0 + 0.1 * np.cos(3.0 * np.pi * t))[:, None]
     for verts in (base, wobble + 0.01 * rng.standard_normal((n, 2))):
         loop = Loop(verts, w)
+        assert (speed_cv(spec, loop) > 1e-9) == (verts is not base)
         for E in (0.7, 2.0):
             rep = el_residual_SE(spec, loop, E)
             norms = _reference_residual(spec, loop, E)

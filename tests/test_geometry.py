@@ -15,7 +15,8 @@ from magloop import (ChartPoint, GeometryKind, GeometrySpec, Loop,
 from magloop.action import ActionParams, grad_action, values
 from magloop.dynamics import _flow_linear, _norm_sq, _rk4_jacobian
 from magloop.errors import ConfigError
-from magloop.geometry import _build_step, conformal_exponent, field_curvature
+from magloop.geometry import (TWO_PI, _build_step, _wrapped_x,
+                              conformal_exponent, field_curvature)
 from magloop.loops import resample_arclength
 
 ALL_SPECS = [
@@ -166,6 +167,32 @@ def test_field_closed_forms():
         assert potential_eval(plane, p) == 2.5 * p.x
         assert abs(potential_eval(torus, p) - 1.5 * math.sin(
             2.0 * math.pi * 2 * (p.x % 1.0))) < 1e-12
+
+
+def _cosine_field(spec, p):
+    """field_strength as it was before a = 0 skipped its cosine."""
+    w = TWO_PI * spec.k
+    return spec.B + w * spec.a * np.cos(w * _wrapped_x(spec, p))
+
+
+@pytest.mark.parametrize("spec", [
+    GeometrySpec(GeometryKind.PLANE_CONSTANT_B, B=2.5),
+    GeometrySpec(GeometryKind.PLANE_CONSTANT_B, B=-0.75),
+    GeometrySpec(GeometryKind.PLANE_CONSTANT_B, B=0.0),
+    GeometrySpec(GeometryKind.FLAT_TORUS_SINE, a=0.0, k=2),
+    GeometrySpec(GeometryKind.CONFORMAL_TORUS, a=0.0, k=1, u_amp=0.3),
+], ids=["plane", "plane_negative", "plane_zero", "flat_torus",
+        "conformal_torus"])
+def test_zero_amplitude_field_keeps_the_cosine_formula_bits(spec):
+    # random x in [-2, 2] give the cosine both signs, so the dropped term
+    # is +0.0 and -0.0 in turn; one point (shape ()) and a stack (N,)
+    pts = np.random.default_rng(31).uniform(-2.0, 2.0, size=(40, 2))
+    for p in [ChartPoint(*pts[0]), ChartPoint(-0.4, 1.0), pts, pts[:1]]:
+        got, want = field_strength(spec, p), _cosine_field(spec, p)
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(np.asarray(got).view(np.int64),
+                              np.asarray(want).view(np.int64))
 
 
 def test_fields_read_parameters_not_kinds():

@@ -20,7 +20,9 @@ from magloop.action import (ActionParams, grad_action, grad_norm, row_values,
 from magloop.errors import NoNegativeLoopFound
 from magloop.loops import interpolate
 from magloop.minimax import (_PLATEAU_SWEEPS, _bounded_min, _descend,
-                             _reinterp_row, _saddle_refine, _segment_polish)
+                             _fd_hessian, _reinterp_row, _saddle_refine,
+                             _segment_polish)
+from test_geometry import ALL_SPECS
 
 PLANE = GeometrySpec(GeometryKind.PLANE_CONSTANT_B, B=1.0)
 PLANE_B2 = GeometrySpec(GeometryKind.PLANE_CONSTANT_B, B=2.0)
@@ -502,6 +504,48 @@ def test_saddle_refine_stops_at_grad_tol(monkeypatch):
                               DescentSettings(grad_tol=2.0 * g))
     assert np.array_equal(loop.vertices, res.argmax.vertices)
     assert gn == pytest.approx(g, rel=1e-12)
+
+
+def _dense_fd_hessian(gfun, x, h):
+    """_fd_hessian as it was before its columns were coloured: one central
+    difference per coordinate, the reference the coloured Hessian must
+    equal bit for bit."""
+    dim = x.size
+    H = np.empty((dim, dim))
+    for i in range(dim):
+        e = np.zeros(dim)
+        e[i] = h
+        H[:, i] = (gfun(x + e) - gfun(x - e)) / (2.0 * h)
+    return 0.5 * (H + H.T)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 7, 48, 50])
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind.value)
+def test_coloured_hessian_equals_the_dense_one(spec, n):
+    # a lumpy loop, winding once in y through its last edge on a torus, at
+    # the refine's step h; the off-band zeros and the signs of zeros count
+    rng = np.random.default_rng(n)
+    t = np.arange(n) / n
+    w = np.zeros((n, 2), dtype=int)
+    if spec.is_torus:
+        w[-1] = (0, 1)
+        verts = np.stack([0.3 + 0.1 * np.sin(2.0 * np.pi * t), t], axis=1)
+    else:
+        verts = make_circle((0.2, -0.1), 0.9, -1, n).vertices
+    verts = verts + 0.01 * rng.standard_normal((n, 2))
+    params = ActionParams(E=0.7, eps=1e-2, tau=1e-2)
+    calls = []
+
+    def gfun(x):
+        calls.append(1)
+        return grad_action(spec, Loop(x.reshape(n, 2), w), params).ravel()
+
+    x = verts.ravel()
+    h = 1e-7 * (1.0 + float(np.ptp(verts, axis=0).max()))
+    got = _fd_hessian(gfun, x, h)
+    assert len(calls) <= 20
+    want = _dense_fd_hessian(gfun, x, h)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_plateau_counts_sweep_zero():
