@@ -24,7 +24,6 @@ from .geometry import (ChartPoint, GeometryKind, GeometrySpec, field_strength,
 from .loops import (Loop, LoopFamily, concat, length, load_loop_csv,
                     make_circle, make_point_loop, resample_arclength,
                     save_loop_csv, speed_cv, speeds)
-from .minimax import (DescentSettings, MinimaxResult, family_minimax,
-                      init_sweep_family)
+from .minimax import DescentSettings, MinimaxResult, init_sweep_family
 from .oracle import (OrbitCandidate, fd_gradient, larmor_orbit,
                      orbit_to_loop, shooting_periodic)

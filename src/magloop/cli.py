@@ -12,12 +12,14 @@ ConfigError, raised by the type or entry point that owns the check),
 3 Inconclusive, 4 NoNegativeLoopFound.
 No network access; all output lands under the experiment's output_dir.
 Relative output paths resolve under $MAGLOOP_OUTPUT_ROOT when that is set.
+json_fields writes every result's JSON, so no other module knows the format.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import enum
 import json
 import math
 import os
@@ -36,7 +38,7 @@ from .dynamics import FlowState, _norm_sq, integrate_flow, write_trajectory_csv
 from .errors import (ConfigError, NoNegativeLoopFound, _check_keys, _number,
                      _require)
 from .geometry import ChartPoint, GeometryKind, GeometrySpec
-from .loops import save_loop_csv
+from .loops import Loop, save_loop_csv
 from .minimax import DescentSettings, init_sweep_family
 from .oracle import (_check_loop_size, _state_gap, larmor_orbit,
                      orbit_to_loop, shooting_periodic)
@@ -64,6 +66,11 @@ MAX_STEPS = 1000
 # merge check and its candidate's), each one signature read off a search
 # that already ran and compared with those of the orbits kept
 MAX_SHOOT_SEEDS = 1000
+# every chart depends on x alone, so a start's y only translates the orbit:
+# flow starts at y = FLOW_Y0 and oracle shoot's seed box is centred at
+# y = SHOOT_Y0
+FLOW_Y0 = 0.0
+SHOOT_Y0 = 0.5
 
 
 @dataclasses.dataclass(frozen=True)
@@ -84,7 +91,7 @@ class ExperimentConfig:
 
     def to_json_dict(self) -> dict:
         return {
-            "geometry": self.geometry.to_json_dict(),
+            "geometry": json_fields(self.geometry),
             "E": self.E,
             "w_shape": self.w_shape,
             "discretization": {
@@ -210,11 +217,32 @@ def classification_exit_code(classification: Classification) -> int:
     raise TypeError(f"not a classification: {classification!r}")
 
 
+# the field types that json writes as they are (a bool is an int); tested
+# first, since they are most of the fields
+_JSON_LEAVES = (str, int, float, tuple)
+
+
+def json_fields(obj) -> dict:
+    """The JSON object of a result or spec dataclass, read off its fields:
+    a nested result becomes its own object, an enum its value, and a
+    classification also gets its ``case``.  A field holding a Loop or a
+    FlowState is left out; loops are written as CSV beside the JSON."""
+    out = {"case": obj.case} if isinstance(obj, Classification) else {}
+    for key, val in vars(obj).items():
+        if isinstance(val, _JSON_LEAVES):
+            out[key] = val
+        elif isinstance(val, enum.Enum):
+            out[key] = val.value
+        elif not isinstance(val, (Loop, FlowState)):
+            out[key] = json_fields(val)
+    return out
+
+
 def _json_dump(path: Path, obj):
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def run_experiment(config: ExperimentConfig, verbose: bool = False) -> int:
+def run_experiment(config: ExperimentConfig) -> int:
     """Execute one continuation experiment; writes result.json, summary.txt,
     and step_<n>.csv loops under output_dir.  Returns the process exit code.
     """
@@ -239,7 +267,7 @@ def run_experiment(config: ExperimentConfig, verbose: bool = False) -> int:
     for rec in records:
         name = f"step_{rec.step}.csv"
         save_loop_csv(out / name, rec.loop, torus=config.geometry.is_torus)
-        entry = rec.to_json_dict()
+        entry = json_fields(rec)
         entry["loop_csv"] = name
         rec_objs.append(entry)
 
@@ -253,7 +281,7 @@ def run_experiment(config: ExperimentConfig, verbose: bool = False) -> int:
         "c_ref": c_ref if math.isfinite(c_ref) else None,
         "beta": BETA_FRAC * c_ref if 0.0 < c_ref < math.inf else None,
         "records": rec_objs,
-        "classification": classification.to_json_dict(),
+        "classification": json_fields(classification),
         "timings": {"total_s": elapsed},
     }
     _json_dump(out / "result.json", result)
@@ -273,8 +301,6 @@ def run_experiment(config: ExperimentConfig, verbose: bool = False) -> int:
             f"level={rec.level!r} l={rec.l!r} nu={rec.nu:.6g} "
             f"residual={rec.residual.max_res:.3e} stop={rec.minimax.stop}")
     (out / "summary.txt").write_text("\n".join(lines) + "\n")
-    if verbose:
-        print("\n".join(lines))
     code = classification_exit_code(classification)
     print(f"{classification.case}: level trail "
           f"{[round(r.level, 6) for r in records]} -> exit {code}")
@@ -285,7 +311,7 @@ def _cmd_run(args) -> int:
     config = load_config(args.config)
     if args.output_dir:
         config = dataclasses.replace(config, output_dir=args.output_dir)
-    return run_experiment(config, verbose=args.verbose)
+    return run_experiment(config)
 
 
 def _geometry_from_args(args) -> GeometrySpec:
@@ -299,7 +325,7 @@ def _cmd_flow(args) -> int:
         raise ConfigError("speed must be finite and positive")
     if not math.isfinite(args.angle):
         raise ConfigError("angle must be finite")
-    p = ChartPoint(args.x0, args.y0)
+    p = ChartPoint(args.x0, FLOW_Y0)
     direction = np.array([math.cos(args.angle), math.sin(args.angle)])
     v = args.speed * (direction / math.sqrt(_norm_sq(spec, p, direction)))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -330,7 +356,7 @@ def _cmd_oracle(args) -> int:
         seeds = []
         for _ in range(args.seeds):
             p = ChartPoint(float(rng.uniform(-0.2, 0.2)) + args.x0,
-                           float(rng.uniform(-0.2, 0.2)) + args.y0)
+                           float(rng.uniform(-0.2, 0.2)) + SHOOT_Y0)
             ang = float(rng.uniform(0.0, 2.0 * math.pi))
             seeds.append(FlowState(p, np.array([math.cos(ang),
                                                 math.sin(ang)])))
@@ -343,7 +369,7 @@ def _cmd_oracle(args) -> int:
             loop = orbit_to_loop(spec, cand, args.n)
             name = f"orbit_{i}.csv"
             save_loop_csv(out / name, loop, torus=spec.is_torus)
-            entry = cand.to_json_dict()
+            entry = json_fields(cand)
             entry["loop_csv"] = name
             payload.append(entry)
         _json_dump(out / "orbits.json", payload)
@@ -365,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="magloop",
         description="Variational solver for periodic magnetic geodesics")
-    parser.add_argument("--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="full continuation experiment")
@@ -375,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_flow = sub.add_parser("flow", help="integrate the Lorentz flow")
     _add_geometry_args(p_flow)
     p_flow.add_argument("--x0", type=float, default=0.0)
-    p_flow.add_argument("--y0", type=float, default=0.0)
     p_flow.add_argument("--angle", type=float, default=0.0)
     p_flow.add_argument("--speed", type=float, required=True)
     p_flow.add_argument("--T", type=float, required=True)
@@ -391,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_geometry_args(o_sh)
     o_sh.add_argument("--E-mech", dest="E_mech", type=float, required=True)
     o_sh.add_argument("--x0", type=float, default=0.0)
-    o_sh.add_argument("--y0", type=float, default=0.5)
     o_sh.add_argument("--seeds", type=int, default=5)
     o_sh.add_argument("--seed", type=int, default=0)
     o_sh.add_argument("--period-cap", dest="period_cap", type=float,

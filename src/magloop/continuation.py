@@ -98,20 +98,6 @@ class ContinuationRecord:
     residual: ResidualReport
     minimax: MinimaxResult
 
-    def to_json_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "eps": self.eps,
-            "tau": self.tau,
-            "level": self.level,
-            "l": self.l,
-            "nu": self.nu,
-            "E_lin": self.E_lin,
-            "E_exact": self.E_exact,
-            "residual": self.residual.to_json_dict(),
-            "minimax": self.minimax.to_json_dict(),
-        }
-
 
 @dataclass(frozen=True)
 class ConvergedExtremal:
@@ -121,9 +107,6 @@ class ConvergedExtremal:
     residual: ResidualReport
 
     case = "ConvergedExtremal"
-
-    def to_json_dict(self) -> dict:
-        return {"case": self.case, "residual": self.residual.to_json_dict()}
 
 
 @dataclass(frozen=True)
@@ -136,13 +119,6 @@ class DivergingLengths:
 
     case = "DivergingLengths"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "case": self.case,
-            "ladder_lin": list(self.ladder_lin),
-            "ladder_exact": list(self.ladder_exact),
-        }
-
 
 @dataclass(frozen=True)
 class Inconclusive:
@@ -151,9 +127,6 @@ class Inconclusive:
     reason: str
 
     case = "Inconclusive"
-
-    def to_json_dict(self) -> dict:
-        return {"case": self.case, "reason": self.reason}
 
 
 Classification = ConvergedExtremal | DivergingLengths | Inconclusive

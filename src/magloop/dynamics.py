@@ -208,13 +208,6 @@ class ResidualReport:
     mean_res: float
     speed_cv: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "max_res": self.max_res,
-            "mean_res": self.mean_res,
-            "speed_cv": self.speed_cv,
-        }
-
 
 def _central_derivatives(loop: Loop):
     d = loop.displacements()

@@ -109,15 +109,6 @@ class GeometrySpec:
         """True when u_amp = 0, so the metric is the Euclidean delta."""
         return self.u_amp == 0.0
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "B": float(self.B),
-            "a": float(self.a),
-            "k": int(self.k),
-            "u_amp": float(self.u_amp),
-        }
-
     @classmethod
     def from_json_dict(cls, obj: dict) -> "GeometrySpec":
         """Build a spec from a JSON object.

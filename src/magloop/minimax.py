@@ -64,8 +64,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .action import (ActionParams, action_S, action_S_eps_tau, grad_action,
-                     grad_norm, row_values, values)
+from .action import (action_S, action_S_eps_tau, grad_action, grad_norm,
+                     row_values, values)
 from .errors import ConfigError, NoNegativeLoopFound
 from .geometry import GeometrySpec, field_strength
 from .loops import Loop, LoopFamily, interpolate, make_circle, make_point_loop, rms_distance
@@ -108,15 +108,6 @@ class MinimaxResult:
     history: tuple
     converged: bool
     stop: str = "max_iters"  # "critical", "plateau" or "max_iters"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "converged": self.converged,
-            "grad_norm": self.grad_norm,
-            "history": [[int(i), float(v)] for i, v in self.history],
-            "stop": self.stop,
-        }
 
 
 def _descend(spec, loop, params, settings, budget, val):
@@ -468,15 +459,6 @@ def _engine(spec, rows, params, settings):
                                          and 0 < i0 < m - 1),
                           stop=stop),
             rows)
-
-
-def family_minimax(spec: GeometrySpec, family: LoopFamily,
-                   params: ActionParams,
-                   settings: DescentSettings) -> MinimaxResult:
-    """Minimax estimate of the S_{eps,tau} level over a path or cylinder
-    family."""
-    result, _ = _engine(spec, family.rows, params, settings)
-    return result
 
 
 def _circle_row(center, radii, orientation, n):

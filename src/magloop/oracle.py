@@ -82,14 +82,6 @@ class OrbitCandidate:
     energy_mech: float
     energy_match: float  # S_E convention: square of the traversal speed
 
-    def to_json_dict(self) -> dict:
-        return {
-            "period": self.period,
-            "closure_residual": self.closure_residual,
-            "energy_mech": self.energy_mech,
-            "energy_match": self.energy_match,
-        }
-
 
 def _normalize_state(spec, state, E_mech):
     """Packed row (x, y, vx, vy) of a seed state rescaled to energy E_mech."""

@@ -11,9 +11,10 @@ from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from magloop import (ChartPoint, DescentSettings, FlowState, GeometryKind,
-                     GeometrySpec, Schedule, continuation_run, family_minimax,
+                     GeometrySpec, Schedule, continuation_run,
                      init_sweep_family, shooting_periodic)
 from magloop.action import ActionParams
+from magloop.minimax import _engine
 
 # Property tests draw the same examples on every run and keep no example
 # database, so results are reproducible.  Hypothesis still caches the
@@ -103,7 +104,7 @@ def torus_cross(criterion10_seeds):
     t0 = time.perf_counter()
     family = init_sweep_family(spec, E, "cylinder", 33, 128)
     params = ActionParams(E=E, eps=1e-3, tau=0.0)
-    result = family_minimax(spec, family, params, DescentSettings())
+    result = _engine(spec, family.rows, params, DescentSettings())[0]
     candidates = shooting_periodic(spec, E / 2.0, criterion10_seeds,
                                    period_cap=0.6, tol=1e-8, dt=1e-3)
     elapsed = time.perf_counter() - t0

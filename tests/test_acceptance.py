@@ -15,12 +15,12 @@ import pytest
 from magloop import (ChartPoint, ConvergedExtremal, DivergingLengths,
                      FlowState, GeometryKind, GeometrySpec, Loop, action_S,
                      action_S_eps_tau, cli, concat, el_residual_SE,
-                     family_minimax, grad_action, init_sweep_family,
-                     integrate_flow, kinetic_energy, length, make_circle,
-                     orbit_to_loop, resample_arclength, speed_cv, speeds)
+                     grad_action, init_sweep_family, integrate_flow,
+                     kinetic_energy, length, make_circle, orbit_to_loop,
+                     resample_arclength, speed_cv, speeds)
 from magloop.action import ActionParams
 from magloop.continuation import classify_outcome
-from magloop.minimax import DescentSettings
+from magloop.minimax import DescentSettings, _engine
 from magloop.oracle import fd_gradient, larmor_orbit
 
 from test_continuation import _record
@@ -170,8 +170,8 @@ def test_criterion_06_level_monotonicity(acc_log):
     for eps in (1e-3, 3e-3, 1e-2):
         for tau in (0.0, 1e-2):
             params = ActionParams(E=1.0, eps=eps, tau=tau)
-            grid[(eps, tau)] = family_minimax(spec, fam, params,
-                                              DescentSettings()).level
+            grid[(eps, tau)] = _engine(spec, fam.rows, params,
+                                       DescentSettings())[0].level
     worst = -math.inf
     for (e1, t1), v1 in grid.items():
         for (e2, t2), v2 in grid.items():

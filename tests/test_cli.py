@@ -20,7 +20,7 @@ from magloop.dynamics import MAX_RETURN_STEPS, ResidualReport
 from magloop.errors import ConfigError
 from magloop.geometry import GeometryKind, GeometrySpec
 from magloop.loops import load_loop_csv, make_circle
-from magloop.minimax import family_minimax, init_sweep_family
+from magloop.minimax import _engine, init_sweep_family
 
 
 def _base_config(n_steps=7, output_dir="run_out"):
@@ -51,7 +51,7 @@ def _single_solve(cfg):
                                m_p=config.m_p)
     params = ActionParams(E=config.E, eps=config.schedule.eps0,
                           tau=config.schedule.tau0, delta=config.delta)
-    return family_minimax(config.geometry, family, params, config.solver)
+    return _engine(config.geometry, family.rows, params, config.solver)[0]
 
 
 def test_config_round_trip():
@@ -176,6 +176,30 @@ def test_config_rejects_non_finite_numbers(key, value, tmp_path, monkeypatch,
         cli.EXIT_CONFIG
     assert f"config.{key}: must be finite" in capsys.readouterr().err
     assert not (tmp_path / "run_out").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("discretization.n_vertices", 2),
+    ("discretization.family_size", 2),
+    ("discretization.m_p", 0),
+    ("seed", -1),
+    ("output_dir", ""),
+    ("output_dir", 5),
+])
+def test_config_bounds_are_refused_at_parse_time(key, value, tmp_path,
+                                                 monkeypatch, capsys):
+    # an empty output_dir would resolve to the output root itself, so no
+    # directory at all may appear under it
+    root = tmp_path / "root"
+    monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(root))
+    cfg = _base_config(n_steps=3)
+    *section, name = key.split(".")
+    (cfg[section[0]] if section else cfg)[name] = value
+    assert cli.main(["run", "--config", _write_config(tmp_path, cfg)]) == \
+        cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"config.{key}: " in captured.err
+    assert not root.exists()
 
 
 @pytest.mark.parametrize("key, value", [("k", 2.9), ("k", 1.5), ("B", True),
@@ -598,6 +622,9 @@ def test_oracle_shoot_writes_the_orbits(tmp_path, monkeypatch, capsys):
     orbits = json.loads((out / "orbits.json").read_text())
     assert printed["n_candidates"] == len(orbits) >= 1
     for entry in orbits:
+        # the launch state is not written; the loop is the CSV beside it
+        assert set(entry) == {"period", "closure_residual", "energy_mech",
+                              "energy_match", "loop_csv"}
         assert abs(entry["period"] - 0.3335187507) <= 1e-6 * 0.3335187507
         loop = load_loop_csv(out / entry["loop_csv"])
         assert loop.n == 256  # the default of --n
@@ -791,6 +818,23 @@ def test_removed_verbs_are_refused_by_the_parser(argv, tmp_path, monkeypatch,
         cli.main(argv)
     assert info.value.code == 2
     assert capsys.readouterr().out == ""
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["--verbose", "oracle", "larmor", "--E", "1", "--B", "1"],
+    ["flow", "--speed", "1", "--T", "1", "--y0", "0.5"],
+    ["oracle", "shoot", "--E-mech", "1", "--y0", "0.5"],
+], ids=["verbose", "flow_y0", "shoot_y0"])
+def test_removed_flags_are_refused_by_the_parser(argv, tmp_path, monkeypatch,
+                                                 capsys):
+    monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments" in captured.err
     assert os.listdir(tmp_path) == []
 
 

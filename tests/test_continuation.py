@@ -9,7 +9,7 @@ from magloop import (ContinuationRecord, ConvergedExtremal, DescentSettings,
                      Inconclusive, MinimaxResult, Schedule, classify_outcome,
                      continuation_run, implied_energy, init_sweep_family,
                      make_circle)
-from magloop import continuation
+from magloop import cli, continuation
 from magloop.dynamics import ResidualReport
 
 
@@ -89,9 +89,9 @@ def test_classify_diverging_pattern_with_exact_ladder():
     assert out.ladder_exact == tuple(E * (1.0 + 2.0 * e * l) ** 2
                                      for e, l in zip(eps, ls))
     assert out.case == "DivergingLengths"
-    assert out.to_json_dict() == {"case": "DivergingLengths",
-                                  "ladder_lin": list(out.ladder_lin),
-                                  "ladder_exact": list(out.ladder_exact)}
+    assert cli.json_fields(out) == {"case": "DivergingLengths",
+                                    "ladder_lin": out.ladder_lin,
+                                    "ladder_exact": out.ladder_exact}
 
 
 def test_classify_inconclusive_patterns():
@@ -116,11 +116,21 @@ def test_classify_inconclusive_patterns():
 
 def test_classification_json_shapes():
     recs = [_record(i, 1e-2, 6.29, 0.5) for i in range(3)]
-    obj = classify_outcome(recs).to_json_dict()
-    assert obj["case"] == "Inconclusive" and "reason" in obj
-    rec_obj = recs[0].to_json_dict()
+    out = classify_outcome(recs)
+    assert cli.json_fields(out) == {"case": "Inconclusive",
+                                    "reason": out.reason}
+    # the loops are written as CSV, never into the JSON
+    converged = ConvergedExtremal(recs[-1].loop, recs[-1].residual)
+    assert cli.json_fields(converged) == {
+        "case": "ConvergedExtremal",
+        "residual": {"max_res": 0.5, "mean_res": 0.5, "speed_cv": 1e-9}}
+    rec_obj = cli.json_fields(recs[0])
     assert set(rec_obj) == {"step", "eps", "tau", "level", "l", "nu",
                             "E_lin", "E_exact", "residual", "minimax"}
+    assert set(rec_obj["residual"]) == {"max_res", "mean_res", "speed_cv"}
+    assert rec_obj["minimax"] == {"level": 1.0, "grad_norm": 1e-9,
+                                  "history": ((0, 1.0),), "converged": True,
+                                  "stop": "max_iters"}
 
 
 def test_benchmark_run_classifies_converged(plane_bench):

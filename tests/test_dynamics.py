@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from magloop import (ChartPoint, FlowState, GeometryKind, GeometrySpec, Loop,
                      el_residual_SE, integrate_flow,
                      kinetic_energy, make_circle)
-from magloop import oracle
+from magloop import cli, oracle
 from magloop.action import ActionParams, action_S, grad_action, grad_norm
 from magloop.dynamics import (_central_derivatives, _flow_linear, _norm_sq,
                               _rhs, _rk4_jacobian, write_trajectory_csv)
@@ -401,7 +401,7 @@ def test_norm_sq_equals_the_tensor_contraction(p, v, spec):
 def test_residual_report_json_keys():
     loop = make_circle((0.0, 0.0), 1.0, -1, 64)
     rep = el_residual_SE(PLANE, loop, 1.0)
-    obj = rep.to_json_dict()
+    obj = cli.json_fields(rep)
     assert set(obj) == {"max_res", "mean_res", "speed_cv"}
     assert all(isinstance(v, float) for v in obj.values())
 

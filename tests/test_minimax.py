@@ -12,16 +12,16 @@ from hypothesis.extra.numpy import arrays
 
 from magloop import (DescentSettings, GeometryKind, GeometrySpec, Loop,
                      Schedule, action_S, action_S_eps_tau, continuation_run,
-                     family_minimax, init_sweep_family, length, make_circle,
-                     make_point_loop, speed_cv)
+                     init_sweep_family, length, make_circle, make_point_loop,
+                     speed_cv)
 from magloop import cli, minimax
 from magloop.action import (ActionParams, grad_action, grad_norm, row_values,
                             values)
 from magloop.errors import NoNegativeLoopFound
 from magloop.loops import interpolate
 from magloop.minimax import (_PLATEAU_SWEEPS, _bounded_min, _descend,
-                             _fd_hessian, _reinterp_row, _saddle_refine,
-                             _segment_polish)
+                             _engine, _fd_hessian, _reinterp_row,
+                             _saddle_refine, _segment_polish)
 from test_geometry import ALL_SPECS
 
 PLANE = GeometrySpec(GeometryKind.PLANE_CONSTANT_B, B=1.0)
@@ -348,7 +348,7 @@ def test_mountain_pass_level_matches_circle_scan():
     # must match a dense 1-D scan over circle radii
     params = ActionParams(E=1.0, eps=1e-2, tau=1e-2)
     fam = init_sweep_family(PLANE, 1.0, "path", 33, 128)
-    res = family_minimax(PLANE, fam, params, DescentSettings())
+    res = _engine(PLANE, fam.rows, params, DescentSettings())[0]
     assert res.converged
     rs = np.linspace(0.5, 2.0, 4001)
     scan = max(action_S_eps_tau(PLANE, make_circle((0.0, 0.0), float(r),
@@ -366,7 +366,7 @@ def test_mountain_pass_argmax_radius_law():
     expect = 1.0 / (math.cos(math.pi / n)
                     - 4.0 * eps * n * math.sin(math.pi / n))
     fam = init_sweep_family(PLANE, 1.0, "path", 33, n)
-    res = family_minimax(PLANE, fam, params, DescentSettings())
+    res = _engine(PLANE, fam.rows, params, DescentSettings())[0]
     ctr = res.argmax.vertices.mean(axis=0)
     rr = np.linalg.norm(res.argmax.vertices - ctr, axis=1)
     assert res.converged
@@ -384,13 +384,13 @@ def test_mountain_pass_argmax_radius_law():
 def test_history_monotone_and_level_is_argmax_value(spec, E, M, n):
     params = ActionParams(E=E, eps=1e-2, tau=1e-2)
     fam = init_sweep_family(spec, E, "path", M, n)
-    res = family_minimax(spec, fam, params, DescentSettings())
+    res = _engine(spec, fam.rows, params, DescentSettings())[0]
     hist = [v for _, v in res.history]
     assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
     assert hist[-1] == res.level
     assert abs(action_S_eps_tau(spec, res.argmax, params)
                - res.level) < 1e-9 * abs(res.level)
-    obj = res.to_json_dict()
+    obj = cli.json_fields(res)
     assert set(obj) == {"level", "converged", "grad_norm", "history", "stop"}
 
 
@@ -413,7 +413,7 @@ def test_argmax_morse_index_is_within_the_family_dimension(eps):
     # index at most 1; the plane argmax has exactly one descent direction
     params = ActionParams(E=1.0, eps=eps, tau=0.0)
     fam = init_sweep_family(PLANE, 1.0, "path", 33, 64)
-    res = family_minimax(PLANE, fam, params, DescentSettings())
+    res = _engine(PLANE, fam.rows, params, DescentSettings())[0]
     lam = np.linalg.eigvalsh(_central_hessian(PLANE, res.argmax, params))
     assert np.sum(lam < -1e-6 * np.abs(lam).max()) == 1
 
@@ -421,8 +421,8 @@ def test_argmax_morse_index_is_within_the_family_dimension(eps):
 def test_mountain_pass_deterministic():
     params = ActionParams(E=1.0, eps=1e-2, tau=1e-2)
     fam = init_sweep_family(PLANE, 1.0, "path", 17, 48)
-    a = family_minimax(PLANE, fam, params, DescentSettings())
-    b = family_minimax(PLANE, fam, params, DescentSettings())
+    a = _engine(PLANE, fam.rows, params, DescentSettings())[0]
+    b = _engine(PLANE, fam.rows, params, DescentSettings())[0]
     assert a.level == b.level
     assert np.array_equal(a.argmax.vertices, b.argmax.vertices)
     assert a.history == b.history
@@ -439,7 +439,7 @@ def test_relaxation_lowers_the_level_of_a_poor_family():
                            - terminal.vertices.mean(axis=0), axis=1)
     assert radii.std() > 0.1 * radii.mean()  # a rectangle, not a circle
     params = ActionParams(E=0.05, eps=1e-2, tau=1e-2)
-    res = family_minimax(spec, fam, params, DescentSettings())
+    res = _engine(spec, fam.rows, params, DescentSettings())[0]
     assert res.converged
     assert res.level < 0.6 * res.history[0][1]
     assert res.stop == "plateau" and len(res.history) > 2
@@ -455,7 +455,8 @@ def test_sweep_cap_stops_with_max_iters(monkeypatch):
     refine = minimax._saddle_refine
     monkeypatch.setattr(minimax, "_saddle_refine",
                         lambda *args: refines.append(1) or refine(*args))
-    res = family_minimax(spec, fam, params, DescentSettings(max_iters=3))
+    res = _engine(spec, fam.rows, params,
+                  DescentSettings(max_iters=3))[0]
     assert res.stop == "max_iters"
     assert [i for i, _ in res.history] == [0, 1, 2, 3]
     levels = [v for _, v in res.history]
@@ -470,12 +471,12 @@ def test_sweep_stops_once_the_family_maximum_is_critical():
     params = ActionParams(E=1.0, eps=1e-2, tau=1e-2)
     settings = DescentSettings()
     fam = init_sweep_family(PLANE, 1.0, "path", 33, 64)
-    res = family_minimax(PLANE, fam, params, settings)
+    res = _engine(PLANE, fam.rows, params, settings)[0]
     assert res.stop == "critical"
     assert len(res.history) == 2
     assert grad_norm(grad_action(PLANE, res.argmax, params)) <= \
         settings.grad_tol
-    assert res.to_json_dict()["stop"] == "critical"
+    assert cli.json_fields(res)["stop"] == "critical"
 
 
 def _no_call(*args, **kwargs):
@@ -486,7 +487,7 @@ def test_certified_argmax_skips_the_saddle_refine(monkeypatch):
     params = ActionParams(E=1.0, eps=1e-2, tau=1e-2)
     fam = init_sweep_family(PLANE, 1.0, "path", 33, 64)
     monkeypatch.setattr(minimax, "_saddle_refine", _no_call)
-    res = family_minimax(PLANE, fam, params, DescentSettings())
+    res = _engine(PLANE, fam.rows, params, DescentSettings())[0]
     assert res.stop == "critical" and res.converged
     assert res.grad_norm == grad_norm(grad_action(PLANE, res.argmax, params))
 
@@ -496,7 +497,7 @@ def test_saddle_refine_stops_at_grad_tol(monkeypatch):
     # norm g lies in (0.1 tol, tol] takes no Newton step
     params = ActionParams(E=1.0, eps=1e-2, tau=1e-2)
     fam = init_sweep_family(PLANE, 1.0, "path", 33, 64)
-    res = family_minimax(PLANE, fam, params, DescentSettings())
+    res = _engine(PLANE, fam.rows, params, DescentSettings())[0]
     g = res.grad_norm
     assert g > 0.0
     monkeypatch.setattr(minimax, "_fd_hessian", _no_call)
@@ -555,7 +556,8 @@ def test_plateau_counts_sweep_zero():
     # sweeps counted from sweep 0; the last history entry is the refinement's
     params = ActionParams(E=1.0, eps=1e-2, tau=1e-2)
     fam = init_sweep_family(PLANE, 1.0, "path", 9, 48)
-    res = family_minimax(PLANE, fam, params, DescentSettings(grad_tol=1e-11))
+    res = _engine(PLANE, fam.rows, params,
+                  DescentSettings(grad_tol=1e-11))[0]
     assert res.stop == "plateau"
     assert len(res.history) == _PLATEAU_SWEEPS + 1
 
