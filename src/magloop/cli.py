@@ -200,6 +200,8 @@ def load_config(path) -> ExperimentConfig:
 
 
 def resolve_output_dir(path_str: str) -> Path:
+    if not path_str:  # the output root (or the cwd) itself
+        raise ConfigError("the output directory must be a nonempty path")
     path = Path(path_str)
     if not path.is_absolute():
         root = os.environ.get(OUTPUT_ROOT_ENV)
@@ -309,7 +311,7 @@ def run_experiment(config: ExperimentConfig) -> int:
 
 def _cmd_run(args) -> int:
     config = load_config(args.config)
-    if args.output_dir:
+    if args.output_dir is not None:
         config = dataclasses.replace(config, output_dir=args.output_dir)
     return run_experiment(config)
 
@@ -331,8 +333,8 @@ def _cmd_flow(args) -> int:
     with np.errstate(over="ignore", invalid="ignore"):
         if not math.isfinite(_norm_sq(spec, p, v)):
             raise ConfigError("launch kinetic energy is not finite")
-    traj = integrate_flow(spec, FlowState(p, v), args.T, args.steps)
     out = resolve_output_dir(args.output_dir)
+    traj = integrate_flow(spec, FlowState(p, v), args.T, args.steps)
     out.mkdir(parents=True, exist_ok=True)
     energies = write_trajectory_csv(out / "trajectory.csv", spec, traj,
                                     args.T)
@@ -352,6 +354,9 @@ def _cmd_oracle(args) -> int:
         _check_loop_size(args.n)
         if not 1 <= args.seeds <= MAX_SHOOT_SEEDS:
             raise ConfigError(f"shoot needs --seeds in [1, {MAX_SHOOT_SEEDS}]")
+        if args.seed < 0:
+            raise ConfigError("shoot needs a nonnegative --seed")
+        out = resolve_output_dir(args.output_dir)
         rng = np.random.default_rng(args.seed)
         seeds = []
         for _ in range(args.seeds):
@@ -362,7 +367,6 @@ def _cmd_oracle(args) -> int:
                                                 math.sin(ang)])))
         cands = shooting_periodic(spec, args.E_mech, seeds, args.period_cap,
                                   args.tol, dt=args.dt)
-        out = resolve_output_dir(args.output_dir)
         out.mkdir(parents=True, exist_ok=True)
         payload = []
         for i, cand in enumerate(cands):

@@ -20,13 +20,14 @@ sweep
    runs only on a segment whose one-sided slope at the argmax is not
    strictly negative (a downhill segment's search never beat the argmax
    value),
-2. stops if the polished family is the best recorded one, its maximum is
-   an interior loop (not the one-point loop, whose zero gradient certifies
-   nothing) and the gradient norm there is at most ``grad_tol``: its top is
+2. stops after any sweep but the first whose level is not strictly below
+   the best recorded one (the refine below takes it from there),
+3. otherwise records the family as the best one, and stops if its maximum
+   is an interior loop (not the one-point loop, whose zero gradient
+   certifies nothing) with gradient norm at most ``grad_tol``: its top is
    then already a critical point, which the sweep below would only move off
    (the convergence test of the climbing image in CI-NEB, Henkelman,
    Uberuaga & Jonsson 2000),
-3. stops once the level has not improved for a plateau of sweeps,
 4. otherwise relaxes every interior loop by two monotone backtracking
    descent steps, the first trying ``_STEP0``, and re-interpolates each
    string to equal spacing (the reparametrization step of the string
@@ -34,7 +35,7 @@ sweep
    exceeds the current family maximum.
 
 The best recorded family is then adopted.  Unless the sweeps stopped on
-the gradient certificate of item 2, its argmax is finished down to the same
+the gradient certificate of item 3, its argmax is finished down to the same
 ``grad_tol`` by a Newton refinement using a finite-difference Hessian of
 the analytic gradient, accepted only while the gradient norm decreases and
 the value does not rise above the recorded level.  The result records why
@@ -70,8 +71,6 @@ from .errors import ConfigError, NoNegativeLoopFound
 from .geometry import GeometrySpec, field_strength
 from .loops import Loop, LoopFamily, interpolate, make_circle, make_point_loop, rms_distance
 
-_IMPROVE_RTOL = 1e-9
-_PLATEAU_SWEEPS = 6
 _INNER_DESCENT = 2
 _GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
 _SQRT_EPS = math.sqrt(2.2e-16)
@@ -398,38 +397,30 @@ def _engine(spec, rows, params, settings):
 
     history = []
     best_level = math.inf
-    stall = 0
-    k = 0
     stop = "max_iters"
     for k in range(settings.max_iters):
         r0, i0, _ = _argmax_rows(vals)
         ploop, pval = _segment_polish(spec, rows[r0], i0, params,
                                       vals[r0][i0])
         tgt = min(max(i0, 1), m - 2)
-        if pval >= vals[r0][tgt]:
-            rows[r0][tgt] = ploop
-            vals[r0][tgt] = pval
+        rows[r0][tgt], vals[r0][tgt] = ploop, pval
         r1, i1, level_now = _argmax_rows(vals)
 
-        # sweep 0 has no earlier level to improve on and counts toward the
-        # plateau like a sweep that failed to improve
-        improved = k > 0 and level_now < best_level - _IMPROVE_RTOL * max(
-            1.0, abs(best_level))
-        if level_now <= best_level:
-            best_level = level_now
-            best_rows = [list(r) for r in rows]
-            best_vals = [list(v) for v in vals]
-        stall = 0 if improved else stall + 1
+        # a sweep that does not lower the level ends the sweeps
+        if k > 0 and not level_now < best_level:
+            history.append((k, best_level))
+            stop = "plateau"
+            break
+        best_level = level_now
+        best_rows = [list(r) for r in rows]
+        best_vals = [list(v) for v in vals]
         history.append((k, best_level))
         # a critical maximum of the best family: a sweep would only move it off
-        if level_now == best_level and 0 < i1 < m - 1:
+        if 0 < i1 < m - 1:
             gn = grad_norm(grad_action(spec, rows[r1][i1], params))
             if gn <= settings.grad_tol:
                 stop = "critical"
                 break
-        if stall >= _PLATEAU_SWEEPS:
-            stop = "plateau"
-            break
 
         for row, rvals in zip(rows, vals):
             for i in range(1, m - 1):

@@ -570,6 +570,26 @@ def test_run_output_dir_override(tmp_path, monkeypatch):
     assert not (tmp_path / "run_out").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--config", "CONFIG"],
+    ["flow", "--speed", "1", "--T", "1", "--steps", "10"],
+    ["oracle", "shoot", "--E-mech", "0.5", "--B", "1", "--seeds", "1"],
+], ids=["run", "flow", "shoot"])
+def test_empty_output_dir_is_refused(argv, tmp_path, monkeypatch, capsys):
+    # "" would resolve to the output root itself (or the cwd without one),
+    # as the config key's check says; every verb refuses it before its work
+    root = tmp_path / "root"
+    monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(root))
+    monkeypatch.chdir(tmp_path)
+    cpath = _write_config(tmp_path, _base_config(n_steps=3))
+    argv = [cpath if a == "CONFIG" else a for a in argv]
+    assert cli.main([*argv, "--output-dir", ""]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and "nonempty" in captured.err
+    assert not root.exists()
+    assert sorted(os.listdir(tmp_path)) == [os.path.basename(cpath)]
+
+
 def test_run_zero_field_exits_4(tmp_path, monkeypatch):
     # the zero-field torus admits no loop of negative action, and
     # summary.txt says so
@@ -698,6 +718,7 @@ def test_oracle_shoot_bad_input_is_config_error(tmp_path, monkeypatch):
     ["--n", "2"],
     ["--seeds", "0"],
     ["--seeds", "-1"],
+    ["--seed", "-1"],
     ["--dt", "1e-320"],
 ])
 def test_oracle_shoot_rejects_bad_sizes(argv, tmp_path, monkeypatch, capsys):

@@ -19,9 +19,8 @@ from magloop.action import (ActionParams, grad_action, grad_norm, row_values,
                             values)
 from magloop.errors import NoNegativeLoopFound
 from magloop.loops import interpolate
-from magloop.minimax import (_PLATEAU_SWEEPS, _bounded_min, _descend,
-                             _engine, _fd_hessian, _reinterp_row,
-                             _saddle_refine, _segment_polish)
+from magloop.minimax import (_bounded_min, _descend, _engine, _fd_hessian,
+                             _reinterp_row, _saddle_refine, _segment_polish)
 from test_geometry import ALL_SPECS
 
 PLANE = GeometrySpec(GeometryKind.PLANE_CONSTANT_B, B=1.0)
@@ -376,7 +375,7 @@ def test_mountain_pass_argmax_radius_law():
 
 
 # the plane family stops at sweep 0; the k=2 rectangle family (no circle
-# has negative action on that torus) sweeps about 70 times
+# has negative action on that torus) sweeps 36 times
 @pytest.mark.parametrize("spec, E, M, n", [
     (PLANE, 1.0, 33, 64),
     (GeometrySpec(GeometryKind.FLAT_TORUS_SINE, a=0.3, k=2), 0.05, 9, 48),
@@ -446,8 +445,8 @@ def test_relaxation_lowers_the_level_of_a_poor_family():
 
 
 def test_sweep_cap_stops_with_max_iters(monkeypatch):
-    # the rectangle family above sweeps about 70 times; a cap of 3 sweeps
-    # ends it, and the saddle refine still runs on the adopted argmax
+    # the rectangle family above sweeps 36 times; a cap of 3 sweeps ends
+    # it, and the saddle refine still runs on the adopted argmax
     spec = GeometrySpec(GeometryKind.FLAT_TORUS_SINE, a=0.3, k=2)
     fam = init_sweep_family(spec, 0.05, "path", 9, 48)
     params = ActionParams(E=0.05, eps=1e-2, tau=1e-2)
@@ -549,17 +548,28 @@ def test_coloured_hessian_equals_the_dense_one(spec, n):
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
-def test_plateau_counts_sweep_zero():
+def test_sweeps_stop_at_the_first_sweep_that_does_not_lower_the_level():
     # a grad_tol below what the polish reaches keeps the certificate from
-    # firing, and this family's level never improves by more than the
-    # relative 1e-9 that counts, so the run stops after the plateau of
-    # sweeps counted from sweep 0; the last history entry is the refinement's
+    # firing, and sweep 1 does not lower this plane family's level: history
+    # holds sweep 0, the stopping sweep 1 and the refinement
     params = ActionParams(E=1.0, eps=1e-2, tau=1e-2)
     fam = init_sweep_family(PLANE, 1.0, "path", 9, 48)
     res = _engine(PLANE, fam.rows, params,
                   DescentSettings(grad_tol=1e-11))[0]
     assert res.stop == "plateau"
-    assert len(res.history) == _PLATEAU_SWEEPS + 1
+    assert len(res.history) == 3
+    # the rectangle family lowers its level at every sweep until the
+    # stopping sweep, which records the best level again; the refine then
+    # reaches the saddle the sweeps approach
+    spec = GeometrySpec(GeometryKind.FLAT_TORUS_SINE, a=0.3, k=2)
+    fam = init_sweep_family(spec, 0.05, "path", 9, 48)
+    params = ActionParams(E=0.05, eps=1e-2, tau=1e-2)
+    res = _engine(spec, fam.rows, params, DescentSettings())[0]
+    assert res.stop == "plateau" and res.converged
+    levels = [v for _, v in res.history[:-1]]
+    assert all(b < a for a, b in zip(levels[:-1], levels[1:-1]))
+    assert levels[-1] == levels[-2]
+    assert abs(res.level - 0.0433208680833701) <= 1e-12 * res.level
 
 
 def test_init_sweep_family_path_invariants():
