@@ -448,9 +448,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except NoNegativeLoopFound as exc:
-        print(f"no negative-action loop: {exc}", file=sys.stderr)
-        return EXIT_NO_NEGATIVE_LOOP
 
 
 def console_main():

@@ -262,21 +262,19 @@ def _segment_polish(spec, row, idx, params, val):
 
 
 def _reinterp_row(spec, row, params, guard, vals):
-    """Equal-spacing re-interpolation of a string.
+    """Equal-spacing re-interpolation of a string whose terminal is not
+    the one-point loop, so its summed gaps are positive.
 
-    If any proposed interior loop has a value above ``guard`` the original
-    row (the same object) is returned and ``vals``, the values of its loops,
-    is left alone, so re-interpolation never raises the family maximum.
-    Otherwise the new row is returned and ``vals`` is updated in place to
-    the values of its loops.
+    If any proposed interior loop has a value above ``guard``, by however
+    little, the original row (the same object) is returned and ``vals``,
+    the values of its loops, is left alone, so re-interpolation never
+    raises the family maximum.  Otherwise the new row is returned and
+    ``vals`` is updated in place to the values of its loops.
     """
     m = len(row)
     gaps = np.array([rms_distance(row[i], row[i + 1]) for i in range(m - 1)])
     total = float(gaps.sum())
-    if total <= 0.0:
-        return row
     cum = np.concatenate([[0.0], np.cumsum(gaps)])
-    slack = 1e-10 * max(1.0, abs(guard))
     new_row = [row[0]]
     new_vals = [vals[0]]
     for j in range(1, m - 1):
@@ -286,7 +284,7 @@ def _reinterp_row(spec, row, params, guard, vals):
         t = 0.0 if gaps[i] == 0.0 else (target - cum[i]) / gaps[i]
         cand = interpolate(row[i], row[i + 1], float(t))
         cval = action_S_eps_tau(spec, cand, params)
-        if cval > guard + slack:
+        if cval > guard:
             return row
         new_row.append(cand)
         new_vals.append(cval)
@@ -452,26 +450,21 @@ def _engine(spec, rows, params, settings):
             rows)
 
 
-def _circle_row(center, radii, orientation, n):
-    row = []
-    for r in radii:
-        if r == 0.0:
-            row.append(make_point_loop(center, n))
-        else:
-            row.append(make_circle(center, float(r), orientation, n))
-    return row
+# the rectangle's height: its continuum action is positive at height 0 and
+# affine in the height (the metric and A = Phi(x) dy depend on x alone, so
+# only the vertical sides and the enclosed flux grow, both linearly), so if
+# any height below the unit period is negative, the tallest is most negative
+_RECT_HEIGHT = 0.98
 
 
-def _rectangle_loop(center, width, height, n, clockwise):
+def _rectangle_loop(center, width, height, n):
     """N points equally spaced along the boundary of an axis-aligned
-    rectangle of positive width and height, starting at the lower-left
+    rectangle of positive width and height, clockwise from the lower-left
     corner."""
     cx, cy = center
     w2, h2 = 0.5 * width, 0.5 * height
-    corners = np.array([[cx - w2, cy - h2], [cx + w2, cy - h2],
-                        [cx + w2, cy + h2], [cx - w2, cy + h2]])
-    if clockwise:
-        corners = corners[[0, 3, 2, 1]]
+    corners = np.array([[cx - w2, cy - h2], [cx - w2, cy + h2],
+                        [cx + w2, cy + h2], [cx + w2, cy - h2]])
     sides = np.roll(corners, -1, axis=0) - corners
     side_len = np.linalg.norm(sides, axis=1)
     per = float(side_len.sum())
@@ -479,21 +472,25 @@ def _rectangle_loop(center, width, height, n, clockwise):
     t = per * np.arange(n) / n
     idx = np.clip(np.searchsorted(cum, t, side="right") - 1, 0, 3)
     frac = (t - cum[idx]) / side_len[idx]
-    verts = corners[idx] + frac[:, None] * sides[idx]
-    return Loop(verts)
+    return Loop(corners[idx] + frac[:, None] * sides[idx])
 
 
-def _scan_negative_circle(spec, E, center, orientation, n, r_cap):
+def _scan_negative_circle(spec, E, center, orientation, n):
     """Smallest scanned circle radius about center with action < 0, or None.
 
-    The scan starts at 1.5 times the continuum zero of the radial action
-    profile (where the action is already negative for a locally constant
-    field) and escalates geometrically up to r_cap, so the terminal stays
-    close to the barrier and the swept family resolves it.
+    Where F vanishes at center nothing is scanned.  Otherwise the scan
+    starts at 1.5 times the continuum zero of the radial action profile
+    (where the action is already negative for a locally constant field) and
+    escalates geometrically up to a cap, min(0.4, 0.249 / k) on a torus
+    (inside one field band and one period) and 100 sqrt(E) / |B| on the
+    plane, so the terminal stays close to the barrier and the swept family
+    resolves it.
     """
     f_abs = abs(field_strength(spec, np.asarray(center)))
-    if f_abs <= 0.0 or r_cap <= 0.0:
+    if f_abs <= 0.0:
         return None
+    r_cap = (min(0.4, 0.249 / spec.k) if spec.is_torus
+             else 100.0 * math.sqrt(E) / f_abs)
     r0 = 2.0 * math.sqrt(E) / f_abs
     for j in range(41):
         r = min(1.5 * r0 * 1.25 ** j, r_cap)
@@ -510,16 +507,18 @@ def init_sweep_family(spec: GeometrySpec, E: float, shape: str, M: int,
     """Construct a throwing-out family whose terminal loops have S_E < 0:
     M loops of N vertices per row, m_p rows for a cylinder, one for a path.
 
-    Centers at x = 0, where |F| is largest on every kind (F = B on the
-    plane, 2 pi k a cos(2 pi k x) on a torus), orientation chosen so the
-    enclosed flux contributes negatively, radii swept from zero until the
-    action turns negative; one scan serves every row, since the chart
-    depends on x alone, and ``_engine`` refuses a row whose terminal is not
-    negative.  On a torus, if no contractible circle works, an axis-aligned
-    rectangle hugging a single field band is tried.  Raises
-    NoNegativeLoopFound when neither construction produces a negative
-    terminal (e.g. a vanishing field).  Deterministic: rng_seed is accepted
-    for positional compatibility and not read.
+    Every row is the one-point loop at (0, y) followed by M - 1 loops of
+    one shape about it, grown linearly to a terminal size.  Centers sit at
+    x = 0, where |F| is largest on every kind (F = B on the plane,
+    2 pi k a cos(2 pi k x) on a torus).  The shape is a circle, oriented so
+    the enclosed flux contributes negatively, of the smallest negative
+    radius ``_scan_negative_circle`` finds; one scan serves every row, since
+    the chart depends on x alone, and ``_engine`` refuses a row whose
+    terminal is not negative.  On a torus with no negative circle it is the
+    clockwise rectangle of width 1/(2k), one field band, and height
+    ``_RECT_HEIGHT``, tested once.  Raises NoNegativeLoopFound when neither
+    terminal is negative (e.g. a vanishing field).  Deterministic: rng_seed
+    is accepted for positional compatibility and not read.
     """
     if shape not in ("path", "cylinder"):
         raise ConfigError("shape must be 'path' or 'cylinder'")
@@ -529,12 +528,6 @@ def init_sweep_family(spec: GeometrySpec, E: float, shape: str, M: int,
             raise ConfigError(f"{what} must be an integer of at least {least}")
     if not (math.isfinite(E) and E > 0):
         raise ConfigError("E must be positive")
-
-    if spec.is_torus:
-        r_cap = min(0.4, 0.249 / spec.k)
-    else:
-        b_abs = abs(spec.B)
-        r_cap = 100.0 * math.sqrt(E) / b_abs if b_abs > 0 else 0.0
 
     if shape == "cylinder":
         ys = [j / m_p for j in range(m_p)] if spec.is_torus else \
@@ -546,34 +539,24 @@ def init_sweep_family(spec: GeometrySpec, E: float, shape: str, M: int,
     # row's center gives every row its orientation and terminal radius
     center = (0.0, ys[0])
     orientation = -1 if field_strength(spec, np.asarray(center)) >= 0 else 1
-    r_term = _scan_negative_circle(spec, E, center, orientation, N, r_cap)
+    r_term = _scan_negative_circle(spec, E, center, orientation, N)
+    width = 0.5 / spec.k
     if r_term is not None:
-        radii = np.linspace(0.0, r_term, M)
-        rows = [_circle_row((0.0, y), radii, orientation, N) for y in ys]
-    elif not spec.is_torus:
-        raise NoNegativeLoopFound(
-            "no circle with negative action exists for this field")
-    else:
-        width = 0.5 / spec.k
-        best = None
-        for h in np.linspace(0.2, 0.98, 27):
-            lp = _rectangle_loop((0.0, 0.5), width, h, N, clockwise=True)
-            s = action_S(spec, lp, E)
-            if s < 0.0 and (best is None or s < best[1]):
-                best = (float(h), s)
-        if best is None:
-            raise NoNegativeLoopFound(
-                "no contractible loop with negative action found")
-        h_term = best[0]
-        rows = []
-        for y in ys:
-            row = []
-            for t in np.linspace(0.0, 1.0, M):
-                if t == 0.0:
-                    row.append(make_point_loop((0.0, y), N))
-                else:
-                    row.append(_rectangle_loop((0.0, y), t * width,
-                                               t * h_term, N, clockwise=True))
-            rows.append(row)
+        sizes = np.linspace(0.0, r_term, M)
 
+        def grown(c, r):
+            return make_circle(c, float(r), orientation, N)
+    elif spec.is_torus and action_S(spec, _rectangle_loop(
+            (0.0, 0.5), width, _RECT_HEIGHT, N), E) < 0.0:
+        sizes = np.linspace(0.0, 1.0, M)
+
+        def grown(c, t):
+            return _rectangle_loop(c, t * width, t * _RECT_HEIGHT, N)
+    else:
+        raise NoNegativeLoopFound("no circle about x = 0 up to the scan cap "
+                                  "(nor on a torus the one-band rectangle) "
+                                  "has negative action")
+
+    rows = [[make_point_loop((0.0, y), N)]
+            + [grown((0.0, y), s) for s in sizes[1:]] for y in ys]
     return LoopFamily(shape=shape, rows=tuple(tuple(r) for r in rows))

@@ -19,8 +19,10 @@ from magloop.action import (ActionParams, grad_action, grad_norm, row_values,
                             values)
 from magloop.errors import NoNegativeLoopFound
 from magloop.loops import interpolate
-from magloop.minimax import (_bounded_min, _descend, _engine, _fd_hessian,
-                             _reinterp_row, _saddle_refine, _segment_polish)
+from magloop.minimax import (_RECT_HEIGHT, _bounded_min, _descend, _engine,
+                             _fd_hessian, _rectangle_loop, _reinterp_row,
+                             _saddle_refine, _scan_negative_circle,
+                             _segment_polish)
 from test_geometry import ALL_SPECS
 
 PLANE = GeometrySpec(GeometryKind.PLANE_CONSTANT_B, B=1.0)
@@ -342,6 +344,25 @@ def test_reinterp_row_reports_the_values_of_its_row():
         assert out is row and again == vals
 
 
+def test_reinterp_row_rejects_a_proposal_above_the_guard_by_any_amount():
+    # a proposal above the family maximum by less than 1e-10 relative still
+    # rejects the row, so re-interpolation never raises the maximum at all
+    params = ActionParams(E=1.0, eps=1e-2, tau=1e-2)
+    base = init_sweep_family(PLANE, 1.0, "path", 9, 48).rows[0]
+    row = [base[0]] + [interpolate(base[0], base[-1], t)
+                       for t in (0.05, 0.1, 0.2, 0.4, 0.6, 0.7, 0.9)] + \
+        [base[-1]]
+    vals = [action_S_eps_tau(PLANE, lp, params) for lp in row]
+    proposed = list(vals)
+    _reinterp_row(PLANE, row, params, math.inf, proposed)
+    top = max(proposed[1:-1])
+    guard = top - 1e-11 * max(1.0, abs(top))
+    assert guard < top
+    again = list(vals)
+    out = _reinterp_row(PLANE, row, params, guard, again)
+    assert out is row and again == vals
+
+
 def test_mountain_pass_level_matches_circle_scan():
     # by rotational symmetry the saddle is a circle, so the minimax level
     # must match a dense 1-D scan over circle radii
@@ -602,6 +623,61 @@ def test_init_sweep_family_no_negative_loop():
     spec = GeometrySpec(GeometryKind.FLAT_TORUS_SINE, a=0.0, k=1)
     with pytest.raises(NoNegativeLoopFound):
         init_sweep_family(spec, 1.0, "path", 15, 48)
+
+
+def test_family_sizes_are_linspace_steps_bit_for_bit():
+    # with M = 10, M - 1 is not a power of two and t * r_term misses
+    # np.linspace(0, r_term, M) by an ulp, so this pins how sizes are written
+    t = np.linspace(0.0, 1.0, 10)
+    r_term = _scan_negative_circle(PLANE_B2, 1.0, (0.0, 0.0), -1, 48)
+    radii = np.linspace(0.0, r_term, 10)
+    assert not np.array_equal(t * r_term, radii)
+    row = init_sweep_family(PLANE_B2, 1.0, "path", 10, 48).rows[0]
+    assert row[0].is_point()
+    for lp, r in zip(row[1:], radii[1:]):
+        ref = make_circle((0.0, 0.0), float(r), -1, 48)
+        assert lp.vertices.tobytes() == ref.vertices.tobytes()
+    # the rectangle grows its width and height by the same t
+    spec = GeometrySpec(GeometryKind.FLAT_TORUS_SINE, a=0.3, k=2)
+    assert _scan_negative_circle(spec, 0.05, (0.0, 0.5), -1, 48) is None
+    row = init_sweep_family(spec, 0.05, "path", 10, 48).rows[0]
+    for lp, ti in zip(row[1:], t[1:]):
+        ref = _rectangle_loop((0.0, 0.5), ti * 0.25, ti * _RECT_HEIGHT, 48)
+        assert lp.vertices.tobytes() == ref.vertices.tobytes()
+
+
+def _scanned_rectangle_height(spec, E, n):
+    """The height of the most negative rectangle of a 27-height scan from
+    0.2 to 0.98, or None if none is negative: the bootstrap's former rule,
+    kept as the reference for its single test at _RECT_HEIGHT."""
+    best = None
+    for h in np.linspace(0.2, 0.98, 27):
+        s = action_S(spec, _rectangle_loop((0.0, 0.5), 0.5 / spec.k, h, n), E)
+        if s < 0.0 and (best is None or s < best[1]):
+            best = (float(h), s)
+    return None if best is None else best[0]
+
+
+def test_tallest_rectangle_decides_like_the_height_scan():
+    # the rectangle's action is affine in its height in the continuum, so
+    # the scan finds a negative height exactly when the tallest is negative,
+    # and then picks the tallest
+    tori = [GeometrySpec(GeometryKind.FLAT_TORUS_SINE, a=a, k=k)
+            for a in (0.05, 0.3, 1.0, 3.0) for k in (1, 2)]
+    tori += [GeometrySpec(GeometryKind.CONFORMAL_TORUS, a=a, k=k, u_amp=u)
+             for a in (0.3, 3.0) for k in (1, 2) for u in (-0.5, 0.2, 1.0)]
+    outcomes = set()
+    for spec in tori:
+        for E in np.geomspace(1e-3, 20.0, 9):
+            for n in (12, 48, 128):
+                h = _scanned_rectangle_height(spec, float(E), n)
+                tallest = _rectangle_loop((0.0, 0.5), 0.5 / spec.k,
+                                          _RECT_HEIGHT, n)
+                negative = action_S(spec, tallest, float(E)) < 0.0
+                assert (h is not None) == negative, (spec, E, n)
+                assert h is None or h == _RECT_HEIGHT, (spec, E, n, h)
+                outcomes.add(negative)
+    assert outcomes == {True, False}
 
 
 def test_torus_minimax_argmax_properties(torus_cross):
